@@ -54,6 +54,6 @@ from .normalization import (
     sampling_variances,
     soft_shrinkage,
 )
-from .numerics import ShapeError, Tape, TapeError, Tensor, Var, backward
+from .numerics import ShapeError, Tensor, backward
 
 __version__ = "0.1.0"

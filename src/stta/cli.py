@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import threading
@@ -327,6 +328,26 @@ def write_results(out_dir: str, records: list[dict]) -> tuple[str, str]:
     return jsonl_path, csv_path
 
 
+def validate_thresholds(thresholds) -> None:
+    """Each key names a cell as mode@ar and maps to a finite minimum accuracy."""
+    if not isinstance(thresholds, dict):
+        raise ConfigError("thresholds must map mode@ar keys to minimum accuracies")
+    for key, minimum in thresholds.items():
+        mode, _, ar = str(key).partition("@")
+        if mode not in MODES:
+            raise ConfigError(f"threshold key {key!r}: unknown mode {mode!r}")
+        try:
+            _as_rate(ar)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"threshold key {key!r}: {ar!r} is not an adaptation rate in [0, 1]") from None
+        try:
+            finite = math.isfinite(float(minimum))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"threshold {key!r}: minimum {minimum!r} is not a finite number")
+
+
 def check_thresholds(cfg: dict, records: list[dict]) -> list[str]:
     failures = []
     rows = {row["cell"]: row for row in summarize(records)}
@@ -358,6 +379,7 @@ def run_command(args) -> int:
         out_dir = args.out or cfg.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "results"
         cells = build_cells(cfg)
         stream_spec_from_config(cfg, 0)  # fail fast on bad stream/domain keys
+        validate_thresholds(cfg.get("thresholds") or {})
         seeds = cfg["grid"]["seeds"]
         if not seeds:
             raise ConfigError("grid.seeds is empty")
@@ -507,10 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", choices=MODES, help="restrict the grid to one mode")
     run_p.add_argument("--out", help=f"output directory (default: config, then ${OUT_DIR_ENV}, then ./results)")
     run_p.add_argument("--workers", type=int, help="worker pool size (default: cpu count)")
-    group = run_p.add_mutually_exclusive_group()
-    group.add_argument("--pretrain", action="store_true",
-                       help="pretrain the source model per seed (default)")
-    group.add_argument("--checkpoint", help="load the source model from a checkpoint file")
+    run_p.add_argument("--checkpoint", help="load the source model from a checkpoint file "
+                       "(default: pretrain one per seed)")
     run_p.add_argument("--save-model", action="store_true",
                        help="save the per-seed source models next to the results")
     run_p.set_defaults(func=run_command)

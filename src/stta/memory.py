@@ -248,9 +248,6 @@ class SampleMemory:
             return None
         return Tensor._wrap(np.stack([s.input.data for s in self.samples]))
 
-    def labels(self) -> list[int]:
-        return [s.pseudo_label for s in self.samples]
-
     def dump(self) -> str:
         """One line per sample: arrival_index, pseudo-label, confidence, distance."""
         return "\n".join(

@@ -1,10 +1,11 @@
 """Feed-forward classifier over batch x channel x length feature maps.
 
 Channel-mixing (1x1) linear layers interleaved with normalization layers,
-a global mean pool over the length axis, and a linear head. During source
-pretraining every weight trains under cross-entropy; during streaming
-adaptation only the normalization layers' per-channel scale and shift
-move, driven by prediction-entropy minimization.
+a global mean pool over the length axis, and a linear head. Only the
+normalization layers' per-channel scale and shift ever train: under
+cross-entropy during source pretraining, and under prediction-entropy
+minimization during streaming adaptation. The channel-mix and head weights
+keep their seeded initialization.
 
 Normalization statistics come from one of four sources per forward pass:
 live batch statistics, memory statistics with shrinkage correction,
@@ -29,7 +30,7 @@ from .normalization import (
     batch_channel_stats,
     normalize,
 )
-from .numerics import ShapeError, Tape, Tensor, Var
+from .numerics import ShapeError, Tensor
 
 NORM_SOURCES = ("batch", "iobmn", "ema", "frozen")
 
@@ -99,11 +100,12 @@ class ClassifierHeadLayer:
 class ForwardResult:
     """Logits plus the statistics observed on the way through the network."""
 
-    logits: Tensor | Var
+    logits: Tensor
     early_mean: np.ndarray   # per sample, per channel: mean over length
     early_sigma: np.ndarray  # per sample, per channel: std over length
     layer_stats: list[ChannelStats]  # per norm layer: input batch statistics
     layer_extents: list[int]         # per norm layer: input spatial extent
+    record: list[tuple] | None = None  # per layer: what its backward needs (batch source)
 
 
 class Model:
@@ -184,101 +186,64 @@ def default_model(channels: int = 16, num_classes: int = 3, blocks: int = 3,
 # forward
 
 
-def _val(x) -> np.ndarray:
-    return x.value if isinstance(x, Var) else x.data
-
-
-def _mix(x, weight):
-    # batch x c_in x length -> batch x c_out x length via a 2-D product
-    b, c, length = _val(x).shape
-    cols = nm.reshape(nm.transpose(x, (1, 0, 2)), (c, b * length))
-    mixed = nm.matmul(weight, cols)
-    c_out = _val(mixed).shape[0]
-    return nm.transpose(nm.reshape(mixed, (c_out, b, length)), (1, 0, 2))
-
-
-def _norm_batch(x, gamma, beta, epsilon):
-    shape = _val(x).shape
-    mean = nm.reduce_mean(x, (0, 2))
-    var = nm.reduce_var(x, (0, 2))
-    inv = nm.rsqrt(nm.add_scalar(var, epsilon))
-    centered = nm.sub(x, nm.expand(mean, shape, (1,)))
-    scaled = nm.mul(centered, nm.expand(inv, shape, (1,)))
-    return nm.add(nm.mul(scaled, nm.expand(gamma, shape, (1,))), nm.expand(beta, shape, (1,)))
-
-
-def forward(model: Model, x, norm_source: str = "batch",
-            norm_params: dict[int, tuple] | None = None) -> ForwardResult:
+def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
     """Run the network, collecting early per-sample and per-layer statistics.
-
-    `x` may be a Tensor (pure evaluation) or a tape Var (differentiable;
-    batch statistics only). `norm_params` substitutes (gamma, beta) nodes
-    for norm layers by layer index; the training paths use it to inject
-    trainable tape variables.
 
     Early statistics are each sample's per-channel (mean, std over length)
     of the input to the first norm layer; `layer_stats` are the live batch
     statistics of every norm layer's input. With the `ema` source, each
     norm layer folds the live statistics into its moving average as the
-    pass reaches it.
+    pass reaches it. With the `batch` source the result also carries the
+    record that `numerics.backward` differentiates.
     """
     if norm_source not in NORM_SOURCES:
         raise ValueError(f"unknown norm source {norm_source!r}")
-    xv = _val(x) if isinstance(x, (Tensor, Var)) else np.asarray(x, dtype=np.float64)
-    if not isinstance(x, (Tensor, Var)):
-        x = Tensor(xv)
+    xv = (x if isinstance(x, Tensor) else Tensor(x)).data
     if xv.ndim != 3 or xv.shape[1] != model.in_channels:
         raise ShapeError(f"expected batch x {model.in_channels} x length input, got {xv.shape}")
     if xv.shape[0] < 1:
         raise ShapeError("empty batch")
-    if norm_source != "batch" and isinstance(x, Var):
-        raise ValueError("recorded forwards support batch statistics only")
 
     early_mean = early_sigma = None
     layer_stats: list[ChannelStats] = []
     layer_extents: list[int] = []
-    norm_index = 0
-    out = x
-    for layer_index, layer in enumerate(model.layers):
-        if layer.kind == "channel_mix":
-            out = _mix(out, Tensor._wrap(layer.weight))
-        elif layer.kind == "norm":
-            value = _val(out)
-            stats = batch_channel_stats(value)
+    record = [] if norm_source == "batch" else None
+    out = xv
+    for layer in model.layers:
+        kind = layer.kind
+        if kind == "channel_mix":
+            out, saved = nm.channel_mix(out, layer.weight)
+        elif kind == "norm":
+            stats = batch_channel_stats(out)
             layer_stats.append(stats)
-            layer_extents.append(value.shape[2])
-            if norm_index == 0:
-                early_mean = value.mean(axis=2)
-                centered = value - early_mean[:, :, None]
+            layer_extents.append(out.shape[2])
+            if early_mean is None:
+                early_mean = out.mean(axis=2)
+                centered = out - early_mean[:, :, None]
                 early_sigma = np.sqrt(np.mean(centered * centered, axis=2))
-            if norm_params and layer_index in norm_params:
-                gamma, beta = norm_params[layer_index]
-            else:
-                gamma, beta = Tensor._wrap(layer.gamma), Tensor._wrap(layer.beta)
             if norm_source == "batch":
-                out = _norm_batch(out, gamma, beta, layer.epsilon)
+                out, saved = nm.norm(out, stats.mean, stats.var, layer.gamma, layer.beta, layer.epsilon)
             elif norm_source == "iobmn":
                 if not layer.memory_norm.populated:
                     raise StateError("memory normalization state not populated; run an adaptation first")
-                out = Tensor._wrap(normalize(layer.memory_norm, value, _val(gamma), _val(beta), layer.epsilon))
+                out = normalize(layer.memory_norm, out, layer.gamma, layer.beta, layer.epsilon)
             elif norm_source == "ema":
                 blended = layer.ema.update(stats)
-                out = Tensor._wrap(_affine_normalize(value, blended.mean, blended.var,
-                                                     _val(gamma), _val(beta), layer.epsilon))
+                out = _affine_normalize(out, blended.mean, blended.var, layer.gamma, layer.beta, layer.epsilon)
             else:  # frozen source statistics
-                out = Tensor._wrap(_affine_normalize(value, layer.running_mean, layer.running_var,
-                                                     _val(gamma), _val(beta), layer.epsilon))
-            norm_index += 1
-        elif layer.kind == "relu":
-            out = nm.relu(out)
-        elif layer.kind == "global_mean_pool":
-            out = nm.reduce_mean(out, (2,))
-        else:  # classifier head
-            out = nm.add(nm.matmul(out, Tensor._wrap(layer.weight)),
-                         nm.expand(Tensor._wrap(layer.bias), _val(out).shape[:1] + layer.bias.shape, (1,)))
+                out = _affine_normalize(out, layer.running_mean, layer.running_var,
+                                        layer.gamma, layer.beta, layer.epsilon)
+        elif kind == "relu":
+            out, saved = nm.relu(out)
+        elif kind == "global_mean_pool":
+            out, saved = nm.global_mean_pool(out)
+        else:
+            out, saved = nm.classifier_head(out, layer.weight, layer.bias)
+        if record is not None:
+            record.append((kind, saved))
     if early_mean is None:
         raise ValueError("model has no norm layer")
-    return ForwardResult(out, early_mean, early_sigma, layer_stats, layer_extents)
+    return ForwardResult(Tensor._wrap(out), early_mean, early_sigma, layer_stats, layer_extents, record)
 
 
 def _affine_normalize(f, mean, var, gamma, beta, epsilon):
@@ -287,25 +252,53 @@ def _affine_normalize(f, mean, var, gamma, beta, epsilon):
 
 
 # ---------------------------------------------------------------------------
-# losses
+# losses; each returns the loss and its gradient with respect to the logits.
+# The gradients take the reference differentiator's operations in its order
+# (softmax and exp(log-softmax) both appear), so they equal it bit for bit;
+# the closed forms round differently.
 
 
-def entropy_loss(logits):
+def _logits_of(logits) -> np.ndarray:
+    lv = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
+    if lv.ndim != 2 or lv.shape[0] < 1:
+        raise ShapeError(f"expected batch x classes logits, got {lv.shape}")
+    return lv
+
+
+def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise exp(logits - max) and log-softmax."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e, shifted - np.log(e.sum(axis=-1, keepdims=True))
+
+
+def entropy_loss(logits) -> tuple[float, np.ndarray]:
     """Mean over the batch of the prediction entropy (natural log)."""
-    shape = _val(logits).shape if isinstance(logits, (Tensor, Var)) else np.shape(logits)
-    if len(shape) != 2 or shape[0] < 1:
-        raise ShapeError(f"expected batch x classes logits, got {shape}")
-    p = nm.softmax(logits)
-    ls = nm.log_softmax(logits)
-    per_sample = nm.neg(nm.reduce_sum(nm.mul(p, ls), (1,)))
-    return nm.reduce_mean(per_sample, (0,))
+    lv = _logits_of(logits)
+    b = lv.shape[0]
+    e, log_p = _log_softmax(lv)
+    p = e / e.sum(axis=-1, keepdims=True)
+    loss = (-((p * log_p).sum(axis=(1,)))).mean(axis=(0,))
+    d_terms = -(1.0 / b)  # d loss / d (p * log_p), every term
+    d_p = d_terms * log_p
+    d_log_p = d_terms * p
+    grad = d_log_p - np.exp(log_p) * d_log_p.sum(axis=-1, keepdims=True)
+    return float(loss), grad + p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy_loss(logits, labels):
+def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood of integer labels."""
-    ls = nm.log_softmax(logits)
-    picked = nm.take_per_row(ls, labels)
-    return nm.neg(nm.reduce_mean(picked, (0,)))
+    lv = _logits_of(logits)
+    b = lv.shape[0]
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (b,) or (labels.min() < 0 or labels.max() >= lv.shape[1]):
+        raise ValueError(f"need one class index in [0, {lv.shape[1]}) for each of {b} rows")
+    _, log_p = _log_softmax(lv)
+    rows = np.arange(b)
+    loss = -(log_p[rows, labels].mean(axis=(0,)))
+    d_log_p = np.zeros(lv.shape)
+    d_log_p[rows, labels] = -1.0 / b
+    return float(loss), d_log_p - np.exp(log_p) * d_log_p.sum(axis=-1, keepdims=True)
 
 
 def per_sample_entropy(probabilities: np.ndarray) -> np.ndarray:
@@ -320,6 +313,12 @@ def per_sample_entropy(probabilities: np.ndarray) -> np.ndarray:
 # parameter updates
 
 
+def _descend(model: Model, result: ForwardResult, dlogits: np.ndarray, lr: float) -> None:
+    for layer, (d_gamma, d_beta) in zip(model.norm_layers, nm.backward(result.record, dlogits)):
+        layer.gamma = layer.gamma - lr * d_gamma
+        layer.beta = layer.beta - lr * d_beta
+
+
 def adapt_step(model: Model, memory_batch, lr: float) -> ForwardResult | None:
     """One entropy-minimization SGD step on every norm layer's scale/shift.
 
@@ -332,22 +331,9 @@ def adapt_step(model: Model, memory_batch, lr: float) -> ForwardResult | None:
     batch = memory_batch if isinstance(memory_batch, Tensor) else Tensor(memory_batch)
     if batch.data.shape[0] == 0:
         return None
-    tape = Tape()
-    norm_params: dict[int, tuple] = {}
-    slots: list[tuple[NormLayer, Var, Var]] = []
-    for layer_index, layer in enumerate(model.layers):
-        if layer.kind == "norm":
-            g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
-            b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
-            norm_params[layer_index] = (g, b)
-            slots.append((layer, g, b))
-    x = tape.variable(batch)
-    result = forward(model, x, "batch", norm_params)
-    loss = entropy_loss(result.logits)
-    grads = nm.backward(tape, loss)
-    for layer, g, b in slots:
-        layer.gamma = layer.gamma - lr * grads[g].data
-        layer.beta = layer.beta - lr * grads[b].data
+    result = forward(model, batch, "batch")
+    _, dlogits = entropy_loss(result.logits)
+    _descend(model, result, dlogits, lr)
     return result
 
 
@@ -360,10 +346,12 @@ class PretrainResult:
 
 def pretrain(model: Model, inputs, labels, epochs: int = 100, lr: float = 1e-2, seed: int = 0,
              batch_size: int = 32, running_momentum: float = 0.1) -> PretrainResult:
-    """Cross-entropy SGD over all weights on labeled source data.
+    """Cross-entropy SGD on labeled source data.
 
-    Deterministic under the seed (shuffling is the only randomness). Norm
-    layers accumulate running source statistics for the frozen source.
+    Only the norm layers' scale/shift train; the channel-mix and head
+    weights keep their seeded initialization. Deterministic under the seed
+    (shuffling is the only randomness). Norm layers accumulate running
+    source statistics for the frozen source.
     """
     x = np.asarray(inputs.data if isinstance(inputs, Tensor) else inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
@@ -384,35 +372,14 @@ def pretrain(model: Model, inputs, labels, epochs: int = 100, lr: float = 1e-2, 
 
 def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float,
                         running_momentum: float) -> float:
-    tape = Tape()
-    norm_params: dict[int, tuple] = {}
-    trained: list[tuple] = []  # (object, attribute, var)
-    for layer_index, layer in enumerate(model.layers):
-        if layer.kind == "channel_mix":
-            w = tape.variable(Tensor._wrap(layer.weight), trainable=True)
-            trained.append((layer, "weight", w))
-        elif layer.kind == "norm":
-            g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
-            b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
-            norm_params[layer_index] = (g, b)
-            trained.append((layer, "gamma", g))
-            trained.append((layer, "beta", b))
-        elif layer.kind == "classifier_head":
-            w = tape.variable(Tensor._wrap(layer.weight), trainable=True)
-            b = tape.variable(Tensor._wrap(layer.bias), trainable=True)
-            trained.append((layer, "weight", w))
-            trained.append((layer, "bias", b))
-    x = tape.variable(Tensor._wrap(xb))
-    result = forward(model, x, "batch", norm_params)
-    loss = cross_entropy_loss(result.logits, yb)
-    grads = nm.backward(tape, loss)
-    for obj, attr, var in trained:
-        setattr(obj, attr, getattr(obj, attr) - lr * grads[var].data)
+    result = forward(model, Tensor._wrap(xb), "batch")
+    loss, dlogits = cross_entropy_loss(result.logits, yb)
+    _descend(model, result, dlogits, lr)
     m = running_momentum
     for layer, stats in zip(model.norm_layers, result.layer_stats):
         layer.running_mean = (1.0 - m) * layer.running_mean + m * stats.mean
         layer.running_var = (1.0 - m) * layer.running_var + m * stats.var
-    return float(_val(loss))
+    return loss
 
 
 def evaluate_accuracy(model: Model, inputs, labels, batch_size: int = 64,
@@ -425,7 +392,7 @@ def evaluate_accuracy(model: Model, inputs, labels, batch_size: int = 64,
     for start in range(0, x.shape[0], batch_size):
         xb, yb = x[start:start + batch_size], y[start:start + batch_size]
         result = forward(model, Tensor._wrap(xb), norm_source)
-        correct += int((_val(result.logits).argmax(axis=1) == yb).sum())
+        correct += int((result.logits.data.argmax(axis=1) == yb).sum())
     return correct / x.shape[0]
 
 

@@ -34,9 +34,9 @@ class ChannelStats:
         self.var = np.asarray(self.var, dtype=np.float64)
         if self.mean.shape != self.var.shape or self.mean.ndim != 1:
             raise ShapeError(f"channel stats: mean {self.mean.shape} vs var {self.var.shape}")
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.var))):
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.var).all()):
             raise ValueError("channel stats must be finite")
-        if np.any(self.var < 0.0):
+        if (self.var < 0.0).any():
             raise ValueError("variance must be non-negative")
 
     def copy(self) -> "ChannelStats":

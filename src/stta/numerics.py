@@ -1,25 +1,27 @@
-"""Dense float64 tensors and tape-based reverse-mode differentiation.
+"""Forward and backward kernels for the model's fixed layer stack.
 
-Just enough array machinery for a small normalization-layer classifier:
-2-D matrix products, axis reductions, stable softmax / log-softmax, and
-explicit (never implicit) broadcasting. Differentiation is recorded on an
-explicit :class:`Tape`; gradients accumulate additively across fan-out and
-are returned per trainable slot by :func:`backward`.
+The model is a fixed stack of five layer kinds: channel mix, normalization,
+relu, global mean pool and classifier head. Each kind has a plain-numpy
+forward and backward here. A recorded forward keeps, per layer, what that
+layer's backward needs; :func:`backward` walks the record in reverse and
+returns the normalization layers' scale/shift gradients, the only weights
+that train.
+
+The kernels repeat, operation for operation, the tape-based reference
+differentiator kept with the tests, and their results equal it bit for bit.
+Floating-point reductions and matrix products depend on the memory layout
+of their operands, so the kernels keep the reference's layouts wherever a
+reduction or a product reads them: the channel-major result of the channel
+mix, and the dense per-channel copies in the normalization layer.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 
 class ShapeError(ValueError):
     """Operand shapes do not satisfy an operation's contract."""
-
-
-class TapeError(RuntimeError):
-    """Misuse of the recording/backward machinery."""
 
 
 class Tensor:
@@ -69,399 +71,101 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-class Var:
-    """A value recorded on a tape; participates in the same ops as Tensor."""
-
-    __slots__ = ("tape", "index", "value")
-
-    def __init__(self, tape: "Tape", index: int, value: np.ndarray) -> None:
-        self.tape = tape
-        self.index = index
-        self.value = value
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    def tensor(self) -> Tensor:
-        return Tensor._wrap(self.value.copy())
-
-    def __repr__(self) -> str:
-        return f"Var(index={self.index}, shape={self.shape})"
-
-
-class _Record:
-    __slots__ = ("parents", "vjp")
-
-    def __init__(self, parents, vjp) -> None:
-        self.parents = parents
-        self.vjp = vjp
-
-
-class Tape:
-    """Ordered record of differentiable operations.
-
-    Single-writer: a tape must not be shared across threads while
-    recording. Backward traverses in exact reverse of record order.
-    """
-
-    def __init__(self) -> None:
-        self._records: list[_Record] = []
-        self._trainable: list[Var] = []
-
-    def variable(self, value: Union[Tensor, np.ndarray], trainable: bool = False) -> Var:
-        """Enter a leaf value on the tape; trainable leaves are gradient slots."""
-        arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
-        var = self._emit(arr, (), None)
-        if trainable:
-            self._trainable.append(var)
-        return var
-
-    @property
-    def trainable(self) -> tuple[Var, ...]:
-        return tuple(self._trainable)
-
-    def _emit(self, value: np.ndarray, parents, vjp) -> Var:
-        var = Var(self, len(self._records), value)
-        self._records.append(_Record(tuple(p.index for p in parents), vjp))
-        return var
-
-
-ArrayLike = Union[Tensor, Var, np.ndarray, Sequence, float, int]
-
-
-def _value(x: ArrayLike) -> np.ndarray:
-    if isinstance(x, Var):
-        return x.value
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
-
-
-def _tape_of(*xs: ArrayLike) -> Tape | None:
-    tape = None
-    for x in xs:
-        if isinstance(x, Var):
-            if tape is not None and tape is not x.tape:
-                raise TapeError("operands recorded on different tapes")
-            tape = x.tape
-    return tape
-
-
-def _apply(tape: Tape | None, out: np.ndarray, parents, vjp):
-    if tape is None:
-        return Tensor._wrap(out)
-    recorded = [p for p in parents if isinstance(p, Var)]
-    # Constants occupy no slot; the vjp still returns one grad per Var parent.
-    return tape._emit(out, recorded, vjp)
-
-
-def _check_axes(shape: tuple[int, ...], axes: Iterable[int]) -> tuple[int, ...]:
-    axes = tuple(axes)
-    if len(axes) == 0:
-        raise ValueError("reduction needs at least one axis")
-    if len(set(axes)) != len(axes):
-        raise ValueError(f"duplicate reduction axes {axes}")
-    for a in axes:
-        if not (0 <= a < len(shape)):
-            raise ValueError(f"axis {a} out of range for shape {shape}")
-    return axes
-
-
-# ---------------------------------------------------------------------------
-# elementwise and structural ops
-
-
-def add(a: ArrayLike, b: ArrayLike):
-    av, bv = _value(a), _value(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"add: shapes {av.shape} vs {bv.shape}")
-    tape = _tape_of(a, b)
-
-    def vjp(g):
-        out = []
-        if isinstance(a, Var):
-            out.append(g)
-        if isinstance(b, Var):
-            out.append(g)
-        return out
-
-    return _apply(tape, av + bv, (a, b), vjp)
-
-
-def sub(a: ArrayLike, b: ArrayLike):
-    av, bv = _value(a), _value(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"sub: shapes {av.shape} vs {bv.shape}")
-    tape = _tape_of(a, b)
-
-    def vjp(g):
-        out = []
-        if isinstance(a, Var):
-            out.append(g)
-        if isinstance(b, Var):
-            out.append(-g)
-        return out
-
-    return _apply(tape, av - bv, (a, b), vjp)
-
-
-def mul(a: ArrayLike, b: ArrayLike):
-    av, bv = _value(a), _value(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"mul: shapes {av.shape} vs {bv.shape}")
-    tape = _tape_of(a, b)
-
-    def vjp(g):
-        out = []
-        if isinstance(a, Var):
-            out.append(g * bv)
-        if isinstance(b, Var):
-            out.append(g * av)
-        return out
-
-    return _apply(tape, av * bv, (a, b), vjp)
-
-
-def neg(a: ArrayLike):
-    av = _value(a)
-    return _apply(_tape_of(a), -av, (a,), lambda g: [-g])
-
-
-def add_scalar(a: ArrayLike, c: float):
-    av = _value(a)
-    return _apply(_tape_of(a), av + float(c), (a,), lambda g: [g])
-
-
-def mul_scalar(a: ArrayLike, c: float):
-    av = _value(a)
-    c = float(c)
-    return _apply(_tape_of(a), av * c, (a,), lambda g: [g * c])
-
-
-def relu(a: ArrayLike):
-    av = _value(a)
-    mask = av > 0.0
-    return _apply(_tape_of(a), np.where(mask, av, 0.0), (a,), lambda g: [g * mask])
-
-
-def rsqrt(a: ArrayLike):
-    """Elementwise 1/sqrt(x); caller guarantees strictly positive input."""
-    av = _value(a)
-    out = 1.0 / np.sqrt(av)
-    return _apply(_tape_of(a), out, (a,), lambda g: [g * (-0.5) * out / av])
-
-
-def transpose(a: ArrayLike, perm: Sequence[int]):
-    av = _value(a)
-    perm = tuple(perm)
-    if sorted(perm) != list(range(av.ndim)):
-        raise ShapeError(f"transpose: invalid permutation {perm} for ndim {av.ndim}")
-    inv = np.argsort(perm)
-    return _apply(_tape_of(a), np.transpose(av, perm), (a,), lambda g: [np.transpose(g, inv)])
-
-
-def reshape(a: ArrayLike, shape: Sequence[int]):
-    av = _value(a)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != av.size:
-        raise ShapeError(f"reshape: cannot view {av.shape} as {shape}")
-    old = av.shape
-    return _apply(_tape_of(a), av.reshape(shape), (a,), lambda g: [g.reshape(old)])
-
-
-def expand(v: ArrayLike, shape: Sequence[int], axes: Sequence[int]):
-    """Place v's dimensions at `axes` of `shape` and tile across the rest.
-
-    The only broadcasting permitted anywhere in this module: explicit, with
-    the target shape spelled out (e.g. a per-channel vector expanded over a
-    batch-by-channel-by-length feature map).
-    """
-    vv = _value(v)
-    shape = tuple(int(s) for s in shape)
-    axes = tuple(axes)
-    if len(axes) != vv.ndim:
-        raise ShapeError(f"expand: {len(axes)} axes for ndim {vv.ndim}")
-    if tuple(vv.shape) != tuple(shape[a] for a in axes):
-        raise ShapeError(f"expand: value shape {vv.shape} does not fit {shape} at axes {axes}")
-    if list(axes) != sorted(axes):
-        raise ShapeError("expand: axes must be increasing")
-    view = [1] * len(shape)
-    for a, extent in zip(axes, vv.shape):
-        view[a] = extent
-    other = tuple(i for i in range(len(shape)) if i not in axes)
-    out = np.broadcast_to(vv.reshape(view), shape).copy()
-
-    def vjp(g):
-        return [g.sum(axis=other) if other else g.copy()]
-
-    return _apply(_tape_of(v), out, (v,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def reduce_sum(a: ArrayLike, axes: Sequence[int]):
-    av = _value(a)
-    axes = _check_axes(av.shape, axes)
-    shape = av.shape
-
-    def vjp(g):
-        view = [1 if i in axes else shape[i] for i in range(len(shape))]
-        return [np.broadcast_to(g.reshape(view), shape).copy()]
-
-    return _apply(_tape_of(a), av.sum(axis=axes), (a,), vjp)
-
-
-def reduce_mean(a: ArrayLike, axes: Sequence[int]):
-    av = _value(a)
-    axes = _check_axes(av.shape, axes)
-    shape = av.shape
-    count = 1
-    for ax in axes:
-        count *= shape[ax]
-
-    def vjp(g):
-        view = [1 if i in axes else shape[i] for i in range(len(shape))]
-        return [np.broadcast_to(g.reshape(view) / count, shape).copy()]
-
-    return _apply(_tape_of(a), av.mean(axis=axes), (a,), vjp)
-
-
-def reduce_var(a: ArrayLike, axes: Sequence[int]):
-    """Population variance (divide by count) about the mean over `axes`."""
-    av = _value(a)
-    axes = _check_axes(av.shape, axes)
-    shape = av.shape
-    count = 1
-    for ax in axes:
-        count *= shape[ax]
-    mean = av.mean(axis=axes, keepdims=True)
-    centered = av - mean
-    out = np.mean(centered * centered, axis=axes)
-
-    def vjp(g):
-        view = [1 if i in axes else shape[i] for i in range(len(shape))]
-        # d var / d x = 2 (x - mean) / count; the term through the mean cancels.
-        return [np.broadcast_to(g.reshape(view), shape) * (2.0 / count) * centered]
-
-    return _apply(_tape_of(a), out, (a,), vjp)
-
-
-def reduce_mean_var(a: ArrayLike, axes: Sequence[int]):
-    """Mean and population variance over `axes`, axes removed from the shape."""
-    return reduce_mean(a, axes), reduce_var(a, axes)
-
-
-# ---------------------------------------------------------------------------
-# matrix product and row-wise classification ops
-
-
-def matmul(a: ArrayLike, b: ArrayLike):
-    av, bv = _value(a), _value(b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-D operands, got {av.shape} and {bv.shape}")
-    if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul: inner extents {av.shape} x {bv.shape} do not agree")
-    tape = _tape_of(a, b)
-
-    def vjp(g):
-        out = []
-        if isinstance(a, Var):
-            out.append(g @ bv.T)
-        if isinstance(b, Var):
-            out.append(av.T @ g)
-        return out
-
-    return _apply(tape, av @ bv, (a, b), vjp)
-
-
-def softmax(a: ArrayLike):
+def softmax(a) -> Tensor:
     """Row-normalized exponentials over the last axis, max-subtracted."""
-    av = _value(a)
+    av = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
     if av.ndim < 1 or av.shape[-1] < 1:
         raise ShapeError(f"softmax: need at least one class, got shape {av.shape}")
     shifted = av - av.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return [p * (g - inner)]
-
-    return _apply(_tape_of(a), p, (a,), vjp)
+    return Tensor._wrap(e / e.sum(axis=-1, keepdims=True))
 
 
-def log_softmax(a: ArrayLike):
-    av = _value(a)
-    if av.ndim < 1 or av.shape[-1] < 1:
-        raise ShapeError(f"log_softmax: need at least one class, got shape {av.shape}")
-    shifted = av - av.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-    p = np.exp(out)
-
-    def vjp(g):
-        return [g - p * g.sum(axis=-1, keepdims=True)]
-
-    return _apply(_tape_of(a), out, (a,), vjp)
+# ---------------------------------------------------------------------------
+# forward kernels; each returns its output and what its backward needs
 
 
-def take_per_row(a: ArrayLike, indices: Sequence[int]):
-    """Pick one column per row of a 2-D array: out[i] = a[i, indices[i]]."""
-    av = _value(a)
-    if av.ndim != 2:
-        raise ShapeError(f"take_per_row: expected 2-D input, got {av.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.shape != (av.shape[0],):
-        raise ShapeError(f"take_per_row: {idx.shape[0] if idx.ndim else 0} indices for {av.shape[0]} rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= av.shape[1]):
-        raise ValueError("take_per_row: index out of range")
-    rows = np.arange(av.shape[0])
-    shape = av.shape
+def channel_mix(x: np.ndarray, weight: np.ndarray):
+    """batch x c_in x length -> batch x c_out x length, laid out channel-major."""
+    b, c, length = x.shape
+    mixed = weight @ x.transpose(1, 0, 2).reshape(c, b * length)
+    return mixed.reshape(weight.shape[0], b, length).transpose(1, 0, 2), (weight,)
 
-    def vjp(g):
-        full = np.zeros(shape)
-        full[rows, idx] = g
-        return [full]
 
-    return _apply(_tape_of(a), av[rows, idx], (a,), vjp)
+def norm(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarray,
+         beta: np.ndarray, epsilon: float):
+    """gamma * (x - mean) / sqrt(var + epsilon) + beta, per channel.
+
+    `mean` and `var` are the batch's own statistics of `x`. The result is
+    laid out batch-major whatever the layout of `x`: the backward's sums
+    over batch and length read that layout.
+    """
+    shifted_var = var + epsilon
+    inv = 1.0 / np.sqrt(shifted_var)
+    centered = np.subtract(x, mean.reshape(1, -1, 1), order="C")
+    scaled = centered * inv.reshape(1, -1, 1)
+    out = scaled * gamma.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
+    return out, (centered, scaled, gamma, inv, shifted_var)
+
+
+def relu(x: np.ndarray):
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), (mask,)
+
+
+def global_mean_pool(x: np.ndarray):
+    """batch x channel x length -> batch x channel, the mean over length."""
+    return x.mean(axis=(2,)), (x.shape[2],)
+
+
+def classifier_head(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+    return x @ weight + bias.reshape(1, -1), (weight,)
 
 
 # ---------------------------------------------------------------------------
 # backward
 
 
-def backward(tape: Tape, loss: Var) -> dict[Var, Tensor]:
-    """Gradients of a recorded scalar loss for every trainable slot.
+def backward(record: list[tuple], dlogits: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Scale/shift gradients of every norm layer, in layer order.
 
-    Trainable slots the loss does not depend on receive zero gradients;
-    non-trainable slots receive none.
+    `record` holds one `(kind, saved)` entry per layer, in layer order, with
+    what that layer's forward kernel saved. Nothing before the first norm
+    layer trains, so the walk stops there.
     """
-    if not isinstance(loss, Var) or loss.tape is not tape:
-        raise TapeError("loss is not recorded on this tape")
-    if loss.value.shape != ():
-        raise TapeError(f"loss must be scalar, got shape {loss.value.shape}")
-
-    grads: list[np.ndarray | None] = [None] * len(tape._records)
-    grads[loss.index] = np.ones(())
-    for i in range(loss.index, -1, -1):
-        g = grads[i]
-        if g is None:
-            continue
-        rec = tape._records[i]
-        if rec.vjp is None:
-            continue
-        for parent_index, pg in zip(rec.parents, rec.vjp(g)):
-            if grads[parent_index] is None:
-                grads[parent_index] = np.array(pg, dtype=np.float64)
-            else:
-                grads[parent_index] = grads[parent_index] + pg
-    out: dict[Var, Tensor] = {}
-    for var in tape._trainable:
-        g = grads[var.index]
-        if g is None:
-            g = np.zeros_like(var.value)
-        out[var] = Tensor._wrap(np.asarray(g, dtype=np.float64))
-    return out
+    grads = []
+    first_norm = next(i for i, (kind, _) in enumerate(record) if kind == "norm")
+    g = dlogits
+    for i in range(len(record) - 1, first_norm - 1, -1):
+        kind, saved = record[i]
+        if kind == "classifier_head":
+            (weight,) = saved
+            g = g @ weight.T
+        elif kind == "global_mean_pool":
+            (length,) = saved
+            g = np.repeat(g.reshape(*g.shape, 1) / length, length, axis=2)
+        elif kind == "relu":
+            (mask,) = saved
+            g = g * mask
+        elif kind == "channel_mix":
+            (weight,) = saved
+            b, c_out, length = g.shape
+            cols = weight.T @ g.transpose(1, 0, 2).reshape(c_out, b * length)
+            g = cols.reshape(weight.shape[1], b, length).transpose(1, 0, 2)
+        else:
+            centered, scaled, gamma, inv, shifted_var = saved
+            d_beta = g.sum(axis=(0, 2))
+            d_gamma = (g * scaled).sum(axis=(0, 2))
+            grads.append((d_gamma, d_beta))
+            if i == first_norm:
+                break
+            count = g.shape[0] * g.shape[2]
+            d_scaled = g * gamma.reshape(1, -1, 1)
+            d_centered = d_scaled * inv.reshape(1, -1, 1)
+            d_inv = (d_scaled * centered).sum(axis=(0, 2))
+            d_var = d_inv * (-0.5) * inv / shifted_var
+            d_mean = -d_centered.sum(axis=(0, 2))
+            g = d_centered + (d_var * (2.0 / count)).reshape(1, -1, 1) * centered
+            g += (d_mean / count).reshape(1, -1, 1)
+    grads.reverse()
+    return grads

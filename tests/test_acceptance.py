@@ -25,7 +25,7 @@ from stta.datagen import (
 )
 from stta.engine import AdaptationSchedule, Engine, EngineConfig
 from stta.memory import MemorySample, SampleMemory, SampleStats, wasserstein
-from stta.model import default_model, forward, pretrain
+from stta.model import default_model, pretrain
 from stta.normalization import (
     ChannelStats,
     MemoryNormState,
@@ -35,7 +35,7 @@ from stta.normalization import (
     sampling_variances,
     soft_shrinkage,
 )
-from stta.numerics import Tape, Tensor, backward
+from stta.numerics import Tensor
 
 from memory_oracle import OracleMemory
 from oracles import (
@@ -46,6 +46,7 @@ from oracles import (
     soft_shrinkage_mp,
     wasserstein_mp,
 )
+from reference_tape import Tape, backward, forward
 from tent_oracle import run_tent
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -179,7 +180,7 @@ def test_criterion_2_gradient_correctness():
             else:
                 pytest.fail("no kink-free batch found")
 
-            from stta.model import entropy_loss
+            from reference_tape import entropy_loss
 
             tape = Tape()
             norm_params = {}

@@ -137,6 +137,22 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("thresholds,named", [
+        ({"snap@abc": 0.5}, "snap@abc"),
+        ({"snap": 0.5}, "'snap'"),
+        ({"fast@0.5": 0.5}, "fast@0.5"),
+        ({"snap@3/2": 0.5}, "snap@3/2"),
+        ({"snap@0.5": "high"}, "snap@0.5"),
+        ({"snap@0.5": None}, "snap@0.5"),
+    ], ids=["bad-rate", "no-rate", "bad-mode", "rate-above-one", "text-minimum", "null-minimum"])
+    def test_bad_threshold_exits_one_before_any_work(self, tmp_path, capsys, thresholds, named):
+        cfg_path = write_config(tmp_path, tiny_config(thresholds=thresholds))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: threshold") and named in err
+        assert not out.exists()
+
     def test_threshold_pass_exits_zero(self, tmp_path):
         cfg = tiny_config(thresholds={"snap@0.5": 0.0})
         cfg_path = write_config(tmp_path, cfg)
