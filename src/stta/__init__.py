@@ -22,7 +22,6 @@ from .engine import AdaptationSchedule, BatchRecord, Engine, EngineConfig, RunMe
 from .memory import (
     DomainCentroid,
     InsertOutcome,
-    MemorySample,
     SampleMemory,
     SampleStats,
     confidence,

@@ -378,11 +378,16 @@ def run_command(args) -> int:
             cfg["grid"]["modes"] = [args.mode]
         out_dir = args.out or cfg.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "results"
         cells = build_cells(cfg)
-        stream_spec_from_config(cfg, 0)  # fail fast on bad stream/domain keys
+        batch_size = stream_spec_from_config(cfg, 0).batch_size  # fail fast on bad stream/domain keys
         validate_thresholds(cfg.get("thresholds") or {})
         seeds = cfg["grid"]["seeds"]
         if not seeds:
             raise ConfigError("grid.seeds is empty")
+        for mode, ar in cells:  # fail fast on bad engine keys
+            try:
+                engine_config_for(mode, ar, cfg["engine"], seeds[0], batch_size)
+            except ValueError as exc:
+                raise ConfigError(f"engine: {exc}") from exc
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,6 +15,8 @@ only non-deterministic part of a run's metrics.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import numerics as nm
 from .datagen import StreamBatch
-from .memory import MemorySample, SampleMemory, SampleStats
+from .memory import SELECTION_MODES, SampleMemory
 from .model import (
     Model,
     adapt_step,
@@ -91,15 +93,27 @@ class EngineConfig:
     capacity: int | None = None  # None: match the batch size of the first batch
     selection_mode: str = "cndrm"
     inference_stats_mode: str = "iobmn"
-    refresh_memory_stats: bool = False  # recompute memory stats every batch (sensitivity knob)
     seed: int = 0
 
     def __post_init__(self) -> None:
         _as_rate(self.ar)
         if self.inference_stats_mode not in INFERENCE_STATS_MODES:
             raise ValueError(f"unknown inference stats mode {self.inference_stats_mode!r}")
-        if not (0.0 < self.beta_centroid <= 1.0):
-            raise ValueError("beta_centroid must be in (0, 1]")
+        if self.selection_mode not in SELECTION_MODES:
+            raise ValueError(f"unknown selection mode {self.selection_mode!r} (have {', '.join(SELECTION_MODES)})")
+        if self.capacity is not None and not (
+                isinstance(self.capacity, numbers.Integral) and not isinstance(self.capacity, bool)
+                and self.capacity >= 1):
+            raise ValueError(f"capacity must be an integer >= 1 or None, got {self.capacity!r}")
+        for name, ok, rule in (
+            ("tau_delta", lambda v: v >= 0.0, ">= 0"),
+            ("alpha", lambda v: v >= 0.0, ">= 0"),
+            ("beta_centroid", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+            ("ema_momentum", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and ok(value)):
+                raise ValueError(f"{name} must be a number {rule}, got {value!r}")
 
 
 @dataclass
@@ -259,52 +273,56 @@ class Engine:
             if extent * count >= 2:  # degenerate sampling-variance denominator guard
                 layer.memory_norm.populate(stats, extent, count)
 
-    def _refresh_memory_stats(self) -> None:
-        batch = self.memory.batch() if self.memory is not None else None
-        if batch is None:
-            return
-        if not all(l.memory_norm.populated for l in self.model.norm_layers):
-            return
-        result = forward(self.model, batch, "batch")
-        self._populate_memory_norm(result, batch.shape[0])
+    def _validated(self, x, labels) -> np.ndarray:
+        """Check a batch before anything changes; returns its values as a float64 array."""
+        xv = x.data if isinstance(x, Tensor) else np.array(x, dtype=np.float64)
+        where = f"batch {self._batch_index}"
+        if xv.ndim != 3 or xv.shape[0] < 1:
+            raise ValueError(f"{where}: rejected batch of shape {xv.shape}; "
+                             "want a non-empty batch x channel x length array")
+        if xv.shape[1] != self.model.in_channels:
+            raise ValueError(f"{where}: {xv.shape[1]} channels, the model takes {self.model.in_channels}")
+        stored = self.memory.inputs if self.memory is not None else None
+        if stored is not None and xv.shape[1:] != stored.shape[1:]:
+            raise ValueError(f"{where}: samples of shape {xv.shape[1:]}, the memory holds {stored.shape[1:]}")
+        if not np.isfinite(xv).all():
+            raise ValueError(f"{where}: input values must be finite (no NaN/Inf)")
+        if labels is not None and np.shape(labels) != (xv.shape[0],):
+            raise ValueError(f"{where}: labels of shape {np.shape(labels)} for {xv.shape[0]} samples")
+        return xv
 
     # -- the loop ---------------------------------------------------------
 
     def process_batch(self, x: Tensor, labels=None, segment: int = 0) -> BatchRecord:
-        """Run one stream batch; labels feed metrics only."""
-        xv = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-        if xv.ndim != 3 or xv.shape[0] < 1:
-            raise ValueError(f"rejected batch of shape {xv.shape}")
-        x = x if isinstance(x, Tensor) else Tensor(xv)
+        """Run one stream batch; labels feed metrics only.
+
+        The batch is checked before anything changes: a rejected batch
+        raises ValueError naming its index and leaves the engine as it was.
+        """
+        xv = self._validated(x, labels)
+        x = x if isinstance(x, Tensor) else Tensor._wrap(xv)
         memory = self._ensure_memory(xv.shape[0])
 
         t0 = time.perf_counter()
-        if self.config.refresh_memory_stats and self.config.inference_stats_mode == "iobmn":
-            self._refresh_memory_stats()
         result = forward(self.model, x, self._inference_source())
         probs = nm.softmax(result.logits).data
         preds = probs.argmax(axis=1)
-        confidences = probs.max(axis=1)
-        entropies = per_sample_entropy(probs)
+        mu, sigma = result.early_mean, result.early_sigma
+        pseudo = preds.tolist()
+        confidences = probs.max(axis=1).tolist()
+        entropies = per_sample_entropy(probs).tolist()
+        scores = memory.score(mu, sigma).tolist()
+        truth = np.asarray(labels, dtype=np.intp).tolist() if labels is not None else None
 
         inserted = 0
         inserted_correct = 0 if labels is not None else None
         for i in range(xv.shape[0]):
-            stats = SampleStats(result.early_mean[i], result.early_sigma[i])
-            candidate = MemorySample(
-                input=Tensor._wrap(xv[i].copy()),
-                pseudo_label=int(preds[i]),
-                confidence=float(confidences[i]),
-                stats=stats,
-                wdist=memory.score(stats),
-                arrival_index=self._arrival,
-                entropy=float(entropies[i]),
-            )
+            outcome = memory.insert(xv[i], pseudo[i], confidences[i], mu[i], sigma[i],
+                                    scores[i], self._arrival, entropies[i])
             self._arrival += 1
-            outcome = memory.insert(candidate)
             if outcome.kind != "rejected_low_conf":
                 inserted += 1
-                if labels is not None and int(preds[i]) == int(labels[i]):
+                if truth is not None and pseudo[i] == truth[i]:
                     inserted_correct += 1
 
         shift = memory.update_centroid(result.layer_stats[0])
@@ -364,26 +382,27 @@ class Engine:
 
     def state_dict(self) -> dict:
         mem = None
-        if self.memory is not None:
+        m = self.memory
+        if m is not None:
             mem = {
-                "capacity": self.memory.capacity,
+                "capacity": m.capacity,
                 "samples": [
                     {
-                        "input": s.input.data.tolist(),
-                        "pseudo_label": s.pseudo_label,
-                        "confidence": s.confidence,
-                        "mu": s.stats.mu.tolist(),
-                        "sigma": s.stats.sigma.tolist(),
-                        "wdist": s.wdist if s.wdist != float("inf") else "inf",
-                        "arrival_index": s.arrival_index,
-                        "entropy": s.entropy,
+                        "input": m.inputs[s].tolist(),
+                        "pseudo_label": int(m.labels[s]),
+                        "confidence": float(m.confidences[s]),
+                        "mu": m.mu[s].tolist(),
+                        "sigma": m.sigma[s].tolist(),
+                        "wdist": float(m.wdist[s]) if m.wdist[s] != math.inf else "inf",
+                        "arrival_index": int(m.arrivals[s]),
+                        "entropy": None if math.isnan(m.entropies[s]) else float(m.entropies[s]),
                     }
-                    for s in self.memory.samples
+                    for s in m.order().tolist()
                 ],
                 "centroid": {
-                    "mu": self.memory.centroid.mu.tolist(),
-                    "sigma": self.memory.centroid.sigma.tolist(),
-                    "initialized": self.memory.centroid.initialized,
+                    "mu": m.centroid.mu.tolist(),
+                    "sigma": m.centroid.sigma.tolist(),
+                    "initialized": m.centroid.initialized,
                 },
             }
         return {
@@ -432,15 +451,13 @@ class Engine:
                 initialized=cen["initialized"],
             )
             for s in mem["samples"]:
-                memory.samples.append(MemorySample(
-                    input=Tensor(np.array(s["input"])),
-                    pseudo_label=s["pseudo_label"],
-                    confidence=s["confidence"],
-                    stats=SampleStats(np.array(s["mu"]), np.array(s["sigma"])),
-                    wdist=float("inf") if s["wdist"] == "inf" else s["wdist"],
-                    arrival_index=s["arrival_index"],
-                    entropy=s["entropy"],
-                ))
+                outcome = memory.insert(
+                    np.array(s["input"], dtype=np.float64), s["pseudo_label"], s["confidence"],
+                    np.array(s["mu"], dtype=np.float64), np.array(s["sigma"], dtype=np.float64),
+                    math.inf if s["wdist"] == "inf" else s["wdist"], s["arrival_index"], s["entropy"])
+                if outcome.kind != "inserted":
+                    raise ValueError(f"checkpoint memory: sample {s['arrival_index']} does not fit "
+                                     f"a {memory.selection_mode} memory of capacity {memory.capacity}")
         return engine
 
     @classmethod
@@ -462,12 +479,16 @@ def _config_dict(config: EngineConfig) -> dict:
         "capacity": config.capacity,
         "selection_mode": config.selection_mode,
         "inference_stats_mode": config.inference_stats_mode,
-        "refresh_memory_stats": config.refresh_memory_stats,
         "seed": config.seed,
     }
 
 
 def _config_from_dict(d: dict) -> EngineConfig:
+    d = dict(d)
+    # Checkpoints written before the per-batch memory-statistics refresh was
+    # removed carry its switch; only the frozen statistics it defaulted to load.
+    if d.pop("refresh_memory_stats", False) is not False:
+        raise ValueError("engine checkpoint sets refresh_memory_stats, which is no longer supported")
     return EngineConfig(**d)
 
 

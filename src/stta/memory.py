@@ -57,9 +57,7 @@ def wasserstein(a, b) -> float:
     """
     if a.mu.shape != b.mu.shape:
         raise ShapeError(f"channel counts differ: {a.mu.shape} vs {b.mu.shape}")
-    dm = a.mu - b.mu
-    ds = a.sigma - b.sigma
-    return float(np.sqrt(np.sum(dm * dm) + np.sum(ds * ds)))
+    return float(_distances(a.mu, a.sigma, b.mu, b.sigma))
 
 
 @dataclass(frozen=True)
@@ -99,23 +97,15 @@ class DomainCentroid:
         return new, wasserstein(self, new)
 
 
-@dataclass
-class MemorySample:
-    """One stored stream sample plus everything the eviction policy needs."""
-
-    input: Tensor
-    pseudo_label: int
-    confidence: float
-    stats: SampleStats
-    wdist: float
-    arrival_index: int
-    entropy: float | None = None
-
-
 @dataclass(frozen=True)
 class InsertOutcome:
     kind: str  # rejected_low_conf | inserted | inserted_with_eviction
-    evicted: MemorySample | None = None
+    evicted: int | None = None  # arrival index of the sample that left
+
+
+_REJECTED = InsertOutcome("rejected_low_conf")
+_INSERTED = InsertOutcome("inserted")
+_CANDIDATE = -1  # victim marker: the candidate itself is evicted
 
 
 class SampleMemory:
@@ -129,6 +119,15 @@ class SampleMemory:
                   within the over-represented class
       cndrm       confidence filter + class balance, evict the centroid-
                   farthest sample within the over-represented class
+
+    Samples live in fixed-size arrays, one row per slot: `inputs`,
+    `labels`, `confidences`, `mu`, `sigma`, `wdist`, `arrivals` and
+    `entropies` (NaN where none was given). The first `len(self)` slots are
+    filled; a candidate that evicts a stored sample overwrites its slot, so
+    slot order is not arrival order and `order()` gives the slots sorted by
+    arrival. Candidates must arrive with increasing arrival indices.
+    `class_counts` maps each stored pseudo-label to its number of samples.
+    Callers read these; only `insert` and `maybe_rescore` write them.
 
     Single-writer: one engine instance owns the memory for its stream.
     """
@@ -153,24 +152,49 @@ class SampleMemory:
         self.tau_conf = float(tau_conf)
         self.tau_delta = float(tau_delta)
         self.selection_mode = selection_mode
-        self.samples: list[MemorySample] = []
+        cap = self.capacity
+        self.inputs: np.ndarray | None = None  # [cap, *input shape], sized by the first insert
+        self.labels = np.zeros(cap, dtype=np.int64)
+        self.confidences = np.zeros(cap)
+        self.mu = np.zeros((cap, channels))
+        self.sigma = np.zeros((cap, channels))
+        self.wdist = np.zeros(cap)
+        self.arrivals = np.zeros(cap, dtype=np.int64)
+        self.entropies = np.zeros(cap)
+        self.class_counts: dict[int, int] = {}
+        self._farthest: dict[int, tuple[float, int]] = {}  # see _farthest_of
+        self._size = 0
+        self._last_arrival: int | None = None
         self.centroid = DomainCentroid.empty(channels, beta)
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self._size
+
+    def order(self) -> np.ndarray:
+        """Filled slots sorted by arrival."""
+        return np.argsort(self.arrivals[:self._size])
 
     # -- scoring ------------------------------------------------------------
 
-    def score(self, stats: SampleStats) -> float:
-        """Distance of a sample's stats to the current centroid.
+    def score(self, mu, sigma) -> np.ndarray:
+        """Distances of per-channel (mu, sigma) rows to the current centroid.
 
-        Infinite until the centroid has seen its first batch; the first
-        rescore after initialization replaces these placeholders.
+        Takes `[B, C]` statistics (or one `[C]` row) and returns `[B]`
+        distances (or one). Infinite until the centroid has seen its first
+        batch; the first rescore after initialization replaces these
+        placeholders.
         """
+        mu = np.asarray(mu, dtype=np.float64)
+        sigma = np.asarray(sigma, dtype=np.float64)
+        if mu.shape != sigma.shape or mu.shape[-1:] != self.centroid.mu.shape:
+            raise ShapeError(f"sample stats: mu {mu.shape} vs sigma {sigma.shape}, "
+                             f"{self.centroid.mu.size} channels")
+        if (sigma < 0.0).any():
+            raise ValueError("sigma must be non-negative")
         if not self.centroid.initialized:
-            return math.inf
-        return wasserstein(stats, self.centroid)
+            return np.full(mu.shape[:-1], math.inf)
+        return _distances(mu, sigma, self.centroid.mu, self.centroid.sigma)
 
     def update_centroid(self, batch_stats: ChannelStats) -> float:
         """Fold one batch's early-layer statistics into the centroid."""
@@ -184,73 +208,172 @@ class SampleMemory:
         within the threshold).
         """
         if shift > self.tau_delta:
-            for s in self.samples:
-                s.wdist = wasserstein(s.stats, self.centroid)
-            return len(self.samples)
+            n = self._size
+            self.wdist[:n] = _distances(self.mu[:n], self.sigma[:n], self.centroid.mu, self.centroid.sigma)
+            self._farthest.clear()
+            return n
         return 0
 
     # -- insertion ----------------------------------------------------------
 
-    def insert(self, candidate: MemorySample) -> InsertOutcome:
-        """Offer a scored candidate; applies the mode's eligibility and eviction."""
-        if self.selection_mode in ("crm", "cndrm") and candidate.confidence <= self.tau_conf:
-            return InsertOutcome("rejected_low_conf")
-        if self.selection_mode == "low_entropy" and candidate.entropy is None:
-            raise ValueError("low_entropy mode requires candidates with stored entropy")
-        self.samples.append(candidate)
-        if len(self.samples) <= self.capacity:
-            return InsertOutcome("inserted")
-        victim = self.samples.pop(self._victim_index(candidate))
-        return InsertOutcome("inserted_with_eviction", victim)
+    def insert(self, x, label: int, conf: float, mu, sigma, wdist: float, arrival: int,
+               entropy: float | None = None) -> InsertOutcome:
+        """Offer one scored candidate; applies the mode's eligibility and eviction.
 
-    def _victim_index(self, candidate: MemorySample) -> int:
+        `x` is the sample's input and `mu`/`sigma` its per-channel early
+        statistics (numpy arrays, copied in), `wdist` its score. The
+        candidate competes with the stored samples for a place; when it
+        wins, it takes the victim's slot.
+        """
+        if self._last_arrival is not None and arrival <= self._last_arrival:
+            raise ValueError(f"arrival {arrival} does not follow arrival {self._last_arrival}")
         mode = self.selection_mode
-        indices = range(len(self.samples))
+        if mode == "low_entropy" and entropy is None:
+            raise ValueError("low_entropy mode requires candidates with stored entropy")
+        if self.inputs is not None and x.shape != self.inputs.shape[1:]:
+            raise ShapeError(f"input of shape {x.shape} in a memory of {self.inputs.shape[1:]} inputs")
+        if mu.shape != self.mu.shape[1:] or sigma.shape != self.mu.shape[1:]:
+            raise ShapeError(f"sample stats: mu {mu.shape} vs sigma {sigma.shape}, {self.mu.shape[1]} channels")
+        self._last_arrival = arrival
+        if mode in ("crm", "cndrm") and conf <= self.tau_conf:
+            return _REJECTED
+        counts = self.class_counts
+        counts[label] = counts.get(label, 0) + 1
+        n = self._size
+        if n < self.capacity:
+            self._write(n, x, label, conf, mu, sigma, wdist, arrival, entropy)
+            self._size = n + 1
+            return _INSERTED
+        slot = self._victim(label, wdist, entropy)
+        if slot == _CANDIDATE:
+            gone = label
+            evicted = arrival
+        else:
+            gone = self.labels.item(slot)
+            evicted = self.arrivals.item(slot)
+            self._farthest.pop(gone, None)
+            self._write(slot, x, label, conf, mu, sigma, wdist, arrival, entropy)
+        if counts[gone] == 1:
+            del counts[gone]
+        else:
+            counts[gone] -= 1
+        return InsertOutcome("inserted_with_eviction", evicted)
+
+    def _write(self, slot, x, label, conf, mu, sigma, wdist, arrival, entropy) -> None:
+        if self.inputs is None:
+            self.inputs = np.zeros((self.capacity,) + x.shape)
+        self.inputs[slot] = x
+        self.labels[slot] = label
+        self.confidences[slot] = conf
+        self.mu[slot] = mu
+        self.sigma[slot] = sigma
+        self.wdist[slot] = wdist
+        self.arrivals[slot] = arrival
+        self.entropies[slot] = math.nan if entropy is None else entropy
+        # The newcomer is the latest arrival: it becomes its class's farthest
+        # sample only by being strictly farther.
+        far = self._farthest.get(label)
+        if far is not None and wdist > far[0]:
+            self._farthest[label] = (wdist, slot)
+
+    def _victim(self, label: int, wdist: float, entropy: float | None) -> int:
+        """Slot to evict from a full memory, or `_CANDIDATE`.
+
+        The candidate, already counted in `class_counts`, is the latest
+        arrival: it loses every tie that the stalest sample wins.
+        """
+        mode = self.selection_mode
         if mode == "naive":
-            return min(indices, key=lambda i: self.samples[i].arrival_index)
+            return int(self.arrivals.argmin())
         if mode == "random":
-            return int(self._rng.integers(len(self.samples)))
+            rank = int(self._rng.integers(self.capacity + 1))
+            return _CANDIDATE if rank == self.capacity else int(self.order()[rank])
         if mode == "low_entropy":
             # Highest stored entropy goes; ties evict the stalest.
-            return max(indices, key=lambda i: (self.samples[i].entropy, -self.samples[i].arrival_index))
-        target = self._largest_class()
-        if candidate.pseudo_label == target:
-            pool = [i for i in indices if self.samples[i].pseudo_label == candidate.pseudo_label]
-        else:
-            pool = [i for i in indices if self.samples[i].pseudo_label == target]
+            slot, top = self._top(np.arange(self.capacity), self.entropies.copy())
+            return _CANDIDATE if entropy > top else slot
+        counts = self.class_counts
+        top = max(counts.values())
+        tied = [c for c, k in counts.items() if k == top]
+        alone = counts[label] == 1  # no stored sample shares the candidate's class
         if mode == "crm":
-            return min(pool, key=lambda i: self.samples[i].arrival_index)
-        return max(pool, key=lambda i: (self.samples[i].wdist, -self.samples[i].arrival_index))
+            # crm has no distances; ties between equally large classes go to
+            # the class holding the stalest sample, then the lowest class id.
+            # A class the candidate alone holds loses to every other.
+            def stalest(c: int) -> int:
+                arrivals = self.arrivals[self.labels == c]
+                return int(arrivals[arrivals.argmin()])
 
-    def _largest_class(self) -> int:
-        counts: dict[int, int] = {}
-        for s in self.samples:
-            counts[s.pseudo_label] = counts.get(s.pseudo_label, 0) + 1
-        if self.selection_mode == "cndrm":
-            # Tie between equally-large classes: the one holding the farthest
-            # sample, then the lowest class id.
-            def key(label: int):
-                far = max(s.wdist for s in self.samples if s.pseudo_label == label)
-                return (counts[label], far, -label)
-        else:
-            # crm has no distances; break ties toward the class with the
-            # stalest member.
-            def key(label: int):
-                oldest = min(s.arrival_index for s in self.samples if s.pseudo_label == label)
-                return (counts[label], -oldest, -label)
-        return max(counts, key=key)
+            target = max(tied, key=lambda c: (-math.inf if c == label and alone else -stalest(c), -c))
+            if target == label and alone:
+                return _CANDIDATE
+            pool = (self.labels == target).nonzero()[0]
+            return int(pool[self.arrivals[pool].argmin()])
+        # cndrm: ties between equally large classes go to the class holding
+        # the farthest sample, the candidate included, then the lowest id.
+        def farthest(c: int) -> float:
+            if c != label:
+                return self._farthest_of(c)[0]
+            return wdist if alone else max(self._farthest_of(c)[0], wdist)
+
+        target = tied[0] if len(tied) == 1 else max(tied, key=lambda c: (farthest(c), -c))
+        if target == label and alone:
+            return _CANDIDATE
+        far, slot = self._farthest_of(target)
+        return _CANDIDATE if target == label and wdist > far else slot
+
+    def _farthest_of(self, label: int) -> tuple[float, int]:
+        """(distance, slot) of the class's farthest stored sample, the stalest among equals.
+
+        Cached per class until the class loses a sample or the distances
+        are rescored; a newcomer updates its class's entry in `_write`.
+        """
+        far = self._farthest.get(label)
+        if far is None:
+            pool = (self.labels == label).nonzero()[0]
+            slot, top = self._top(pool, self.wdist[pool])
+            far = self._farthest[label] = (float(top), slot)
+        return far
+
+    def _top(self, slots: np.ndarray, keys: np.ndarray) -> tuple[int, float]:
+        """The slot with the largest key, the stalest among equal keys, and that key.
+
+        `keys` holds one key per entry of `slots`; callers pass a copy, which
+        this overwrites. `argmax` alone finds the first of equal keys, which
+        is not the stalest once slots have been overwritten, so a second
+        `argmax` looks for a tie.
+        """
+        j = keys.argmax()
+        top = keys[j]
+        keys[j] = -math.inf
+        if keys[keys.argmax()] != top:
+            return int(slots[j]), top
+        keys[j] = top
+        ties = slots[keys == top]
+        return int(ties[self.arrivals[ties].argmin()]), top
 
     # -- consumption --------------------------------------------------------
 
     def batch(self) -> Tensor | None:
         """Stored inputs stacked in arrival order; None when empty."""
-        if not self.samples:
+        if not self._size:
             return None
-        return Tensor._wrap(np.stack([s.input.data for s in self.samples]))
+        return Tensor._wrap(self.inputs[self.order()])
 
     def dump(self) -> str:
-        """One line per sample: arrival_index, pseudo-label, confidence, distance."""
-        return "\n".join(
-            f"{s.arrival_index}\t{s.pseudo_label}\t{s.confidence!r}\t{s.wdist!r}"
-            for s in self.samples
-        )
+        """One line per sample in arrival order: arrival_index, pseudo-label, confidence, distance."""
+        o = self.order()
+        rows = zip(self.arrivals[o].tolist(), self.labels[o].tolist(),
+                   self.confidences[o].tolist(), self.wdist[o].tolist())
+        return "\n".join(f"{a}\t{l}\t{c!r}\t{w!r}" for a, l, c, w in rows)
+
+
+def _distances(mu, sigma, ref_mu, ref_sigma):
+    """Row-wise distance of (mu, sigma) rows to one reference summary.
+
+    Each row sums over channels on its own, so a `[B, C]` call equals B
+    one-row calls bit for bit.
+    """
+    dm = mu - ref_mu
+    ds = sigma - ref_sigma
+    return np.sqrt(np.sum(dm * dm, axis=-1) + np.sum(ds * ds, axis=-1))

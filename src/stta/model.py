@@ -226,7 +226,7 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
             elif norm_source == "iobmn":
                 if not layer.memory_norm.populated:
                     raise StateError("memory normalization state not populated; run an adaptation first")
-                out = normalize(layer.memory_norm, out, layer.gamma, layer.beta, layer.epsilon)
+                out = normalize(layer.memory_norm, out, layer.gamma, layer.beta, layer.epsilon, stats)
             elif norm_source == "ema":
                 blended = layer.ema.update(stats)
                 out = _affine_normalize(out, blended.mean, blended.var, layer.gamma, layer.beta, layer.epsilon)

@@ -127,17 +127,20 @@ def normalize(
     gamma: np.ndarray,
     beta: np.ndarray,
     epsilon: float,
+    live: ChannelStats | None = None,
 ) -> np.ndarray:
     """Normalize a batch-by-channel-by-length feature map with corrected stats.
 
-    Live per-channel statistics are measured on `features` itself; the
-    returned array is gamma * (f - mean) / sqrt(var + epsilon) + beta with
-    the corrected per-channel (mean, var).
+    `live` are the per-channel statistics of `features` itself, measured
+    here unless the caller already holds them; the returned array is
+    gamma * (f - mean) / sqrt(var + epsilon) + beta with the corrected
+    per-channel (mean, var).
     """
     f = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
     if f.ndim != 3:
         raise ShapeError(f"expected batch x channel x length features, got {f.shape}")
-    live = batch_channel_stats(f)
+    if live is None:
+        live = batch_channel_stats(f)
     stats = corrected_stats(state, live)
     mean = stats.mean.reshape(1, -1, 1)
     scale = 1.0 / np.sqrt(stats.var + epsilon).reshape(1, -1, 1)

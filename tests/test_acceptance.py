@@ -24,7 +24,7 @@ from stta.datagen import (
     single_domain_stream,
 )
 from stta.engine import AdaptationSchedule, Engine, EngineConfig
-from stta.memory import MemorySample, SampleMemory, SampleStats, wasserstein
+from stta.memory import SampleMemory, SampleStats, wasserstein
 from stta.model import default_model, pretrain
 from stta.normalization import (
     ChannelStats,
@@ -227,8 +227,7 @@ def test_criterion_3_memory_oracle_equivalence():
                 sigma = rng.uniform(0, 2, size=channels)
                 label = int(rng.integers(0, classes))
                 conf = float(rng.uniform(0, 1))
-                stats = SampleStats(mu, sigma)
-                memory.insert(MemorySample(tiny, label, conf, stats, memory.score(stats), step))
+                memory.insert(tiny.data, label, conf, mu, sigma, float(memory.score(mu, sigma)), step)
                 oracle.offer(step, label, conf, mu, sigma)
                 if (step + 1) % batch == 0:
                     mean = rng.normal(size=channels)

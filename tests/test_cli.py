@@ -153,6 +153,27 @@ class TestRun:
         assert err.startswith("error: threshold") and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("engine_cfg,named", [
+        ({"capacity": 0}, "capacity"),
+        ({"capacity": 2.5}, "capacity"),
+        ({"tau_delta": -1}, "tau_delta"),
+        ({"alpha": -0.5}, "alpha"),
+        ({"ema_momentum": 0.0}, "ema_momentum"),
+        ({"ema_momentum": 1.5}, "ema_momentum"),
+        ({"beta_centroid": "high"}, "beta_centroid"),
+    ], ids=["zero-capacity", "fractional-capacity", "negative-tau-delta", "negative-alpha",
+            "zero-momentum", "momentum-above-one", "text-beta"])
+    def test_bad_engine_key_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        engine_cfg, named):
+        prepared = []
+        monkeypatch.setattr(cli, "prepare_model", lambda *a: prepared.append(a))
+        cfg_path = write_config(tmp_path, tiny_config(engine=engine_cfg))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: engine: ") and named in err
+        assert not prepared and not out.exists()
+
     def test_threshold_pass_exits_zero(self, tmp_path):
         cfg = tiny_config(thresholds={"snap@0.5": 0.0})
         cfg_path = write_config(tmp_path, cfg)

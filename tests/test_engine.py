@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,22 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             engine.process_batch(Tensor(np.zeros((0, 16, 8))))
 
+    @pytest.mark.parametrize("field,value,named", [
+        ("capacity", 0, "capacity"), ("capacity", -3, "capacity"), ("capacity", 1.5, "capacity"),
+        ("capacity", True, "capacity"), ("selection_mode", "nope", "selection mode"),
+        ("tau_delta", -1, "tau_delta"), ("tau_delta", float("nan"), "tau_delta"),
+        ("alpha", -1.0, "alpha"), ("ema_momentum", 0.0, "ema_momentum"),
+        ("ema_momentum", 1.01, "ema_momentum"), ("beta_centroid", 0.0, "beta_centroid"),
+        ("inference_stats_mode", "nope", "inference stats mode"),
+    ])
+    def test_config_rejects_bad_setting(self, field, value, named):
+        with pytest.raises(ValueError, match=named):
+            EngineConfig(**{field: value})
+
+    def test_config_accepts_edge_settings(self):
+        EngineConfig(capacity=1, tau_delta=0.0, alpha=0.0, ema_momentum=1.0, beta_centroid=1.0)
+        EngineConfig(capacity=None, selection_mode="naive")
+
     def test_empty_stream(self, base_model):
         engine = Engine(base_model.clone(), EngineConfig(ar=1))
         metrics = engine.run_stream([])
@@ -126,20 +143,66 @@ class TestEngineBasics:
             acc = metrics.accuracy()
             assert acc is not None and 0.0 <= acc <= 1.0
 
-    def test_refresh_memory_stats_mode(self, base_model):
-        # sensitivity knob: recompute the memory statistics every batch
-        # instead of freezing them at the adaptation event
-        spec = single_domain_stream(corruption="scale_strong", batches=10, batch_size=8, seed=14)
 
-        def final_stats(refresh):
-            model = base_model.clone()
-            engine = Engine(model, EngineConfig(ar="0.2", refresh_memory_stats=refresh, seed=15))
-            engine.run_stream(make_stream(spec))
-            return [l.memory_norm.memory_stats.mean.copy() for l in model.norm_layers]
+def engine_state(engine):
+    """Everything a rejected batch must leave as it was."""
+    memory = engine.memory
+    return (
+        None if memory is None else memory.dump(),
+        None if memory is None else memory.batch().data.tobytes(),
+        engine.schedule.credit, engine.schedule.adapt_count, engine.schedule.batch_count,
+        [a.tobytes() for a in affine_digest(engine.model)],
+        engine._arrival, engine._batch_index,
+    )
 
-        frozen = final_stats(False)
-        refreshed = final_stats(True)
-        assert any(not np.array_equal(a, b) for a, b in zip(frozen, refreshed))
+
+class TestBatchValidation:
+    @pytest.fixture(scope="class")
+    def stream(self):
+        spec = single_domain_stream(corruption="noise", batches=4, batch_size=8, seed=16)
+        return list(make_stream(spec))
+
+    def warmed(self, base_model, stream):
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=17))
+        for batch in stream[:3]:
+            engine.process_batch(batch.x, batch.labels)
+        assert len(engine.memory) > 0 and engine.schedule.adapt_count == 1
+        return engine
+
+    def bad_batches(self, stream):
+        x, labels = stream[3].x.data, stream[3].labels
+        nan, inf = x.copy(), x.copy()
+        nan[2, 3, 4] = np.nan
+        inf[0, 0, 0] = -np.inf
+        return {
+            "2-D": (x[0], None),
+            "empty": (x[:0], None),
+            "channels": (x[:, :5], None),
+            "length": (x[:, :, :5], None),
+            "nan": (nan, labels),
+            "inf": (inf, labels),
+            "short labels": (x, labels[:-1]),
+            "long labels": (x, np.append(labels, 0)),
+            "2-D labels": (x, labels[:, None]),
+        }
+
+    @pytest.mark.parametrize("case", ["2-D", "empty", "channels", "length", "nan", "inf",
+                                      "short labels", "long labels", "2-D labels"])
+    def test_rejected_batch_changes_nothing(self, base_model, stream, case):
+        engine = self.warmed(base_model, stream)
+        before = engine_state(engine)
+        x, labels = self.bad_batches(stream)[case]
+        with pytest.raises(ValueError, match="batch 3"):
+            engine.process_batch(x, labels)
+        assert engine_state(engine) == before
+        engine.process_batch(stream[3].x, stream[3].labels)  # the engine still serves
+        assert engine.schedule.batch_count == 4
+
+    def test_rejected_first_batch_creates_no_memory(self, base_model, stream):
+        engine = Engine(base_model.clone(), EngineConfig(ar=1))
+        with pytest.raises(ValueError, match="batch 0"):
+            engine.process_batch(stream[0].x, stream[0].labels[:3])
+        assert engine.memory is None and engine.schedule.batch_count == 0
 
 
 class TestDeterminismAndHygiene:
@@ -198,6 +261,34 @@ class TestResume:
             assert np.array_equal(a, b)
         assert whole.memory.dump() == resumed.memory.dump()
         assert whole.schedule.credit == resumed.schedule.credit
+
+    def test_refresh_memory_stats_key(self, base_model):
+        # Older checkpoints carry the removed refresh switch: off loads, on is refused.
+        spec = single_domain_stream(corruption="noise", batches=6, batch_size=8, seed=18)
+        batches = list(make_stream(spec))
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=19))
+        engine.run_stream(batches[:3])
+        payload = json.loads(json.dumps(engine.state_dict()))
+        assert "refresh_memory_stats" not in payload["config"]
+        payload["config"]["refresh_memory_stats"] = False
+        resumed = Engine.from_state_dict(payload)
+        assert resumed.memory.dump() == engine.memory.dump()
+        assert resumed.state_dict() == engine.state_dict()
+        resumed.run_stream(batches[3:])
+        engine.run_stream(batches[3:])
+        assert resumed.memory.dump() == engine.memory.dump()
+        payload["config"]["refresh_memory_stats"] = True
+        with pytest.raises(ValueError, match="refresh_memory_stats"):
+            Engine.from_state_dict(payload)
+
+    def test_checkpoint_rejects_memory_sample_that_does_not_fit(self, base_model):
+        spec = single_domain_stream(corruption="noise", batches=2, batch_size=8, seed=20)
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=21))
+        engine.run_stream(make_stream(spec))
+        payload = json.loads(json.dumps(engine.state_dict()))
+        payload["memory"]["samples"][0]["confidence"] = 0.0  # below the confidence filter
+        with pytest.raises(ValueError, match="checkpoint memory"):
+            Engine.from_state_dict(payload)
 
     def test_checkpoint_rejects_bad_format(self, tmp_path):
         path = tmp_path / "junk.json"

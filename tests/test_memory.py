@@ -5,7 +5,6 @@ import pytest
 
 from stta.memory import (
     DomainCentroid,
-    MemorySample,
     SampleMemory,
     SampleStats,
     confidence,
@@ -14,6 +13,7 @@ from stta.memory import (
 from stta.normalization import ChannelStats
 from stta.numerics import ShapeError, Tensor
 
+import memory_reference as reference
 from memory_oracle import OracleMemory
 from oracles import softmax_mp, wasserstein_mp
 
@@ -22,16 +22,18 @@ def stats(mu, sigma):
     return SampleStats(np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float))
 
 
-def sample(arrival, label=0, conf=0.9, mu=(0.0,), sigma=(1.0,), wdist=0.0, entropy=None):
-    return MemorySample(
-        input=Tensor(np.zeros((1, 2))),
-        pseudo_label=label,
-        confidence=conf,
-        stats=stats(mu, sigma),
-        wdist=wdist,
-        arrival_index=arrival,
-        entropy=entropy,
-    )
+def offer(mem, arrival, label=0, conf=0.9, mu=(0.0,), sigma=(1.0,), wdist=0.0, entropy=None):
+    return mem.insert(np.zeros((1, 2)), label, conf, np.asarray(mu, dtype=float),
+                      np.asarray(sigma, dtype=float), wdist, arrival, entropy)
+
+
+def stored(mem, field):
+    """One stored field, in arrival order, as a list."""
+    return getattr(mem, field)[mem.order()].tolist()
+
+
+def slot_stats(mem, slot):
+    return stats(mem.mu[slot], mem.sigma[slot])
 
 
 def make_memory(capacity=4, mode="cndrm", tau_conf=0.5, tau_delta=0.1, beta=0.9, channels=1, seed=0):
@@ -137,18 +139,18 @@ class TestMaybeRescore:
         mem = make_memory()
         mem.update_centroid(ChannelStats([0.0], [1.0]))
         for i in range(3):
-            mem.insert(sample(i, wdist=1.0))
+            offer(mem, i, wdist=1.0)
         assert mem.maybe_rescore(0.0) == 0
-        assert all(s.wdist == 1.0 for s in mem.samples)
+        assert stored(mem, "wdist") == [1.0] * 3
 
     def test_shift_over_threshold_rescores_all(self):
         mem = make_memory(capacity=10, tau_delta=0.1)
         mem.update_centroid(ChannelStats([0.0], [1.0]))
         for i in range(7):
-            mem.insert(sample(i, mu=[float(i)], sigma=[1.0], wdist=-1.0))
+            offer(mem, i, mu=[float(i)], sigma=[1.0], wdist=-1.0)
         assert mem.maybe_rescore(0.2) == 7
-        for s in mem.samples:
-            assert s.wdist == wasserstein(s.stats, mem.centroid)
+        for slot in mem.order():
+            assert mem.wdist[slot] == wasserstein(slot_stats(mem, slot), mem.centroid)
 
     def test_rescored_values_match_always_rescore_oracle(self):
         rng = np.random.default_rng(2)
@@ -157,89 +159,89 @@ class TestMaybeRescore:
         fired_checks = 0
         for _ in range(120):
             for _ in range(4):
-                st = stats(rng.normal(size=3), rng.uniform(0, 2, size=3))
-                mem.insert(MemorySample(Tensor(np.zeros((1, 1))), int(rng.integers(0, 3)),
-                                        float(rng.uniform(0.1, 1.0)), st,
-                                        mem.score(st), arrival))
+                mu, sigma = rng.normal(size=3), rng.uniform(0, 2, size=3)
+                mem.insert(np.zeros((1, 1)), int(rng.integers(0, 3)),
+                           float(rng.uniform(0.1, 1.0)), mu, sigma,
+                           float(mem.score(mu, sigma)), arrival)
                 arrival += 1
             shift = mem.update_centroid(ChannelStats(rng.normal(size=3), rng.uniform(0.1, 2, size=3)))
             if mem.maybe_rescore(shift) > 0:
                 fired_checks += 1
-                for s in mem.samples:  # always-rescore oracle: direct recomputation
-                    assert s.wdist == wasserstein(s.stats, mem.centroid)
+                for slot in mem.order():  # always-rescore oracle: direct recomputation
+                    assert mem.wdist[slot] == wasserstein(slot_stats(mem, slot), mem.centroid)
         assert fired_checks > 10
 
 
 class TestInsert:
     def test_rejects_low_confidence(self):
         mem = make_memory(tau_conf=0.5)
-        out = mem.insert(sample(0, conf=0.5))  # threshold is strict
+        out = offer(mem, 0, conf=0.5)  # threshold is strict
         assert out.kind == "rejected_low_conf"
         assert len(mem) == 0
 
     def test_inserts_below_capacity(self):
         mem = make_memory(capacity=2)
-        out = mem.insert(sample(0, conf=0.9))
+        out = offer(mem, 0, conf=0.9)
         assert out.kind == "inserted" and out.evicted is None
         assert len(mem) == 1
 
     def test_candidate_outside_largest_class_evicts_from_largest(self):
         mem = make_memory(capacity=3, tau_conf=0.0)
-        mem.insert(sample(0, label=0, wdist=1.0))
-        mem.insert(sample(1, label=0, wdist=5.0))
-        mem.insert(sample(2, label=1, wdist=9.0))
-        out = mem.insert(sample(3, label=1, wdist=0.5))
+        offer(mem, 0, label=0, wdist=1.0)
+        offer(mem, 1, label=0, wdist=5.0)
+        offer(mem, 2, label=1, wdist=9.0)
+        out = offer(mem, 3, label=1, wdist=0.5)
         # post-insert counts tie 2-2; class 1 holds the farthest sample (9.0)
         assert out.kind == "inserted_with_eviction"
-        assert out.evicted.arrival_index == 2
-        assert [s.arrival_index for s in mem.samples] == [0, 1, 3]
+        assert out.evicted == 2
+        assert stored(mem, "arrivals") == [0, 1, 3]
 
     def test_candidate_in_largest_class_evicts_own_class_farthest(self):
         mem = make_memory(capacity=3, tau_conf=0.0)
-        mem.insert(sample(0, label=0, wdist=1.0))
-        mem.insert(sample(1, label=0, wdist=5.0))
-        mem.insert(sample(2, label=1, wdist=9.0))
-        out = mem.insert(sample(3, label=0, wdist=0.5))
+        offer(mem, 0, label=0, wdist=1.0)
+        offer(mem, 1, label=0, wdist=5.0)
+        offer(mem, 2, label=1, wdist=9.0)
+        out = offer(mem, 3, label=0, wdist=0.5)
         # class 0 becomes strictly largest; its farthest member (5.0) goes
-        assert out.evicted.arrival_index == 1
-        assert [s.arrival_index for s in mem.samples] == [0, 2, 3]
+        assert out.evicted == 1
+        assert stored(mem, "arrivals") == [0, 2, 3]
 
     def test_candidate_itself_can_be_evicted(self):
         mem = make_memory(capacity=2, tau_conf=0.0)
-        mem.insert(sample(0, label=0, wdist=1.0))
-        mem.insert(sample(1, label=0, wdist=2.0))
-        out = mem.insert(sample(2, label=0, wdist=99.0))
-        assert out.evicted.arrival_index == 2
-        assert [s.arrival_index for s in mem.samples] == [0, 1]
+        offer(mem, 0, label=0, wdist=1.0)
+        offer(mem, 1, label=0, wdist=2.0)
+        out = offer(mem, 2, label=0, wdist=99.0)
+        assert out.evicted == 2
+        assert stored(mem, "arrivals") == [0, 1]
 
     def test_wdist_tie_evicts_earliest_arrival(self):
         mem = make_memory(capacity=2, tau_conf=0.0)
-        mem.insert(sample(0, label=0, wdist=3.0))
-        mem.insert(sample(1, label=0, wdist=3.0))
-        out = mem.insert(sample(2, label=0, wdist=1.0))
-        assert out.evicted.arrival_index == 0
+        offer(mem, 0, label=0, wdist=3.0)
+        offer(mem, 1, label=0, wdist=3.0)
+        out = offer(mem, 2, label=0, wdist=1.0)
+        assert out.evicted == 0
 
     def test_largest_class_tie_prefers_farthest_member(self):
         mem = make_memory(capacity=4, tau_conf=0.0)
-        mem.insert(sample(0, label=0, wdist=1.0))
-        mem.insert(sample(1, label=0, wdist=2.0))
-        mem.insert(sample(2, label=1, wdist=7.0))
-        mem.insert(sample(3, label=1, wdist=1.5))
+        offer(mem, 0, label=0, wdist=1.0)
+        offer(mem, 1, label=0, wdist=2.0)
+        offer(mem, 2, label=1, wdist=7.0)
+        offer(mem, 3, label=1, wdist=1.5)
         # counts tie 2-2-1 after adding label 2; class 1 holds the farthest
-        out = mem.insert(sample(4, label=2, wdist=0.1))
-        assert out.evicted.arrival_index == 2
-        assert out.evicted.pseudo_label == 1
+        out = offer(mem, 4, label=2, wdist=0.1)
+        assert out.evicted == 2  # a class-1 sample
+        assert mem.class_counts == {0: 2, 1: 1, 2: 1}
 
     def test_largest_class_full_tie_takes_lowest_class_id(self):
         mem = make_memory(capacity=4, tau_conf=0.0)
-        mem.insert(sample(0, label=1, wdist=3.0))
-        mem.insert(sample(1, label=1, wdist=1.0))
-        mem.insert(sample(2, label=0, wdist=3.0))
-        mem.insert(sample(3, label=0, wdist=1.0))
+        offer(mem, 0, label=1, wdist=3.0)
+        offer(mem, 1, label=1, wdist=1.0)
+        offer(mem, 2, label=0, wdist=3.0)
+        offer(mem, 3, label=0, wdist=1.0)
         # counts and farthest distances tie exactly: lowest class id loses
-        out = mem.insert(sample(4, label=2, wdist=0.1))
-        assert out.evicted.pseudo_label == 0
-        assert out.evicted.arrival_index == 2
+        out = offer(mem, 4, label=2, wdist=0.1)
+        assert out.evicted == 2  # a class-0 sample
+        assert mem.class_counts == {1: 2, 0: 1, 2: 1}
 
 
 class TestInvariantsRandomRun:
@@ -248,31 +250,34 @@ class TestInvariantsRandomRun:
         mem = make_memory(capacity=capacity, mode=mode, tau_conf=0.5, channels=2, seed=seed)
         arrival = 0
         for step in range(steps):
-            st = stats(rng.normal(size=2), rng.uniform(0, 2, size=2))
+            mu, sigma = rng.normal(size=2), rng.uniform(0, 2, size=2)
             label = int(rng.integers(0, classes))
             conf = float(rng.uniform(0.0, 1.0))
             counts_before = {}
-            for s in mem.samples:
-                counts_before[s.pseudo_label] = counts_before.get(s.pseudo_label, 0) + 1
-            out = mem.insert(MemorySample(Tensor(np.zeros((1, 1))), label, conf, st,
-                                          mem.score(st), arrival,
-                                          entropy=float(rng.uniform(0, 1))))
+            for stored_label in stored(mem, "labels"):
+                counts_before[stored_label] = counts_before.get(stored_label, 0) + 1
+            label_of = dict(zip(stored(mem, "arrivals"), stored(mem, "labels")))
+            label_of[arrival] = label
+            out = mem.insert(np.zeros((1, 1)), label, conf, mu, sigma,
+                             float(mem.score(mu, sigma)), arrival,
+                             entropy=float(rng.uniform(0, 1)))
             arrival += 1
             assert len(mem) <= capacity
             if mode in ("crm", "cndrm"):
-                assert all(s.confidence > 0.5 for s in mem.samples)
+                assert all(c > 0.5 for c in stored(mem, "confidences"))
+            counts_after = {}
+            for stored_label in stored(mem, "labels"):
+                counts_after[stored_label] = counts_after.get(stored_label, 0) + 1
+            assert mem.class_counts == counts_after
             if out.kind == "inserted_with_eviction":
                 if counts_before:
                     max_before = max(counts_before.values())
-                    counts_after = {}
-                    for s in mem.samples:
-                        counts_after[s.pseudo_label] = counts_after.get(s.pseudo_label, 0) + 1
                     assert max(counts_after.values()) <= max_before + (0 if mode in ("crm", "cndrm") else 1)
                 if mode == "cndrm":
                     largest = max(counts_before.values()) if counts_before else 0
                     largest_classes = {c for c, n in counts_before.items() if n == largest}
-                    assert (out.evicted.pseudo_label in largest_classes
-                            or out.evicted.pseudo_label == label)
+                    assert (label_of[out.evicted] in largest_classes
+                            or label_of[out.evicted] == label)
             if step % 7 == 0:
                 shift = mem.update_centroid(ChannelStats(rng.normal(size=2), rng.uniform(0.1, 2, size=2)))
                 mem.maybe_rescore(shift)
@@ -288,15 +293,17 @@ class TestInvariantsRandomRun:
         mem.update_centroid(ChannelStats([0.0, 0.0], [1.0, 1.0]))
         arrival = 0
         for _ in range(300):
-            st = stats(rng.normal(size=2), rng.uniform(0, 2, size=2))
+            mu, sigma = rng.normal(size=2), rng.uniform(0, 2, size=2)
             label = int(rng.integers(0, 3))
-            before = list(mem.samples)
-            cand = MemorySample(Tensor(np.zeros((1, 1))), label, 0.9, st, mem.score(st), arrival)
-            out = mem.insert(cand)
+            wdist = float(mem.score(mu, sigma))
+            before = list(zip(stored(mem, "arrivals"), stored(mem, "labels"), stored(mem, "wdist")))
+            before.append((arrival, label, wdist))
+            out = mem.insert(np.zeros((1, 1)), label, 0.9, mu, sigma, wdist, arrival)
             arrival += 1
             if out.kind == "inserted_with_eviction":
-                pool = [s for s in before + [cand] if s.pseudo_label == out.evicted.pseudo_label]
-                assert out.evicted.wdist == max(s.wdist for s in pool)
+                _, evicted_label, evicted_wdist = next(s for s in before if s[0] == out.evicted)
+                pool = [s for s in before if s[1] == evicted_label]
+                assert evicted_wdist == max(s[2] for s in pool)
 
 
 class TestOracleReplay:
@@ -311,9 +318,8 @@ class TestOracleReplay:
             sigma = rng.uniform(0, 2, size=channels)
             label = int(rng.integers(0, classes))
             conf = float(rng.uniform(0, 1))
-            st = stats(mu, sigma)
-            mem.insert(MemorySample(Tensor(np.zeros((1, 1))), label, conf, st,
-                                    mem.score(st), arrival))
+            mem.insert(np.zeros((1, 1)), label, conf, mu, sigma,
+                       float(mem.score(mu, sigma)), arrival)
             oracle.offer(arrival, label, conf, mu, sigma)
             arrival += 1
             if (step + 1) % batch == 0:
@@ -336,7 +342,7 @@ class TestMemoryBatch:
     def test_single_sample_round_trip(self):
         mem = make_memory()
         x = np.arange(6.0).reshape(2, 3)
-        mem.insert(MemorySample(Tensor(x), 1, 0.9, stats([0.0], [1.0]), 0.0, 0))
+        mem.insert(x, 1, 0.9, np.array([0.0]), np.array([1.0]), 0.0, 0)
         batch = mem.batch()
         assert batch.shape == (1, 2, 3)
         assert np.array_equal(batch.data[0], x)
@@ -344,11 +350,11 @@ class TestMemoryBatch:
     def test_order_stable_across_calls(self):
         mem = make_memory(capacity=5, tau_conf=0.0)
         for i in range(4):
-            mem.insert(sample(i, label=i % 2, conf=0.9))
+            offer(mem, i, label=i % 2, conf=0.9)
         first = mem.batch().data
         second = mem.batch().data
         assert np.array_equal(first, second)
-        assert [s.arrival_index for s in mem.samples] == [0, 1, 2, 3]
+        assert stored(mem, "arrivals") == [0, 1, 2, 3]
 
 
 class TestAblationModes:
@@ -356,14 +362,14 @@ class TestAblationModes:
         mem = make_memory(capacity=4, mode="naive", tau_conf=0.99)
         # confidence is ignored in naive mode; FIFO keeps the newest 4
         for i in range(10):
-            mem.insert(sample(i, conf=0.01))
-        assert [s.arrival_index for s in mem.samples] == [6, 7, 8, 9]
+            offer(mem, i, conf=0.01)
+        assert stored(mem, "arrivals") == [6, 7, 8, 9]
 
     def test_random_reproducible(self):
         def trace(seed):
             mem = make_memory(capacity=3, mode="random", seed=seed)
             for i in range(30):
-                mem.insert(sample(i, conf=0.9, label=i % 3))
+                offer(mem, i, conf=0.9, label=i % 3)
             return mem.dump()
 
         assert trace(7) == trace(7)
@@ -372,44 +378,145 @@ class TestAblationModes:
     def test_low_entropy_keeps_lowest(self):
         mem = make_memory(capacity=3, mode="low_entropy")
         for i, e in enumerate([5.0, 1.0, 3.0, 2.0]):
-            mem.insert(sample(i, conf=0.1, entropy=e))
-        assert sorted(s.entropy for s in mem.samples) == [1.0, 2.0, 3.0]
-        assert [s.arrival_index for s in mem.samples] == [1, 2, 3]
+            offer(mem, i, conf=0.1, entropy=e)
+        assert sorted(stored(mem, "entropies")) == [1.0, 2.0, 3.0]
+        assert stored(mem, "arrivals") == [1, 2, 3]
 
     def test_low_entropy_requires_entropy(self):
         mem = make_memory(mode="low_entropy")
         with pytest.raises(ValueError):
-            mem.insert(sample(0, entropy=None))
+            offer(mem, 0, entropy=None)
 
     def test_crm_evicts_stalest_within_largest_class(self):
         mem = make_memory(capacity=3, mode="crm", tau_conf=0.5)
-        mem.insert(sample(0, label=0, conf=0.9, wdist=0.1))
-        mem.insert(sample(1, label=0, conf=0.9, wdist=99.0))
-        mem.insert(sample(2, label=1, conf=0.9, wdist=5.0))
-        out = mem.insert(sample(3, label=1, conf=0.9, wdist=0.0))
+        offer(mem, 0, label=0, conf=0.9, wdist=0.1)
+        offer(mem, 1, label=0, conf=0.9, wdist=99.0)
+        offer(mem, 2, label=1, conf=0.9, wdist=5.0)
+        out = offer(mem, 3, label=1, conf=0.9, wdist=0.0)
         # counts tie 2-2; crm prefers the class with the stalest member (0)
-        assert out.evicted.arrival_index == 0
+        assert out.evicted == 0
 
     def test_crm_filters_confidence(self):
         mem = make_memory(mode="crm", tau_conf=0.5)
-        assert mem.insert(sample(0, conf=0.4)).kind == "rejected_low_conf"
+        assert offer(mem, 0, conf=0.4).kind == "rejected_low_conf"
 
     def test_cndrm_is_default_insert_semantics(self):
         # same calls as TestInsert.test_candidate_in_largest_class...: definitional
         mem = make_memory(capacity=3, mode="cndrm", tau_conf=0.0)
-        mem.insert(sample(0, label=0, wdist=1.0))
-        mem.insert(sample(1, label=0, wdist=5.0))
-        mem.insert(sample(2, label=1, wdist=9.0))
-        assert mem.insert(sample(3, label=0, wdist=0.5)).evicted.arrival_index == 1
+        offer(mem, 0, label=0, wdist=1.0)
+        offer(mem, 1, label=0, wdist=5.0)
+        offer(mem, 2, label=1, wdist=9.0)
+        assert offer(mem, 3, label=0, wdist=0.5).evicted == 1
 
 
 class TestDump:
     def test_line_format(self):
         mem = make_memory(capacity=2, tau_conf=0.0)
-        mem.insert(sample(0, label=2, conf=0.75, wdist=1.5))
+        offer(mem, 0, label=2, conf=0.75, wdist=1.5)
         lines = mem.dump().splitlines()
         assert len(lines) == 1
         arrival, label, conf, wdist = lines[0].split("\t")
         assert (int(arrival), int(label)) == (0, 2)
         assert float(conf) == 0.75
         assert float(wdist) == 1.5
+
+
+class TestScore:
+    def test_infinite_before_centroid(self):
+        mem = make_memory(channels=3)
+        got = mem.score(np.zeros((4, 3)), np.ones((4, 3)))
+        assert got.shape == (4,) and np.all(np.isinf(got))
+
+    @pytest.mark.parametrize("channels", [1, 3, 6, 16, 33, 64])
+    def test_batch_equals_per_row_distance(self, channels):
+        rng = np.random.default_rng(channels)
+        mem = make_memory(channels=channels)
+        mem.update_centroid(ChannelStats(rng.normal(size=channels), rng.uniform(0.1, 2, size=channels)))
+        mu = rng.normal(size=(16, channels))
+        sigma = rng.uniform(0, 2, size=(16, channels))
+        got = mem.score(mu, sigma)
+        want = [wasserstein(stats(m, s), mem.centroid) for m, s in zip(mu, sigma)]
+        assert got.tolist() == want
+        assert float(mem.score(mu[3], sigma[3])) == want[3]
+
+    def test_rejects_bad_stats(self):
+        mem = make_memory(channels=2)
+        with pytest.raises(ShapeError):
+            mem.score(np.zeros((4, 3)), np.ones((4, 3)))
+        with pytest.raises(ShapeError):
+            mem.score(np.zeros((4, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            mem.score(np.zeros((1, 2)), -np.ones((1, 2)))
+
+
+class TestInsertChecks:
+    def test_arrivals_must_increase(self):
+        mem = make_memory(tau_conf=0.5)
+        offer(mem, 3, conf=0.1)  # rejected candidates count too
+        with pytest.raises(ValueError, match="arrival"):
+            offer(mem, 3)
+        assert len(mem) == 0
+
+    def test_bad_shapes_change_nothing(self):
+        mem = make_memory(capacity=2, tau_conf=0.0, channels=1)
+        offer(mem, 0, label=1)
+        before = (mem.dump(), dict(mem.class_counts), mem.batch().data.copy())
+        with pytest.raises(ShapeError):
+            mem.insert(np.zeros((1, 3)), 0, 0.9, np.zeros(1), np.ones(1), 0.0, 1)
+        with pytest.raises(ShapeError):
+            mem.insert(np.zeros((1, 2)), 0, 0.9, np.zeros(2), np.ones(2), 0.0, 1)
+        assert (mem.dump(), mem.class_counts) == before[:2]
+        assert np.array_equal(mem.batch().data, before[2])
+        assert offer(mem, 1).kind == "inserted"
+
+
+def replay_against_reference(mode, capacity, seed, steps=600, classes=5, channels=3):
+    """Drive the array memory and the list-based reference with one stream.
+
+    The centroid first stays empty for a long phase (every distance is
+    infinite and ties everywhere), entropies come from three values and
+    some candidates repeat an earlier sample's statistics (ties in entropy
+    and distance), and five labels outnumber the small capacities.
+    """
+    rng = np.random.default_rng(seed)
+    args = (capacity, channels, 0.5, 0.3, 0.9, mode)
+    mem = SampleMemory(*args, np.random.default_rng(seed))
+    ref = reference.SampleMemory(*args, np.random.default_rng(seed))
+    seen = []
+    for step in range(steps):
+        if seen and rng.uniform() < 0.2:
+            mu, sigma = seen[int(rng.integers(len(seen)))]
+        else:
+            mu, sigma = rng.normal(size=channels), rng.uniform(0, 2, size=channels)
+            seen.append((mu, sigma))
+        x = rng.normal(size=(2, 4))
+        label = int(rng.integers(0, classes))
+        conf = float(rng.uniform(0, 1))
+        entropy = float(rng.choice([0.1, 0.5, 0.9]))
+        want = ref.insert(reference.MemorySample(
+            Tensor(x), label, conf, SampleStats(mu, sigma),
+            ref.score(SampleStats(mu, sigma)), step, entropy))
+        got = mem.insert(x, label, conf, mu, sigma, float(mem.score(mu, sigma)), step, entropy)
+        where = f"{mode} capacity {capacity}, step {step}"
+        assert got.kind == want.kind, where
+        assert got.evicted == (want.evicted.arrival_index if want.evicted else None), where
+        if step >= 200 and step % 4 == 3:
+            mean = 1.0 + 0.3 * rng.normal(size=channels)
+            var = rng.uniform(0.5, 1.5, size=channels)
+            shift = mem.update_centroid(ChannelStats(mean, var))
+            assert shift == ref.update_centroid(ChannelStats(mean, var)), where
+            assert mem.maybe_rescore(shift) == ref.maybe_rescore(shift), where
+        assert mem.dump() == ref.dump(), where
+        want_batch, got_batch = ref.batch(), mem.batch()
+        assert (got_batch is None) == (want_batch is None), where
+        if want_batch is not None:
+            assert np.array_equal(got_batch.data, want_batch.data), where
+    return mem
+
+
+class TestReferenceReplay:
+    @pytest.mark.parametrize("capacity", [1, 3, 16, 64])
+    @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
+    def test_matches_list_reference(self, mode, capacity):
+        mem = replay_against_reference(mode, capacity, seed=capacity)
+        assert len(mem) == capacity
