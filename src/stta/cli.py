@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 import threading
@@ -340,12 +341,25 @@ def validate_thresholds(thresholds) -> None:
             _as_rate(ar)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"threshold key {key!r}: {ar!r} is not an adaptation rate in [0, 1]") from None
-        try:
-            finite = math.isfinite(float(minimum))
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
+        if not math.isfinite(_as_float(minimum)):
             raise ConfigError(f"threshold {key!r}: minimum {minimum!r} is not a finite number")
+
+
+def validate_pretrain(pre: dict) -> None:
+    """Sample, epoch, batch and block counts are integers >= 1; the step size is finite and > 0."""
+    for key in ("samples", "epochs", "batch_size", "blocks"):
+        if isinstance(pre[key], bool) or not isinstance(pre[key], numbers.Integral) or pre[key] < 1:
+            raise ConfigError(f"pretrain.{key} must be an integer >= 1, got {pre[key]!r}")
+    if not 0.0 < _as_float(pre["lr"]) < math.inf:
+        raise ConfigError(f"pretrain.lr must be a finite number > 0, got {pre['lr']!r}")
+
+
+def _as_float(value) -> float:
+    """float(value), or NaN when the value is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
 def check_thresholds(cfg: dict, records: list[dict]) -> list[str]:
@@ -377,12 +391,14 @@ def run_command(args) -> int:
         if args.mode:
             cfg["grid"]["modes"] = [args.mode]
         out_dir = args.out or cfg.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "results"
-        cells = build_cells(cfg)
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        cells, seeds = build_cells(cfg), cfg["grid"]["seeds"]
+        if not cells or not seeds:
+            raise ConfigError("grid: grid.modes, grid.ar and grid.seeds give no cell to run")
         batch_size = stream_spec_from_config(cfg, 0).batch_size  # fail fast on bad stream/domain keys
+        validate_pretrain(cfg["pretrain"])
         validate_thresholds(cfg.get("thresholds") or {})
-        seeds = cfg["grid"]["seeds"]
-        if not seeds:
-            raise ConfigError("grid.seeds is empty")
         for mode, ar in cells:  # fail fast on bad engine keys
             try:
                 engine_config_for(mode, ar, cfg["engine"], seeds[0], batch_size)
@@ -444,6 +460,12 @@ def run_command(args) -> int:
     return 0
 
 
+# Every field `compare` reads, with the JSON types it may hold.
+RECORD_FIELDS = (("cell", str, "a string"), ("mode", str, "a string"), ("ar", str, "a string"),
+                 ("metrics.accuracy", (int, float, type(None)), "a number or null"),
+                 ("timing.mean_batch_seconds", (int, float), "a number"))
+
+
 def _load_records(path: str) -> list[dict]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -451,10 +473,22 @@ def _load_records(path: str) -> list[dict]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            where = f"{path}:{line_number}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                rec = None
+            if not isinstance(rec, dict):
+                raise ConfigError(f"{where}: a result record must be a JSON object")
             if rec.get("schema") != RESULT_SCHEMA:
-                raise ConfigError(f"{path}:{line_number}: unsupported result schema "
+                raise ConfigError(f"{where}: unsupported result schema "
                                   f"{rec.get('schema')!r} (want {RESULT_SCHEMA})")
+            for name, kinds, rule in RECORD_FIELDS:
+                value = rec
+                for key in name.split("."):
+                    value = value.get(key, {}) if isinstance(value, dict) else {}
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise ConfigError(f"{where}: {name} must be {rule}")
             records.append(rec)
     return records
 
@@ -479,7 +513,7 @@ def compare_command(args) -> int:
     try:
         base = _aggregate(_load_records(args.files[0]), args.by)
         other = _aggregate(_load_records(args.files[1]), args.by)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     common = sorted(set(base) & set(other))

@@ -27,6 +27,7 @@ from . import numerics as nm
 from .datagen import StreamBatch
 from .memory import SELECTION_MODES, SampleMemory
 from .model import (
+    NORM_SOURCES,
     Model,
     adapt_step,
     forward,
@@ -35,8 +36,6 @@ from .model import (
     per_sample_entropy,
 )
 from .numerics import Tensor
-
-INFERENCE_STATS_MODES = ("iobmn", "ema", "batch", "frozen")
 
 
 def _as_rate(value) -> Fraction:
@@ -97,7 +96,7 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         _as_rate(self.ar)
-        if self.inference_stats_mode not in INFERENCE_STATS_MODES:
+        if self.inference_stats_mode not in NORM_SOURCES:
             raise ValueError(f"unknown inference stats mode {self.inference_stats_mode!r}")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {self.selection_mode!r} (have {', '.join(SELECTION_MODES)})")
@@ -106,6 +105,8 @@ class EngineConfig:
                 and self.capacity >= 1):
             raise ValueError(f"capacity must be an integer >= 1 or None, got {self.capacity!r}")
         for name, ok, rule in (
+            ("lr", lambda v: math.isfinite(v) and v >= 0.0, ">= 0 and finite"),
+            ("tau_conf", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
             ("tau_delta", lambda v: v >= 0.0, ">= 0"),
             ("alpha", lambda v: v >= 0.0, ">= 0"),
             ("beta_centroid", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),

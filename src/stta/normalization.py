@@ -1,12 +1,14 @@
-"""Inference-time normalization from adaptation-memory statistics.
+"""Normalization and the statistics it can be fed.
 
-Between sparse model updates, normalization layers can keep using the
-per-channel statistics observed on the last adaptation batch. Those
-statistics are treated as estimates with known sampling variance, and are
-corrected toward the live batch statistics only where the live values fall
-outside a dead zone sized by the estimates' standard error (soft
-shrinkage). An exponential-moving-average provider is included as the
-ablation alternative.
+:func:`normalize` is the one per-channel affine normalization; the model
+feeds it one of four (mean, var) sources. Between sparse model updates,
+normalization layers can keep using the per-channel statistics observed on
+the last adaptation batch. Those statistics are treated as estimates with
+known sampling variance, and are corrected toward the live batch
+statistics only where the live values fall outside a dead zone sized by
+the estimates' standard error (soft shrinkage, :func:`corrected_stats`).
+An exponential-moving-average provider is included as the ablation
+alternative.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError, Tensor
+from .numerics import ShapeError
 
 
 class StateError(RuntimeError):
@@ -110,41 +112,31 @@ def corrected_stats(state: MemoryNormState, live: ChannelStats) -> ChannelStats:
     smaller live variance can otherwise undershoot when the memory variance
     is small.
     """
-    if not state.populated:
-        raise StateError("memory normalization state is not populated")
+    s2_mean, s2_var = sampling_variances(state)
     mem = state.memory_stats
     if live.mean.shape != mem.mean.shape:
         raise ShapeError(f"live stats {live.mean.shape} vs memory stats {mem.mean.shape}")
-    s2_mean, s2_var = sampling_variances(state)
     mean = mem.mean + soft_shrinkage(live.mean - mem.mean, state.alpha * np.sqrt(s2_mean))
     var = mem.var + soft_shrinkage(live.var - mem.var, state.alpha * np.sqrt(s2_var))
     return ChannelStats(mean, np.maximum(var, 0.0))
 
 
-def normalize(
-    state: MemoryNormState,
-    features,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    epsilon: float,
-    live: ChannelStats | None = None,
-) -> np.ndarray:
-    """Normalize a batch-by-channel-by-length feature map with corrected stats.
+def normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarray,
+              beta: np.ndarray, epsilon: float):
+    """gamma * (x - mean) / sqrt(var + epsilon) + beta, per channel.
 
-    `live` are the per-channel statistics of `features` itself, measured
-    here unless the caller already holds them; the returned array is
-    gamma * (f - mean) / sqrt(var + epsilon) + beta with the corrected
-    per-channel (mean, var).
+    The one normalization routine, whatever the source of (mean, var). The
+    result is laid out batch-major whatever the layout of `x`: the
+    backward's sums over batch and length read that layout. Also returns
+    what `numerics.backward` needs when (mean, var) are the batch's own
+    statistics of `x`.
     """
-    f = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
-    if f.ndim != 3:
-        raise ShapeError(f"expected batch x channel x length features, got {f.shape}")
-    if live is None:
-        live = batch_channel_stats(f)
-    stats = corrected_stats(state, live)
-    mean = stats.mean.reshape(1, -1, 1)
-    scale = 1.0 / np.sqrt(stats.var + epsilon).reshape(1, -1, 1)
-    return np.asarray(gamma).reshape(1, -1, 1) * (f - mean) * scale + np.asarray(beta).reshape(1, -1, 1)
+    shifted_var = var + epsilon
+    inv = 1.0 / np.sqrt(shifted_var)
+    centered = np.subtract(x, mean.reshape(1, -1, 1), order="C")
+    scaled = centered * inv.reshape(1, -1, 1)
+    out = scaled * gamma.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
+    return out, (centered, scaled, gamma, inv, shifted_var)
 
 
 def batch_channel_stats(f: np.ndarray) -> ChannelStats:
@@ -173,10 +165,6 @@ class EmaNormState:
     def __post_init__(self) -> None:
         if not (0.0 < self.momentum <= 1.0):
             raise ValueError("momentum must be in (0, 1]")
-
-    @property
-    def populated(self) -> bool:
-        return self.stats is not None
 
     def update(self, live: ChannelStats) -> ChannelStats:
         if self.stats is None:

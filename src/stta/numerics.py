@@ -2,17 +2,18 @@
 
 The model is a fixed stack of five layer kinds: channel mix, normalization,
 relu, global mean pool and classifier head. Each kind has a plain-numpy
-forward and backward here. A recorded forward keeps, per layer, what that
-layer's backward needs; :func:`backward` walks the record in reverse and
-returns the normalization layers' scale/shift gradients, the only weights
-that train.
+backward here, and each but normalization its forward too (that one is
+`stta.normalization.normalize`, shared by every statistics source). A
+recorded forward keeps, per layer, what that layer's backward needs;
+:func:`backward` walks the record in reverse and returns the normalization
+layers' scale/shift gradients, the only weights that train.
 
 The kernels repeat, operation for operation, the tape-based reference
 differentiator kept with the tests, and their results equal it bit for bit.
 Floating-point reductions and matrix products depend on the memory layout
 of their operands, so the kernels keep the reference's layouts wherever a
 reduction or a product reads them: the channel-major result of the channel
-mix, and the dense per-channel copies in the normalization layer.
+mix, and the batch-major result of the normalization.
 """
 
 from __future__ import annotations
@@ -90,22 +91,6 @@ def channel_mix(x: np.ndarray, weight: np.ndarray):
     b, c, length = x.shape
     mixed = weight @ x.transpose(1, 0, 2).reshape(c, b * length)
     return mixed.reshape(weight.shape[0], b, length).transpose(1, 0, 2), (weight,)
-
-
-def norm(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarray,
-         beta: np.ndarray, epsilon: float):
-    """gamma * (x - mean) / sqrt(var + epsilon) + beta, per channel.
-
-    `mean` and `var` are the batch's own statistics of `x`. The result is
-    laid out batch-major whatever the layout of `x`: the backward's sums
-    over batch and length read that layout.
-    """
-    shifted_var = var + epsilon
-    inv = 1.0 / np.sqrt(shifted_var)
-    centered = np.subtract(x, mean.reshape(1, -1, 1), order="C")
-    scaled = centered * inv.reshape(1, -1, 1)
-    out = scaled * gamma.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
-    return out, (centered, scaled, gamma, inv, shifted_var)
 
 
 def relu(x: np.ndarray):

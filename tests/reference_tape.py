@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from stta.model import NORM_SOURCES, ForwardResult, Model, NormLayer
-from stta.normalization import ChannelStats, StateError, batch_channel_stats, normalize
+from stta.normalization import ChannelStats, batch_channel_stats, corrected_stats
 from stta.numerics import ShapeError, Tensor
 
 
@@ -431,14 +431,16 @@ def _mix(x, weight):
     return transpose(reshape(mixed, (c_out, b, length)), (1, 0, 2))
 
 
-def _norm_batch(x, gamma, beta, epsilon):
+def _norm_with(x, mean, var, gamma, beta, epsilon):
     shape = _val(x).shape
-    mean = reduce_mean(x, (0, 2))
-    var = reduce_var(x, (0, 2))
     inv = rsqrt(add_scalar(var, epsilon))
     centered = sub(x, expand(mean, shape, (1,)))
     scaled = mul(centered, expand(inv, shape, (1,)))
     return add(mul(scaled, expand(gamma, shape, (1,))), expand(beta, shape, (1,)))
+
+
+def _norm_batch(x, gamma, beta, epsilon):
+    return _norm_with(x, reduce_mean(x, (0, 2)), reduce_var(x, (0, 2)), gamma, beta, epsilon)
 
 
 def forward(model: Model, x, norm_source: str = "batch",
@@ -485,17 +487,16 @@ def forward(model: Model, x, norm_source: str = "batch",
                 gamma, beta = Tensor._wrap(layer.gamma), Tensor._wrap(layer.beta)
             if norm_source == "batch":
                 out = _norm_batch(out, gamma, beta, layer.epsilon)
-            elif norm_source == "iobmn":
-                if not layer.memory_norm.populated:
-                    raise StateError("memory normalization state not populated; run an adaptation first")
-                out = Tensor._wrap(normalize(layer.memory_norm, value, _val(gamma), _val(beta), layer.epsilon))
-            elif norm_source == "ema":
-                blended = layer.ema.update(stats)
-                out = Tensor._wrap(_affine_normalize(value, blended.mean, blended.var,
-                                                     _val(gamma), _val(beta), layer.epsilon))
-            else:  # frozen source statistics
-                out = Tensor._wrap(_affine_normalize(value, layer.running_mean, layer.running_var,
-                                                     _val(gamma), _val(beta), layer.epsilon))
+            else:
+                if norm_source == "iobmn":
+                    source = corrected_stats(layer.memory_norm, stats)
+                    mean, var = source.mean, source.var
+                elif norm_source == "ema":
+                    blended = layer.ema.update(stats)
+                    mean, var = blended.mean, blended.var
+                else:  # frozen source statistics
+                    mean, var = layer.running_mean, layer.running_var
+                out = _norm_with(out, Tensor._wrap(mean), Tensor._wrap(var), gamma, beta, layer.epsilon)
             norm_index += 1
         elif layer.kind == "relu":
             out = relu(out)
@@ -507,11 +508,6 @@ def forward(model: Model, x, norm_source: str = "batch",
     if early_mean is None:
         raise ValueError("model has no norm layer")
     return ForwardResult(out, early_mean, early_sigma, layer_stats, layer_extents)
-
-
-def _affine_normalize(f, mean, var, gamma, beta, epsilon):
-    scale = 1.0 / np.sqrt(var + epsilon)
-    return gamma.reshape(1, -1, 1) * (f - mean.reshape(1, -1, 1)) * scale.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
 
 
 def entropy_loss(logits):

@@ -132,7 +132,8 @@ def test_criterion_1_formula_oracles():
             alpha = float(rng.uniform(0, 5))
             state = MemoryNormState(alpha=alpha)
             state.populate(ChannelStats(mem_mean, mem_var), 3, 6)
-            got = normalize(state, f, gamma, beta, 1e-5)
+            stats = corrected_stats(state, batch_channel_stats(f))
+            got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
             want = np.array(normalize_mp(f.tolist(), list(mem_mean), list(mem_var),
                                          3, 6, alpha, list(gamma), list(beta), 1e-5))
             assert np.max(np.abs(got - want)) < 1e-10
@@ -271,7 +272,8 @@ def test_criterion_5_memory_norm_limits():
             state = MemoryNormState(alpha=0.0)
             state.populate(ChannelStats(rng.normal(size=3), rng.uniform(0.1, 2, size=3)), 5, 9)
             live = batch_channel_stats(f)
-            got = normalize(state, f, gamma, beta, 1e-5)
+            stats = corrected_stats(state, batch_channel_stats(f))
+            got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
             want = gamma.reshape(1, -1, 1) * (f - live.mean.reshape(1, -1, 1)) \
                 / np.sqrt(live.var + 1e-5).reshape(1, -1, 1) + beta.reshape(1, -1, 1)
             assert np.max(np.abs(got - want)) < 1e-12
@@ -283,7 +285,8 @@ def test_criterion_5_memory_norm_limits():
             mem_mean, mem_var = rng.normal(size=3), rng.uniform(0.1, 2, size=3)
             state = MemoryNormState(alpha=1e9)
             state.populate(ChannelStats(mem_mean, mem_var), 5, 9)
-            got = normalize(state, f, gamma, beta, 1e-5)
+            stats = corrected_stats(state, batch_channel_stats(f))
+            got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
             want = gamma.reshape(1, -1, 1) * (f - mem_mean.reshape(1, -1, 1)) \
                 / np.sqrt(mem_var + 1e-5).reshape(1, -1, 1) + beta.reshape(1, -1, 1)
             assert np.max(np.abs(got - want)) < 1e-12

@@ -161,8 +161,12 @@ class TestRun:
         ({"ema_momentum": 0.0}, "ema_momentum"),
         ({"ema_momentum": 1.5}, "ema_momentum"),
         ({"beta_centroid": "high"}, "beta_centroid"),
+        ({"lr": float("nan")}, "lr"),
+        ({"lr": -0.01}, "lr"),
+        ({"tau_conf": 1.5}, "tau_conf"),
     ], ids=["zero-capacity", "fractional-capacity", "negative-tau-delta", "negative-alpha",
-            "zero-momentum", "momentum-above-one", "text-beta"])
+            "zero-momentum", "momentum-above-one", "text-beta", "nan-lr", "negative-lr",
+            "tau-conf-above-one"])
     def test_bad_engine_key_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                         engine_cfg, named):
         prepared = []
@@ -172,6 +176,33 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: engine: ") and named in err
+        assert not prepared and not out.exists()
+
+    @pytest.mark.parametrize("pretrain_cfg,flags,named", [
+        ({"lr": float("nan")}, [], "pretrain.lr"),
+        ({"lr": 0.0}, [], "pretrain.lr"),
+        ({"lr": "fast"}, [], "pretrain.lr"),
+        ({"batch_size": 0}, [], "pretrain.batch_size"),
+        ({"samples": 0}, [], "pretrain.samples"),
+        ({"epochs": 2.5}, [], "pretrain.epochs"),
+        ({"blocks": -1}, [], "pretrain.blocks"),
+        ({}, ["--workers", "-1"], "--workers"),
+        ({}, ["--workers", "0"], "--workers"),
+        ({}, ["--ar", ","], "grid.ar"),
+        ({}, ["--seeds", ","], "grid.seeds"),
+    ], ids=["nan-lr", "zero-lr", "text-lr", "zero-batch-size", "zero-samples", "fractional-epochs",
+            "negative-blocks", "negative-workers", "zero-workers", "no-rates", "no-seeds"])
+    def test_bad_run_setting_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       pretrain_cfg, flags, named):
+        prepared = []
+        monkeypatch.setattr(cli, "prepare_model", lambda *a: prepared.append(a))
+        cfg = tiny_config()
+        cfg["pretrain"].update(pretrain_cfg)
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
         assert not prepared and not out.exists()
 
     def test_threshold_pass_exits_zero(self, tmp_path):
@@ -264,6 +295,28 @@ class TestCompare:
             header = fh.readline().strip().split(",")
         assert header == ["cell", "base_accuracy", "other_accuracy",
                           "delta_accuracy", "latency_ratio"]
+
+    @pytest.mark.parametrize("line,named", [
+        ('{"schema": 1, "cell": "snap@1", "ar": "1", "mode": "snap", "seed": 0}', "metrics.accuracy"),
+        ("[1, 2]", "JSON object"),
+        ('{"schema": 1, ', "JSON object"),
+        ('{"schema": 1, "cell": "snap@1", "ar": "1", "mode": "snap", "metrics": {"accuracy": "high"}, '
+         '"timing": {"mean_batch_seconds": 0.1}}', "metrics.accuracy"),
+        ('{"schema": 1, "cell": "snap@1", "ar": "1", "mode": "snap", "metrics": {"accuracy": 0.5}, '
+         '"timing": {}}', "timing.mean_batch_seconds"),
+        ('{"schema": 1, "ar": "1", "mode": "snap", "metrics": {"accuracy": 0.5}, '
+         '"timing": {"mean_batch_seconds": 0.1}}', "cell"),
+        ('{"schema": 1, "cell": "snap@1", "ar": 1, "mode": "snap", "metrics": {"accuracy": 0.5}, '
+         '"timing": {"mean_batch_seconds": 0.1}}', "ar"),
+    ], ids=["no-metrics", "not-an-object", "bad-json", "text-accuracy", "no-latency", "no-cell",
+            "numeric-ar"])
+    def test_malformed_record_rejected(self, tmp_path, capsys, line, named):
+        good = self.make_results(tmp_path, ["snap"], "good")
+        path = tmp_path / "bad.jsonl"
+        path.write_text(open(good).read() + line + "\n")
+        assert main(["compare", good, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: ") and named in err
 
     def test_schema_mismatch_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"

@@ -80,13 +80,17 @@ class TestEngineBasics:
         ("alpha", -1.0, "alpha"), ("ema_momentum", 0.0, "ema_momentum"),
         ("ema_momentum", 1.01, "ema_momentum"), ("beta_centroid", 0.0, "beta_centroid"),
         ("inference_stats_mode", "nope", "inference stats mode"),
+        ("lr", float("nan"), "lr"), ("lr", float("inf"), "lr"), ("lr", -1e-3, "lr"), ("lr", "0.1", "lr"),
+        ("tau_conf", -0.1, "tau_conf"), ("tau_conf", 1.5, "tau_conf"), ("tau_conf", float("nan"), "tau_conf"),
     ])
     def test_config_rejects_bad_setting(self, field, value, named):
         with pytest.raises(ValueError, match=named):
             EngineConfig(**{field: value})
 
     def test_config_accepts_edge_settings(self):
-        EngineConfig(capacity=1, tau_delta=0.0, alpha=0.0, ema_momentum=1.0, beta_centroid=1.0)
+        EngineConfig(capacity=1, tau_delta=0.0, alpha=0.0, ema_momentum=1.0, beta_centroid=1.0,
+                     lr=0.0, tau_conf=0.0)
+        EngineConfig(tau_conf=1.0)
         EngineConfig(capacity=None, selection_mode="naive")
 
     def test_empty_stream(self, base_model):

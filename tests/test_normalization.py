@@ -158,7 +158,8 @@ class TestNormalize:
         gamma, beta = rng.normal(size=4), rng.normal(size=4)
         state = populated_state(rng.uniform(0.5, 2.0, size=4), extent=5, count=9,
                                 alpha=0.0, mean=rng.normal(size=4))
-        got = normalize(state, f, gamma, beta, 1e-5)
+        stats = corrected_stats(state, batch_channel_stats(f))
+        got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
         live = batch_channel_stats(f)
         want = gamma.reshape(1, -1, 1) * (f - live.mean.reshape(1, -1, 1)) \
             / np.sqrt(live.var + 1e-5).reshape(1, -1, 1) + beta.reshape(1, -1, 1)
@@ -170,7 +171,8 @@ class TestNormalize:
         gamma, beta = rng.normal(size=3), rng.normal(size=3)
         mem_mean, mem_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
         state = populated_state(mem_var, extent=4, count=8, alpha=1e9, mean=mem_mean)
-        got = normalize(state, f, gamma, beta, 1e-5)
+        stats = corrected_stats(state, batch_channel_stats(f))
+        got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
         want = gamma.reshape(1, -1, 1) * (f - mem_mean.reshape(1, -1, 1)) \
             / np.sqrt(mem_var + 1e-5).reshape(1, -1, 1) + beta.reshape(1, -1, 1)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -184,7 +186,8 @@ class TestNormalize:
         state = populated_state(mem_var, extent=1000, count=1000, alpha=1e6, mean=mem_mean)
         f = rng.normal(size=(4, 3, 6)) * 0.01 + mem_mean.reshape(1, -1, 1)
         gamma, beta = rng.normal(size=3), rng.normal(size=3)
-        got = normalize(state, f, gamma, beta, 1e-5)
+        stats = corrected_stats(state, batch_channel_stats(f))
+        got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
         # same affine arithmetic, raw memory stats substituted for corrected
         scale = 1.0 / np.sqrt(mem_var + 1e-5).reshape(1, -1, 1)
         want = gamma.reshape(1, -1, 1) * (f - mem_mean.reshape(1, -1, 1)) * scale + beta.reshape(1, -1, 1)
@@ -196,14 +199,15 @@ class TestNormalize:
         gamma, beta = rng.normal(size=4), rng.normal(size=4)
         mem_mean, mem_var = rng.normal(size=4), rng.uniform(0.1, 3.0, size=4)
         state = populated_state(mem_var, extent=2, count=5, alpha=2.0, mean=mem_mean)
-        got = normalize(state, f, gamma, beta, 1e-5)
+        stats = corrected_stats(state, batch_channel_stats(f))
+        got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
         want = np.array(normalize_mp(f.tolist(), list(mem_mean), list(mem_var),
                                      2, 5, 2.0, list(gamma), list(beta), 1e-5))
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_unpopulated_state_errors(self):
         with pytest.raises(StateError):
-            normalize(MemoryNormState(), np.zeros((2, 3, 4)), np.ones(3), np.zeros(3), 1e-5)
+            corrected_stats(MemoryNormState(), batch_channel_stats(np.zeros((2, 3, 4))))
 
 
 class TestEmaNormState:
