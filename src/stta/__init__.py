@@ -29,11 +29,9 @@ from .memory import (
 )
 from .model import (
     ForwardResult,
-    LayerSpec,
     Model,
     PretrainResult,
     adapt_step,
-    build_model,
     cross_entropy_loss,
     default_model,
     entropy_loss,

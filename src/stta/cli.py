@@ -156,15 +156,32 @@ def _domain_from_config(domain_cfg: dict, corruption) -> DomainSpec:
 
 def stream_spec_from_config(cfg: dict, seed: int) -> StreamSpec:
     stream_cfg = cfg["stream"]
+    batch_size = _count(stream_cfg["batch_size"], "stream.batch_size")
     segments = []
-    for entry in stream_cfg["segments"]:
+    for i, entry in enumerate(stream_cfg["segments"]):
         if "batches" not in entry:
             raise ConfigError("every stream segment needs a 'batches' count")
         segments.append((_domain_from_config(entry.get("domain", {}),
                                              entry.get("corruption", "none")),
-                         int(entry["batches"])))
-    return StreamSpec(tuple(segments), int(stream_cfg["batch_size"]), seed,
-                      bool(stream_cfg["correlated"]))
+                         _count(entry["batches"], f"stream.segments[{i}].batches")))
+    return StreamSpec(tuple(segments), batch_size, seed, bool(stream_cfg["correlated"]))
+
+
+def _count(value, where: str) -> int:
+    """An integer setting >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{where} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _real(value, where: str) -> float:
+    """A real-valued setting as a float; a numeric string counts, as YAML reads `1e-3` as one."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +213,17 @@ def build_cells(cfg: dict) -> list[tuple[str, Fraction]]:
     return unique
 
 
+# The real-valued engine settings, each an `EngineConfig` field of the same name.
+ENGINE_REALS = ("tau_conf", "tau_delta", "alpha", "beta_centroid", "ema_momentum", "lr")
+
+
 def engine_config_for(mode: str, ar: Fraction, engine_cfg: dict, seed: int,
                       batch_size: int) -> EngineConfig:
-    preset = dict(MODE_PRESETS[mode])
-    preset.pop("ar", None)
-    tau_conf = preset.pop("tau_conf", engine_cfg["tau_conf"])
-    capacity = engine_cfg["capacity"]
-    if mode == "tent-equivalent":
-        capacity = batch_size
-    return EngineConfig(
-        ar=ar,
-        tau_conf=tau_conf,
-        tau_delta=engine_cfg["tau_delta"],
-        alpha=engine_cfg["alpha"],
-        beta_centroid=engine_cfg["beta_centroid"],
-        ema_momentum=engine_cfg["ema_momentum"],
-        lr=engine_cfg["lr"],
-        capacity=capacity,
-        seed=seed,
-        **preset,
-    )
+    settings = {key: _real(engine_cfg[key], key) for key in ENGINE_REALS}
+    settings.update(MODE_PRESETS[mode])
+    settings.pop("ar", None)
+    capacity = batch_size if mode == "tent-equivalent" else engine_cfg["capacity"]
+    return EngineConfig(ar=ar, capacity=capacity, seed=seed, **settings)
 
 
 # Seed-derivation offsets keep the stream, the source data, the weight init
@@ -234,7 +242,7 @@ def prepare_model(cfg: dict, seed: int, checkpoint: str | None) -> Model:
     x, y = sample_source(first_domain, int(pre["samples"]), seed + DATA_SEED_OFFSET)
     model = default_model(channels=first_domain.channels, num_classes=first_domain.num_classes,
                           blocks=int(pre["blocks"]), seed=seed + MODEL_SEED_OFFSET)
-    pretrain(model, x, y, epochs=int(pre["epochs"]), lr=float(pre["lr"]),
+    pretrain(model, x, y, epochs=int(pre["epochs"]), lr=_real(pre["lr"], "pretrain.lr"),
              seed=seed + TRAIN_SEED_OFFSET, batch_size=int(pre["batch_size"]))
     return model
 
@@ -341,25 +349,16 @@ def validate_thresholds(thresholds) -> None:
             _as_rate(ar)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"threshold key {key!r}: {ar!r} is not an adaptation rate in [0, 1]") from None
-        if not math.isfinite(_as_float(minimum)):
+        if not math.isfinite(_real(minimum, f"threshold {key!r}: minimum")):
             raise ConfigError(f"threshold {key!r}: minimum {minimum!r} is not a finite number")
 
 
 def validate_pretrain(pre: dict) -> None:
     """Sample, epoch, batch and block counts are integers >= 1; the step size is finite and > 0."""
     for key in ("samples", "epochs", "batch_size", "blocks"):
-        if isinstance(pre[key], bool) or not isinstance(pre[key], numbers.Integral) or pre[key] < 1:
-            raise ConfigError(f"pretrain.{key} must be an integer >= 1, got {pre[key]!r}")
-    if not 0.0 < _as_float(pre["lr"]) < math.inf:
+        _count(pre[key], f"pretrain.{key}")
+    if not 0.0 < _real(pre["lr"], "pretrain.lr") < math.inf:
         raise ConfigError(f"pretrain.lr must be a finite number > 0, got {pre['lr']!r}")
-
-
-def _as_float(value) -> float:
-    """float(value), or NaN when the value is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
 
 
 def check_thresholds(cfg: dict, records: list[dict]) -> list[str]:
@@ -371,7 +370,7 @@ def check_thresholds(cfg: dict, records: list[dict]) -> list[str]:
         row = rows.get(key)
         if row is None:
             failures.append(f"threshold for {raw_key}: cell {key} was not run")
-        elif row["mean_accuracy"] is None or row["mean_accuracy"] < float(minimum):
+        elif row["mean_accuracy"] is None or row["mean_accuracy"] < _real(minimum, raw_key):
             failures.append(
                 f"threshold for {key}: mean accuracy {row['mean_accuracy']} < {minimum}")
     return failures

@@ -113,7 +113,7 @@ class EngineConfig:
             ("ema_momentum", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
         ):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and ok(value)):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and ok(value)):
                 raise ValueError(f"{name} must be a number {rule}, got {value!r}")
 
 
@@ -233,8 +233,6 @@ class Engine:
     """One adaptation engine per stream; strictly single-threaded inside."""
 
     def __init__(self, model: Model, config: EngineConfig) -> None:
-        if not model.norm_layers:
-            raise ValueError("model has no norm layers to adapt")
         self.model = model
         self.config = config
         self.schedule = AdaptationSchedule(config.ar)
@@ -269,9 +267,10 @@ class Engine:
             return "iobmn" if populated else "batch"
         return mode
 
-    def _populate_memory_norm(self, result, count: int) -> None:
-        for layer, stats, extent in zip(self.model.norm_layers, result.layer_stats, result.layer_extents):
-            if extent * count >= 2:  # degenerate sampling-variance denominator guard
+    def _populate_memory_norm(self, result, batch: Tensor) -> None:
+        count, extent = batch.shape[0], batch.shape[2]  # every norm layer sees the input length
+        if extent * count >= 2:  # degenerate sampling-variance denominator guard
+            for layer, stats in zip(self.model.norm_layers, result.layer_stats):
                 layer.memory_norm.populate(stats, extent, count)
 
     def _validated(self, x, labels) -> np.ndarray:
@@ -341,7 +340,7 @@ class Engine:
                 skipped = True
             else:
                 adapted = True
-                self._populate_memory_norm(step, batch.shape[0])
+                self._populate_memory_norm(step, batch)
             adaptation_seconds = time.perf_counter() - t2
 
         correct = None

@@ -1,11 +1,11 @@
 """Feed-forward classifier over batch x channel x length feature maps.
 
-Channel-mixing (1x1) linear layers interleaved with normalization layers,
-a global mean pool over the length axis, and a linear head. Only the
-normalization layers' per-channel scale and shift ever train: under
-cross-entropy during source pretraining, and under prediction-entropy
-minimization during streaming adaptation. The channel-mix and head weights
-keep their seeded initialization.
+One fixed shape: n >= 1 blocks of a channel-mixing (1x1) linear layer, a
+normalization layer and a relu, then a global mean pool over the length
+axis and a linear head. Only the normalization layers' per-channel scale
+and shift ever train: under cross-entropy during source pretraining, and
+under prediction-entropy minimization during streaming adaptation. The
+channel-mix and head weights keep their seeded initialization.
 
 Normalization statistics come from one of four sources per forward pass:
 live batch statistics, memory statistics with shrinkage correction,
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -34,26 +35,6 @@ from .numerics import ShapeError, Tensor
 
 NORM_SOURCES = ("batch", "iobmn", "ema", "frozen")
 
-LAYER_KINDS = ("channel_mix", "norm", "relu", "global_mean_pool", "classifier_head")
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: str
-    in_channels: int
-    out_channels: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-
-
-class ChannelMixLayer:
-    kind = "channel_mix"
-
-    def __init__(self, weight: np.ndarray) -> None:
-        self.weight = np.asarray(weight, dtype=np.float64)  # out_channels x in_channels
-
 
 class NormLayer:
     """Per-channel scale/shift with selectable statistics source.
@@ -63,8 +44,6 @@ class NormLayer:
     frozen source). `memory_norm` and `ema` host the inference-time
     statistics providers.
     """
-
-    kind = "norm"
 
     def __init__(self, channels: int, epsilon: float = 1e-5,
                  alpha: float = 4.0, ema_momentum: float = 0.9) -> None:
@@ -80,22 +59,6 @@ class NormLayer:
         self.ema = EmaNormState(momentum=ema_momentum)
 
 
-class ReluLayer:
-    kind = "relu"
-
-
-class GlobalMeanPoolLayer:
-    kind = "global_mean_pool"
-
-
-class ClassifierHeadLayer:
-    kind = "classifier_head"
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray) -> None:
-        self.weight = np.asarray(weight, dtype=np.float64)  # in_channels x classes
-        self.bias = np.asarray(bias, dtype=np.float64)
-
-
 @dataclass
 class ForwardResult:
     """Logits plus the statistics observed on the way through the network."""
@@ -104,25 +67,25 @@ class ForwardResult:
     early_mean: np.ndarray   # per sample, per channel: mean over length
     early_sigma: np.ndarray  # per sample, per channel: std over length
     layer_stats: list[ChannelStats]  # per norm layer: input batch statistics
-    layer_extents: list[int]         # per norm layer: input spatial extent
-    record: list[tuple] | None = None  # per layer: what its backward needs (batch source)
+    record: list[tuple] | None = None  # batch source, per block: (mix weight, norm saved, relu mask)
 
 
+@dataclass(eq=False)
 class Model:
-    """Ordered layers; input is batch x in_channels x length."""
+    """Blocks of (channel mix, norm, relu), then pool and head; input is batch x channels x length."""
 
-    def __init__(self, layers: list, in_channels: int, num_classes: int) -> None:
-        if not layers or layers[-1].kind != "classifier_head":
-            raise ValueError("model must end with exactly one classifier head")
-        if any(l.kind == "classifier_head" for l in layers[:-1]):
-            raise ValueError("classifier head must be unique and last")
-        self.layers = layers
-        self.in_channels = int(in_channels)
-        self.num_classes = int(num_classes)
+    mix_weights: list[np.ndarray]  # per block: channels x channels
+    norm_layers: list[NormLayer]   # per block
+    head_weight: np.ndarray        # channels x classes
+    head_bias: np.ndarray
 
     @property
-    def norm_layers(self) -> list[NormLayer]:
-        return [l for l in self.layers if l.kind == "norm"]
+    def in_channels(self) -> int:
+        return self.mix_weights[0].shape[1]
+
+    @property
+    def num_classes(self) -> int:
+        return self.head_weight.shape[1]
 
     def clone(self) -> "Model":
         return load_model_dict(model_dict(self))
@@ -134,47 +97,16 @@ class Model:
             layer.ema = EmaNormState(momentum=layer.ema.momentum)
 
 
-def default_layer_specs(channels: int = 16, num_classes: int = 3, blocks: int = 3) -> list[LayerSpec]:
-    specs: list[LayerSpec] = []
-    for _ in range(blocks):
-        specs.append(LayerSpec("channel_mix", channels, channels))
-        specs.append(LayerSpec("norm", channels, channels))
-        specs.append(LayerSpec("relu", channels, channels))
-    specs.append(LayerSpec("global_mean_pool", channels, channels))
-    specs.append(LayerSpec("classifier_head", channels, num_classes))
-    return specs
-
-
-def build_model(specs: list[LayerSpec], seed: int = 0) -> Model:
-    """Construct a model with seeded Gaussian weight init (deterministic)."""
-    if not specs:
-        raise ValueError("empty layer specs")
-    for prev, cur in zip(specs, specs[1:]):
-        if prev.out_channels != cur.in_channels:
-            raise ValueError(
-                f"channel extents do not chain: {prev.kind}({prev.out_channels}) -> {cur.kind}({cur.in_channels})")
-    rng = np.random.default_rng(seed)
-    layers: list = []
-    for spec in specs:
-        if spec.kind == "channel_mix":
-            scale = 1.0 / math.sqrt(spec.in_channels)
-            layers.append(ChannelMixLayer(rng.normal(0.0, scale, size=(spec.out_channels, spec.in_channels))))
-        elif spec.kind == "norm":
-            layers.append(NormLayer(spec.out_channels))
-        elif spec.kind == "relu":
-            layers.append(ReluLayer())
-        elif spec.kind == "global_mean_pool":
-            layers.append(GlobalMeanPoolLayer())
-        else:
-            scale = 1.0 / math.sqrt(spec.in_channels)
-            layers.append(ClassifierHeadLayer(
-                rng.normal(0.0, scale, size=(spec.in_channels, spec.out_channels)),
-                np.zeros(spec.out_channels)))
-    return Model(layers, specs[0].in_channels, specs[-1].out_channels)
-
-
 def default_model(channels: int = 16, num_classes: int = 3, blocks: int = 3, seed: int = 0) -> Model:
-    return build_model(default_layer_specs(channels, num_classes, blocks), seed=seed)
+    """Seeded Gaussian weights, drawn block by block and then the head (deterministic)."""
+    if blocks < 1:
+        raise ValueError(f"a model needs at least one block, got {blocks}")
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / math.sqrt(channels)
+    mix_weights = [rng.normal(0.0, scale, size=(channels, channels)) for _ in range(blocks)]
+    head_weight = rng.normal(0.0, scale, size=(channels, num_classes))
+    norm_layers = [NormLayer(channels) for _ in range(blocks)]
+    return Model(mix_weights, norm_layers, head_weight, np.zeros(num_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -201,44 +133,33 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
 
     early_mean = early_sigma = None
     layer_stats: list[ChannelStats] = []
-    layer_extents: list[int] = []
     record = [] if norm_source == "batch" else None
     out = xv
-    for layer in model.layers:
-        kind = layer.kind
-        if kind == "channel_mix":
-            out, saved = nm.channel_mix(out, layer.weight)
-        elif kind == "norm":
-            stats = batch_channel_stats(out)
-            layer_stats.append(stats)
-            layer_extents.append(out.shape[2])
-            if early_mean is None:
-                early_mean = out.mean(axis=2)
-                centered = out - early_mean[:, :, None]
-                early_sigma = np.sqrt(np.mean(centered * centered, axis=2))
-            if norm_source == "batch":
-                mean, var = stats.mean, stats.var
-            elif norm_source == "iobmn":
-                # Looked up on its module, where the benchmark's tracer counts the shrinkage.
-                corrected = normalization.corrected_stats(layer.memory_norm, stats)
-                mean, var = corrected.mean, corrected.var
-            elif norm_source == "ema":
-                blended = layer.ema.update(stats)
-                mean, var = blended.mean, blended.var
-            else:  # frozen source statistics
-                mean, var = layer.running_mean, layer.running_var
-            out, saved = normalize(out, mean, var, layer.gamma, layer.beta, layer.epsilon)
-        elif kind == "relu":
-            out, saved = nm.relu(out)
-        elif kind == "global_mean_pool":
-            out, saved = nm.global_mean_pool(out)
-        else:
-            out, saved = nm.classifier_head(out, layer.weight, layer.bias)
+    for weight, layer in zip(model.mix_weights, model.norm_layers):
+        out = nm.channel_mix(out, weight)
+        stats = batch_channel_stats(out)
+        layer_stats.append(stats)
+        if early_mean is None:
+            early_mean = out.mean(axis=2)
+            centered = out - early_mean[:, :, None]
+            early_sigma = np.sqrt(np.mean(centered * centered, axis=2))
+        if norm_source == "batch":
+            mean, var = stats.mean, stats.var
+        elif norm_source == "iobmn":
+            # Looked up on its module, where the benchmark's tracer counts the shrinkage.
+            corrected = normalization.corrected_stats(layer.memory_norm, stats)
+            mean, var = corrected.mean, corrected.var
+        elif norm_source == "ema":
+            blended = layer.ema.update(stats)
+            mean, var = blended.mean, blended.var
+        else:  # frozen source statistics
+            mean, var = layer.running_mean, layer.running_var
+        out, saved = normalize(out, mean, var, layer.gamma, layer.beta, layer.epsilon)
+        out, mask = nm.relu(out)
         if record is not None:
-            record.append((kind, saved))
-    if early_mean is None:
-        raise ValueError("model has no norm layer")
-    return ForwardResult(Tensor._wrap(out), early_mean, early_sigma, layer_stats, layer_extents, record)
+            record.append((weight, saved, mask))
+    logits = out.mean(axis=(2,)) @ model.head_weight + model.head_bias.reshape(1, -1)  # pool, head
+    return ForwardResult(Tensor._wrap(logits), early_mean, early_sigma, layer_stats, record)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +225,8 @@ def per_sample_entropy(probabilities: np.ndarray) -> np.ndarray:
 
 
 def _descend(model: Model, result: ForwardResult, dlogits: np.ndarray, lr: float) -> None:
-    for layer, (d_gamma, d_beta) in zip(model.norm_layers, nm.backward(result.record, dlogits)):
+    grads = nm.backward(result.record, dlogits, model.head_weight)
+    for layer, (d_gamma, d_beta) in zip(model.norm_layers, grads):
         layer.gamma = layer.gamma - lr * d_gamma
         layer.beta = layer.beta - lr * d_beta
 
@@ -334,8 +256,12 @@ class PretrainResult:
     final_loss: float
 
 
+# Weight of each minibatch's statistics in the norm layers' running source statistics.
+RUNNING_MOMENTUM = 0.1
+
+
 def pretrain(model: Model, inputs, labels, epochs: int = 100, lr: float = 1e-2, seed: int = 0,
-             batch_size: int = 32, running_momentum: float = 0.1) -> PretrainResult:
+             batch_size: int = 32) -> PretrainResult:
     """Cross-entropy SGD on labeled source data.
 
     Only the norm layers' scale/shift train; the channel-mix and head
@@ -355,17 +281,16 @@ def pretrain(model: Model, inputs, labels, epochs: int = 100, lr: float = 1e-2, 
         order = rng.permutation(x.shape[0])
         for start in range(0, x.shape[0], batch_size):
             take = order[start:start + batch_size]
-            final_loss = _pretrain_minibatch(model, x[take], y[take], lr, running_momentum)
+            final_loss = _pretrain_minibatch(model, x[take], y[take], lr)
     accuracy = evaluate_accuracy(model, x, y, batch_size=batch_size)
     return PretrainResult(model, accuracy, final_loss)
 
 
-def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float,
-                        running_momentum: float) -> float:
+def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float) -> float:
     result = forward(model, Tensor._wrap(xb), "batch")
     loss, dlogits = cross_entropy_loss(result.logits, yb)
     _descend(model, result, dlogits, lr)
-    m = running_momentum
+    m = RUNNING_MOMENTUM
     for layer, stats in zip(model.norm_layers, result.layer_stats):
         layer.running_mean = (1.0 - m) * layer.running_mean + m * stats.mean
         layer.running_var = (1.0 - m) * layer.running_var + m * stats.var
@@ -390,44 +315,40 @@ def evaluate_accuracy(model: Model, inputs, labels, batch_size: int = 64) -> flo
 
 MODEL_FORMAT = "stta-model"
 MODEL_VERSION = 1
+# A checkpoint's `layers`: n >= 1 blocks of these three entries, then these two.
+BLOCK_KINDS = ("channel_mix", "norm", "relu")
+TAIL_KINDS = ("global_mean_pool", "classifier_head")
 
 
 def _stats_dict(stats: ChannelStats | None):
-    if stats is None:
-        return None
-    return {"mean": stats.mean.tolist(), "var": stats.var.tolist()}
+    return None if stats is None else {"mean": stats.mean.tolist(), "var": stats.var.tolist()}
 
 
-def _stats_from(d) -> ChannelStats | None:
-    return None if d is None else ChannelStats(d["mean"], d["var"])
+def _norm_dict(layer: NormLayer) -> dict:
+    mn = layer.memory_norm
+    return {
+        "kind": "norm",
+        "gamma": layer.gamma.tolist(),
+        "beta": layer.beta.tolist(),
+        "epsilon": layer.epsilon,
+        "running_mean": layer.running_mean.tolist(),
+        "running_var": layer.running_var.tolist(),
+        "memory_norm": {
+            "alpha": mn.alpha,
+            "stats": _stats_dict(mn.memory_stats),
+            "spatial_extent": mn.spatial_extent,
+            "sample_count": mn.sample_count,
+        },
+        "ema": {"momentum": layer.ema.momentum, "stats": _stats_dict(layer.ema.stats)},
+    }
 
 
 def model_dict(model: Model) -> dict:
     layers = []
-    for layer in model.layers:
-        if layer.kind == "channel_mix":
-            layers.append({"kind": layer.kind, "weight": layer.weight.tolist()})
-        elif layer.kind == "norm":
-            mn = layer.memory_norm
-            layers.append({
-                "kind": layer.kind,
-                "gamma": layer.gamma.tolist(),
-                "beta": layer.beta.tolist(),
-                "epsilon": layer.epsilon,
-                "running_mean": layer.running_mean.tolist(),
-                "running_var": layer.running_var.tolist(),
-                "memory_norm": {
-                    "alpha": mn.alpha,
-                    "stats": _stats_dict(mn.memory_stats),
-                    "spatial_extent": mn.spatial_extent,
-                    "sample_count": mn.sample_count,
-                },
-                "ema": {"momentum": layer.ema.momentum, "stats": _stats_dict(layer.ema.stats)},
-            })
-        elif layer.kind == "classifier_head":
-            layers.append({"kind": layer.kind, "weight": layer.weight.tolist(), "bias": layer.bias.tolist()})
-        else:
-            layers.append({"kind": layer.kind})
+    for weight, layer in zip(model.mix_weights, model.norm_layers):
+        layers += [{"kind": "channel_mix", "weight": weight.tolist()}, _norm_dict(layer), {"kind": "relu"}]
+    head = {"kind": "classifier_head", "weight": model.head_weight.tolist(), "bias": model.head_bias.tolist()}
+    layers += [{"kind": "global_mean_pool"}, head]
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -437,39 +358,55 @@ def model_dict(model: Model) -> dict:
     }
 
 
+def _array(value, shape: tuple, where: str) -> np.ndarray:
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"model checkpoint: {where} is not an array of numbers") from None
+    if arr.shape != shape:
+        raise ValueError(f"model checkpoint: {where} has shape {arr.shape}, want {shape}")
+    return arr
+
+
+def _stats_from(d, channels: int, where: str) -> ChannelStats | None:
+    if d is None:
+        return None
+    return ChannelStats(*(_array(d[key], (channels,), f"{where}.{key}") for key in ("mean", "var")))
+
+
+def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
+    mn = entry["memory_norm"]
+    layer = NormLayer(channels, entry["epsilon"], mn["alpha"], entry["ema"]["momentum"])
+    for name in ("gamma", "beta", "running_mean", "running_var"):
+        setattr(layer, name, _array(entry[name], (channels,), f"{where}.{name}"))
+    stats = _stats_from(mn["stats"], channels, f"{where}.memory_norm.stats")
+    if stats is not None:
+        layer.memory_norm.populate(stats, mn["spatial_extent"], mn["sample_count"])
+    layer.ema.stats = _stats_from(entry["ema"]["stats"], channels, f"{where}.ema.stats")
+    return layer
+
+
 def load_model_dict(payload: dict) -> Model:
+    """The model a checkpoint holds; ValueError naming the entry or field it rejects."""
     if payload.get("format") != MODEL_FORMAT:
         raise ValueError("not a model checkpoint")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model checkpoint version {payload.get('version')!r}")
-    layers: list = []
-    for entry in payload["layers"]:
-        kind = entry["kind"]
-        if kind == "channel_mix":
-            layers.append(ChannelMixLayer(np.array(entry["weight"])))
-        elif kind == "norm":
-            gamma = np.array(entry["gamma"])
-            layer = NormLayer(gamma.shape[0], entry["epsilon"],
-                              entry["memory_norm"]["alpha"], entry["ema"]["momentum"])
-            layer.gamma = gamma
-            layer.beta = np.array(entry["beta"])
-            layer.running_mean = np.array(entry["running_mean"])
-            layer.running_var = np.array(entry["running_var"])
-            stats = _stats_from(entry["memory_norm"]["stats"])
-            if stats is not None:
-                layer.memory_norm.populate(stats, entry["memory_norm"]["spatial_extent"],
-                                           entry["memory_norm"]["sample_count"])
-            layer.ema.stats = _stats_from(entry["ema"]["stats"])
-            layers.append(layer)
-        elif kind == "relu":
-            layers.append(ReluLayer())
-        elif kind == "global_mean_pool":
-            layers.append(GlobalMeanPoolLayer())
-        elif kind == "classifier_head":
-            layers.append(ClassifierHeadLayer(np.array(entry["weight"]), np.array(entry["bias"])))
-        else:
-            raise ValueError(f"unknown layer kind {kind!r} in checkpoint")
-    return Model(layers, payload["in_channels"], payload["num_classes"])
+    entries = payload["layers"]
+    kinds = [entry.get("kind") if isinstance(entry, dict) else None for entry in entries]
+    blocks = max(1, (len(kinds) - len(TAIL_KINDS)) // len(BLOCK_KINDS))
+    for i, (kind, want) in enumerate(zip_longest(kinds, BLOCK_KINDS * blocks + TAIL_KINDS)):
+        if kind != want:
+            raise ValueError(f"model checkpoint: layers[{i}] has kind {kind!r}, want {want!r}; a model is "
+                             f"n >= 1 blocks of {', '.join(BLOCK_KINDS)}, then {', '.join(TAIL_KINDS)}")
+    channels, classes = payload["in_channels"], payload["num_classes"]
+    mix_weights = [_array(entries[i]["weight"], (channels, channels),
+                          f"layers[{i}].weight (in_channels x in_channels)") for i in range(0, 3 * blocks, 3)]
+    norm_layers = [_norm_layer_from(entries[i], channels, f"layers[{i}]") for i in range(1, 3 * blocks, 3)]
+    head, where = entries[-1], f"layers[{len(entries) - 1}]"
+    return Model(mix_weights, norm_layers,
+                 _array(head["weight"], (channels, classes), f"{where}.weight (in_channels x num_classes)"),
+                 _array(head["bias"], (classes,), f"{where}.bias (num_classes)"))
 
 
 def save_model(model: Model, path) -> None:

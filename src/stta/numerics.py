@@ -1,12 +1,12 @@
-"""Forward and backward kernels for the model's fixed layer stack.
+"""Forward and backward kernels for the model's one fixed shape.
 
-The model is a fixed stack of five layer kinds: channel mix, normalization,
-relu, global mean pool and classifier head. Each kind has a plain-numpy
-backward here, and each but normalization its forward too (that one is
-`stta.normalization.normalize`, shared by every statistics source). A
-recorded forward keeps, per layer, what that layer's backward needs;
-:func:`backward` walks the record in reverse and returns the normalization
-layers' scale/shift gradients, the only weights that train.
+The model is n >= 1 blocks of (channel mix, normalization, relu), then a
+global mean pool and a classifier head; normalization's forward is
+`stta.normalization.normalize`. A recorded forward keeps, per block, the
+mix weight, what the normalization saved and the relu mask;
+:func:`backward` walks that record from the logits back to the first
+block and returns the norm layers' scale/shift gradients, the only
+weights that train.
 
 The kernels repeat, operation for operation, the tape-based reference
 differentiator kept with the tests, and their results equal it bit for bit.
@@ -83,74 +83,54 @@ def softmax(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# forward kernels; each returns its output and what its backward needs
+# forward kernels
 
 
-def channel_mix(x: np.ndarray, weight: np.ndarray):
+def channel_mix(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """batch x c_in x length -> batch x c_out x length, laid out channel-major."""
     b, c, length = x.shape
     mixed = weight @ x.transpose(1, 0, 2).reshape(c, b * length)
-    return mixed.reshape(weight.shape[0], b, length).transpose(1, 0, 2), (weight,)
+    return mixed.reshape(weight.shape[0], b, length).transpose(1, 0, 2)
 
 
-def relu(x: np.ndarray):
+def relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rectified input and the mask of its positive entries."""
     mask = x > 0.0
-    return np.where(mask, x, 0.0), (mask,)
-
-
-def global_mean_pool(x: np.ndarray):
-    """batch x channel x length -> batch x channel, the mean over length."""
-    return x.mean(axis=(2,)), (x.shape[2],)
-
-
-def classifier_head(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
-    return x @ weight + bias.reshape(1, -1), (weight,)
+    return np.where(mask, x, 0.0), mask
 
 
 # ---------------------------------------------------------------------------
 # backward
 
 
-def backward(record: list[tuple], dlogits: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Scale/shift gradients of every norm layer, in layer order.
+def backward(record: list[tuple], dlogits: np.ndarray,
+             head_weight: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Scale/shift gradients of every norm layer, in block order.
 
-    `record` holds one `(kind, saved)` entry per layer, in layer order, with
-    what that layer's forward kernel saved. Nothing before the first norm
-    layer trains, so the walk stops there.
+    `record` holds one `(mix weight, norm saved, relu mask)` entry per
+    block, in block order. Nothing before the first norm layer trains, so
+    the walk stops at its scale/shift.
     """
+    length = record[0][2].shape[2]
+    g = dlogits @ head_weight.T
+    g = np.repeat(g.reshape(*g.shape, 1) / length, length, axis=2)
     grads = []
-    first_norm = next(i for i, (kind, _) in enumerate(record) if kind == "norm")
-    g = dlogits
-    for i in range(len(record) - 1, first_norm - 1, -1):
-        kind, saved = record[i]
-        if kind == "classifier_head":
-            (weight,) = saved
-            g = g @ weight.T
-        elif kind == "global_mean_pool":
-            (length,) = saved
-            g = np.repeat(g.reshape(*g.shape, 1) / length, length, axis=2)
-        elif kind == "relu":
-            (mask,) = saved
-            g = g * mask
-        elif kind == "channel_mix":
-            (weight,) = saved
-            b, c_out, length = g.shape
-            cols = weight.T @ g.transpose(1, 0, 2).reshape(c_out, b * length)
-            g = cols.reshape(weight.shape[1], b, length).transpose(1, 0, 2)
-        else:
-            centered, scaled, gamma, inv, shifted_var = saved
-            d_beta = g.sum(axis=(0, 2))
-            d_gamma = (g * scaled).sum(axis=(0, 2))
-            grads.append((d_gamma, d_beta))
-            if i == first_norm:
-                break
-            count = g.shape[0] * g.shape[2]
-            d_scaled = g * gamma.reshape(1, -1, 1)
-            d_centered = d_scaled * inv.reshape(1, -1, 1)
-            d_inv = (d_scaled * centered).sum(axis=(0, 2))
-            d_var = d_inv * (-0.5) * inv / shifted_var
-            d_mean = -d_centered.sum(axis=(0, 2))
-            g = d_centered + (d_var * (2.0 / count)).reshape(1, -1, 1) * centered
-            g += (d_mean / count).reshape(1, -1, 1)
+    for i in range(len(record) - 1, -1, -1):
+        weight, (centered, scaled, gamma, inv, shifted_var), mask = record[i]
+        g = g * mask
+        grads.append(((g * scaled).sum(axis=(0, 2)), g.sum(axis=(0, 2))))
+        if i == 0:
+            break
+        count = g.shape[0] * g.shape[2]
+        d_scaled = g * gamma.reshape(1, -1, 1)
+        d_centered = d_scaled * inv.reshape(1, -1, 1)
+        d_inv = (d_scaled * centered).sum(axis=(0, 2))
+        d_var = d_inv * (-0.5) * inv / shifted_var
+        d_mean = -d_centered.sum(axis=(0, 2))
+        g = d_centered + (d_var * (2.0 / count)).reshape(1, -1, 1) * centered
+        g += (d_mean / count).reshape(1, -1, 1)
+        b, c_out, length = g.shape
+        cols = weight.T @ g.transpose(1, 0, 2).reshape(c_out, b * length)
+        g = cols.reshape(weight.shape[1], b, length).transpose(1, 0, 2)
     grads.reverse()
     return grads

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from stta.model import NORM_SOURCES, ForwardResult, Model, NormLayer
+from stta.model import NORM_SOURCES, RUNNING_MOMENTUM, ForwardResult, Model, NormLayer
 from stta.normalization import ChannelStats, batch_channel_stats, corrected_stats
 from stta.numerics import ShapeError, Tensor
 
@@ -449,7 +449,7 @@ def forward(model: Model, x, norm_source: str = "batch",
 
     `x` may be a Tensor (pure evaluation) or a tape Var (differentiable;
     batch statistics only). `norm_params` substitutes (gamma, beta) nodes
-    for norm layers by layer index; the training paths use it to inject
+    for norm layers by block index; the training paths use it to inject
     trainable tape variables.
     """
     if norm_source not in NORM_SOURCES:
@@ -466,48 +466,37 @@ def forward(model: Model, x, norm_source: str = "batch",
 
     early_mean = early_sigma = None
     layer_stats: list[ChannelStats] = []
-    layer_extents: list[int] = []
-    norm_index = 0
     out = x
-    for layer_index, layer in enumerate(model.layers):
-        if layer.kind == "channel_mix":
-            out = _mix(out, Tensor._wrap(layer.weight))
-        elif layer.kind == "norm":
-            value = _val(out)
-            stats = batch_channel_stats(value)
-            layer_stats.append(stats)
-            layer_extents.append(value.shape[2])
-            if norm_index == 0:
-                early_mean = value.mean(axis=2)
-                centered = value - early_mean[:, :, None]
-                early_sigma = np.sqrt(np.mean(centered * centered, axis=2))
-            if norm_params and layer_index in norm_params:
-                gamma, beta = norm_params[layer_index]
-            else:
-                gamma, beta = Tensor._wrap(layer.gamma), Tensor._wrap(layer.beta)
-            if norm_source == "batch":
-                out = _norm_batch(out, gamma, beta, layer.epsilon)
-            else:
-                if norm_source == "iobmn":
-                    source = corrected_stats(layer.memory_norm, stats)
-                    mean, var = source.mean, source.var
-                elif norm_source == "ema":
-                    blended = layer.ema.update(stats)
-                    mean, var = blended.mean, blended.var
-                else:  # frozen source statistics
-                    mean, var = layer.running_mean, layer.running_var
-                out = _norm_with(out, Tensor._wrap(mean), Tensor._wrap(var), gamma, beta, layer.epsilon)
-            norm_index += 1
-        elif layer.kind == "relu":
-            out = relu(out)
-        elif layer.kind == "global_mean_pool":
-            out = reduce_mean(out, (2,))
-        else:  # classifier head
-            out = add(matmul(out, Tensor._wrap(layer.weight)),
-                      expand(Tensor._wrap(layer.bias), _val(out).shape[:1] + layer.bias.shape, (1,)))
-    if early_mean is None:
-        raise ValueError("model has no norm layer")
-    return ForwardResult(out, early_mean, early_sigma, layer_stats, layer_extents)
+    for block, (weight, layer) in enumerate(zip(model.mix_weights, model.norm_layers)):
+        out = _mix(out, Tensor._wrap(weight))
+        value = _val(out)
+        stats = batch_channel_stats(value)
+        layer_stats.append(stats)
+        if block == 0:
+            early_mean = value.mean(axis=2)
+            centered = value - early_mean[:, :, None]
+            early_sigma = np.sqrt(np.mean(centered * centered, axis=2))
+        if norm_params and block in norm_params:
+            gamma, beta = norm_params[block]
+        else:
+            gamma, beta = Tensor._wrap(layer.gamma), Tensor._wrap(layer.beta)
+        if norm_source == "batch":
+            out = _norm_batch(out, gamma, beta, layer.epsilon)
+        else:
+            if norm_source == "iobmn":
+                source = corrected_stats(layer.memory_norm, stats)
+                mean, var = source.mean, source.var
+            elif norm_source == "ema":
+                blended = layer.ema.update(stats)
+                mean, var = blended.mean, blended.var
+            else:  # frozen source statistics
+                mean, var = layer.running_mean, layer.running_var
+            out = _norm_with(out, Tensor._wrap(mean), Tensor._wrap(var), gamma, beta, layer.epsilon)
+        out = relu(out)
+    out = reduce_mean(out, (2,))  # global mean pool
+    out = add(matmul(out, Tensor._wrap(model.head_weight)),
+              expand(Tensor._wrap(model.head_bias), _val(out).shape[:1] + model.head_bias.shape, (1,)))
+    return ForwardResult(out, early_mean, early_sigma, layer_stats)
 
 
 def entropy_loss(logits):
@@ -538,12 +527,11 @@ def adapt_step(model: Model, memory_batch, lr: float) -> ForwardResult | None:
     tape = Tape()
     norm_params: dict[int, tuple] = {}
     slots: list[tuple[NormLayer, Var, Var]] = []
-    for layer_index, layer in enumerate(model.layers):
-        if layer.kind == "norm":
-            g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
-            b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
-            norm_params[layer_index] = (g, b)
-            slots.append((layer, g, b))
+    for block, layer in enumerate(model.norm_layers):
+        g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
+        b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
+        norm_params[block] = (g, b)
+        slots.append((layer, g, b))
     x = tape.variable(batch)
     result = forward(model, x, "batch", norm_params)
     loss = entropy_loss(result.logits)
@@ -554,34 +542,31 @@ def adapt_step(model: Model, memory_batch, lr: float) -> ForwardResult | None:
     return result
 
 
-def pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float,
-                       running_momentum: float) -> float:
+def pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float) -> float:
     """One cross-entropy SGD step, as the package's pretraining takes it."""
     tape = Tape()
     norm_params: dict[int, tuple] = {}
     trained: list[tuple] = []  # (object, attribute, var)
-    for layer_index, layer in enumerate(model.layers):
-        if layer.kind == "channel_mix":
-            w = tape.variable(Tensor._wrap(layer.weight), trainable=True)
-            trained.append((layer, "weight", w))
-        elif layer.kind == "norm":
-            g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
-            b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
-            norm_params[layer_index] = (g, b)
-            trained.append((layer, "gamma", g))
-            trained.append((layer, "beta", b))
-        elif layer.kind == "classifier_head":
-            w = tape.variable(Tensor._wrap(layer.weight), trainable=True)
-            b = tape.variable(Tensor._wrap(layer.bias), trainable=True)
-            trained.append((layer, "weight", w))
-            trained.append((layer, "bias", b))
+    mix_vars = []
+    for block, (weight, layer) in enumerate(zip(model.mix_weights, model.norm_layers)):
+        mix_vars.append(tape.variable(Tensor._wrap(weight), trainable=True))
+        g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
+        b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
+        norm_params[block] = (g, b)
+        trained.append((layer, "gamma", g))
+        trained.append((layer, "beta", b))
+    w = tape.variable(Tensor._wrap(model.head_weight), trainable=True)
+    b = tape.variable(Tensor._wrap(model.head_bias), trainable=True)
+    trained.append((model, "head_weight", w))
+    trained.append((model, "head_bias", b))
     x = tape.variable(Tensor._wrap(xb))
     result = forward(model, x, "batch", norm_params)
     loss = cross_entropy_loss(result.logits, yb)
     grads = backward(tape, loss)
+    model.mix_weights = [weight - lr * grads[var].data for weight, var in zip(model.mix_weights, mix_vars)]
     for obj, attr, var in trained:
         setattr(obj, attr, getattr(obj, attr) - lr * grads[var].data)
-    m = running_momentum
+    m = RUNNING_MOMENTUM
     for layer, stats in zip(model.norm_layers, result.layer_stats):
         layer.running_mean = (1.0 - m) * layer.running_mean + m * stats.mean
         layer.running_var = (1.0 - m) * layer.running_var + m * stats.var

@@ -20,12 +20,11 @@ def tent_step(model, batch: Tensor, lr: float) -> np.ndarray:
     tape = Tape()
     norm_params = {}
     slots = []
-    for layer_index, layer in enumerate(model.layers):
-        if layer.kind == "norm":
-            g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
-            b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
-            norm_params[layer_index] = (g, b)
-            slots.append((layer, g, b))
+    for block, layer in enumerate(model.norm_layers):
+        g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
+        b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
+        norm_params[block] = (g, b)
+        slots.append((layer, g, b))
     x = tape.variable(batch)
     loss = entropy_loss(forward(model, x, "batch", norm_params).logits)
     grads = nm.backward(tape, loss)

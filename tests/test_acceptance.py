@@ -143,21 +143,14 @@ def _min_relu_margin(model, batch: Tensor) -> float:
     """Smallest |pre-activation| reaching a relu; guards the FD stencil."""
     out = batch.data
     margin = np.inf
-    for layer in model.layers:
-        if layer.kind == "channel_mix":
-            out = np.einsum("oc,bcl->bol", layer.weight, out)
-        elif layer.kind == "norm":
-            mean = out.mean(axis=(0, 2), keepdims=True)
-            var = ((out - mean) ** 2).mean(axis=(0, 2), keepdims=True)
-            out = layer.gamma.reshape(1, -1, 1) * (out - mean) / np.sqrt(var + layer.epsilon) \
-                + layer.beta.reshape(1, -1, 1)
-        elif layer.kind == "relu":
-            margin = min(margin, float(np.abs(out).min()))
-            out = np.maximum(out, 0.0)
-        elif layer.kind == "global_mean_pool":
-            out = out.mean(axis=2)
-        else:
-            break
+    for weight, layer in zip(model.mix_weights, model.norm_layers):
+        out = np.einsum("oc,bcl->bol", weight, out)
+        mean = out.mean(axis=(0, 2), keepdims=True)
+        var = ((out - mean) ** 2).mean(axis=(0, 2), keepdims=True)
+        out = layer.gamma.reshape(1, -1, 1) * (out - mean) / np.sqrt(var + layer.epsilon) \
+            + layer.beta.reshape(1, -1, 1)
+        margin = min(margin, float(np.abs(out).min()))
+        out = np.maximum(out, 0.0)
     return margin
 
 
@@ -186,12 +179,11 @@ def test_criterion_2_gradient_correctness():
             tape = Tape()
             norm_params = {}
             slots = []
-            for layer_index, layer in enumerate(model.layers):
-                if layer.kind == "norm":
-                    g = tape.variable(Tensor(layer.gamma), trainable=True)
-                    b = tape.variable(Tensor(layer.beta), trainable=True)
-                    norm_params[layer_index] = (g, b)
-                    slots.append((g, b))
+            for block, layer in enumerate(model.norm_layers):
+                g = tape.variable(Tensor(layer.gamma), trainable=True)
+                b = tape.variable(Tensor(layer.beta), trainable=True)
+                norm_params[block] = (g, b)
+                slots.append((g, b))
             loss = entropy_loss(forward(model, tape.variable(batch), "batch", norm_params).logits)
             grads = backward(tape, loss)
             analytic = np.concatenate([

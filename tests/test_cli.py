@@ -205,6 +205,66 @@ class TestRun:
         assert err.startswith("error: ") and named in err
         assert not prepared and not out.exists()
 
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("engine", "lr", "fast", "engine: lr must be a number, got 'fast'"),
+        ("engine", "tau_delta", "1e-3x", "engine: tau_delta must be a number, got '1e-3x'"),
+        ("engine", "alpha", True, "engine: alpha must be a number, got True"),
+        ("engine", "ema_momentum", False, "engine: ema_momentum must be a number, got False"),
+        ("pretrain", "lr", True, "pretrain.lr must be a number, got True"),
+        ("thresholds", "snap@0.5", True, "threshold 'snap@0.5': minimum must be a number, got True"),
+        ("thresholds", "snap@0.5", "1e-1x", "threshold 'snap@0.5': minimum must be a number, got '1e-1x'"),
+    ], ids=["text-engine-lr", "text-tau-delta", "bool-alpha", "bool-momentum", "bool-pretrain-lr",
+            "bool-threshold", "text-threshold"])
+    def test_non_numeric_real_setting_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                                section, key, value, named):
+        prepared = []
+        monkeypatch.setattr(cli, "prepare_model", lambda *a: prepared.append(a))
+        cfg = tiny_config(engine={}, thresholds={})
+        cfg[section][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not prepared and not out.exists()
+
+    def test_numeric_strings_read_as_numbers(self, tmp_path):
+        # YAML reads exponent notation without a dot as a string
+        as_text = tiny_config(engine={"lr": "1e-3", "alpha": "4"}, thresholds={"snap@0.5": "1e-1"})
+        as_text["pretrain"]["lr"] = "5e-2"
+        as_numbers = tiny_config(engine={"lr": 0.001, "alpha": 4.0}, thresholds={"snap@0.5": 0.1})
+        results = []
+        for name, cfg in (("text", as_text), ("numbers", as_numbers)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(cfg).replace("'1e-3'", "1e-3").replace("'5e-2'", "5e-2"))
+            assert yaml.safe_load(path.read_text())["engine"]["lr"] == cfg["engine"]["lr"]
+            out = str(tmp_path / name)
+            assert main(["run", "--config", str(path), "--out", out]) == 0
+            results.append(json.dumps(strip_timing(read_records(out)), sort_keys=True))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("stream_cfg,named", [
+        ({"batch_size": 16.9}, "stream.batch_size must be an integer >= 1, got 16.9"),
+        ({"batch_size": 0}, "stream.batch_size must be an integer >= 1, got 0"),
+        ({"batch_size": True}, "stream.batch_size must be an integer >= 1, got True"),
+        ({"batches": 2.7}, "stream.segments[0].batches must be an integer >= 1, got 2.7"),
+        ({"batches": True}, "stream.segments[0].batches must be an integer >= 1, got True"),
+        ({"batches": 0}, "stream.segments[0].batches must be an integer >= 1, got 0"),
+    ], ids=["fractional-batch-size", "zero-batch-size", "bool-batch-size", "fractional-batches",
+            "bool-batches", "zero-batches"])
+    def test_bad_stream_count_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, stream_cfg, named):
+        prepared = []
+        monkeypatch.setattr(cli, "prepare_model", lambda *a: prepared.append(a))
+        cfg = tiny_config()
+        if "batches" in stream_cfg:
+            cfg["stream"]["segments"][0]["batches"] = stream_cfg["batches"]
+        else:
+            cfg["stream"]["batch_size"] = stream_cfg["batch_size"]
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not prepared and not out.exists()
+
     def test_threshold_pass_exits_zero(self, tmp_path):
         cfg = tiny_config(thresholds={"snap@0.5": 0.0})
         cfg_path = write_config(tmp_path, cfg)

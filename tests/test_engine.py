@@ -82,6 +82,9 @@ class TestEngineBasics:
         ("inference_stats_mode", "nope", "inference stats mode"),
         ("lr", float("nan"), "lr"), ("lr", float("inf"), "lr"), ("lr", -1e-3, "lr"), ("lr", "0.1", "lr"),
         ("tau_conf", -0.1, "tau_conf"), ("tau_conf", 1.5, "tau_conf"), ("tau_conf", float("nan"), "tau_conf"),
+        ("lr", True, "lr"), ("tau_conf", True, "tau_conf"), ("alpha", False, "alpha"),
+        ("tau_delta", True, "tau_delta"), ("beta_centroid", True, "beta_centroid"),
+        ("ema_momentum", True, "ema_momentum"),
     ])
     def test_config_rejects_bad_setting(self, field, value, named):
         with pytest.raises(ValueError, match=named):

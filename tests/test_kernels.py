@@ -47,7 +47,6 @@ def assert_same_results(got, want):
     assert np.array_equal(got.logits.data, ref._val(want.logits))
     assert np.array_equal(got.early_mean, want.early_mean)
     assert np.array_equal(got.early_sigma, want.early_sigma)
-    assert got.layer_extents == want.layer_extents
     for a, b in zip(got.layer_stats, want.layer_stats, strict=True):
         assert np.array_equal(a.mean, b.mean) and np.array_equal(a.var, b.var)
 
@@ -67,8 +66,8 @@ def test_inference_forward(source, channels, blocks, batch, length):
     stream = batches(channels, batch, length, 8, seed=batch + length)
     if source == "iobmn":
         first = kernels.forward(model, stream[0])
-        for layer, stats, extent in zip(model.norm_layers, first.layer_stats, first.layer_extents):
-            layer.memory_norm.populate(stats, extent, max(2, batch))
+        for layer, stats in zip(model.norm_layers, first.layer_stats):
+            layer.memory_norm.populate(stats, length, max(2, batch))
     mine, theirs = model.clone(), model.clone()
     for x in stream:
         assert_same_results(kernels.forward(mine, x, source), ref.forward(theirs, x, source))
@@ -96,8 +95,8 @@ def test_pretrain_minibatch(channels, blocks, batch, length):
     rng = np.random.default_rng(channels * blocks)
     for x in batches(channels, batch, length, 20, seed=11 + batch * length):
         labels = rng.integers(0, model.num_classes, size=batch)
-        got = kernels._pretrain_minibatch(mine, x.data, labels, 5e-2, 0.1)
-        want = ref.pretrain_minibatch(theirs, x.data, labels, 5e-2, 0.1)
+        got = kernels._pretrain_minibatch(mine, x.data, labels, 5e-2)
+        want = ref.pretrain_minibatch(theirs, x.data, labels, 5e-2)
         assert got == want
         assert_same_norm_layers(mine, theirs)
     assert kernels.model_dict(mine) == kernels.model_dict(theirs)

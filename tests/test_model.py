@@ -1,14 +1,12 @@
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from stta.model import (
-    LayerSpec,
     adapt_step,
-    build_model,
-    default_layer_specs,
     default_model,
     entropy_loss,
     evaluate_accuracy,
@@ -32,54 +30,55 @@ def rand_input(shape=(4, 16, 8), seed=0, loc=0.0, scale=1.0):
 def straight_line_forward(model, x):
     """Independent numpy re-evaluation of the default architecture."""
     out = np.array(x)
-    for layer in model.layers:
-        if layer.kind == "channel_mix":
-            out = np.einsum("oc,bcl->bol", layer.weight, out)
-        elif layer.kind == "norm":
-            mean = out.mean(axis=(0, 2), keepdims=True)
-            var = ((out - mean) ** 2).mean(axis=(0, 2), keepdims=True)
-            out = layer.gamma.reshape(1, -1, 1) * (out - mean) / np.sqrt(var + layer.epsilon) \
-                + layer.beta.reshape(1, -1, 1)
-        elif layer.kind == "relu":
-            out = np.maximum(out, 0.0)
-        elif layer.kind == "global_mean_pool":
-            out = out.mean(axis=2)
-        else:
-            out = out @ layer.weight + layer.bias
-    return out
+    for weight, layer in zip(model.mix_weights, model.norm_layers):
+        out = np.einsum("oc,bcl->bol", weight, out)
+        mean = out.mean(axis=(0, 2), keepdims=True)
+        var = ((out - mean) ** 2).mean(axis=(0, 2), keepdims=True)
+        out = layer.gamma.reshape(1, -1, 1) * (out - mean) / np.sqrt(var + layer.epsilon) \
+            + layer.beta.reshape(1, -1, 1)
+        out = np.maximum(out, 0.0)
+    out = out.mean(axis=2)
+    return out @ model.head_weight + model.head_bias
 
 
 def weight_digest(model, skip_norm_affine=False):
     h = hashlib.sha256()
-    for layer in model.layers:
-        if layer.kind == "channel_mix":
-            h.update(layer.weight.tobytes())
-        elif layer.kind == "classifier_head":
-            h.update(layer.weight.tobytes())
-            h.update(layer.bias.tobytes())
-        elif layer.kind == "norm" and not skip_norm_affine:
+    for weight, layer in zip(model.mix_weights, model.norm_layers):
+        h.update(weight.tobytes())
+        if not skip_norm_affine:
             h.update(layer.gamma.tobytes())
             h.update(layer.beta.tobytes())
+    h.update(model.head_weight.tobytes())
+    h.update(model.head_bias.tobytes())
     return h.hexdigest()
 
 
+def checkpoint_digest(model):
+    return hashlib.sha256(json.dumps(model_dict(model), sort_keys=True).encode()).hexdigest()
+
+
 class TestBuild:
-    def test_channel_chaining_enforced(self):
-        specs = [LayerSpec("channel_mix", 4, 8), LayerSpec("norm", 4, 4),
-                 LayerSpec("classifier_head", 4, 2)]
-        with pytest.raises(ValueError):
-            build_model(specs)
-
-    def test_head_must_be_last_and_unique(self):
-        specs = default_layer_specs()
-        with pytest.raises(ValueError):
-            build_model(specs[:-1])
-
     def test_same_seed_same_weights(self):
         a, b = default_model(seed=3), default_model(seed=3)
         assert weight_digest(a) == weight_digest(b)
         c = default_model(seed=4)
         assert weight_digest(a) != weight_digest(c)
+
+    def test_zero_blocks_rejected(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            default_model(blocks=0)
+
+    def test_checkpoint_pinned(self):
+        # Guards the weight-draw order (each block's mix, then the head) and
+        # the checkpoint layout, before and after pretraining.
+        from stta.datagen import default_domain, sample_source
+
+        model = default_model(channels=6, blocks=2, seed=3)
+        assert checkpoint_digest(model) == "296902bd4c9f609dfc8d32fc91d26e6881d589305b2ee0a25454458322d2bb8e"
+        domain = default_domain(num_classes=3, channels=6, length=8, separation=3.0, source_noise=0.5)
+        x, y = sample_source(domain, 60, 4)
+        pretrain(model, x, y, epochs=2, lr=5e-2, seed=5, batch_size=16)
+        assert checkpoint_digest(model) == "d130a89af3bbd82b5d390744e46533279e1124e51dc242d7b37c588f73edf7f7"
 
 
 class TestForward:
@@ -98,28 +97,21 @@ class TestForward:
         captured = {}
         # re-run the first block stats from the returned layer stats
         res = forward(model, x)
-        for stats, extent in zip(res.layer_stats, res.layer_extents):
-            assert extent == 8
+        assert len(res.layer_stats) == 3
         # with unit gamma / zero beta the normalized output of each norm layer
         # is zero-mean, variance var/(var+eps)
         out = x.data
-        for layer in model.layers:
-            if layer.kind == "channel_mix":
-                out = np.einsum("oc,bcl->bol", layer.weight, out)
-            elif layer.kind == "norm":
-                mean = out.mean(axis=(0, 2), keepdims=True)
-                var = ((out - mean) ** 2).mean(axis=(0, 2), keepdims=True)
-                normed = (out - mean) / np.sqrt(var + layer.epsilon)
-                m = normed.mean(axis=(0, 2))
-                v = normed.var(axis=(0, 2))
-                assert np.max(np.abs(m)) < 1e-6
-                want = (var / (var + layer.epsilon)).ravel()
-                assert np.max(np.abs(v - want)) < 1e-5
-                out = normed  # gamma=1, beta=0 at init
-            elif layer.kind == "relu":
-                out = np.maximum(out, 0.0)
-            else:
-                break
+        for weight, layer in zip(model.mix_weights, model.norm_layers):
+            out = np.einsum("oc,bcl->bol", weight, out)
+            mean = out.mean(axis=(0, 2), keepdims=True)
+            var = ((out - mean) ** 2).mean(axis=(0, 2), keepdims=True)
+            normed = (out - mean) / np.sqrt(var + layer.epsilon)
+            m = normed.mean(axis=(0, 2))
+            v = normed.var(axis=(0, 2))
+            assert np.max(np.abs(m)) < 1e-6
+            want = (var / (var + layer.epsilon)).ravel()
+            assert np.max(np.abs(v - want)) < 1e-5
+            out = np.maximum(normed, 0.0)  # gamma=1, beta=0 at init
 
     def test_matches_straight_line_oracle(self):
         model = default_model(seed=5)
@@ -137,8 +129,7 @@ class TestForward:
         model = default_model(seed=8)
         x = rand_input(seed=9)
         res = forward(model, x)
-        first_mix = model.layers[0]
-        feats = np.einsum("oc,bcl->bol", first_mix.weight, x.data)
+        feats = np.einsum("oc,bcl->bol", model.mix_weights[0], x.data)
         assert np.allclose(res.early_mean, feats.mean(axis=2), atol=1e-12)
         assert np.allclose(res.early_sigma, feats.std(axis=2), atol=1e-12)
 
@@ -345,3 +336,49 @@ class TestCheckpoint:
         clone = model.clone()
         clone.norm_layers[0].gamma = clone.norm_layers[0].gamma + 1.0
         assert not np.array_equal(model.norm_layers[0].gamma, clone.norm_layers[0].gamma)
+
+    def _payload(self):
+        return model_dict(default_model(channels=6, blocks=2, seed=3))
+
+    def test_rejects_missing_relu(self):
+        payload = self._payload()
+        del payload["layers"][2]
+        with pytest.raises(ValueError, match=r"layers\[2\] has kind 'channel_mix', want 'relu'"):
+            load_model_dict(payload)
+
+    def test_rejects_head_not_last(self):
+        payload = self._payload()
+        layers = payload["layers"]
+        layers[-2], layers[-1] = layers[-1], layers[-2]
+        with pytest.raises(ValueError, match=r"layers\[6\] has kind 'classifier_head', want 'global_mean_pool'"):
+            load_model_dict(payload)
+
+    def test_rejects_zero_blocks(self):
+        payload = self._payload()
+        payload["layers"] = payload["layers"][-2:]
+        with pytest.raises(ValueError, match=r"layers\[0\] has kind 'global_mean_pool', want 'channel_mix'"):
+            load_model_dict(payload)
+
+    def test_rejects_unchained_mix_weight(self):
+        payload = self._payload()
+        payload["layers"][3]["weight"] = payload["layers"][3]["weight"][:5]
+        with pytest.raises(ValueError, match=r"layers\[3\]\.weight .* has shape \(5, 6\), want \(6, 6\)"):
+            load_model_dict(payload)
+
+    def test_rejects_num_classes_disagreeing_with_head(self):
+        payload = self._payload()
+        payload["num_classes"] = 4
+        with pytest.raises(ValueError, match=r"layers\[7\]\.weight \(in_channels x num_classes\) has shape \(6, 3\)"):
+            load_model_dict(payload)
+
+    def test_rejects_statistics_that_do_not_chain(self):
+        payload = self._payload()
+        payload["layers"][4]["running_var"] = [1.0] * 5
+        with pytest.raises(ValueError, match=r"layers\[4\]\.running_var has shape \(5,\), want \(6,\)"):
+            load_model_dict(payload)
+
+    def test_rejects_in_channels_disagreeing_with_weights(self):
+        payload = self._payload()
+        payload["in_channels"] = 5
+        with pytest.raises(ValueError, match=r"layers\[0\]\.weight \(in_channels x in_channels\) has shape \(6, 6\)"):
+            load_model_dict(payload)

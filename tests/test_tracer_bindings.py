@@ -38,8 +38,8 @@ def test_traced_forward_spans_every_norm_layer(tracer, source):
     x = np.random.default_rng(0).normal(size=(3, 4, 5))
     if source == "iobmn":
         first = forward(model, x)
-        for layer, stats, extent in zip(model.norm_layers, first.layer_stats, first.layer_extents):
-            layer.memory_norm.populate(stats, extent, 3)
+        for layer, stats in zip(model.norm_layers, first.layer_stats):
+            layer.memory_norm.populate(stats, x.shape[2], 3)
     before = tracer.bindings()
     t = tracer.Tracer()
     with t.installed():
