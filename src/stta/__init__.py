@@ -19,14 +19,7 @@ from .datagen import (
     single_domain_stream,
 )
 from .engine import AdaptationSchedule, BatchRecord, Engine, EngineConfig, RunMetrics
-from .memory import (
-    DomainCentroid,
-    InsertOutcome,
-    SampleMemory,
-    SampleStats,
-    confidence,
-    wasserstein,
-)
+from .memory import InsertOutcome, SampleMemory, wasserstein
 from .model import (
     ForwardResult,
     Model,
@@ -51,6 +44,6 @@ from .normalization import (
     sampling_variances,
     soft_shrinkage,
 )
-from .numerics import ShapeError, Tensor, backward
+from .numerics import ShapeError, backward
 
 __version__ = "0.1.0"

@@ -164,7 +164,9 @@ def stream_spec_from_config(cfg: dict, seed: int) -> StreamSpec:
         segments.append((_domain_from_config(entry.get("domain", {}),
                                              entry.get("corruption", "none")),
                          _count(entry["batches"], f"stream.segments[{i}].batches")))
-    return StreamSpec(tuple(segments), batch_size, seed, bool(stream_cfg["correlated"]))
+    if not isinstance(stream_cfg["correlated"], bool):
+        raise ConfigError(f"stream.correlated must be true or false, got {stream_cfg['correlated']!r}")
+    return StreamSpec(tuple(segments), batch_size, seed, stream_cfg["correlated"])
 
 
 def _count(value, where: str) -> int:
@@ -409,7 +411,7 @@ def run_command(args) -> int:
 
     try:
         base_models = {seed: prepare_model(cfg, seed, args.checkpoint) for seed in seeds}
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numerics import Tensor
-
 
 @dataclass(frozen=True)
 class Corruption:
@@ -155,7 +153,7 @@ class StreamSpec:
 
 @dataclass(frozen=True)
 class StreamBatch:
-    x: Tensor                 # batch x channels x length
+    x: np.ndarray             # batch x channels x length
     labels: np.ndarray        # evaluation-only labels
     segment: int              # index into the stream's segment list
 
@@ -174,7 +172,7 @@ def make_stream(spec: StreamSpec):
         for b in range(n_batches):
             lo = b * spec.batch_size
             hi = lo + spec.batch_size
-            yield StreamBatch(Tensor(shifted[lo:hi]), labels[lo:hi].copy(), segment_index)
+            yield StreamBatch(shifted[lo:hi], labels[lo:hi].copy(), segment_index)
 
 
 def single_domain_stream(corruption: Corruption | str = "noise", batches: int = 100,

@@ -18,24 +18,23 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import numerics as nm
-from .datagen import StreamBatch
 from .memory import SELECTION_MODES, SampleMemory
 from .model import (
     NORM_SOURCES,
     Model,
     adapt_step,
+    checked_array,
     forward,
     load_model_dict,
     model_dict,
     per_sample_entropy,
 )
-from .numerics import Tensor
 
 
 def _as_rate(value) -> Fraction:
@@ -113,7 +112,7 @@ class EngineConfig:
             ("ema_momentum", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
         ):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and ok(value)):
+            if not (_is_real(value) and ok(value)):
                 raise ValueError(f"{name} must be a number {rule}, got {value!r}")
 
 
@@ -267,7 +266,7 @@ class Engine:
             return "iobmn" if populated else "batch"
         return mode
 
-    def _populate_memory_norm(self, result, batch: Tensor) -> None:
+    def _populate_memory_norm(self, result, batch: np.ndarray) -> None:
         count, extent = batch.shape[0], batch.shape[2]  # every norm layer sees the input length
         if extent * count >= 2:  # degenerate sampling-variance denominator guard
             for layer, stats in zip(self.model.norm_layers, result.layer_stats):
@@ -275,7 +274,7 @@ class Engine:
 
     def _validated(self, x, labels) -> np.ndarray:
         """Check a batch before anything changes; returns its values as a float64 array."""
-        xv = x.data if isinstance(x, Tensor) else np.array(x, dtype=np.float64)
+        xv = np.asarray(x, dtype=np.float64)
         where = f"batch {self._batch_index}"
         if xv.ndim != 3 or xv.shape[0] < 1:
             raise ValueError(f"{where}: rejected batch of shape {xv.shape}; "
@@ -293,19 +292,30 @@ class Engine:
 
     # -- the loop ---------------------------------------------------------
 
-    def process_batch(self, x: Tensor, labels=None, segment: int = 0) -> BatchRecord:
+    def process_batch(self, x, labels=None, segment: int = 0) -> BatchRecord:
         """Run one stream batch; labels feed metrics only.
 
         The batch is checked before anything changes: a rejected batch
         raises ValueError naming its index and leaves the engine as it was.
+        A floating-point overflow, division by zero or invalid operation
+        raises FloatingPointError naming the batch index where it happens;
+        the engine is then part-way through the batch and must not serve on.
         """
         xv = self._validated(x, labels)
-        x = x if isinstance(x, Tensor) else Tensor._wrap(xv)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                record = self._process(xv, labels, segment)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"batch {self._batch_index}: {exc}") from None
+        self._batch_index += 1
+        return record
+
+    def _process(self, xv: np.ndarray, labels, segment: int) -> BatchRecord:
         memory = self._ensure_memory(xv.shape[0])
 
         t0 = time.perf_counter()
-        result = forward(self.model, x, self._inference_source())
-        probs = nm.softmax(result.logits).data
+        result = forward(self.model, xv, self._inference_source())
+        probs = nm.softmax(result.logits)
         preds = probs.argmax(axis=1)
         mu, sigma = result.early_mean, result.early_sigma
         pseudo = preds.tolist()
@@ -346,7 +356,7 @@ class Engine:
         correct = None
         if labels is not None:
             correct = int((preds == np.asarray(labels, dtype=np.intp)).sum())
-        record = BatchRecord(
+        return BatchRecord(
             index=self._batch_index,
             segment=segment,
             size=xv.shape[0],
@@ -360,19 +370,12 @@ class Engine:
             inference_seconds=t1 - t0,
             adaptation_seconds=adaptation_seconds,
         )
-        self._batch_index += 1
-        return record
 
     def run_stream(self, stream, use_labels: bool = True) -> RunMetrics:
-        """Fold the batches of a stream; see `process_batch`."""
+        """Fold the `StreamBatch`es of a stream; see `process_batch`."""
         metrics = RunMetrics()
         for batch in stream:
-            if isinstance(batch, StreamBatch):
-                labels = batch.labels if use_labels else None
-                metrics.append(self.process_batch(batch.x, labels, batch.segment))
-            else:
-                x, labels, segment = batch
-                metrics.append(self.process_batch(x, labels if use_labels else None, segment))
+            metrics.append(self.process_batch(batch.x, batch.labels if use_labels else None, batch.segment))
         return metrics
 
     # -- checkpoint/resume --------------------------------------------------
@@ -400,9 +403,9 @@ class Engine:
                     for s in m.order().tolist()
                 ],
                 "centroid": {
-                    "mu": m.centroid.mu.tolist(),
-                    "sigma": m.centroid.sigma.tolist(),
-                    "initialized": m.centroid.initialized,
+                    "mu": m.centroid_mu.tolist(),
+                    "sigma": m.centroid_sigma.tolist(),
+                    "initialized": m.centroid_initialized,
                 },
             }
         return {
@@ -427,6 +430,7 @@ class Engine:
 
     @classmethod
     def from_state_dict(cls, payload: dict) -> "Engine":
+        """The engine a checkpoint holds; ValueError naming the field it rejects (see README)."""
         if payload.get("format") != cls.ENGINE_FORMAT:
             raise ValueError("not an engine checkpoint")
         if payload.get("version") != cls.ENGINE_VERSION:
@@ -444,17 +448,25 @@ class Engine:
         if mem is not None:
             memory = engine._ensure_memory(mem["capacity"])
             memory._rng = engine._rng
-            cen = mem["centroid"]
-            memory.centroid = replace(
-                memory.centroid,
-                mu=np.array(cen["mu"]), sigma=np.array(cen["sigma"]),
-                initialized=cen["initialized"],
-            )
+            cen, channels = mem["centroid"], (memory.mu.shape[1],)
+            memory.centroid_mu = checked_array(cen["mu"], "checkpoint memory: centroid.mu", channels)
+            memory.centroid_sigma = checked_array(cen["sigma"], "checkpoint memory: centroid.sigma",
+                                                      channels, nonnegative=True)
+            memory.centroid_initialized = cen["initialized"]
             for s in mem["samples"]:
+                where = f"checkpoint memory: sample {s['arrival_index']}"
+                conf, wdist, entropy = s["confidence"], s["wdist"], s["entropy"]
+                if not (_is_real(conf) and 0.0 <= conf <= 1.0):
+                    raise ValueError(f"{where}: confidence must be in [0, 1], got {conf!r}")
+                if wdist != "inf" and not (_is_real(wdist) and wdist >= 0.0):
+                    raise ValueError(f"{where}: wdist must be a number >= 0 or \"inf\", got {wdist!r}")
+                if entropy is not None and not (_is_real(entropy) and math.isfinite(entropy)):
+                    raise ValueError(f"{where}: entropy must be a finite number or null, got {entropy!r}")
                 outcome = memory.insert(
-                    np.array(s["input"], dtype=np.float64), s["pseudo_label"], s["confidence"],
-                    np.array(s["mu"], dtype=np.float64), np.array(s["sigma"], dtype=np.float64),
-                    math.inf if s["wdist"] == "inf" else s["wdist"], s["arrival_index"], s["entropy"])
+                    checked_array(s["input"], f"{where}: input"), s["pseudo_label"], conf,
+                    checked_array(s["mu"], f"{where}: mu"),
+                    checked_array(s["sigma"], f"{where}: sigma", nonnegative=True),
+                    math.inf if wdist == "inf" else wdist, s["arrival_index"], entropy)
                 if outcome.kind != "inserted":
                     raise ValueError(f"checkpoint memory: sample {s['arrival_index']} does not fit "
                                      f"a {memory.selection_mode} memory of capacity {memory.capacity}")
@@ -464,6 +476,10 @@ class Engine:
     def load(cls, path) -> "Engine":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_state_dict(json.load(fh))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _config_dict(config: EngineConfig) -> dict:

@@ -18,83 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .normalization import ChannelStats
-from .numerics import ShapeError, Tensor
+from .numerics import ShapeError
 
 SELECTION_MODES = ("naive", "random", "low_entropy", "crm", "cndrm")
 
 
-def confidence(probabilities) -> float:
-    """Largest class probability of a single prediction vector."""
-    p = probabilities.data if isinstance(probabilities, Tensor) else np.asarray(probabilities, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise ShapeError(f"expected a probability vector, got shape {p.shape}")
-    return float(p.max())
-
-
-@dataclass
-class SampleStats:
-    """Per-channel mean and standard deviation of one sample's early features."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        if self.mu.shape != self.sigma.shape or self.mu.ndim != 1:
-            raise ShapeError(f"sample stats: mu {self.mu.shape} vs sigma {self.sigma.shape}")
-        if np.any(self.sigma < 0.0):
-            raise ValueError("sigma must be non-negative")
-
-
-def wasserstein(a, b) -> float:
-    """Distance between two per-channel (mu, sigma) summaries.
+def wasserstein(mu: np.ndarray, sigma: np.ndarray, ref_mu: np.ndarray, ref_sigma: np.ndarray) -> np.ndarray:
+    """Distance of per-channel (mu, sigma) rows to one reference (mu, sigma).
 
     Treats each channel as an independent Gaussian; the squared distances
     (mu gap squared plus sigma gap squared) add across channels under a
-    single square root. Accepts any two objects with `mu` and `sigma`
-    arrays (sample stats or centroids).
+    single square root. Each row sums over channels on its own, so a
+    `[B, C]` call equals B one-row calls bit for bit.
     """
-    if a.mu.shape != b.mu.shape:
-        raise ShapeError(f"channel counts differ: {a.mu.shape} vs {b.mu.shape}")
-    return float(_distances(a.mu, a.sigma, b.mu, b.sigma))
-
-
-@dataclass(frozen=True)
-class DomainCentroid:
-    """Momentum-tracked per-channel (mean, std) of early-layer batch statistics.
-
-    `beta` is the weight on the current batch; blending happens in variance
-    space and the stored sigma is the square root of the blended variance.
-    """
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    beta: float = 0.9
-    initialized: bool = False
-
-    @classmethod
-    def empty(cls, channels: int, beta: float = 0.9) -> "DomainCentroid":
-        if not (0.0 < beta <= 1.0):
-            raise ValueError("beta must be in (0, 1]")
-        return cls(np.zeros(channels), np.zeros(channels), beta, False)
-
-    def updated(self, batch_stats: ChannelStats) -> tuple["DomainCentroid", float]:
-        """Blend in a batch's (mean, variance); returns (new centroid, shift).
-
-        The first update adopts the batch statistics outright and reports an
-        infinite shift so the caller rescores everything it has stored.
-        """
-        mean = np.asarray(batch_stats.mean, dtype=np.float64)
-        var = np.asarray(batch_stats.var, dtype=np.float64)
-        if not self.initialized:
-            new = DomainCentroid(mean.copy(), np.sqrt(var), self.beta, True)
-            return new, math.inf
-        b = self.beta
-        new_mu = (1.0 - b) * self.mu + b * mean
-        new_var = (1.0 - b) * (self.sigma * self.sigma) + b * var
-        new = DomainCentroid(new_mu, np.sqrt(new_var), b, True)
-        return new, wasserstein(self, new)
+    dm = mu - ref_mu
+    ds = sigma - ref_sigma
+    return np.sqrt(np.sum(dm * dm, axis=-1) + np.sum(ds * ds, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -129,6 +68,10 @@ class SampleMemory:
     `class_counts` maps each stored pseudo-label to its number of samples.
     Callers read these; only `insert` and `maybe_rescore` write them.
 
+    The domain centroid, `centroid_mu` and `centroid_sigma`, is a momentum
+    average (weight `beta` on the current batch) of early-layer batch
+    statistics; it is zeros until `update_centroid` has seen a batch.
+
     Single-writer: one engine instance owns the memory for its stream.
     """
 
@@ -152,6 +95,7 @@ class SampleMemory:
         self.tau_conf = float(tau_conf)
         self.tau_delta = float(tau_delta)
         self.selection_mode = selection_mode
+        self.beta = float(beta)
         cap = self.capacity
         self.inputs: np.ndarray | None = None  # [cap, *input shape], sized by the first insert
         self.labels = np.zeros(cap, dtype=np.int64)
@@ -165,7 +109,9 @@ class SampleMemory:
         self._farthest: dict[int, tuple[float, int]] = {}  # see _farthest_of
         self._size = 0
         self._last_arrival: int | None = None
-        self.centroid = DomainCentroid.empty(channels, beta)
+        self.centroid_mu = np.zeros(channels)
+        self.centroid_sigma = np.zeros(channels)
+        self.centroid_initialized = False
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
     def __len__(self) -> int:
@@ -177,7 +123,7 @@ class SampleMemory:
 
     # -- scoring ------------------------------------------------------------
 
-    def score(self, mu, sigma) -> np.ndarray:
+    def score(self, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """Distances of per-channel (mu, sigma) rows to the current centroid.
 
         Takes `[B, C]` statistics (or one `[C]` row) and returns `[B]`
@@ -185,20 +131,29 @@ class SampleMemory:
         batch; the first rescore after initialization replaces these
         placeholders.
         """
-        mu = np.asarray(mu, dtype=np.float64)
-        sigma = np.asarray(sigma, dtype=np.float64)
-        if mu.shape != sigma.shape or mu.shape[-1:] != self.centroid.mu.shape:
+        if mu.shape != sigma.shape or mu.shape[-1:] != self.centroid_mu.shape:
             raise ShapeError(f"sample stats: mu {mu.shape} vs sigma {sigma.shape}, "
-                             f"{self.centroid.mu.size} channels")
-        if (sigma < 0.0).any():
-            raise ValueError("sigma must be non-negative")
-        if not self.centroid.initialized:
+                             f"{self.centroid_mu.size} channels")
+        if not self.centroid_initialized:
             return np.full(mu.shape[:-1], math.inf)
-        return _distances(mu, sigma, self.centroid.mu, self.centroid.sigma)
+        return wasserstein(mu, sigma, self.centroid_mu, self.centroid_sigma)
 
     def update_centroid(self, batch_stats: ChannelStats) -> float:
-        """Fold one batch's early-layer statistics into the centroid."""
-        self.centroid, shift = self.centroid.updated(batch_stats)
+        """Fold one batch's early-layer (mean, variance) into the centroid; returns its shift.
+
+        The blend is in variance space. The first update adopts the batch
+        statistics and reports an infinite shift, so everything is rescored.
+        """
+        mean, var = batch_stats
+        if not self.centroid_initialized:
+            self.centroid_mu, self.centroid_sigma = mean, np.sqrt(var)
+            self.centroid_initialized = True
+            return math.inf
+        b = self.beta
+        mu = (1.0 - b) * self.centroid_mu + b * mean
+        sigma = np.sqrt((1.0 - b) * (self.centroid_sigma * self.centroid_sigma) + b * var)
+        shift = float(wasserstein(self.centroid_mu, self.centroid_sigma, mu, sigma))
+        self.centroid_mu, self.centroid_sigma = mu, sigma
         return shift
 
     def maybe_rescore(self, shift: float) -> int:
@@ -209,7 +164,7 @@ class SampleMemory:
         """
         if shift > self.tau_delta:
             n = self._size
-            self.wdist[:n] = _distances(self.mu[:n], self.sigma[:n], self.centroid.mu, self.centroid.sigma)
+            self.wdist[:n] = wasserstein(self.mu[:n], self.sigma[:n], self.centroid_mu, self.centroid_sigma)
             self._farthest.clear()
             return n
         return 0
@@ -354,11 +309,11 @@ class SampleMemory:
 
     # -- consumption --------------------------------------------------------
 
-    def batch(self) -> Tensor | None:
-        """Stored inputs stacked in arrival order; None when empty."""
+    def batch(self) -> np.ndarray | None:
+        """Stored inputs stacked in arrival order (a copy); None when empty."""
         if not self._size:
             return None
-        return Tensor._wrap(self.inputs[self.order()])
+        return self.inputs[self.order()]
 
     def dump(self) -> str:
         """One line per sample in arrival order: arrival_index, pseudo-label, confidence, distance."""
@@ -367,13 +322,3 @@ class SampleMemory:
                    self.confidences[o].tolist(), self.wdist[o].tolist())
         return "\n".join(f"{a}\t{l}\t{c!r}\t{w!r}" for a, l, c, w in rows)
 
-
-def _distances(mu, sigma, ref_mu, ref_sigma):
-    """Row-wise distance of (mu, sigma) rows to one reference summary.
-
-    Each row sums over channels on its own, so a `[B, C]` call equals B
-    one-row calls bit for bit.
-    """
-    dm = mu - ref_mu
-    ds = sigma - ref_sigma
-    return np.sqrt(np.sum(dm * dm, axis=-1) + np.sum(ds * ds, axis=-1))

@@ -31,7 +31,7 @@ from .normalization import (
     batch_channel_stats,
     normalize,
 )
-from .numerics import ShapeError, Tensor
+from .numerics import ShapeError
 
 NORM_SOURCES = ("batch", "iobmn", "ema", "frozen")
 
@@ -47,8 +47,8 @@ class NormLayer:
 
     def __init__(self, channels: int, epsilon: float = 1e-5,
                  alpha: float = 4.0, ema_momentum: float = 0.9) -> None:
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         self.channels = int(channels)
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
@@ -63,7 +63,7 @@ class NormLayer:
 class ForwardResult:
     """Logits plus the statistics observed on the way through the network."""
 
-    logits: Tensor
+    logits: np.ndarray
     early_mean: np.ndarray   # per sample, per channel: mean over length
     early_sigma: np.ndarray  # per sample, per channel: std over length
     layer_stats: list[ChannelStats]  # per norm layer: input batch statistics
@@ -125,7 +125,7 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
     """
     if norm_source not in NORM_SOURCES:
         raise ValueError(f"unknown norm source {norm_source!r}")
-    xv = (x if isinstance(x, Tensor) else Tensor(x)).data
+    xv = np.asarray(x, dtype=np.float64)
     if xv.ndim != 3 or xv.shape[1] != model.in_channels:
         raise ShapeError(f"expected batch x {model.in_channels} x length input, got {xv.shape}")
     if xv.shape[0] < 1:
@@ -159,7 +159,7 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
         if record is not None:
             record.append((weight, saved, mask))
     logits = out.mean(axis=(2,)) @ model.head_weight + model.head_bias.reshape(1, -1)  # pool, head
-    return ForwardResult(Tensor._wrap(logits), early_mean, early_sigma, layer_stats, record)
+    return ForwardResult(logits, early_mean, early_sigma, layer_stats, record)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
 
 
 def _logits_of(logits) -> np.ndarray:
-    lv = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
+    lv = np.asarray(logits, dtype=np.float64)
     if lv.ndim != 2 or lv.shape[0] < 1:
         raise ShapeError(f"expected batch x classes logits, got {lv.shape}")
     return lv
@@ -212,11 +212,9 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     return float(loss), d_log_p - np.exp(log_p) * d_log_p.sum(axis=-1, keepdims=True)
 
 
-def per_sample_entropy(probabilities: np.ndarray) -> np.ndarray:
+def per_sample_entropy(p: np.ndarray) -> np.ndarray:
     """Entropy of each probability row, natural log; 0 log 0 treated as 0."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), 0.0)
+    logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), 0.0)
     return -(p * logp).sum(axis=-1)
 
 
@@ -240,8 +238,8 @@ def adapt_step(model: Model, memory_batch, lr: float) -> ForwardResult | None:
     """
     if memory_batch is None:
         return None
-    batch = memory_batch if isinstance(memory_batch, Tensor) else Tensor(memory_batch)
-    if batch.data.shape[0] == 0:
+    batch = np.asarray(memory_batch, dtype=np.float64)
+    if batch.shape[0] == 0:
         return None
     result = forward(model, batch, "batch")
     _, dlogits = entropy_loss(result.logits)
@@ -267,27 +265,35 @@ def pretrain(model: Model, inputs, labels, epochs: int = 100, lr: float = 1e-2, 
     Only the norm layers' scale/shift train; the channel-mix and head
     weights keep their seeded initialization. Deterministic under the seed
     (shuffling is the only randomness). Norm layers accumulate running
-    source statistics for the frozen source.
+    source statistics for the frozen source. Inputs must be finite; a
+    floating-point overflow, division by zero or invalid operation raises
+    FloatingPointError.
     """
-    x = np.asarray(inputs.data if isinstance(inputs, Tensor) else inputs, dtype=np.float64)
+    x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
     if x.ndim != 3 or x.shape[0] != y.shape[0]:
         raise ValueError(f"inputs {x.shape} and labels {y.shape} do not line up")
+    if not np.isfinite(x).all():
+        raise ValueError("pretraining inputs must be finite (no NaN/Inf)")
     if y.size and (y.min() < 0 or y.max() >= model.num_classes):
         raise ValueError("class labels out of range")
     rng = np.random.default_rng(seed)
     final_loss = math.nan
-    for _ in range(epochs):
-        order = rng.permutation(x.shape[0])
-        for start in range(0, x.shape[0], batch_size):
-            take = order[start:start + batch_size]
-            final_loss = _pretrain_minibatch(model, x[take], y[take], lr)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(epochs):
+                order = rng.permutation(x.shape[0])
+                for start in range(0, x.shape[0], batch_size):
+                    take = order[start:start + batch_size]
+                    final_loss = _pretrain_minibatch(model, x[take], y[take], lr)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"pretraining: {exc}") from None
     accuracy = evaluate_accuracy(model, x, y, batch_size=batch_size)
     return PretrainResult(model, accuracy, final_loss)
 
 
 def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float) -> float:
-    result = forward(model, Tensor._wrap(xb), "batch")
+    result = forward(model, xb, "batch")
     loss, dlogits = cross_entropy_loss(result.logits, yb)
     _descend(model, result, dlogits, lr)
     m = RUNNING_MOMENTUM
@@ -298,15 +304,15 @@ def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float)
 
 
 def evaluate_accuracy(model: Model, inputs, labels, batch_size: int = 64) -> float:
-    x = np.asarray(inputs.data if isinstance(inputs, Tensor) else inputs, dtype=np.float64)
+    x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
     if x.shape[0] == 0:
         return 0.0
     correct = 0
     for start in range(0, x.shape[0], batch_size):
         xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-        result = forward(model, Tensor._wrap(xb))
-        correct += int((result.logits.data.argmax(axis=1) == yb).sum())
+        result = forward(model, xb)
+        correct += int((result.logits.argmax(axis=1) == yb).sum())
     return correct / x.shape[0]
 
 
@@ -358,27 +364,34 @@ def model_dict(model: Model) -> dict:
     }
 
 
-def _array(value, shape: tuple, where: str) -> np.ndarray:
+def checked_array(value, where: str, shape: tuple | None = None, nonnegative: bool = False) -> np.ndarray:
+    """A checkpoint field as an array of finite numbers (>= 0 if asked); ValueError naming `where`."""
     try:
         arr = np.array(value, dtype=np.float64)
     except (TypeError, ValueError):
-        raise ValueError(f"model checkpoint: {where} is not an array of numbers") from None
-    if arr.shape != shape:
-        raise ValueError(f"model checkpoint: {where} has shape {arr.shape}, want {shape}")
+        raise ValueError(f"{where} is not an array of numbers") from None
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{where} has shape {arr.shape}, want {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} must be finite")
+    if nonnegative and (arr < 0.0).any():
+        raise ValueError(f"{where} must be >= 0")
     return arr
 
 
 def _stats_from(d, channels: int, where: str) -> ChannelStats | None:
     if d is None:
         return None
-    return ChannelStats(*(_array(d[key], (channels,), f"{where}.{key}") for key in ("mean", "var")))
+    return ChannelStats(checked_array(d["mean"], f"{where}.mean", (channels,)),
+                        checked_array(d["var"], f"{where}.var", (channels,), nonnegative=True))
 
 
 def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
     mn = entry["memory_norm"]
     layer = NormLayer(channels, entry["epsilon"], mn["alpha"], entry["ema"]["momentum"])
     for name in ("gamma", "beta", "running_mean", "running_var"):
-        setattr(layer, name, _array(entry[name], (channels,), f"{where}.{name}"))
+        setattr(layer, name, checked_array(entry[name], f"{where}.{name}", (channels,),
+                                           nonnegative=name == "running_var"))
     stats = _stats_from(mn["stats"], channels, f"{where}.memory_norm.stats")
     if stats is not None:
         layer.memory_norm.populate(stats, mn["spatial_extent"], mn["sample_count"])
@@ -400,13 +413,14 @@ def load_model_dict(payload: dict) -> Model:
             raise ValueError(f"model checkpoint: layers[{i}] has kind {kind!r}, want {want!r}; a model is "
                              f"n >= 1 blocks of {', '.join(BLOCK_KINDS)}, then {', '.join(TAIL_KINDS)}")
     channels, classes = payload["in_channels"], payload["num_classes"]
-    mix_weights = [_array(entries[i]["weight"], (channels, channels),
-                          f"layers[{i}].weight (in_channels x in_channels)") for i in range(0, 3 * blocks, 3)]
-    norm_layers = [_norm_layer_from(entries[i], channels, f"layers[{i}]") for i in range(1, 3 * blocks, 3)]
-    head, where = entries[-1], f"layers[{len(entries) - 1}]"
+    where = [f"model checkpoint: layers[{i}]" for i in range(len(entries))]
+    mix_weights = [checked_array(entries[i]["weight"], f"{where[i]}.weight (in_channels x in_channels)",
+                                 (channels, channels)) for i in range(0, 3 * blocks, 3)]
+    norm_layers = [_norm_layer_from(entries[i], channels, where[i]) for i in range(1, 3 * blocks, 3)]
+    head = entries[-1]
     return Model(mix_weights, norm_layers,
-                 _array(head["weight"], (channels, classes), f"{where}.weight (in_channels x num_classes)"),
-                 _array(head["bias"], (classes,), f"{where}.bias (num_classes)"))
+                 checked_array(head["weight"], f"{where[-1]}.weight (in_channels x num_classes)", (channels, classes)),
+                 checked_array(head["bias"], f"{where[-1]}.bias (num_classes)", (classes,)))
 
 
 def save_model(model: Model, path) -> None:

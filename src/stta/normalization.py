@@ -14,49 +14,25 @@ alternative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-from .numerics import ShapeError
 
 
 class StateError(RuntimeError):
     """Normalization state used before it was populated."""
 
 
-@dataclass
-class ChannelStats:
-    """Per-channel mean and population variance of a feature map."""
+class ChannelStats(NamedTuple):
+    """Per-channel mean and population variance of a feature map (unchecked arrays)."""
 
     mean: np.ndarray
     var: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.var = np.asarray(self.var, dtype=np.float64)
-        if self.mean.shape != self.var.shape or self.mean.ndim != 1:
-            raise ShapeError(f"channel stats: mean {self.mean.shape} vs var {self.var.shape}")
-        if not (np.isfinite(self.mean).all() and np.isfinite(self.var).all()):
-            raise ValueError("channel stats must be finite")
-        if (self.var < 0.0).any():
-            raise ValueError("variance must be non-negative")
 
-    def copy(self) -> "ChannelStats":
-        return ChannelStats(self.mean.copy(), self.var.copy())
-
-
-def soft_shrinkage(x, threshold):
-    """Dead-zone operator: sign(x) * max(|x| - threshold, 0), elementwise.
-
-    `threshold` may be a scalar or a per-element array; it must be
-    non-negative everywhere.
-    """
-    xv = np.asarray(x, dtype=np.float64)
-    tv = np.asarray(threshold, dtype=np.float64)
-    if np.any(tv < 0.0):
-        raise ValueError("shrinkage threshold must be non-negative")
-    out = np.sign(xv) * np.maximum(np.abs(xv) - tv, 0.0)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+def soft_shrinkage(x: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """Dead-zone operator: sign(x) * max(|x| - threshold, 0), elementwise; `threshold` >= 0."""
+    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
 @dataclass
@@ -75,8 +51,8 @@ class MemoryNormState:
     sample_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be non-negative")
+        if not self.alpha >= 0.0:
+            raise ValueError(f"alpha must be a number >= 0, got {self.alpha!r}")
 
     @property
     def populated(self) -> bool:
@@ -85,7 +61,7 @@ class MemoryNormState:
     def populate(self, stats: ChannelStats, spatial_extent: int, sample_count: int) -> None:
         if spatial_extent < 1 or sample_count < 1:
             raise ValueError("spatial extent and sample count must be >= 1")
-        self.memory_stats = stats.copy()
+        self.memory_stats = stats
         self.spatial_extent = int(spatial_extent)
         self.sample_count = int(sample_count)
 
@@ -114,8 +90,6 @@ def corrected_stats(state: MemoryNormState, live: ChannelStats) -> ChannelStats:
     """
     s2_mean, s2_var = sampling_variances(state)
     mem = state.memory_stats
-    if live.mean.shape != mem.mean.shape:
-        raise ShapeError(f"live stats {live.mean.shape} vs memory stats {mem.mean.shape}")
     mean = mem.mean + soft_shrinkage(live.mean - mem.mean, state.alpha * np.sqrt(s2_mean))
     var = mem.var + soft_shrinkage(live.var - mem.var, state.alpha * np.sqrt(s2_var))
     return ChannelStats(mean, np.maximum(var, 0.0))
@@ -141,8 +115,6 @@ def normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarra
 
 def batch_channel_stats(f: np.ndarray) -> ChannelStats:
     """Per-channel mean and population variance over batch and length axes."""
-    if f.ndim != 3:
-        raise ShapeError(f"expected batch x channel x length features, got {f.shape}")
     mean = f.mean(axis=(0, 2))
     centered = f - mean.reshape(1, -1, 1)
     var = np.mean(centered * centered, axis=(0, 2))
@@ -168,7 +140,7 @@ class EmaNormState:
 
     def update(self, live: ChannelStats) -> ChannelStats:
         if self.stats is None:
-            self.stats = live.copy()
+            self.stats = live
         else:
             m = self.momentum
             self.stats = ChannelStats(

@@ -4,7 +4,8 @@ This is the representative memory as it was before the array-backed
 `stta.memory.SampleMemory`: a Python list of `MemorySample` records with
 full scans for every decision. `TestReferenceReplay` in `test_memory.py`
 replays streams through both and requires identical decisions, dumps and
-batches.
+batches. `SampleStats`, `wasserstein` and `DomainCentroid` are the sample
+statistics, distance and centroid objects the package used alongside it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,88 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stta.memory import SELECTION_MODES, DomainCentroid, SampleStats, wasserstein
+from stta.memory import SELECTION_MODES
 from stta.normalization import ChannelStats
-from stta.numerics import Tensor
+from stta.numerics import ShapeError
+
+from reference_tape import Tensor
+
+
+@dataclass
+class SampleStats:
+    """Per-channel mean and standard deviation of one sample's early features."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.mu = np.asarray(self.mu, dtype=np.float64)
+        self.sigma = np.asarray(self.sigma, dtype=np.float64)
+        if self.mu.shape != self.sigma.shape or self.mu.ndim != 1:
+            raise ShapeError(f"sample stats: mu {self.mu.shape} vs sigma {self.sigma.shape}")
+        if np.any(self.sigma < 0.0):
+            raise ValueError("sigma must be non-negative")
+
+
+def wasserstein(a, b) -> float:
+    """Distance between two per-channel (mu, sigma) summaries.
+
+    Treats each channel as an independent Gaussian; the squared distances
+    (mu gap squared plus sigma gap squared) add across channels under a
+    single square root. Accepts any two objects with `mu` and `sigma`
+    arrays (sample stats or centroids).
+    """
+    if a.mu.shape != b.mu.shape:
+        raise ShapeError(f"channel counts differ: {a.mu.shape} vs {b.mu.shape}")
+    return float(_distances(a.mu, a.sigma, b.mu, b.sigma))
+
+
+@dataclass(frozen=True)
+class DomainCentroid:
+    """Momentum-tracked per-channel (mean, std) of early-layer batch statistics.
+
+    `beta` is the weight on the current batch; blending happens in variance
+    space and the stored sigma is the square root of the blended variance.
+    """
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    beta: float = 0.9
+    initialized: bool = False
+
+    @classmethod
+    def empty(cls, channels: int, beta: float = 0.9) -> "DomainCentroid":
+        if not (0.0 < beta <= 1.0):
+            raise ValueError("beta must be in (0, 1]")
+        return cls(np.zeros(channels), np.zeros(channels), beta, False)
+
+    def updated(self, batch_stats: ChannelStats) -> tuple["DomainCentroid", float]:
+        """Blend in a batch's (mean, variance); returns (new centroid, shift).
+
+        The first update adopts the batch statistics outright and reports an
+        infinite shift so the caller rescores everything it has stored.
+        """
+        mean = np.asarray(batch_stats.mean, dtype=np.float64)
+        var = np.asarray(batch_stats.var, dtype=np.float64)
+        if not self.initialized:
+            new = DomainCentroid(mean.copy(), np.sqrt(var), self.beta, True)
+            return new, math.inf
+        b = self.beta
+        new_mu = (1.0 - b) * self.mu + b * mean
+        new_var = (1.0 - b) * (self.sigma * self.sigma) + b * var
+        new = DomainCentroid(new_mu, np.sqrt(new_var), b, True)
+        return new, wasserstein(self, new)
+
+
+def _distances(mu, sigma, ref_mu, ref_sigma):
+    """Row-wise distance of (mu, sigma) rows to one reference summary.
+
+    Each row sums over channels on its own, so a `[B, C]` call equals B
+    one-row calls bit for bit.
+    """
+    dm = mu - ref_mu
+    ds = sigma - ref_sigma
+    return np.sqrt(np.sum(dm * dm, axis=-1) + np.sum(ds * ds, axis=-1))
 
 
 @dataclass

@@ -20,7 +20,54 @@ import numpy as np
 
 from stta.model import NORM_SOURCES, RUNNING_MOMENTUM, ForwardResult, Model, NormLayer
 from stta.normalization import ChannelStats, batch_channel_stats, corrected_stats
-from stta.numerics import ShapeError, Tensor
+from stta.numerics import ShapeError
+
+
+class Tensor:
+    """Immutable dense array of float64 values.
+
+    All user-facing constructions reject NaN/Inf. The backing numpy array
+    is marked read-only, so tensors are safe to share across threads.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, data) -> None:
+        arr = np.array(data, dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("tensor data must be finite (no NaN/Inf)")
+        arr.setflags(write=False)
+        self._data = arr
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "Tensor":
+        # Internal fast path for freshly computed float64 results.
+        t = object.__new__(cls)
+        arr = np.asarray(arr, dtype=np.float64)
+        arr.setflags(write=False)
+        t._data = arr
+        return t
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._data.shape
+
+    @property
+    def size(self) -> int:
+        return self._data.size
+
+    def item(self) -> float:
+        return float(self._data)
+
+    def tolist(self):
+        return self._data.tolist()
+
+    def __repr__(self) -> str:
+        return f"Tensor(shape={self.shape})"
 
 
 class TapeError(RuntimeError):

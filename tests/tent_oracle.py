@@ -10,11 +10,10 @@ exactly this when its memory and scheduling features are neutralized.
 import numpy as np
 
 import reference_tape as nm
-from reference_tape import Tape, entropy_loss, forward
-from stta.numerics import Tensor
+from reference_tape import Tape, Tensor, entropy_loss, forward
 
 
-def tent_step(model, batch: Tensor, lr: float) -> np.ndarray:
+def tent_step(model, batch: np.ndarray, lr: float) -> np.ndarray:
     """Predict, then update gamma/beta on the same batch; returns predictions."""
     predictions = forward(model, batch).logits.data.argmax(axis=1)
     tape = Tape()

@@ -24,7 +24,7 @@ from stta.datagen import (
     single_domain_stream,
 )
 from stta.engine import AdaptationSchedule, Engine, EngineConfig
-from stta.memory import SampleMemory, SampleStats, wasserstein
+from stta.memory import SampleMemory, wasserstein
 from stta.model import default_model, pretrain
 from stta.normalization import (
     ChannelStats,
@@ -35,7 +35,6 @@ from stta.normalization import (
     sampling_variances,
     soft_shrinkage,
 )
-from stta.numerics import Tensor
 
 from memory_oracle import OracleMemory
 from oracles import (
@@ -46,7 +45,7 @@ from oracles import (
     soft_shrinkage_mp,
     wasserstein_mp,
 )
-from reference_tape import Tape, backward, forward
+from reference_tape import Tape, Tensor, backward, forward
 from tent_oracle import run_tent
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -100,7 +99,7 @@ def test_criterion_1_formula_oracles():
         for _ in range(1000):
             mu_a, mu_b = rng.normal(size=4), rng.normal(size=4)
             sig_a, sig_b = rng.uniform(0, 3, size=4), rng.uniform(0, 3, size=4)
-            got = wasserstein(SampleStats(mu_a, sig_a), SampleStats(mu_b, sig_b))
+            got = wasserstein(mu_a, sig_a, mu_b, sig_b)
             assert abs(got - wasserstein_mp(mu_a, sig_a, mu_b, sig_b)) < 1e-10
 
         for _ in range(1000):
@@ -214,13 +213,13 @@ def test_criterion_3_memory_oracle_equivalence():
             memory = SampleMemory(capacity, channels, tau_conf=0.5, tau_delta=0.1,
                                   beta=0.9, selection_mode="cndrm")
             oracle = OracleMemory(capacity, 0.5, 0.1, 0.9)
-            tiny = Tensor(np.zeros((1, 1)))
+            tiny = np.zeros((1, 1))
             for step in range(1000):
                 mu = rng.normal(size=channels)
                 sigma = rng.uniform(0, 2, size=channels)
                 label = int(rng.integers(0, classes))
                 conf = float(rng.uniform(0, 1))
-                memory.insert(tiny.data, label, conf, mu, sigma, float(memory.score(mu, sigma)), step)
+                memory.insert(tiny, label, conf, mu, sigma, float(memory.score(mu, sigma)), step)
                 oracle.offer(step, label, conf, mu, sigma)
                 if (step + 1) % batch == 0:
                     mean = rng.normal(size=channels)
@@ -446,8 +445,8 @@ def test_criterion_9_continual_shift(source_models):
             else:
                 mu = (1.0 - beta) * mu + beta * stats.mean
                 sigma = np.sqrt((1.0 - beta) * (sigma * sigma) + beta * stats.var)
-            assert np.array_equal(engine.memory.centroid.mu, mu)
-            assert np.array_equal(engine.memory.centroid.sigma, sigma)
+            assert np.array_equal(engine.memory.centroid_mu, mu)
+            assert np.array_equal(engine.memory.centroid_sigma, sigma)
 
             var = sigma * sigma
             target_mu, target_var = segment_targets[seg]
@@ -456,15 +455,13 @@ def test_criterion_9_continual_shift(source_models):
                 previous_segment = seg
                 steps_in_segment = 1
                 entry_gap[seg] = gap
-                entry_distances[seg] = wasserstein(
-                    engine.memory.centroid,
-                    type("T", (), {"mu": target_mu, "sigma": np.sqrt(target_var)})())
+                entry_distances[seg] = wasserstein(engine.memory.centroid_mu, engine.memory.centroid_sigma,
+                                                   target_mu, np.sqrt(target_var))
             else:
                 steps_in_segment += 1
             bound = (1.0 - beta) ** (steps_in_segment - 1) * entry_gap[seg] + max_dev[seg]
             assert gap <= bound + 1e-9, (seg, steps_in_segment, gap, bound)
-            exit_distances[seg] = wasserstein(
-                engine.memory.centroid,
-                type("T", (), {"mu": target_mu, "sigma": np.sqrt(target_var)})())
+            exit_distances[seg] = wasserstein(engine.memory.centroid_mu, engine.memory.centroid_sigma,
+                                              target_mu, np.sqrt(target_var))
         for seg in (1, 2):  # after a shift the centroid closes on the new segment
             assert exit_distances[seg] <= entry_distances[seg]

@@ -265,6 +265,24 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not prepared and not out.exists()
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, 0.5, None], ids=repr)
+    def test_non_boolean_correlated_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, value):
+        prepared = []
+        monkeypatch.setattr(cli, "prepare_model", lambda *a: prepared.append(a))
+        cfg = tiny_config()
+        cfg["stream"]["correlated"] = value
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: stream.correlated must be true or false, got {value!r}\n"
+        assert not prepared and not out.exists()
+
+    def test_boolean_correlated_is_read_as_given(self):
+        cfg = cli.load_config(None)
+        for value in (False, True):
+            cfg["stream"]["correlated"] = value
+            assert cli.stream_spec_from_config(cfg, 0).correlated is value
+
     def test_threshold_pass_exits_zero(self, tmp_path):
         cfg = tiny_config(thresholds={"snap@0.5": 0.0})
         cfg_path = write_config(tmp_path, cfg)
@@ -288,6 +306,39 @@ class TestRun:
         cfg_path = write_config(tmp_path, tiny_config())
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
                      "--checkpoint", str(tmp_path / "none.json")]) == 1
+
+    def test_malformed_checkpoint_exits_one(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config())
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg_path, "--out", out, "--save-model"]) == 0
+        model_path = os.path.join(out, "model-seed0.json")
+        with open(model_path) as fh:
+            payload = json.load(fh)
+        del payload["layers"][2]  # the first block's relu
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(bad_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model checkpoint: layers[2] has kind 'channel_mix', want 'relu'")
+        assert not (tmp_path / "o").exists()
+
+    def test_diverging_pretraining_exits_one(self, tmp_path, capsys):
+        cfg = tiny_config()
+        cfg["pretrain"]["lr"] = 1.0e200
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: pretraining: overflow encountered in multiply\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_diverging_adaptation_fails_its_cell(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config(engine={"lr": 1.0e200}))
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg_path, "--out", out]) == 3
+        # ar 1/2 adapts after batch 1; the next forward overflows
+        assert capsys.readouterr().err == "error: snap@1/2 seed 0: batch 2: overflow encountered in multiply\n"
+        assert read_records(out) == []
 
     def test_tent_equivalent_cell_matches_oracle(self, tmp_path):
         cfg = tiny_config(grid={"modes": ["tent-equivalent"], "ar": ["1"], "seeds": [0]})

@@ -114,8 +114,8 @@ class TestMakeStream:
 
     def test_bit_reproducible(self):
         spec = single_domain_stream(corruption="noise", batches=5, batch_size=8, seed=2)
-        a = [b.x.data for b in make_stream(spec)]
-        b = [b.x.data for b in make_stream(spec)]
+        a = [b.x for b in make_stream(spec)]
+        b = [b.x for b in make_stream(spec)]
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_iid_batches_multinomial_consistent(self):

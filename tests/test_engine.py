@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stta.datagen import make_stream, single_domain_stream
+from stta.datagen import continual_stream, make_stream, single_domain_stream
 from stta.engine import AdaptationSchedule, Engine, EngineConfig
 from stta.model import default_model, forward, pretrain
 from stta.datagen import default_domain, sample_source
-from stta.numerics import Tensor
 
 from tent_oracle import run_tent
 
@@ -71,7 +72,7 @@ class TestEngineBasics:
     def test_rejects_empty_batch(self, base_model):
         engine = Engine(base_model.clone(), EngineConfig(ar=0))
         with pytest.raises(ValueError):
-            engine.process_batch(Tensor(np.zeros((0, 16, 8))))
+            engine.process_batch(np.zeros((0, 16, 8)))
 
     @pytest.mark.parametrize("field,value,named", [
         ("capacity", 0, "capacity"), ("capacity", -3, "capacity"), ("capacity", 1.5, "capacity"),
@@ -118,7 +119,7 @@ class TestEngineBasics:
         reference = base_model.clone()
         correct = []
         for batch in make_stream(spec):
-            preds = forward(reference, batch.x).logits.data.argmax(axis=1)
+            preds = forward(reference, batch.x).logits.argmax(axis=1)
             correct.append(int((preds == batch.labels).sum()))
         assert [r.correct for r in metrics.records] == correct
 
@@ -156,7 +157,7 @@ def engine_state(engine):
     memory = engine.memory
     return (
         None if memory is None else memory.dump(),
-        None if memory is None else memory.batch().data.tobytes(),
+        None if memory is None else memory.batch().tobytes(),
         engine.schedule.credit, engine.schedule.adapt_count, engine.schedule.batch_count,
         [a.tobytes() for a in affine_digest(engine.model)],
         engine._arrival, engine._batch_index,
@@ -177,7 +178,7 @@ class TestBatchValidation:
         return engine
 
     def bad_batches(self, stream):
-        x, labels = stream[3].x.data, stream[3].labels
+        x, labels = stream[3].x, stream[3].labels
         nan, inf = x.copy(), x.copy()
         nan[2, 3, 4] = np.nan
         inf[0, 0, 0] = -np.inf
@@ -237,12 +238,55 @@ class TestDeterminismAndHygiene:
         for a, b in zip(affine_digest(model_l), affine_digest(model_n)):
             assert np.array_equal(a, b)
         assert engine_l.memory.dump() == engine_n.memory.dump()
-        assert np.array_equal(engine_l.memory.centroid.mu, engine_n.memory.centroid.mu)
-        assert np.array_equal(engine_l.memory.centroid.sigma, engine_n.memory.centroid.sigma)
+        assert np.array_equal(engine_l.memory.centroid_mu, engine_n.memory.centroid_mu)
+        assert np.array_equal(engine_l.memory.centroid_sigma, engine_n.memory.centroid_sigma)
         assert metrics_n.accuracy() is None
         assert metrics_l.accuracy() is not None
         # only metrics differ
         assert [r.adapted for r in metrics_l.records] == [r.adapted for r in metrics_n.records]
+
+
+def sha256_json(payload):
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedTrajectories:
+    """Digests of whole runs, computed before the engine's internals moved to plain arrays."""
+
+    CASES = {
+        "snap": (
+            lambda: continual_stream(("scale_strong", "noise"), batches_per_segment=20, batch_size=16, seed=22),
+            lambda: EngineConfig(ar="0.1", seed=23),
+            "07295b71ae655cf7e637a8cd5f4c2a9c8064c3d0408621e6b78524b730149c59",
+            "cbb25d238666ce68894c5ed25fe261261dda43104f6f81f11b09360722f3d364",
+        ),
+        "tent-equivalent": (
+            lambda: single_domain_stream(corruption="noise", batches=8, batch_size=16, seed=24),
+            lambda: EngineConfig(ar=1, tau_conf=0.0, selection_mode="naive", inference_stats_mode="batch",
+                                 capacity=16, seed=25),
+            "4b4665a313636b02909cbc17ce814a031c902c456867089c94eb75060d382f1c",
+            "60f95fd05e1d99791e9801beea05882c6b5bdd80fb5a87fd668c781cfa7cc9d7",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_state_and_metrics_pinned(self, base_model, case):
+        spec, config, state_digest, metrics_digest = self.CASES[case]
+        engine = Engine(base_model.clone(), config())
+        metrics = engine.run_stream(make_stream(spec()))
+        # the snap run adapts 4 times, rescores, and serves with shrinkage-corrected statistics
+        assert metrics.adapt_count == (4 if case == "snap" else 8)
+        assert sum(r.rescored > 0 for r in metrics.records) > 3
+        assert sha256_json(metrics.deterministic_dict()) == metrics_digest
+        assert sha256_json(engine.state_dict()) == state_digest
+
+    def test_overflow_names_the_batch(self, base_model):
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", lr=1.0e200, seed=26))
+        batches = list(make_stream(single_domain_stream(corruption="noise", batches=6, batch_size=8, seed=27)))
+        engine.process_batch(batches[0].x)
+        engine.process_batch(batches[1].x)  # adapts; the step itself stays finite
+        with pytest.raises(FloatingPointError, match="batch 2: overflow"):
+            engine.process_batch(batches[2].x)
 
 
 class TestResume:
@@ -295,6 +339,37 @@ class TestResume:
         payload = json.loads(json.dumps(engine.state_dict()))
         payload["memory"]["samples"][0]["confidence"] = 0.0  # below the confidence filter
         with pytest.raises(ValueError, match="checkpoint memory"):
+            Engine.from_state_dict(payload)
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("input", "nan", "sample {}: input must be finite"),
+        ("mu", "inf", "sample {}: mu must be finite"),
+        ("sigma", "nan", "sample {}: sigma must be finite"),
+        ("sigma", "negative", "sample {}: sigma must be >= 0"),
+        ("confidence", 1.5, "sample {}: confidence must be in [0, 1]"),
+        ("confidence", math.nan, "sample {}: confidence must be in [0, 1]"),
+        ("wdist", -0.5, "sample {}: wdist must be a number >= 0"),
+        ("wdist", math.nan, "sample {}: wdist must be a number >= 0"),
+        ("wdist", "far", "sample {}: wdist must be a number >= 0"),
+        ("entropy", math.inf, "sample {}: entropy must be a finite number"),
+        ("centroid.mu", "nan", "centroid.mu must be finite"),
+        ("centroid.sigma", "inf", "centroid.sigma must be finite"),
+        ("centroid.sigma", "negative", "centroid.sigma must be >= 0"),
+    ])
+    def test_checkpoint_rejects_bad_memory_values(self, base_model, field, value, named):
+        spec = single_domain_stream(corruption="noise", batches=3, batch_size=8, seed=28)
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=29))
+        engine.run_stream(make_stream(spec))
+        payload = json.loads(json.dumps(engine.state_dict()))
+        sample = payload["memory"]["samples"][1]
+        owner, key = ((payload["memory"]["centroid"], field.split(".")[1]) if field.startswith("centroid.")
+                      else (sample, field))
+        if value in ("nan", "inf", "negative"):
+            flat = np.array(owner[key], dtype=float)
+            flat.reshape(-1)[-1] = {"nan": math.nan, "inf": math.inf, "negative": -0.25}[value]
+            value = flat.tolist()
+        owner[key] = value
+        with pytest.raises(ValueError, match=named.format(sample["arrival_index"]).replace("[", r"\[")):
             Engine.from_state_dict(payload)
 
     def test_checkpoint_rejects_bad_format(self, tmp_path):

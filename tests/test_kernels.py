@@ -11,7 +11,6 @@ import pytest
 import reference_tape as ref
 from stta import model as kernels
 from stta.model import default_model
-from stta.numerics import Tensor
 
 # (channels, blocks, batch, length): every channel count, block count, batch
 # size and length of interest appears at least once.
@@ -40,11 +39,11 @@ def make_model(channels, blocks, seed):
 
 def batches(channels, batch, length, count, seed):
     rng = np.random.default_rng(seed)
-    return [Tensor(rng.normal(0.5, 1.5, size=(batch, channels, length))) for _ in range(count)]
+    return [rng.normal(0.5, 1.5, size=(batch, channels, length)) for _ in range(count)]
 
 
 def assert_same_results(got, want):
-    assert np.array_equal(got.logits.data, ref._val(want.logits))
+    assert np.array_equal(got.logits, ref._val(want.logits))
     assert np.array_equal(got.early_mean, want.early_mean)
     assert np.array_equal(got.early_sigma, want.early_sigma)
     for a, b in zip(got.layer_stats, want.layer_stats, strict=True):
@@ -95,8 +94,8 @@ def test_pretrain_minibatch(channels, blocks, batch, length):
     rng = np.random.default_rng(channels * blocks)
     for x in batches(channels, batch, length, 20, seed=11 + batch * length):
         labels = rng.integers(0, model.num_classes, size=batch)
-        got = kernels._pretrain_minibatch(mine, x.data, labels, 5e-2)
-        want = ref.pretrain_minibatch(theirs, x.data, labels, 5e-2)
+        got = kernels._pretrain_minibatch(mine, x, labels, 5e-2)
+        want = ref.pretrain_minibatch(theirs, x, labels, 5e-2)
         assert got == want
         assert_same_norm_layers(mine, theirs)
     assert kernels.model_dict(mine) == kernels.model_dict(theirs)
@@ -111,7 +110,7 @@ def test_losses_match_reference():
                              (kernels.cross_entropy_loss(logits, labels),
                               lambda v: ref.cross_entropy_loss(v, labels))):
             tape = ref.Tape()
-            z = tape.variable(Tensor(logits), trainable=True)
+            z = tape.variable(logits, trainable=True)
             loss = theirs(z)
             assert mine[0] == float(loss.value)
             assert np.array_equal(mine[1], ref.backward(tape, loss)[z].data)

@@ -18,13 +18,12 @@ from stta.model import (
     save_model,
 )
 from stta.normalization import StateError
-from stta.numerics import Tensor
 
 from oracles import entropy_mp, finite_difference_grad
 
 
 def rand_input(shape=(4, 16, 8), seed=0, loc=0.0, scale=1.0):
-    return Tensor(np.random.default_rng(seed).normal(loc, scale, size=shape))
+    return np.random.default_rng(seed).normal(loc, scale, size=shape)
 
 
 def straight_line_forward(model, x):
@@ -84,12 +83,12 @@ class TestBuild:
 class TestForward:
     def test_zero_input_zero_features(self):
         model = default_model(seed=0)
-        res = forward(model, Tensor(np.zeros((1, 16, 8))))
+        res = forward(model, np.zeros((1, 16, 8)))
         assert np.array_equal(res.early_mean, np.zeros((1, 16)))
         assert np.array_equal(res.early_sigma, np.zeros((1, 16)))
         # 0 / sqrt(0 + eps) = 0 all the way to the pooled features; logits are
         # the head bias (zero at init)
-        assert np.allclose(res.logits.data, 0.0, atol=1e-12)
+        assert np.allclose(res.logits, 0.0, atol=1e-12)
 
     def test_normalization_identity(self):
         model = default_model(seed=1)
@@ -100,7 +99,7 @@ class TestForward:
         assert len(res.layer_stats) == 3
         # with unit gamma / zero beta the normalized output of each norm layer
         # is zero-mean, variance var/(var+eps)
-        out = x.data
+        out = x
         for weight, layer in zip(model.mix_weights, model.norm_layers):
             out = np.einsum("oc,bcl->bol", weight, out)
             mean = out.mean(axis=(0, 2), keepdims=True)
@@ -121,15 +120,15 @@ class TestForward:
             layer.gamma = rng.uniform(0.5, 1.5, size=16)
             layer.beta = rng.normal(size=16)
         x = rand_input(seed=7)
-        got = forward(model, x).logits.data
-        want = straight_line_forward(model, x.data)
+        got = forward(model, x).logits
+        want = straight_line_forward(model, x)
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_early_stats_are_per_sample_std(self):
         model = default_model(seed=8)
         x = rand_input(seed=9)
         res = forward(model, x)
-        feats = np.einsum("oc,bcl->bol", model.mix_weights[0], x.data)
+        feats = np.einsum("oc,bcl->bol", model.mix_weights[0], x)
         assert np.allclose(res.early_mean, feats.mean(axis=2), atol=1e-12)
         assert np.allclose(res.early_sigma, feats.std(axis=2), atol=1e-12)
 
@@ -141,37 +140,37 @@ class TestForward:
     def test_deterministic(self):
         model = default_model(seed=11)
         x = rand_input(seed=12)
-        a = forward(model, x).logits.data
-        b = forward(model, x).logits.data
+        a = forward(model, x).logits
+        b = forward(model, x).logits
         assert np.array_equal(a, b)
 
     def test_input_shape_checked(self):
         model = default_model()
         with pytest.raises(Exception):
-            forward(model, Tensor(np.zeros((2, 4, 8))))
+            forward(model, np.zeros((2, 4, 8)))
 
 
 class TestEntropyLoss:
     def test_uniform_is_log_k(self):
-        logits = Tensor(np.zeros((3, 10)))
+        logits = np.zeros((3, 10))
         assert entropy_loss(logits)[0] == pytest.approx(math.log(10.0), abs=1e-12)
 
     def test_dominant_logit_near_zero(self):
-        logits = Tensor([[30.0, 0.0, 0.0]])
+        logits = np.array([[30.0, 0.0, 0.0]])
         assert entropy_loss(logits)[0] < 1e-9
 
     def test_matches_extended_precision(self):
         rng = np.random.default_rng(13)
         logits = rng.normal(0, 3, size=(5, 4))
         want = float(np.mean([entropy_mp(list(r)) for r in logits]))
-        assert entropy_loss(Tensor(logits))[0] == pytest.approx(want, abs=1e-10)
+        assert entropy_loss(logits)[0] == pytest.approx(want, abs=1e-10)
 
     def test_bounded_by_log_k(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             k = int(rng.integers(2, 8))
             logits = rng.normal(0, 5, size=(3, k))
-            val = entropy_loss(Tensor(logits))[0]
+            val = entropy_loss(logits)[0]
             assert -1e-12 <= val <= math.log(k) + 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -179,9 +178,9 @@ class TestEntropyLoss:
         z0 = rng.normal(0, 2, size=(3, 4))
 
         def value(flat):
-            return entropy_loss(Tensor(np.array(flat).reshape(3, 4)))[0]
+            return entropy_loss(np.array(flat).reshape(3, 4))[0]
 
-        grads = entropy_loss(Tensor(z0))[1].ravel()
+        grads = entropy_loss(z0)[1].ravel()
         fd = np.array(finite_difference_grad(value, list(z0.ravel()), h=1e-4))
         denom = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(grads - fd) / denom) < 1e-4
@@ -198,7 +197,7 @@ class TestAdaptStep:
     def test_empty_memory_skips(self):
         model = default_model(seed=18)
         assert adapt_step(model, None, 1e-3) is None
-        assert adapt_step(model, Tensor(np.zeros((0, 16, 8))), 1e-3) is None
+        assert adapt_step(model, np.zeros((0, 16, 8)), 1e-3) is None
 
     def test_descent_on_own_objective(self):
         model = default_model(seed=19)
@@ -219,7 +218,7 @@ class TestAdaptStep:
     def test_delta_is_minus_lr_times_gradient(self):
         lr = 1e-3
         model = default_model(seed=23, channels=6, blocks=2)
-        batch = Tensor(np.random.default_rng(24).normal(0.5, 1.5, size=(5, 6, 4)))
+        batch = np.random.default_rng(24).normal(0.5, 1.5, size=(5, 6, 4))
         gammas = [l.gamma.copy() for l in model.norm_layers]
         betas = [l.beta.copy() for l in model.norm_layers]
 
@@ -299,6 +298,19 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain(model, x, bad, epochs=1, lr=1e-2, seed=12)
 
+    def test_non_finite_inputs_rejected(self):
+        x, y = self.make_source(seed=10)
+        model = default_model(channels=8, num_classes=3, blocks=2, seed=11)
+        x[3, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            pretrain(model, x, y, epochs=1, lr=1e-2, seed=12)
+
+    def test_overflow_raises_where_it_happens(self):
+        x, y = self.make_source(seed=10)
+        model = default_model(channels=8, num_classes=3, blocks=2, seed=11)
+        with pytest.raises(FloatingPointError, match="pretraining: overflow"):
+            pretrain(model, x, y, epochs=3, lr=1e200, seed=12)
+
     def test_running_stats_tracked(self):
         x, y = self.make_source(seed=13)
         model = default_model(channels=8, num_classes=3, blocks=2, seed=14)
@@ -313,7 +325,7 @@ class TestCheckpoint:
         x, y = TestPretrain().make_source(seed=16)
         model = default_model(channels=8, num_classes=3, blocks=2, seed=17)
         pretrain(model, x, y, epochs=1, lr=1e-2, seed=18)
-        adapt_step(model, Tensor(x[:6]), 1e-3)  # populate nothing, move affine
+        adapt_step(model, x[:6], 1e-3)  # populate nothing, move affine
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -322,8 +334,8 @@ class TestCheckpoint:
             assert np.array_equal(a.running_mean, b.running_mean)
             assert np.array_equal(a.running_var, b.running_var)
         xt = rand_input((3, 8, 8), seed=19)
-        assert np.array_equal(forward(model, xt).logits.data,
-                              forward(loaded, xt).logits.data)
+        assert np.array_equal(forward(model, xt).logits,
+                              forward(loaded, xt).logits)
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bogus.json"
@@ -382,3 +394,32 @@ class TestCheckpoint:
         payload["in_channels"] = 5
         with pytest.raises(ValueError, match=r"layers\[0\]\.weight \(in_channels x in_channels\) has shape \(6, 6\)"):
             load_model_dict(payload)
+
+    def test_rejects_non_finite_epsilon(self):
+        payload = self._payload()
+        payload["layers"][1]["epsilon"] = math.nan
+        with pytest.raises(ValueError, match="epsilon"):
+            load_model_dict(payload)
+
+    def test_rejects_bad_statistics(self):
+        # Values are checked where they enter: every array of a checkpoint
+        # must be finite, and every variance >= 0.
+        cases = [
+            (("layers", 1, "memory_norm", "stats"), {"mean": [0.0] * 6, "var": [1.0] * 5 + [-1.0]},
+             r"layers\[1\]\.memory_norm\.stats\.var must be >= 0"),
+            (("layers", 4, "ema", "stats"), {"mean": [math.nan] + [0.0] * 5, "var": [1.0] * 6},
+             r"layers\[4\]\.ema\.stats\.mean must be finite"),
+            (("layers", 1, "running_var"), [1.0] * 5 + [-0.5], r"layers\[1\]\.running_var must be >= 0"),
+            (("layers", 4, "gamma"), [1.0] * 5 + [math.inf], r"layers\[4\]\.gamma must be finite"),
+            (("layers", 7, "bias"), [0.0, math.nan, 0.0], r"layers\[7\]\.bias \(num_classes\) must be finite"),
+            (("layers", 1, "memory_norm", "stats"), {"mean": [0.0] * 6, "var": [1.0] * 5},
+             r"layers\[1\]\.memory_norm\.stats\.var has shape \(5,\), want \(6,\)"),
+        ]
+        for path, value, message in cases:
+            payload = json.loads(json.dumps(self._payload()))
+            target = payload
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            with pytest.raises(ValueError, match=message):
+                load_model_dict(payload)
