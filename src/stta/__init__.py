@@ -47,3 +47,21 @@ from .normalization import (
 from .numerics import ShapeError, backward
 
 __version__ = "0.1.0"
+
+__all__ = [
+    # datagen
+    "Corruption", "DomainSpec", "StreamBatch", "StreamSpec", "continual_stream", "corruption_presets",
+    "default_domain", "make_stream", "sample_source", "single_domain_stream",
+    # engine
+    "AdaptationSchedule", "BatchRecord", "Engine", "EngineConfig", "RunMetrics",
+    # memory
+    "InsertOutcome", "SampleMemory", "wasserstein",
+    # model
+    "ForwardResult", "Model", "PretrainResult", "adapt_step", "cross_entropy_loss", "default_model",
+    "entropy_loss", "evaluate_accuracy", "forward", "load_model", "pretrain", "save_model",
+    # normalization
+    "ChannelStats", "EmaNormState", "MemoryNormState", "StateError", "corrected_stats", "normalize",
+    "sampling_variances", "soft_shrinkage",
+    # numerics
+    "ShapeError", "backward",
+]

@@ -1,8 +1,9 @@
 """Experiment runner and results comparator.
 
 `stta run` executes a grid of (mode, adaptation-rate, seed) cells over a
-configured synthetic stream, one engine per cell, on a bounded worker
-pool. Results land as one JSON-Lines record per cell-seed plus a CSV
+configured synthetic stream, one engine per cell, one cell at a time on
+the calling thread, so the recorded batch latencies are not shared with
+other cells. Results land as one JSON-Lines record per cell-seed plus a CSV
 summary; every field except the `timing` subtree is deterministic for a
 fixed config, so repeated runs are byte-identical once timing fields are
 stripped. `stta compare` joins two result files and reports accuracy
@@ -15,14 +16,12 @@ Exit codes: 0 ok, 1 usage/config error, 2 threshold check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
-import numbers
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +37,7 @@ from .datagen import (
     sample_source,
 )
 from .engine import Engine, EngineConfig, RunMetrics, _as_rate
-from .model import Model, default_model, load_model, pretrain, save_model
+from .model import Model, checked_int, default_model, load_model, pretrain, save_model
 
 RESULT_SCHEMA = 1
 OUT_DIR_ENV = "STTA_OUT_DIR"
@@ -156,24 +155,17 @@ def _domain_from_config(domain_cfg: dict, corruption) -> DomainSpec:
 
 def stream_spec_from_config(cfg: dict, seed: int) -> StreamSpec:
     stream_cfg = cfg["stream"]
-    batch_size = _count(stream_cfg["batch_size"], "stream.batch_size")
+    batch_size = checked_int(stream_cfg["batch_size"], "stream.batch_size", 1)
     segments = []
     for i, entry in enumerate(stream_cfg["segments"]):
         if "batches" not in entry:
             raise ConfigError("every stream segment needs a 'batches' count")
         segments.append((_domain_from_config(entry.get("domain", {}),
                                              entry.get("corruption", "none")),
-                         _count(entry["batches"], f"stream.segments[{i}].batches")))
+                         checked_int(entry["batches"], f"stream.segments[{i}].batches", 1)))
     if not isinstance(stream_cfg["correlated"], bool):
         raise ConfigError(f"stream.correlated must be true or false, got {stream_cfg['correlated']!r}")
     return StreamSpec(tuple(segments), batch_size, seed, stream_cfg["correlated"])
-
-
-def _count(value, where: str) -> int:
-    """An integer setting >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{where} must be an integer >= 1, got {value!r}")
-    return value
 
 
 def _real(value, where: str) -> float:
@@ -324,18 +316,27 @@ SUMMARY_FIELDS = ["cell", "mode", "ar", "seeds", "mean_accuracy", "std_accuracy"
 
 
 def write_results(out_dir: str, records: list[dict]) -> tuple[str, str]:
+    """Write results.jsonl and summary.csv atomically: each goes to a temp file
+    first, and both replace the previous pair only once both are written."""
     os.makedirs(out_dir, exist_ok=True)
     records = sorted(records, key=lambda r: (r["cell"], r["seed"]))
     jsonl_path = os.path.join(out_dir, "results.jsonl")
-    with open(jsonl_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
     csv_path = os.path.join(out_dir, "summary.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
-        writer.writeheader()
-        for row in summarize(records):
-            writer.writerow(row)
+    try:
+        with open(jsonl_path + ".tmp", "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        with open(csv_path + ".tmp", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
+            writer.writeheader()
+            writer.writerows(summarize(records))
+        os.replace(jsonl_path + ".tmp", jsonl_path)
+        os.replace(csv_path + ".tmp", csv_path)
+    except BaseException:
+        for path in (jsonl_path, csv_path):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
+        raise
     return jsonl_path, csv_path
 
 
@@ -349,7 +350,7 @@ def validate_thresholds(thresholds) -> None:
             raise ConfigError(f"threshold key {key!r}: unknown mode {mode!r}")
         try:
             _as_rate(ar)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise ConfigError(f"threshold key {key!r}: {ar!r} is not an adaptation rate in [0, 1]") from None
         if not math.isfinite(_real(minimum, f"threshold {key!r}: minimum")):
             raise ConfigError(f"threshold {key!r}: minimum {minimum!r} is not a finite number")
@@ -358,7 +359,7 @@ def validate_thresholds(thresholds) -> None:
 def validate_pretrain(pre: dict) -> None:
     """Sample, epoch, batch and block counts are integers >= 1; the step size is finite and > 0."""
     for key in ("samples", "epochs", "batch_size", "blocks"):
-        _count(pre[key], f"pretrain.{key}")
+        checked_int(pre[key], f"pretrain.{key}", 1)
     if not 0.0 < _real(pre["lr"], "pretrain.lr") < math.inf:
         raise ConfigError(f"pretrain.lr must be a finite number > 0, got {pre['lr']!r}")
 
@@ -420,24 +421,14 @@ def run_command(args) -> int:
         for seed, model in base_models.items():
             save_model(model, os.path.join(out_dir, f"model-seed{seed}.json"))
 
-    tasks = [(mode, ar, seed) for mode, ar in cells for seed in seeds]
     records: list[dict] = []
     errors: list[str] = []
-    lock = threading.Lock()
-
-    def work(task):
-        mode, ar, seed = task
-        try:
-            rec = run_cell(cfg, mode, ar, seed, base_models[seed])
-            with lock:
-                records.append(rec)
-        except Exception as exc:  # flush what we have, report failure
-            with lock:
+    for mode, ar in cells:
+        for seed in seeds:
+            try:
+                records.append(run_cell(cfg, mode, ar, seed, base_models[seed]))
+            except Exception as exc:  # flush what we have, report failure
                 errors.append(f"{cell_key(mode, ar)} seed {seed}: {exc}")
-
-    workers = args.workers or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, tasks))
 
     jsonl_path, csv_path = write_results(out_dir, records)
     print(f"wrote {len(records)} records to {jsonl_path}")
@@ -568,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seeds", help="comma-separated seeds (overrides config)")
     run_p.add_argument("--mode", choices=MODES, help="restrict the grid to one mode")
     run_p.add_argument("--out", help=f"output directory (default: config, then ${OUT_DIR_ENV}, then ./results)")
-    run_p.add_argument("--workers", type=int, help="worker pool size (default: cpu count)")
+    run_p.add_argument("--workers", type=int, help="accepted (>= 1) and ignored: cells run one at a time")
     run_p.add_argument("--checkpoint", help="load the source model from a checkpoint file "
                        "(default: pretrain one per seed)")
     run_p.add_argument("--save-model", action="store_true",

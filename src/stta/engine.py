@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,21 +29,28 @@ from .model import (
     Model,
     adapt_step,
     checked_array,
+    checked_int,
+    checked_number,
     forward,
+    is_real,
     load_model_dict,
     model_dict,
     per_sample_entropy,
+    required,
 )
 
 
 def _as_rate(value) -> Fraction:
-    """Exact rational adaptation rate from float/str/Fraction input."""
-    if isinstance(value, Fraction):
-        rate = value
-    elif isinstance(value, str):
-        rate = Fraction(value)
-    else:
-        rate = Fraction(str(float(value)))
+    """Exact rational adaptation rate from float/str/Fraction input; ValueError for anything else."""
+    try:
+        if isinstance(value, Fraction):
+            rate = value
+        elif isinstance(value, str):
+            rate = Fraction(value)
+        else:
+            rate = Fraction(str(float(value)))
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"adaptation rate {value!r} is not a number") from None
     if not (0 <= rate <= 1):
         raise ValueError(f"adaptation rate {value!r} outside [0, 1]")
     return rate
@@ -99,10 +105,9 @@ class EngineConfig:
             raise ValueError(f"unknown inference stats mode {self.inference_stats_mode!r}")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {self.selection_mode!r} (have {', '.join(SELECTION_MODES)})")
-        if self.capacity is not None and not (
-                isinstance(self.capacity, numbers.Integral) and not isinstance(self.capacity, bool)
-                and self.capacity >= 1):
-            raise ValueError(f"capacity must be an integer >= 1 or None, got {self.capacity!r}")
+        if self.capacity is not None:
+            checked_int(self.capacity, "capacity", 1)
+        checked_int(self.seed, "seed")
         for name, ok, rule in (
             ("lr", lambda v: math.isfinite(v) and v >= 0.0, ">= 0 and finite"),
             ("tau_conf", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
@@ -111,9 +116,7 @@ class EngineConfig:
             ("beta_centroid", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
             ("ema_momentum", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
         ):
-            value = getattr(self, name)
-            if not (_is_real(value) and ok(value)):
-                raise ValueError(f"{name} must be a number {rule}, got {value!r}")
+            checked_number(getattr(self, name), name, ok, rule)
 
 
 @dataclass
@@ -431,55 +434,85 @@ class Engine:
     @classmethod
     def from_state_dict(cls, payload: dict) -> "Engine":
         """The engine a checkpoint holds; ValueError naming the field it rejects (see README)."""
+        if not isinstance(payload, dict):
+            raise ValueError("engine checkpoint must be a JSON object")
         if payload.get("format") != cls.ENGINE_FORMAT:
             raise ValueError("not an engine checkpoint")
         if payload.get("version") != cls.ENGINE_VERSION:
             raise ValueError(f"unsupported engine checkpoint version {payload.get('version')!r}")
-        config = _config_from_dict(payload["config"])
-        engine = cls(load_model_dict(payload["model"]), config)
-        sched = payload["schedule"]
-        engine.schedule._credit = Fraction(*sched["credit"])
-        engine.schedule.adapt_count = sched["adapt_count"]
-        engine.schedule.batch_count = sched["batch_count"]
-        engine._arrival = payload["arrival"]
-        engine._batch_index = payload["batch_index"]
-        engine._rng = _rng_from_dict(payload["rng"])
-        mem = payload["memory"]
+        top = "engine checkpoint"
+        config = _config_from_dict(required(payload, "config", top, ": "))
+        engine = cls(load_model_dict(required(payload, "model", top, ": ")), config)
+        sched, at = required(payload, "schedule", top, ": "), f"{top}: schedule"
+        credit = required(sched, "credit", at)
+        if not (isinstance(credit, list) and len(credit) == 2):
+            raise ValueError(f"{at}.credit must be a [numerator, denominator] pair, got {credit!r}")
+        credit = Fraction(checked_int(credit[0], f"{at}.credit[0]"),
+                          checked_int(credit[1], f"{at}.credit[1]", 1))
+        if credit >= 1:
+            raise ValueError(f"{at}.credit must be < 1, got {credit}")
+        engine.schedule._credit = credit
+        for key in ("adapt_count", "batch_count"):
+            setattr(engine.schedule, key, checked_int(required(sched, key, at), f"{at}.{key}"))
+        engine._arrival = checked_int(required(payload, "arrival", top, ": "), f"{top}: arrival")
+        engine._batch_index = checked_int(required(payload, "batch_index", top, ": "), f"{top}: batch_index")
+        engine._rng = _rng_from_dict(required(payload, "rng", top, ": "))
+        mem = required(payload, "memory", top, ": ")
         if mem is not None:
-            memory = engine._ensure_memory(mem["capacity"])
-            memory._rng = engine._rng
-            cen, channels = mem["centroid"], (memory.mu.shape[1],)
-            memory.centroid_mu = checked_array(cen["mu"], "checkpoint memory: centroid.mu", channels)
-            memory.centroid_sigma = checked_array(cen["sigma"], "checkpoint memory: centroid.sigma",
-                                                      channels, nonnegative=True)
-            memory.centroid_initialized = cen["initialized"]
-            for s in mem["samples"]:
-                where = f"checkpoint memory: sample {s['arrival_index']}"
-                conf, wdist, entropy = s["confidence"], s["wdist"], s["entropy"]
-                if not (_is_real(conf) and 0.0 <= conf <= 1.0):
-                    raise ValueError(f"{where}: confidence must be in [0, 1], got {conf!r}")
-                if wdist != "inf" and not (_is_real(wdist) and wdist >= 0.0):
-                    raise ValueError(f"{where}: wdist must be a number >= 0 or \"inf\", got {wdist!r}")
-                if entropy is not None and not (_is_real(entropy) and math.isfinite(entropy)):
-                    raise ValueError(f"{where}: entropy must be a finite number or null, got {entropy!r}")
-                outcome = memory.insert(
-                    checked_array(s["input"], f"{where}: input"), s["pseudo_label"], conf,
-                    checked_array(s["mu"], f"{where}: mu"),
-                    checked_array(s["sigma"], f"{where}: sigma", nonnegative=True),
-                    math.inf if wdist == "inf" else wdist, s["arrival_index"], entropy)
-                if outcome.kind != "inserted":
-                    raise ValueError(f"checkpoint memory: sample {s['arrival_index']} does not fit "
-                                     f"a {memory.selection_mode} memory of capacity {memory.capacity}")
+            engine._load_memory(mem)
         return engine
+
+    def _load_memory(self, mem: dict) -> None:
+        at, channels = "checkpoint memory", self.model.in_channels
+        capacity = checked_int(required(mem, "capacity", at, ": "), f"{at}: capacity", 1)
+        if self.config.capacity not in (None, capacity):
+            raise ValueError(f"{at}: capacity {capacity} disagrees with config.capacity "
+                             f"{self.config.capacity}")
+        memory = self._ensure_memory(capacity)
+        memory._rng = self._rng
+        cen, cen_at = required(mem, "centroid", at, ": "), f"{at}: centroid"
+        memory.centroid_mu = checked_array(required(cen, "mu", cen_at), f"{cen_at}.mu", (channels,))
+        memory.centroid_sigma = checked_array(required(cen, "sigma", cen_at), f"{cen_at}.sigma", (channels,),
+                                              nonnegative=True)
+        memory.centroid_initialized = required(cen, "initialized", cen_at)
+        if not isinstance(memory.centroid_initialized, bool):
+            raise ValueError(f"{cen_at}.initialized must be true or false, "
+                             f"got {memory.centroid_initialized!r}")
+        samples = required(mem, "samples", at, ": ")
+        if not isinstance(samples, list):
+            raise ValueError(f"{at}: samples must be a list, got {samples!r}")
+        for i, s in enumerate(samples):
+            arrival = checked_int(required(s, "arrival_index", f"{at}: samples[{i}]"),
+                                  f"{at}: samples[{i}].arrival_index", below=self._arrival)
+            where = f"{at}: sample {arrival}"
+            conf, wdist, entropy, x, mu, sigma, label = (required(s, key, where, ": ") for key in (
+                "confidence", "wdist", "entropy", "input", "mu", "sigma", "pseudo_label"))
+            x = checked_array(x, f"{where}: input")
+            if x.ndim != 2 or x.shape[0] != channels or x.shape[1] < 1:
+                raise ValueError(f"{where}: input has shape {x.shape}, "
+                                 f"want in_channels x L = ({channels}, L >= 1)")
+            if memory.inputs is not None and x.shape != memory.inputs.shape[1:]:
+                raise ValueError(f"{where}: input has shape {x.shape}, the samples before it "
+                                 f"{memory.inputs.shape[1:]}")
+            mu = checked_array(mu, f"{where}: mu", (channels,))
+            sigma = checked_array(sigma, f"{where}: sigma", (channels,), nonnegative=True)
+            label = checked_int(label, f"{where}: pseudo_label", below=self.model.num_classes)
+            if not (is_real(conf) and 0.0 <= conf <= 1.0):
+                raise ValueError(f"{where}: confidence must be in [0, 1], got {conf!r}")
+            if wdist != "inf" and not (is_real(wdist) and wdist >= 0.0):
+                raise ValueError(f"{where}: wdist must be a number >= 0 or \"inf\", got {wdist!r}")
+            if entropy is not None and not (is_real(entropy) and math.isfinite(entropy)):
+                raise ValueError(f"{where}: entropy must be a finite number or null, got {entropy!r}")
+            outcome = memory.insert(x, label, conf, mu, sigma, math.inf if wdist == "inf" else wdist,
+                                    arrival, entropy)
+            if outcome.kind != "inserted":
+                raise ValueError(f"{where} does not fit a {memory.selection_mode} memory "
+                                 f"of capacity {memory.capacity}")
 
     @classmethod
     def load(cls, path) -> "Engine":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_state_dict(json.load(fh))
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _config_dict(config: EngineConfig) -> dict:
@@ -499,13 +532,21 @@ def _config_dict(config: EngineConfig) -> dict:
     }
 
 
-def _config_from_dict(d: dict) -> EngineConfig:
+def _config_from_dict(d) -> EngineConfig:
+    if not isinstance(d, dict):
+        raise ValueError(f"engine checkpoint: config must be a JSON object, got {d!r}")
     d = dict(d)
     # Checkpoints written before the per-batch memory-statistics refresh was
     # removed carry its switch; only the frozen statistics it defaulted to load.
     if d.pop("refresh_memory_stats", False) is not False:
         raise ValueError("engine checkpoint sets refresh_memory_stats, which is no longer supported")
-    return EngineConfig(**d)
+    for key in d:
+        if key not in EngineConfig.__dataclass_fields__:
+            raise ValueError(f"engine checkpoint: config.{key} is not an engine setting")
+    try:
+        return EngineConfig(**d)
+    except ValueError as exc:
+        raise ValueError(f"engine checkpoint: config: {exc}") from None
 
 
 def _rng_state_dict(rng: np.random.Generator) -> dict:
@@ -513,12 +554,13 @@ def _rng_state_dict(rng: np.random.Generator) -> dict:
     return json.loads(json.dumps(state, default=int))
 
 
-def _rng_from_dict(payload: dict) -> np.random.Generator:
+def _rng_from_dict(payload) -> np.random.Generator:
     gen = np.random.default_rng(0)
-    state = dict(payload)
-    inner = dict(state["state"])
-    inner["state"] = int(inner["state"])
-    inner["inc"] = int(inner["inc"])
-    state["state"] = inner
-    gen.bit_generator.state = state
+    try:
+        for key in ("state", "inc"):
+            checked_int(payload["state"][key], key)
+        gen.bit_generator.state = payload
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"engine checkpoint: rng is not a PCG64 state "
+                         f"({type(exc).__name__}: {exc})") from None
     return gen

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -364,6 +365,37 @@ def model_dict(model: Model) -> dict:
     }
 
 
+def is_real(value) -> bool:
+    """A real number that is not a boolean (JSON and YAML booleans are ints to Python)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def checked_number(value, where: str, ok, rule: str):
+    """`value` if it is a real number for which `ok` holds; ValueError naming `where` and `rule`."""
+    if not (is_real(value) and ok(value)):
+        raise ValueError(f"{where} must be a number {rule}, got {value!r}")
+    return value
+
+
+def checked_int(value, where: str, minimum: int = 0, below: int | None = None) -> int:
+    """`value` if it is an integer >= `minimum` (and < `below`, if given); ValueError naming `where`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum
+            or (below is not None and value >= below)):
+        bounds = f">= {minimum}" + ("" if below is None else f" and < {below}")
+        raise ValueError(f"{where} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+def required(entry, key: str, where: str, sep: str = "."):
+    """`entry[key]`; ValueError naming `where` if `entry` is not a JSON object,
+    or `where{sep}{key}` if it has no `key`."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in entry:
+        raise ValueError(f"{where}{sep}{key} is missing")
+    return entry[key]
+
+
 def checked_array(value, where: str, shape: tuple | None = None, nonnegative: bool = False) -> np.ndarray:
     """A checkpoint field as an array of finite numbers (>= 0 if asked); ValueError naming `where`."""
     try:
@@ -382,45 +414,66 @@ def checked_array(value, where: str, shape: tuple | None = None, nonnegative: bo
 def _stats_from(d, channels: int, where: str) -> ChannelStats | None:
     if d is None:
         return None
-    return ChannelStats(checked_array(d["mean"], f"{where}.mean", (channels,)),
-                        checked_array(d["var"], f"{where}.var", (channels,), nonnegative=True))
+    return ChannelStats(
+        checked_array(required(d, "mean", where), f"{where}.mean", (channels,)),
+        checked_array(required(d, "var", where), f"{where}.var", (channels,), nonnegative=True))
 
 
 def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
-    mn = entry["memory_norm"]
-    layer = NormLayer(channels, entry["epsilon"], mn["alpha"], entry["ema"]["momentum"])
+    where_mn, where_ema = f"{where}.memory_norm", f"{where}.ema"
+    mn, ema = required(entry, "memory_norm", where), required(entry, "ema", where)
+    layer = NormLayer(
+        channels,
+        checked_number(required(entry, "epsilon", where), f"{where}.epsilon", lambda v: 0.0 < v < math.inf,
+                       "> 0 and finite"),
+        checked_number(required(mn, "alpha", where_mn), f"{where_mn}.alpha", lambda v: v >= 0.0, ">= 0"),
+        checked_number(required(ema, "momentum", where_ema), f"{where_ema}.momentum",
+                       lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
     for name in ("gamma", "beta", "running_mean", "running_var"):
-        setattr(layer, name, checked_array(entry[name], f"{where}.{name}", (channels,),
+        setattr(layer, name, checked_array(required(entry, name, where), f"{where}.{name}", (channels,),
                                            nonnegative=name == "running_var"))
-    stats = _stats_from(mn["stats"], channels, f"{where}.memory_norm.stats")
+    stats = _stats_from(required(mn, "stats", where_mn), channels, f"{where_mn}.stats")
     if stats is not None:
-        layer.memory_norm.populate(stats, mn["spatial_extent"], mn["sample_count"])
-    layer.ema.stats = _stats_from(entry["ema"]["stats"], channels, f"{where}.ema.stats")
+        extent, count = (checked_int(required(mn, key, where_mn), f"{where_mn}.{key}", 1)
+                         for key in ("spatial_extent", "sample_count"))
+        if extent * count < 2:
+            raise ValueError(f"{where_mn}: spatial_extent x sample_count must be >= 2 "
+                             f"(the statistics' sample size), got {extent} x {count}")
+        layer.memory_norm.populate(stats, extent, count)
+    layer.ema.stats = _stats_from(required(ema, "stats", where_ema), channels, f"{where_ema}.stats")
     return layer
 
 
 def load_model_dict(payload: dict) -> Model:
     """The model a checkpoint holds; ValueError naming the entry or field it rejects."""
+    if not isinstance(payload, dict):
+        raise ValueError("model checkpoint must be a JSON object")
     if payload.get("format") != MODEL_FORMAT:
         raise ValueError("not a model checkpoint")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model checkpoint version {payload.get('version')!r}")
-    entries = payload["layers"]
+    entries = required(payload, "layers", "model checkpoint", ": ")
+    if not isinstance(entries, list):
+        raise ValueError(f"model checkpoint: layers must be a list of layer entries, got {entries!r}")
     kinds = [entry.get("kind") if isinstance(entry, dict) else None for entry in entries]
     blocks = max(1, (len(kinds) - len(TAIL_KINDS)) // len(BLOCK_KINDS))
     for i, (kind, want) in enumerate(zip_longest(kinds, BLOCK_KINDS * blocks + TAIL_KINDS)):
         if kind != want:
             raise ValueError(f"model checkpoint: layers[{i}] has kind {kind!r}, want {want!r}; a model is "
                              f"n >= 1 blocks of {', '.join(BLOCK_KINDS)}, then {', '.join(TAIL_KINDS)}")
-    channels, classes = payload["in_channels"], payload["num_classes"]
+    channels, classes = (checked_int(required(payload, key, "model checkpoint", ": "),
+                                     f"model checkpoint: {key}", 1) for key in ("in_channels", "num_classes"))
     where = [f"model checkpoint: layers[{i}]" for i in range(len(entries))]
-    mix_weights = [checked_array(entries[i]["weight"], f"{where[i]}.weight (in_channels x in_channels)",
-                                 (channels, channels)) for i in range(0, 3 * blocks, 3)]
+    mix_weights = [checked_array(required(entries[i], "weight", where[i]),
+                                 f"{where[i]}.weight (in_channels x in_channels)", (channels, channels))
+                   for i in range(0, 3 * blocks, 3)]
     norm_layers = [_norm_layer_from(entries[i], channels, where[i]) for i in range(1, 3 * blocks, 3)]
     head = entries[-1]
     return Model(mix_weights, norm_layers,
-                 checked_array(head["weight"], f"{where[-1]}.weight (in_channels x num_classes)", (channels, classes)),
-                 checked_array(head["bias"], f"{where[-1]}.bias (num_classes)", (classes,)))
+                 checked_array(required(head, "weight", where[-1]),
+                               f"{where[-1]}.weight (in_channels x num_classes)", (channels, classes)),
+                 checked_array(required(head, "bias", where[-1]), f"{where[-1]}.bias (num_classes)",
+                               (classes,)))
 
 
 def save_model(model: Model, path) -> None:

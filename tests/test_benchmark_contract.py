@@ -1,10 +1,12 @@
 """The benchmark's own checks pass on short streams.
 
 `perfbench/workloads.py` drives the program through `cli.prepare_model`,
-`datagen.make_stream`, `Engine.process_batch` and `model.forward`, and
-reads `StreamBatch.x`, the logits and the engine's records. This runs its
-set-up and one checked pass per stream style, unmodified, so a change that
-breaks what the benchmark reads fails here rather than in a benchmark run.
+`datagen.make_stream`, `Engine.process_batch`, `model.forward` and
+`cli.main`, and reads `StreamBatch.x`, the logits, the engine's records and
+the grid's `results.jsonl`. This runs its set-up, one checked pass per
+stream style and two short reference-grid runs, unmodified, so a change
+that breaks what the benchmark reads fails here rather than in a benchmark
+run.
 """
 
 import importlib.util
@@ -48,3 +50,25 @@ def test_checked_passes(workloads, mode, ar):
                                "logits.finite"}
     assert out.correct, out.checks
     assert (out.attempted, out.failed) == (2 * len(batches), 0)
+
+
+def test_checked_grid_runs(workloads, monkeypatch, tmp_path):
+    # The grid workload runs `stta run` with its own argv (it passes `--workers`), twice.
+    grid_config = workloads.grid_config
+
+    def short(seed):
+        cfg = grid_config(seed)
+        cfg["pretrain"]["epochs"] = 10
+        cfg["stream"]["segments"][0]["batches"] = 20
+        return cfg
+
+    monkeypatch.setattr(workloads, "grid_config", short)
+    runs = [workloads.grid_once(0, str(tmp_path)) for _ in range(2)]
+    out = workloads.Outcome()
+    digests = [workloads.check_grid(run, out) for run in runs]
+    workloads.check_grid_digests(digests, out, "grid.results_identical")
+    assert [run.code for run in runs] == [0, 0]
+    assert [len(run.records) for run in runs] == [workloads.GRID_CELLS] * 2 == [14, 14]
+    assert digests[0] == digests[1]
+    assert out.correct, out.checks
+    assert (out.attempted, out.failed) == (2 * workloads.GRID_CELLS, 0)

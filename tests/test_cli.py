@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import yaml
 
 from stta import cli
 from stta.cli import main
+from stta.model import default_model, model_dict
 
 from tent_oracle import run_tent
 
@@ -87,6 +89,38 @@ class TestRun:
         a = [json.dumps(r, sort_keys=True) for r in strip_timing(read_records(out_a))]
         b = [json.dumps(r, sort_keys=True) for r in strip_timing(read_records(out_b))]
         assert a == b
+
+    def test_cells_run_in_order_on_the_main_thread(self, tmp_path, monkeypatch):
+        # Recorded batch latencies are only the cell's own if no other cell runs beside it.
+        calls = []
+        run_cell = cli.run_cell
+
+        def recording(cfg, mode, ar, seed, base_model):
+            calls.append((threading.current_thread(), mode, str(ar), seed))
+            return run_cell(cfg, mode, ar, seed, base_model)
+
+        monkeypatch.setattr(cli, "run_cell", recording)
+        cfg_path = write_config(tmp_path, tiny_config(grid={
+            "modes": ["snap", "naive"], "ar": ["0.5", "1"], "seeds": [0, 1]}))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--workers", "2"]) == 0
+        assert all(thread is threading.main_thread() for thread, *_ in calls)
+        assert [call[1:] for call in calls] == [(mode, ar, seed) for mode in ("snap", "naive")
+                                                for ar in ("1/2", "1") for seed in (0, 1)]
+
+    def test_failed_write_keeps_the_previous_results(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, tiny_config())
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in ("results.jsonl", "summary.csv")}
+
+        def failing(records):
+            raise RuntimeError("summary failed")
+
+        monkeypatch.setattr(cli, "summarize", failing)
+        with pytest.raises(RuntimeError, match="summary failed"):
+            main(["run", "--config", cfg_path, "--out", str(out)])
+        assert sorted(os.listdir(out)) == sorted(before)  # no temp file left behind
+        assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_flag_overrides_beat_config(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
@@ -322,6 +356,17 @@ class TestRun:
                      "--checkpoint", str(bad_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model checkpoint: layers[2] has kind 'channel_mix', want 'relu'")
+        assert not (tmp_path / "o").exists()
+
+    def test_checkpoint_missing_a_field_exits_one(self, tmp_path, capsys):
+        payload = model_dict(default_model(channels=8, blocks=2, seed=0))
+        del payload["layers"][1]["gamma"]
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(payload))
+        cfg_path = write_config(tmp_path, tiny_config())
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(bad_path)]) == 1
+        assert capsys.readouterr().err == "error: model checkpoint: layers[1].gamma is missing\n"
         assert not (tmp_path / "o").exists()
 
     def test_diverging_pretraining_exits_one(self, tmp_path, capsys):

@@ -372,6 +372,77 @@ class TestResume:
         with pytest.raises(ValueError, match=named.format(sample["arrival_index"]).replace("[", r"\[")):
             Engine.from_state_dict(payload)
 
+    @staticmethod
+    def _set_input(payload, index, shape):
+        payload["memory"]["samples"][index]["input"] = np.zeros(shape).tolist()
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda p: p["memory"]["samples"][1].pop("mu"), r"checkpoint memory: sample \d+: mu is missing"),
+        (lambda p: p["memory"]["samples"][0].pop("arrival_index"),
+         r"checkpoint memory: samples\[0\]\.arrival_index is missing"),
+        (lambda p: p["config"].update(bogus=1), r"engine checkpoint: config\.bogus is not an engine setting"),
+        (lambda p: p["config"].update(seed="x"), r"engine checkpoint: config: seed must be an integer >= 0"),
+        (lambda p: p["config"].update(ar="1/0"), r"engine checkpoint: config: adaptation rate '1/0'"),
+        (lambda p: p["schedule"].update(credit=[1, 0]),
+         r"engine checkpoint: schedule\.credit\[1\] must be an integer >= 1, got 0"),
+        (lambda p: p["schedule"].update(credit=[3, 2]), r"engine checkpoint: schedule\.credit must be < 1"),
+        (lambda p: p["schedule"].update(credit=1), r"engine checkpoint: schedule\.credit must be a"),
+        (lambda p: p["schedule"].update(adapt_count=-1),
+         r"engine checkpoint: schedule\.adapt_count must be an integer >= 0"),
+        (lambda p: p.update(rng={}), r"engine checkpoint: rng is not a PCG64 state"),
+        (lambda p: p["rng"].update(bit_generator="MT19937"), r"engine checkpoint: rng is not a PCG64 state"),
+        (lambda p: p.update(batch_index="x"), r"engine checkpoint: batch_index must be an integer >= 0, got 'x'"),
+        (lambda p: p.update(arrival=1.5), r"engine checkpoint: arrival must be an integer >= 0"),
+        (lambda p: p.pop("memory"), r"engine checkpoint: memory is missing"),
+        (lambda p: p["memory"].update(capacity=0), r"checkpoint memory: capacity must be an integer >= 1, got 0"),
+        (lambda p: p["memory"].update(capacity=9),
+         r"checkpoint memory: capacity 9 disagrees with config\.capacity 8"),
+        (lambda p: p["memory"]["centroid"].update(initialized=1),
+         r"checkpoint memory: centroid\.initialized must be true or false"),
+        (lambda p: p["memory"]["centroid"].update(mu=[0.0] * 15),
+         r"checkpoint memory: centroid\.mu has shape \(15,\), want \(16,\)"),
+        (lambda p: p["memory"].update(samples={}), r"checkpoint memory: samples must be a list"),
+        # the first sample is checked against the model, not used to size the memory
+        (lambda p: TestResume._set_input(p, 0, (15, 8)),
+         r"checkpoint memory: sample \d+: input has shape \(15, 8\), want in_channels x L = \(16, L >= 1\)"),
+        (lambda p: TestResume._set_input(p, 0, (16 * 8,)),
+         r"checkpoint memory: sample \d+: input has shape \(128,\), want in_channels x L"),
+        (lambda p: TestResume._set_input(p, 0, (16, 0)),
+         r"checkpoint memory: sample \d+: input has shape \(16, 0\), want in_channels x L"),
+        (lambda p: TestResume._set_input(p, 1, (16, 7)),
+         r"checkpoint memory: sample \d+: input has shape \(16, 7\), the samples before it \(16, 8\)"),
+        (lambda p: p["memory"]["samples"][1].update(mu=[0.0] * 15),
+         r"checkpoint memory: sample \d+: mu has shape \(15,\), want \(16,\)"),
+        (lambda p: p["memory"]["samples"][1].update(sigma=[1.0] * 17),
+         r"checkpoint memory: sample \d+: sigma has shape \(17,\), want \(16,\)"),
+        (lambda p: p["memory"]["samples"][1].update(pseudo_label=3),
+         r"checkpoint memory: sample \d+: pseudo_label must be an integer >= 0 and < 3, got 3"),
+        (lambda p: p["memory"]["samples"][1].update(arrival_index=10 ** 6),
+         r"checkpoint memory: samples\[1\]\.arrival_index must be an integer >= 0 and < 16"),
+    ], ids=[
+        "sample-mu-missing", "arrival-index-missing", "config-unknown-key", "config-seed-string",
+        "config-ar-zero-denominator", "credit-zero-denominator", "credit-above-one",
+        "credit-not-a-pair", "adapt-count-negative", "rng-empty", "rng-other-generator",
+        "batch-index-string", "arrival-float", "memory-missing", "capacity-zero",
+        "capacity-disagrees", "centroid-initialized-int", "centroid-mu-length",
+        "samples-not-a-list", "first-input-channels", "first-input-flat",
+        "first-input-empty-length", "second-input-length", "sample-mu-length",
+        "sample-sigma-length", "pseudo-label-out-of-range", "arrival-index-too-late",
+    ])
+    def test_checkpoint_rejects_malformed_fields(self, base_model, edit, named):
+        spec = single_domain_stream(corruption="noise", batches=2, batch_size=8, seed=28)
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", capacity=8, seed=29))
+        engine.run_stream(make_stream(spec))
+        payload = json.loads(json.dumps(engine.state_dict()))
+        assert len(payload["memory"]["samples"]) >= 2
+        edit(payload)
+        with pytest.raises(ValueError, match="^" + named):
+            Engine.from_state_dict(payload)
+
+    def test_checkpoint_rejects_a_payload_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="^engine checkpoint must be a JSON object$"):
+            Engine.from_state_dict([])
+
     def test_checkpoint_rejects_bad_format(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "nope"}')

@@ -423,3 +423,55 @@ class TestCheckpoint:
             target[path[-1]] = value
             with pytest.raises(ValueError, match=message):
                 load_model_dict(payload)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p["layers"][1].pop("gamma"), r"^model checkpoint: layers\[1\]\.gamma is missing$"),
+        (lambda p: p["layers"][7].pop("bias"), r"^model checkpoint: layers\[7\]\.bias is missing$"),
+        (lambda p: p["layers"][4]["memory_norm"].pop("alpha"),
+         r"^model checkpoint: layers\[4\]\.memory_norm\.alpha is missing$"),
+        (lambda p: p.pop("in_channels"), r"^model checkpoint: in_channels is missing$"),
+        (lambda p: p.update(layers=None), r"^model checkpoint: layers must be a list"),
+        (lambda p: p["layers"][1].update(ema=[]), r"^model checkpoint: layers\[1\]\.ema must be a JSON object$"),
+        (lambda p: p["layers"][1].update(epsilon="1e-5"),
+         r"^model checkpoint: layers\[1\]\.epsilon must be a number > 0 and finite, got '1e-5'$"),
+        (lambda p: p["layers"][4]["memory_norm"].update(alpha=True),
+         r"^model checkpoint: layers\[4\]\.memory_norm\.alpha must be a number >= 0"),
+        (lambda p: p["layers"][1]["ema"].update(momentum="0.9"),
+         r"^model checkpoint: layers\[1\]\.ema\.momentum must be a number in \(0, 1\]"),
+        (lambda p: p.update(num_classes=3.0), r"^model checkpoint: num_classes must be an integer >= 1"),
+    ], ids=[
+        "gamma-missing", "bias-missing", "alpha-missing", "in-channels-missing", "layers-null",
+        "ema-not-an-object", "epsilon-string", "alpha-bool", "momentum-string", "num-classes-float",
+    ])
+    def test_rejects_malformed_fields(self, edit, message):
+        payload = json.loads(json.dumps(self._payload()))
+        edit(payload)
+        with pytest.raises(ValueError, match=message):
+            load_model_dict(payload)
+
+    def test_rejects_a_payload_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="^model checkpoint must be a JSON object$"):
+            load_model_dict([self._payload()])
+
+    def _with_memory_stats(self, spatial_extent, sample_count):
+        payload = json.loads(json.dumps(self._payload()))
+        memory_norm = payload["layers"][1]["memory_norm"]
+        memory_norm.update(stats={"mean": [0.0] * 6, "var": [1.0] * 6},
+                           spatial_extent=spatial_extent, sample_count=sample_count)
+        return payload
+
+    @pytest.mark.parametrize("extent,count,message", [
+        ("5", 4, r"layers\[1\]\.memory_norm\.spatial_extent must be an integer >= 1, got '5'"),
+        (2.9, 4, r"layers\[1\]\.memory_norm\.spatial_extent must be an integer >= 1, got 2\.9"),
+        (4, 0, r"layers\[1\]\.memory_norm\.sample_count must be an integer >= 1, got 0"),
+        (8, True, r"layers\[1\]\.memory_norm\.sample_count must be an integer >= 1, got True"),
+        (1, 1, r"layers\[1\]\.memory_norm: spatial_extent x sample_count must be >= 2"),
+    ])
+    def test_rejects_bad_memory_sample_size(self, extent, count, message):
+        # A sample size below 2 would load and then fail at the first served iobmn batch.
+        with pytest.raises(ValueError, match="^model checkpoint: " + message):
+            load_model_dict(self._with_memory_stats(extent, count))
+
+    def test_loads_smallest_memory_sample_size(self):
+        layer = load_model_dict(self._with_memory_stats(1, 2)).norm_layers[0]
+        assert (layer.memory_norm.spatial_extent, layer.memory_norm.sample_count) == (1, 2)
