@@ -42,11 +42,9 @@ from .model import Model, checked_int, default_model, load_model, pretrain, save
 RESULT_SCHEMA = 1
 OUT_DIR_ENV = "STTA_OUT_DIR"
 
-MODES = ("snap", "naive", "random", "low_entropy", "crm", "ema",
-         "tent-equivalent", "source-only", "bn-stats")
-
 # Engine settings implied by each mode; "ar" pins the rate for the
-# no-adaptation baselines, "capacity" of "batch" matches the batch size.
+# no-adaptation baselines. `engine_config_for` also sets tent-equivalent's
+# capacity to the batch size.
 MODE_PRESETS: dict[str, dict] = {
     "snap": {"selection_mode": "cndrm", "inference_stats_mode": "iobmn"},
     "naive": {"selection_mode": "naive", "inference_stats_mode": "batch"},
@@ -59,6 +57,10 @@ MODE_PRESETS: dict[str, dict] = {
     "source-only": {"inference_stats_mode": "frozen", "ar": "0"},
     "bn-stats": {"inference_stats_mode": "batch", "ar": "0"},
 }
+MODES = tuple(MODE_PRESETS)
+
+# The real-valued engine settings, each an `EngineConfig` field of the same name.
+ENGINE_REALS = ("tau_conf", "tau_delta", "alpha", "beta_centroid", "ema_momentum", "lr")
 
 DEFAULT_CONFIG = {
     "out_dir": None,
@@ -74,15 +76,7 @@ DEFAULT_CONFIG = {
         "batch_size": 32,
         "blocks": 3,
     },
-    "engine": {
-        "tau_conf": 0.5,
-        "tau_delta": 0.1,
-        "alpha": 4.0,
-        "beta_centroid": 0.9,
-        "ema_momentum": 0.9,
-        "lr": 0.001,
-        "capacity": None,
-    },
+    "engine": {key: getattr(EngineConfig, key) for key in (*ENGINE_REALS, "capacity")},
     "grid": {
         "modes": ["snap"],
         "ar": ["0.1"],
@@ -105,21 +99,32 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict) and isinstance(value, dict) and key not in ("thresholds", "domain"):
+        if isinstance(base[key], dict) and key != "thresholds":
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be a mapping, got {value!r}")
             out[key] = _merge(base[key], value, where)
         else:
             out[key] = value
     return out
 
 
+@contextlib.contextmanager
+def _reading(path: str):
+    """Report a file that cannot be opened, or is not UTF-8 text, as a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return json.loads(json.dumps(DEFAULT_CONFIG))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _reading(path), open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:  # yaml errors carry line/column marks
         raise ConfigError(f"{path}: {exc}")
     if raw is None:
@@ -186,29 +191,36 @@ def cell_key(mode: str, ar) -> str:
     return f"{mode}@{_as_rate(ar)}"
 
 
+def validate_grid(grid: dict) -> None:
+    """grid.modes, grid.ar and grid.seeds are lists of known modes, rates in [0, 1]
+    and distinct integers >= 0."""
+    for key in ("modes", "ar", "seeds"):
+        if not isinstance(grid[key], list):
+            raise ConfigError(f"grid.{key} must be a list, got {grid[key]!r}")
+    for i, mode in enumerate(grid["modes"]):
+        if mode not in MODES:
+            raise ConfigError(f"grid.modes[{i}]: unknown mode {mode!r} (have {', '.join(MODES)})")
+    for i, ar in enumerate(grid["ar"]):
+        try:
+            _as_rate(ar)
+        except ValueError as exc:
+            raise ConfigError(f"grid.ar[{i}]: {exc}") from None
+    for i, seed in enumerate(grid["seeds"]):
+        if checked_int(seed, f"grid.seeds[{i}]") in grid["seeds"][:i]:
+            raise ConfigError(f"grid.seeds[{i}]: seed {seed} is already in the grid")
+
+
 def build_cells(cfg: dict) -> list[tuple[str, Fraction]]:
-    modes = cfg["grid"]["modes"]
+    """The grid's distinct (mode, rate) cells, in config order."""
     rates = [_as_rate(a) for a in cfg["grid"]["ar"]]
     cells: list[tuple[str, Fraction]] = []
-    for mode in modes:
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode {mode!r} (have {', '.join(MODES)})")
+    for mode in cfg["grid"]["modes"]:
         preset = MODE_PRESETS[mode]
         if "ar" in preset:  # rate is pinned (no-adaptation baselines): one cell
             cells.append((mode, _as_rate(preset["ar"])))
         else:
             cells.extend((mode, ar) for ar in rates)
-    seen = set()
-    unique = []
-    for cell in cells:
-        if cell not in seen:
-            seen.add(cell)
-            unique.append(cell)
-    return unique
-
-
-# The real-valued engine settings, each an `EngineConfig` field of the same name.
-ENGINE_REALS = ("tau_conf", "tau_delta", "alpha", "beta_centroid", "ema_momentum", "lr")
+    return list(dict.fromkeys(cells))
 
 
 def engine_config_for(mode: str, ar: Fraction, engine_cfg: dict, seed: int,
@@ -229,7 +241,8 @@ TRAIN_SEED_OFFSET = 30_000
 
 def prepare_model(cfg: dict, seed: int, checkpoint: str | None) -> Model:
     if checkpoint is not None:
-        return load_model(checkpoint)
+        with _reading(checkpoint):
+            return load_model(checkpoint)
     pre = cfg["pretrain"]
     stream_cfg = cfg["stream"]
     first_domain = _domain_from_config(stream_cfg["segments"][0].get("domain", {}), "none")
@@ -279,10 +292,16 @@ def result_record(mode: str, ar: Fraction, seed: int, metrics: RunMetrics) -> di
     }
 
 
-def summarize(records: list[dict]) -> list[dict]:
-    cells: dict[str, list[dict]] = {}
+def _grouped(records: list[dict], key: str) -> dict[str, list[dict]]:
+    """Records by their value of `key`, each group in file order."""
+    groups: dict[str, list[dict]] = {}
     for rec in records:
-        cells.setdefault(rec["cell"], []).append(rec)
+        groups.setdefault(rec[key], []).append(rec)
+    return groups
+
+
+def summarize(records: list[dict]) -> list[dict]:
+    cells = _grouped(records, "cell")
     rows = []
     for key in sorted(cells):
         group = sorted(cells[key], key=lambda r: r["seed"])
@@ -294,7 +313,7 @@ def summarize(records: list[dict]) -> list[dict]:
             "mode": group[0]["mode"],
             "ar": group[0]["ar"],
             "seeds": len(group),
-            "mean_accuracy": float(np.mean(accs)) if accs else None,
+            "mean_accuracy": _mean_or_none(accs),
             "std_accuracy": float(np.std(accs)) if accs else None,
             "mean_adapt_count": float(np.mean([r["metrics"]["adapt_count"] for r in group])),
             "mean_pseudo_label_accuracy": _mean_or_none(
@@ -389,12 +408,16 @@ def run_command(args) -> int:
         if args.ar:
             cfg["grid"]["ar"] = [a.strip() for a in args.ar.split(",") if a.strip()]
         if args.seeds:
-            cfg["grid"]["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
+            try:
+                cfg["grid"]["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
+            except ValueError:
+                raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
         if args.mode:
             cfg["grid"]["modes"] = [args.mode]
         out_dir = args.out or cfg.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "results"
         if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        validate_grid(cfg["grid"])
         cells, seeds = build_cells(cfg), cfg["grid"]["seeds"]
         if not cells or not seeds:
             raise ConfigError("grid: grid.modes, grid.ar and grid.seeds give no cell to run")
@@ -412,7 +435,7 @@ def run_command(args) -> int:
 
     try:
         base_models = {seed: prepare_model(cfg, seed, args.checkpoint) for seed in seeds}
-    except (FileNotFoundError, ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -460,7 +483,7 @@ RECORD_FIELDS = (("cell", str, "a string"), ("mode", str, "a string"), ("ar", st
 
 def _load_records(path: str) -> list[dict]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -486,26 +509,16 @@ def _load_records(path: str) -> list[dict]:
 
 
 def _aggregate(records: list[dict], by: str) -> dict[str, dict]:
-    groups: dict[str, list[dict]] = {}
-    for rec in records:
-        key = rec["ar"] if by == "ar" else rec["cell"]
-        groups.setdefault(key, []).append(rec)
-    out = {}
-    for key, group in groups.items():
-        accs = [r["metrics"]["accuracy"] for r in group if r["metrics"]["accuracy"] is not None]
-        out[key] = {
-            "mean_accuracy": float(np.mean(accs)) if accs else None,
-            "mean_batch_seconds": float(np.mean([r["timing"]["mean_batch_seconds"] for r in group])),
-            "modes": sorted({r["mode"] for r in group}),
-        }
-    return out
+    return {key: {"mean_accuracy": _mean_or_none([r["metrics"]["accuracy"] for r in group]),
+                  "mean_batch_seconds": float(np.mean([r["timing"]["mean_batch_seconds"] for r in group]))}
+            for key, group in _grouped(records, by).items()}
 
 
 def compare_command(args) -> int:
     try:
         base = _aggregate(_load_records(args.files[0]), args.by)
         other = _aggregate(_load_records(args.files[1]), args.by)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     common = sorted(set(base) & set(other))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +135,17 @@ class BatchRecord:
     adaptation_seconds: float
 
 
+_DETERMINISTIC_FIELDS = tuple(f.name for f in fields(BatchRecord) if not f.name.endswith("_seconds"))
+
+
+def _accuracy(records) -> float | None:
+    """Share of correct predictions over the records that carry labels; None if none do."""
+    labeled = [r for r in records if r.correct is not None]
+    if not labeled:
+        return None
+    return sum(r.correct for r in labeled) / sum(r.size for r in labeled)
+
+
 class RunMetrics:
     """Per-batch records with segment/total summaries.
 
@@ -166,25 +177,14 @@ class RunMetrics:
         return sum(1 for r in self.records if r.adapt_skipped)
 
     def accuracy(self) -> float | None:
-        labeled = [r for r in self.records if r.correct is not None]
-        if not labeled:
-            return None
-        return sum(r.correct for r in labeled) / sum(r.size for r in labeled)
+        return _accuracy(self.records)
 
     def segment_accuracies(self) -> list[tuple[int, float | None]]:
-        out: list[tuple[int, float | None]] = []
-        seen: dict[int, list[BatchRecord]] = {}
-        order: list[int] = []
+        """(segment, accuracy) pairs in the order the segments first appear."""
+        segments: dict[int, list[BatchRecord]] = {}
         for r in self.records:
-            if r.segment not in seen:
-                seen[r.segment] = []
-                order.append(r.segment)
-            seen[r.segment].append(r)
-        for seg in order:
-            rows = [r for r in seen[seg] if r.correct is not None]
-            acc = sum(r.correct for r in rows) / sum(r.size for r in rows) if rows else None
-            out.append((seg, acc))
-        return out
+            segments.setdefault(r.segment, []).append(r)
+        return [(seg, _accuracy(rows)) for seg, rows in segments.items()]
 
     def pseudo_label_accuracy(self) -> float | None:
         rows = [r for r in self.records if r.inserted_correct is not None and r.inserted > 0]
@@ -212,23 +212,7 @@ class RunMetrics:
         return sum(r.adaptation_seconds for r in self.records) / total
 
     def deterministic_dict(self) -> dict:
-        return {
-            "records": [
-                {
-                    "index": r.index,
-                    "segment": r.segment,
-                    "size": r.size,
-                    "correct": r.correct,
-                    "adapted": r.adapted,
-                    "adapt_skipped": r.adapt_skipped,
-                    "inserted": r.inserted,
-                    "inserted_correct": r.inserted_correct,
-                    "rescored": r.rescored,
-                    "memory_size": r.memory_size,
-                }
-                for r in self.records
-            ],
-        }
+        return {"records": [{name: getattr(r, name) for name in _DETERMINISTIC_FIELDS} for r in self.records]}
 
 
 class Engine:
@@ -517,19 +501,7 @@ class Engine:
 
 def _config_dict(config: EngineConfig) -> dict:
     rate = _as_rate(config.ar)
-    return {
-        "ar": f"{rate.numerator}/{rate.denominator}",
-        "tau_conf": config.tau_conf,
-        "tau_delta": config.tau_delta,
-        "alpha": config.alpha,
-        "beta_centroid": config.beta_centroid,
-        "ema_momentum": config.ema_momentum,
-        "lr": config.lr,
-        "capacity": config.capacity,
-        "selection_mode": config.selection_mode,
-        "inference_stats_mode": config.inference_stats_mode,
-        "seed": config.seed,
-    }
+    return dict(asdict(config), ar=f"{rate.numerator}/{rate.denominator}")
 
 
 def _config_from_dict(d) -> EngineConfig:

@@ -38,6 +38,12 @@ def read_records(out_dir):
         return [json.loads(line) for line in fh if line.strip()]
 
 
+def result_line(mode, ar, accuracy, seconds):
+    """One results.jsonl line holding the fields `compare` reads."""
+    return json.dumps({"schema": 1, "cell": f"{mode}@{ar}", "mode": mode, "ar": ar, "seed": 0,
+                       "metrics": {"accuracy": accuracy}, "timing": {"mean_batch_seconds": seconds}}) + "\n"
+
+
 def strip_timing(records):
     out = []
     for rec in records:
@@ -212,26 +218,38 @@ class TestRun:
         assert err.startswith("error: engine: ") and named in err
         assert not prepared and not out.exists()
 
-    @pytest.mark.parametrize("pretrain_cfg,flags,named", [
-        ({"lr": float("nan")}, [], "pretrain.lr"),
-        ({"lr": 0.0}, [], "pretrain.lr"),
-        ({"lr": "fast"}, [], "pretrain.lr"),
-        ({"batch_size": 0}, [], "pretrain.batch_size"),
-        ({"samples": 0}, [], "pretrain.samples"),
-        ({"epochs": 2.5}, [], "pretrain.epochs"),
-        ({"blocks": -1}, [], "pretrain.blocks"),
+    @pytest.mark.parametrize("overrides,flags,named", [
+        ({"pretrain": {"lr": float("nan")}}, [], "pretrain.lr"),
+        ({"pretrain": {"lr": 0.0}}, [], "pretrain.lr"),
+        ({"pretrain": {"lr": "fast"}}, [], "pretrain.lr"),
+        ({"pretrain": {"batch_size": 0}}, [], "pretrain.batch_size"),
+        ({"pretrain": {"samples": 0}}, [], "pretrain.samples"),
+        ({"pretrain": {"epochs": 2.5}}, [], "pretrain.epochs"),
+        ({"pretrain": {"blocks": -1}}, [], "pretrain.blocks"),
         ({}, ["--workers", "-1"], "--workers"),
         ({}, ["--workers", "0"], "--workers"),
         ({}, ["--ar", ","], "grid.ar"),
         ({}, ["--seeds", ","], "grid.seeds"),
+        ({}, ["--seeds", "0,x"], "--seeds must be comma-separated integers, got '0,x'"),
+        ({"grid": {"seeds": ["a"]}}, [], "grid.seeds[0] must be an integer >= 0, got 'a'"),
+        ({"grid": {"seeds": [-1]}}, [], "grid.seeds[0] must be an integer >= 0, got -1"),
+        ({"grid": {"seeds": [0, 0]}}, [], "grid.seeds[1]: seed 0 is already in the grid"),
+        ({"grid": {"seeds": 5}}, [], "grid.seeds must be a list, got 5"),
+        ({"grid": {"ar": 0.1}}, [], "grid.ar must be a list, got 0.1"),
+        ({"grid": {"ar": ["fast"]}}, [], "grid.ar[0]: adaptation rate 'fast' is not a number"),
+        ({"grid": {"modes": "snap"}}, [], "grid.modes must be a list, got 'snap'"),
+        ({"grid": 5}, [], "grid must be a mapping, got 5"),
     ], ids=["nan-lr", "zero-lr", "text-lr", "zero-batch-size", "zero-samples", "fractional-epochs",
-            "negative-blocks", "negative-workers", "zero-workers", "no-rates", "no-seeds"])
+            "negative-blocks", "negative-workers", "zero-workers", "no-rates", "no-seeds",
+            "text-seed-flag", "text-seed", "negative-seed", "repeated-seed", "scalar-seeds", "scalar-rates",
+            "text-rate", "text-modes", "scalar-grid"])
     def test_bad_run_setting_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
-                                                       pretrain_cfg, flags, named):
+                                                       overrides, flags, named):
         prepared = []
         monkeypatch.setattr(cli, "prepare_model", lambda *a: prepared.append(a))
         cfg = tiny_config()
-        cfg["pretrain"].update(pretrain_cfg)
+        for section, values in overrides.items():
+            cfg[section] = {**cfg[section], **values} if isinstance(values, dict) else values
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "o"
         assert main(["run", "--config", cfg_path, "--out", str(out), *flags]) == 1
@@ -369,6 +387,27 @@ class TestRun:
         assert capsys.readouterr().err == "error: model checkpoint: layers[1].gamma is missing\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag", ["--config", "--checkpoint", "compare-base", "compare-other"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_input_file_exits_one_naming_it(self, tmp_path, capsys, flag, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe not text\n")
+        good = tmp_path / "results.jsonl"
+        good.write_text(result_line("snap", "1", 0.5, 0.1))
+        argv = {
+            "--config": ["run", "--config", str(bad)],
+            "--checkpoint": ["run", "--config", write_config(tmp_path, tiny_config()), "--checkpoint", str(bad)],
+            "compare-base": ["compare", str(bad), str(good)],
+            "compare-other": ["compare", str(good), str(bad)],
+        }[flag]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_diverging_pretraining_exits_one(self, tmp_path, capsys):
         cfg = tiny_config()
         cfg["pretrain"]["lr"] = 1.0e200
@@ -423,6 +462,18 @@ class TestCompare:
         other = self.make_results(tmp_path, ["snap"], "other")
         assert main(["compare", base, other, "--by", "ar"]) == 0
         assert "1/2" in capsys.readouterr().out
+
+    def test_compare_by_ar_skips_null_accuracies(self, tmp_path, capsys):
+        def write(name, rows):
+            path = tmp_path / name
+            path.write_text("".join(result_line(*row) for row in rows))
+            return str(path)
+
+        base = write("base.jsonl", [("snap", "1", 0.5, 0.1), ("naive", "1", None, 0.3), ("snap", "1/2", None, 0.2)])
+        other = write("other.jsonl", [("crm", "1", 0.75, 0.4), ("crm", "1/2", 0.6, 0.2)])
+        assert main(["compare", base, other, "--by", "ar"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["1", "0.5000", "0.7500", "0.2500", "2.000"], ["1/2", "-", "0.6000", "-", "1.000"]]
 
     def test_disjoint_cells_usage_error(self, tmp_path, capsys):
         base = self.make_results(tmp_path, ["naive"], "d1")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stta.datagen import continual_stream, make_stream, single_domain_stream
-from stta.engine import AdaptationSchedule, Engine, EngineConfig
+from stta.engine import AdaptationSchedule, BatchRecord, Engine, EngineConfig, RunMetrics
 from stta.model import default_model, forward, pretrain
 from stta.datagen import default_domain, sample_source
 
@@ -332,6 +333,17 @@ class TestResume:
         with pytest.raises(ValueError, match="refresh_memory_stats"):
             Engine.from_state_dict(payload)
 
+    def test_checkpoint_keeps_every_config_field(self, base_model, tmp_path):
+        config = EngineConfig(ar="1/3", tau_conf=0.25, tau_delta=0.2, alpha=2.0, beta_centroid=0.5,
+                              ema_momentum=0.7, lr=0.01, capacity=5, selection_mode="crm",
+                              inference_stats_mode="ema", seed=9)
+        names = [f.name for f in fields(EngineConfig)]
+        assert all(getattr(config, name) != getattr(EngineConfig(), name) for name in names)
+        path = tmp_path / "engine.json"
+        Engine(base_model.clone(), config).save(path)
+        assert list(json.loads(path.read_text())["config"]) == names
+        assert Engine.load(path).config == config
+
     def test_checkpoint_rejects_memory_sample_that_does_not_fit(self, base_model):
         spec = single_domain_stream(corruption="noise", batches=2, batch_size=8, seed=20)
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=21))
@@ -486,6 +498,11 @@ class TestMetricsSummaries:
         assert metrics.adapt_count == sum(r.adapted for r in metrics.records)
         mean_occ, final_occ = metrics.memory_occupancy()
         assert 0 < mean_occ <= 8 and 0 < final_occ <= 8
+
+    def test_deterministic_dict_keeps_every_field_but_wall_times(self):
+        record = BatchRecord(**{f.name: 0 for f in fields(BatchRecord)})
+        want = [f.name for f in fields(BatchRecord) if not f.name.endswith("_seconds")]
+        assert [list(r) for r in RunMetrics([record, record]).deterministic_dict()["records"]] == [want, want]
 
     def test_latency_split_recorded(self, base_model):
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5"))
