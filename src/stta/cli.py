@@ -18,26 +18,21 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import json
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import yaml
 
-from .datagen import (
-    Corruption,
-    DomainSpec,
-    StreamSpec,
-    class_mean_patterns,
-    corruption_presets,
-    make_stream,
-    sample_source,
-)
+from .datagen import Corruption, StreamSpec, corruption_presets, default_domain, make_stream, sample_source
 from .engine import Engine, EngineConfig, RunMetrics, _as_rate
-from .model import Model, checked_int, default_model, load_model, pretrain, save_model
+from .model import Model, checked_int, checked_number, default_model, is_real, load_model, pretrain
+from .model import required, save_model
 
 RESULT_SCHEMA = 1
 OUT_DIR_ENV = "STTA_OUT_DIR"
@@ -85,8 +80,9 @@ DEFAULT_CONFIG = {
     "thresholds": {},
 }
 
-DOMAIN_DEFAULTS = {"num_classes": 3, "channels": 16, "length": 8,
-                   "separation": 3.0, "source_noise": 0.5}
+# The keys of a segment's `domain` mapping: `default_domain`'s parameters but its corruption.
+DOMAIN_DEFAULTS = {name: p.default for name, p in inspect.signature(default_domain).parameters.items()
+                   if name != "corruption"}
 
 
 class ConfigError(ValueError):
@@ -100,9 +96,7 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
         if isinstance(base[key], dict) and key != "thresholds":
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where} must be a mapping, got {value!r}")
-            out[key] = _merge(base[key], value, where)
+            out[key] = _merge(base[key], _mapping(value, where, base[key]), where)
         else:
             out[key] = value
     return out
@@ -134,43 +128,50 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, raw)
 
 
-def _domain_from_config(domain_cfg: dict, corruption) -> DomainSpec:
-    params = dict(DOMAIN_DEFAULTS)
-    for key, value in (domain_cfg or {}).items():
-        if key not in params:
-            raise ConfigError(f"unknown domain key: stream.segments[].domain.{key}")
-        params[key] = value
-    if isinstance(corruption, str):
+def _mapping(value, at: str, keys) -> dict:
+    """`value` if it is a mapping whose keys are all in `keys`; ConfigError naming `at` otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{at} must be a mapping, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown config key: {at}.{key}")
+    return value
+
+
+def _under(prefix: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, with a ValueError from its checks reported as a ConfigError after `prefix`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _corruption(value, at: str) -> Corruption:
+    if isinstance(value, str):
         presets = corruption_presets()
-        if corruption not in presets:
-            raise ConfigError(f"unknown corruption preset {corruption!r} "
-                              f"(have {', '.join(sorted(presets))})")
-        corr = presets[corruption]
-    elif isinstance(corruption, dict):
-        try:
-            corr = Corruption(**corruption)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad corruption spec: {exc}")
-    else:
-        raise ConfigError("corruption must be a preset name or a mapping")
-    means = class_mean_patterns(params["num_classes"], params["channels"], params["separation"])
-    return DomainSpec(params["num_classes"], params["channels"], params["length"],
-                      means, params["source_noise"], corr)
+        if value not in presets:
+            raise ConfigError(f"{at}: unknown corruption preset {value!r} (have {', '.join(sorted(presets))})")
+        return presets[value]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{at} must be a preset name or a mapping, got {value!r}")
+    return _under(f"{at}.", Corruption, **_mapping(value, at, Corruption.__dataclass_fields__))
 
 
-def stream_spec_from_config(cfg: dict, seed: int) -> StreamSpec:
+def stream_spec_from_config(cfg: dict, seed: int = 0) -> StreamSpec:
+    """The stream section as the StreamSpec for `seed`; ValueError naming the YAML path of a bad value."""
     stream_cfg = cfg["stream"]
-    batch_size = checked_int(stream_cfg["batch_size"], "stream.batch_size", 1)
+    if not isinstance(stream_cfg["segments"], list):
+        raise ConfigError(f"stream.segments must be a list, got {stream_cfg['segments']!r}")
     segments = []
     for i, entry in enumerate(stream_cfg["segments"]):
-        if "batches" not in entry:
-            raise ConfigError("every stream segment needs a 'batches' count")
-        segments.append((_domain_from_config(entry.get("domain", {}),
-                                             entry.get("corruption", "none")),
-                         checked_int(entry["batches"], f"stream.segments[{i}].batches", 1)))
-    if not isinstance(stream_cfg["correlated"], bool):
-        raise ConfigError(f"stream.correlated must be true or false, got {stream_cfg['correlated']!r}")
-    return StreamSpec(tuple(segments), batch_size, seed, stream_cfg["correlated"])
+        at = f"stream.segments[{i}]"
+        _mapping(entry, at, ("domain", "corruption", "batches"))
+        corruption = _corruption(entry.get("corruption", "none"), f"{at}.corruption")
+        domain = entry.get("domain")
+        domain = _mapping({} if domain is None else domain, f"{at}.domain", DOMAIN_DEFAULTS)
+        segments.append((_under(f"{at}.domain.", default_domain, **domain, corruption=corruption),
+                         required(entry, "batches", at)))
+    return _under("stream.", StreamSpec, tuple(segments), stream_cfg["batch_size"], seed, stream_cfg["correlated"])
 
 
 def _real(value, where: str) -> float:
@@ -187,49 +188,38 @@ def _real(value, where: str) -> float:
 # grid construction and execution
 
 
-def cell_key(mode: str, ar) -> str:
-    return f"{mode}@{_as_rate(ar)}"
+def cell_key(mode: str, ar: Fraction) -> str:
+    return f"{mode}@{ar}"
 
 
-def validate_grid(grid: dict) -> None:
-    """grid.modes, grid.ar and grid.seeds are lists of known modes, rates in [0, 1]
-    and distinct integers >= 0."""
+def grid_cells(grid: dict) -> tuple[list[tuple[str, Fraction]], list[int]]:
+    """The distinct (mode, rate) cells of grid.modes x grid.ar in config order, and grid.seeds:
+    lists of known modes, rates in [0, 1] and distinct integers >= 0 that give at least one cell."""
     for key in ("modes", "ar", "seeds"):
         if not isinstance(grid[key], list):
             raise ConfigError(f"grid.{key} must be a list, got {grid[key]!r}")
+    rates = [_under(f"grid.ar[{i}]: ", _as_rate, ar) for i, ar in enumerate(grid["ar"])]
+    seeds = [checked_int(seed, f"grid.seeds[{i}]") for i, seed in enumerate(grid["seeds"])]
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"grid.seeds[{i}]: seed {seed} is already in the grid")
+    cells = []
     for i, mode in enumerate(grid["modes"]):
         if mode not in MODES:
             raise ConfigError(f"grid.modes[{i}]: unknown mode {mode!r} (have {', '.join(MODES)})")
-    for i, ar in enumerate(grid["ar"]):
-        try:
-            _as_rate(ar)
-        except ValueError as exc:
-            raise ConfigError(f"grid.ar[{i}]: {exc}") from None
-    for i, seed in enumerate(grid["seeds"]):
-        if checked_int(seed, f"grid.seeds[{i}]") in grid["seeds"][:i]:
-            raise ConfigError(f"grid.seeds[{i}]: seed {seed} is already in the grid")
-
-
-def build_cells(cfg: dict) -> list[tuple[str, Fraction]]:
-    """The grid's distinct (mode, rate) cells, in config order."""
-    rates = [_as_rate(a) for a in cfg["grid"]["ar"]]
-    cells: list[tuple[str, Fraction]] = []
-    for mode in cfg["grid"]["modes"]:
-        preset = MODE_PRESETS[mode]
-        if "ar" in preset:  # rate is pinned (no-adaptation baselines): one cell
-            cells.append((mode, _as_rate(preset["ar"])))
-        else:
-            cells.extend((mode, ar) for ar in rates)
-    return list(dict.fromkeys(cells))
+        pinned = MODE_PRESETS[mode].get("ar")  # no-adaptation baselines: one cell
+        cells.extend([(mode, _as_rate(pinned))] if pinned is not None else [(mode, ar) for ar in rates])
+    cells = list(dict.fromkeys(cells))
+    if not cells or not seeds:
+        raise ConfigError("grid: grid.modes, grid.ar and grid.seeds give no cell to run")
+    return cells, seeds
 
 
 def engine_config_for(mode: str, ar: Fraction, engine_cfg: dict, seed: int,
                       batch_size: int) -> EngineConfig:
-    settings = {key: _real(engine_cfg[key], key) for key in ENGINE_REALS}
-    settings.update(MODE_PRESETS[mode])
-    settings.pop("ar", None)
+    settings = {**{key: _real(engine_cfg[key], key) for key in ENGINE_REALS}, **MODE_PRESETS[mode], "ar": ar}
     capacity = batch_size if mode == "tent-equivalent" else engine_cfg["capacity"]
-    return EngineConfig(ar=ar, capacity=capacity, seed=seed, **settings)
+    return EngineConfig(capacity=capacity, seed=seed, **settings)
 
 
 # Seed-derivation offsets keep the stream, the source data, the weight init
@@ -240,28 +230,31 @@ TRAIN_SEED_OFFSET = 30_000
 
 
 def prepare_model(cfg: dict, seed: int, checkpoint: str | None) -> Model:
+    """The source model for `seed`: pretrained on the stream's first domain, or loaded from
+    `checkpoint`, which must take the stream's channels and classes (ValueError if not)."""
+    domain = stream_spec_from_config(cfg).segments[0][0]
     if checkpoint is not None:
         with _reading(checkpoint):
-            return load_model(checkpoint)
-    pre = cfg["pretrain"]
-    stream_cfg = cfg["stream"]
-    first_domain = _domain_from_config(stream_cfg["segments"][0].get("domain", {}), "none")
-    x, y = sample_source(first_domain, int(pre["samples"]), seed + DATA_SEED_OFFSET)
-    model = default_model(channels=first_domain.channels, num_classes=first_domain.num_classes,
-                          blocks=int(pre["blocks"]), seed=seed + MODEL_SEED_OFFSET)
-    pretrain(model, x, y, epochs=int(pre["epochs"]), lr=_real(pre["lr"], "pretrain.lr"),
-             seed=seed + TRAIN_SEED_OFFSET, batch_size=int(pre["batch_size"]))
+            model = load_model(checkpoint)
+        if (model.in_channels, model.num_classes) != (domain.channels, domain.num_classes):
+            raise ValueError(f"{checkpoint}: the model takes {model.in_channels} channels and {model.num_classes} "
+                             f"classes, the stream has {domain.channels} channels and {domain.num_classes} classes")
+        return model
+    pre = validate_pretrain(cfg["pretrain"])
+    x, y = sample_source(domain, pre["samples"], seed + DATA_SEED_OFFSET)
+    model = default_model(channels=domain.channels, num_classes=domain.num_classes,
+                          blocks=pre["blocks"], seed=seed + MODEL_SEED_OFFSET)
+    pretrain(model, x, y, epochs=pre["epochs"], lr=pre["lr"],
+             seed=seed + TRAIN_SEED_OFFSET, batch_size=pre["batch_size"])
     return model
 
 
-def run_cell(cfg: dict, mode: str, ar: Fraction, seed: int, base_model: Model) -> dict:
+def run_cell(mode: str, config: EngineConfig, stream: StreamSpec, base_model: Model) -> dict:
+    """One (cell, seed) result: a fresh copy of `base_model` adapting over `stream` under `config`."""
     model = base_model.clone()
     model.reset_inference_stats()
-    stream_spec = stream_spec_from_config(cfg, seed)
-    config = engine_config_for(mode, ar, cfg["engine"], seed, stream_spec.batch_size)
-    engine = Engine(model, config)
-    metrics = engine.run_stream(make_stream(stream_spec))
-    return result_record(mode, ar, seed, metrics)
+    metrics = Engine(model, config).run_stream(make_stream(stream))
+    return result_record(mode, config.ar, config.seed, metrics)
 
 
 def result_record(mode: str, ar: Fraction, seed: int, metrics: RunMetrics) -> dict:
@@ -359,40 +352,40 @@ def write_results(out_dir: str, records: list[dict]) -> tuple[str, str]:
     return jsonl_path, csv_path
 
 
-def validate_thresholds(thresholds) -> None:
-    """Each key names a cell as mode@ar and maps to a finite minimum accuracy."""
-    if not isinstance(thresholds, dict):
+def threshold_cells(thresholds) -> dict:
+    """Each threshold key (mode@ar) with the cell key it names and its finite minimum accuracy."""
+    if not isinstance(thresholds, (dict, type(None))):
         raise ConfigError("thresholds must map mode@ar keys to minimum accuracies")
-    for key, minimum in thresholds.items():
+    cells = {}
+    for key, minimum in (thresholds or {}).items():
         mode, _, ar = str(key).partition("@")
         if mode not in MODES:
             raise ConfigError(f"threshold key {key!r}: unknown mode {mode!r}")
-        try:
-            _as_rate(ar)
-        except ValueError:
-            raise ConfigError(f"threshold key {key!r}: {ar!r} is not an adaptation rate in [0, 1]") from None
-        if not math.isfinite(_real(minimum, f"threshold {key!r}: minimum")):
-            raise ConfigError(f"threshold {key!r}: minimum {minimum!r} is not a finite number")
+        rate = _under(f"threshold key {key!r}: ", _as_rate, ar)
+        where = f"threshold {key!r}: minimum"
+        value = checked_number(minimum if is_real(minimum) else _real(minimum, where), where, math.isfinite,
+                               "that is finite")
+        cells[key] = (cell_key(mode, rate), value)
+    return cells
 
 
-def validate_pretrain(pre: dict) -> None:
-    """Sample, epoch, batch and block counts are integers >= 1; the step size is finite and > 0."""
-    for key in ("samples", "epochs", "batch_size", "blocks"):
-        checked_int(pre[key], f"pretrain.{key}", 1)
-    if not 0.0 < _real(pre["lr"], "pretrain.lr") < math.inf:
-        raise ConfigError(f"pretrain.lr must be a finite number > 0, got {pre['lr']!r}")
+def validate_pretrain(pre: dict) -> dict:
+    """The pretrain section typed: integer counts >= 1 and a finite float step size lr > 0."""
+    settings = {key: checked_int(pre[key], f"pretrain.{key}", 1)
+                for key in ("samples", "epochs", "batch_size", "blocks")}
+    settings["lr"] = checked_number(_real(pre["lr"], "pretrain.lr"), "pretrain.lr", lambda v: 0.0 < v < math.inf,
+                                    "> 0 and finite")
+    return settings
 
 
-def check_thresholds(cfg: dict, records: list[dict]) -> list[str]:
+def check_thresholds(thresholds: dict, records: list[dict]) -> list[str]:
     failures = []
     rows = {row["cell"]: row for row in summarize(records)}
-    for raw_key, minimum in (cfg.get("thresholds") or {}).items():
-        mode, _, ar = raw_key.partition("@")
-        key = cell_key(mode, ar)
+    for raw_key, (key, minimum) in thresholds.items():
         row = rows.get(key)
         if row is None:
             failures.append(f"threshold for {raw_key}: cell {key} was not run")
-        elif row["mean_accuracy"] is None or row["mean_accuracy"] < _real(minimum, raw_key):
+        elif row["mean_accuracy"] is None or row["mean_accuracy"] < minimum:
             failures.append(
                 f"threshold for {key}: mean accuracy {row['mean_accuracy']} < {minimum}")
     return failures
@@ -414,22 +407,18 @@ def run_command(args) -> int:
                 raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
         if args.mode:
             cfg["grid"]["modes"] = [args.mode]
-        out_dir = args.out or cfg.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "results"
+        if not isinstance(cfg["out_dir"], (str, type(None))):
+            raise ConfigError(f"out_dir must be a string or null, got {cfg['out_dir']!r}")
+        out_dir = args.out or cfg["out_dir"] or os.environ.get(OUT_DIR_ENV) or "results"
         if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        validate_grid(cfg["grid"])
-        cells, seeds = build_cells(cfg), cfg["grid"]["seeds"]
-        if not cells or not seeds:
-            raise ConfigError("grid: grid.modes, grid.ar and grid.seeds give no cell to run")
-        batch_size = stream_spec_from_config(cfg, 0).batch_size  # fail fast on bad stream/domain keys
+        cells, seeds = grid_cells(cfg["grid"])
+        stream = stream_spec_from_config(cfg)
         validate_pretrain(cfg["pretrain"])
-        validate_thresholds(cfg.get("thresholds") or {})
-        for mode, ar in cells:  # fail fast on bad engine keys
-            try:
-                engine_config_for(mode, ar, cfg["engine"], seeds[0], batch_size)
-            except ValueError as exc:
-                raise ConfigError(f"engine: {exc}") from exc
-    except (ConfigError, ValueError) as exc:
+        thresholds = threshold_cells(cfg["thresholds"])
+        configs = {(mode, ar): _under("engine: ", engine_config_for, mode, ar, cfg["engine"], seeds[0],
+                                      stream.batch_size) for mode, ar in cells}
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -446,10 +435,11 @@ def run_command(args) -> int:
 
     records: list[dict] = []
     errors: list[str] = []
-    for mode, ar in cells:
+    for (mode, ar), config in configs.items():
         for seed in seeds:
             try:
-                records.append(run_cell(cfg, mode, ar, seed, base_models[seed]))
+                records.append(run_cell(mode, replace(config, seed=seed), replace(stream, seed=seed),
+                                        base_models[seed]))
             except Exception as exc:  # flush what we have, report failure
                 errors.append(f"{cell_key(mode, ar)} seed {seed}: {exc}")
 
@@ -467,7 +457,7 @@ def run_command(args) -> int:
         for line in errors:
             print(f"error: {line}", file=sys.stderr)
         return 3
-    failures = check_thresholds(cfg, records)
+    failures = check_thresholds(thresholds, records)
     if failures:
         for line in failures:
             print(f"threshold: {line}", file=sys.stderr)

@@ -3,15 +3,20 @@
 Classes are well-separated Gaussian blobs over a channel x length feature
 map; covariate shift is an affine map plus additive noise and an optional
 fixed channel permutation, leaving the label rule unchanged. Everything is
-a pure function of (spec, seed), so streams replay bit-for-bit.
+a pure function of (spec, seed), so streams replay bit-for-bit. Each type
+checks its fields, raising a ValueError that starts with the field's name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .model import checked_int, checked_number
+
+_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0.0, ">= 0 and finite")  # a `checked_number` rule
 
 
 @dataclass(frozen=True)
@@ -28,11 +33,11 @@ class Corruption:
     permute: bool = False
 
     def __post_init__(self) -> None:
-        if self.noise < 0.0:
-            raise ValueError("noise must be non-negative")
-        for v in (self.scale, self.offset, self.noise):
-            if not math.isfinite(v):
-                raise ValueError("corruption parameters must be finite")
+        for name in ("scale", "offset"):
+            checked_number(getattr(self, name), name, math.isfinite, "that is finite")
+        checked_number(self.noise, "noise", *_NONNEGATIVE)
+        if not isinstance(self.permute, bool):
+            raise ValueError(f"permute must be true or false, got {self.permute!r}")
 
     @property
     def is_identity(self) -> bool:
@@ -64,19 +69,14 @@ class DomainSpec:
     corruption: Corruption = IDENTITY
 
     def __post_init__(self) -> None:
+        checked_int(self.num_classes, "num_classes", 2)
+        checked_int(self.channels, "channels", 1)
+        checked_int(self.length, "length", 1)
+        checked_number(self.source_noise, "source_noise", *_NONNEGATIVE)
         object.__setattr__(self, "class_means", np.asarray(self.class_means, dtype=np.float64))
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
         if self.class_means.shape != (self.num_classes, self.channels):
             raise ValueError(
-                f"class means {self.class_means.shape} do not match {self.num_classes} x {self.channels}")
-        if self.source_noise < 0.0:
-            raise ValueError("source noise must be non-negative")
-
-    def with_corruption(self, corruption: Corruption | str) -> "DomainSpec":
-        if isinstance(corruption, str):
-            corruption = corruption_presets()[corruption]
-        return replace(self, corruption=corruption)
+                f"class_means {self.class_means.shape} do not match {self.num_classes} x {self.channels}")
 
 
 def class_mean_patterns(num_classes: int, channels: int, separation: float = 3.0) -> np.ndarray:
@@ -84,8 +84,11 @@ def class_mean_patterns(num_classes: int, channels: int, separation: float = 3.0
 
     One scaled one-hot per class (requires num_classes <= channels).
     """
+    checked_int(num_classes, "num_classes", 2)
+    checked_int(channels, "channels", 1)
+    checked_number(separation, "separation", *_NONNEGATIVE)
     if num_classes > channels:
-        raise ValueError("one-hot patterns need num_classes <= channels")
+        raise ValueError(f"num_classes must be <= channels for one-hot patterns, got {num_classes} > {channels}")
     means = np.zeros((num_classes, channels))
     means[np.arange(num_classes), np.arange(num_classes)] = separation / math.sqrt(2.0)
     return means
@@ -94,9 +97,10 @@ def class_mean_patterns(num_classes: int, channels: int, separation: float = 3.0
 def default_domain(num_classes: int = 3, channels: int = 16, length: int = 8,
                    separation: float = 3.0, source_noise: float = 0.5,
                    corruption: Corruption | str = IDENTITY) -> DomainSpec:
-    spec = DomainSpec(num_classes, channels, length,
-                      class_mean_patterns(num_classes, channels, separation), source_noise)
-    return spec.with_corruption(corruption)
+    if isinstance(corruption, str):
+        corruption = corruption_presets()[corruption]
+    return DomainSpec(num_classes, channels, length, class_mean_patterns(num_classes, channels, separation),
+                      source_noise, corruption)
 
 
 def sample_source(spec: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,15 +144,19 @@ class StreamSpec:
     correlated: bool = False  # label-sorted runs instead of i.i.d. order
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if not self.segments or any(n < 1 for _, n in self.segments):
-            raise ValueError("every segment needs at least one batch")
-        object.__setattr__(self, "segments", tuple((d, int(n)) for d, n in self.segments))
-
-    @property
-    def total_batches(self) -> int:
-        return sum(n for _, n in self.segments)
+        checked_int(self.batch_size, "batch_size", 1)
+        checked_int(self.seed, "seed")
+        if not isinstance(self.correlated, bool):
+            raise ValueError(f"correlated must be true or false, got {self.correlated!r}")
+        if not self.segments:
+            raise ValueError("segments must hold at least one segment")
+        object.__setattr__(self, "segments", tuple(
+            (d, checked_int(n, f"segments[{i}].batches", 1)) for i, (d, n) in enumerate(self.segments)))
+        shapes = [f"{d.num_classes} classes of {d.channels} x {d.length} samples" for d, _ in self.segments]
+        for i, shape in enumerate(shapes):
+            if shape != shapes[0]:
+                raise ValueError(f"segments[{i}].domain has {shape}, segments[0].domain {shapes[0]}: "
+                                 "every segment of a stream needs the same sample shape")
 
 
 @dataclass(frozen=True)

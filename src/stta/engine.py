@@ -43,6 +43,8 @@ from .model import (
 def _as_rate(value) -> Fraction:
     """Exact rational adaptation rate from float/str/Fraction input; ValueError for anything else."""
     try:
+        if isinstance(value, bool):  # a YAML or JSON boolean, an int to Python
+            raise TypeError
         if isinstance(value, Fraction):
             rate = value
         elif isinstance(value, str):
@@ -87,7 +89,7 @@ class AdaptationSchedule:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    ar: float | str | Fraction = "0.1"
+    ar: Fraction | float | str = "0.1"  # read into the exact Fraction on construction
     tau_conf: float = 0.5
     tau_delta: float = 0.1
     alpha: float = 4.0
@@ -100,7 +102,7 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _as_rate(self.ar)
+        object.__setattr__(self, "ar", _as_rate(self.ar))
         if self.inference_stats_mode not in NORM_SOURCES:
             raise ValueError(f"unknown inference stats mode {self.inference_stats_mode!r}")
         if self.selection_mode not in SELECTION_MODES:
@@ -500,8 +502,7 @@ class Engine:
 
 
 def _config_dict(config: EngineConfig) -> dict:
-    rate = _as_rate(config.ar)
-    return dict(asdict(config), ar=f"{rate.numerator}/{rate.denominator}")
+    return dict(asdict(config), ar=f"{config.ar.numerator}/{config.ar.denominator}")
 
 
 def _config_from_dict(d) -> EngineConfig:

@@ -8,7 +8,7 @@ import yaml
 
 from stta import cli
 from stta.cli import main
-from stta.model import default_model, model_dict
+from stta.model import default_model, model_dict, save_model
 
 from tent_oracle import run_tent
 
@@ -101,9 +101,10 @@ class TestRun:
         calls = []
         run_cell = cli.run_cell
 
-        def recording(cfg, mode, ar, seed, base_model):
-            calls.append((threading.current_thread(), mode, str(ar), seed))
-            return run_cell(cfg, mode, ar, seed, base_model)
+        def recording(mode, config, stream, base_model):
+            assert stream.seed == config.seed
+            calls.append((threading.current_thread(), mode, str(config.ar), config.seed))
+            return run_cell(mode, config, stream, base_model)
 
         monkeypatch.setattr(cli, "run_cell", recording)
         cfg_path = write_config(tmp_path, tiny_config(grid={
@@ -239,10 +240,51 @@ class TestRun:
         ({"grid": {"ar": ["fast"]}}, [], "grid.ar[0]: adaptation rate 'fast' is not a number"),
         ({"grid": {"modes": "snap"}}, [], "grid.modes must be a list, got 'snap'"),
         ({"grid": 5}, [], "grid must be a mapping, got 5"),
+        ({"grid": {"ar": [True]}}, [], "grid.ar[0]: adaptation rate True is not a number"),
+        ({"out_dir": 5}, [], "out_dir must be a string or null, got 5"),
+        ({"stream": {"segments": 5}}, [], "stream.segments must be a list, got 5"),
+        ({"stream": {"segments": [5]}}, [], "stream.segments[0] must be a mapping, got 5"),
+        ({"stream": {"segments": []}}, [], "stream.segments must hold at least one segment"),
+        ({"stream": {"segments": [{"batches": 2, "domain": 5}]}}, [],
+         "stream.segments[0].domain must be a mapping, got 5"),
+        ({"stream": {"segments": [{"batches": 2, "corruptoin": "noise"}]}}, [],
+         "unknown config key: stream.segments[0].corruptoin"),
+        ({"stream": {"segments": [{"corruption": "noise"}]}}, [], "stream.segments[0].batches is missing"),
+        ({"stream": {"segments": [{"batches": 2, "domain": {"channels": "x"}}]}}, [],
+         "stream.segments[0].domain.channels must be an integer >= 1, got 'x'"),
+        ({"stream": {"segments": [{"batches": 2, "domain": {"length": 2.5}}]}}, [],
+         "stream.segments[0].domain.length must be an integer >= 1, got 2.5"),
+        ({"stream": {"segments": [{"batches": 2, "domain": {"length": 0}}]}}, [],
+         "stream.segments[0].domain.length must be an integer >= 1, got 0"),
+        ({"stream": {"segments": [{"batches": 2, "domain": {"separation": "a"}}]}}, [],
+         "stream.segments[0].domain.separation must be a number >= 0 and finite, got 'a'"),
+        ({"stream": {"segments": [{"batches": 2, "domain": {"num_classes": 1}}]}}, [],
+         "stream.segments[0].domain.num_classes must be an integer >= 2, got 1"),
+        ({"stream": {"segments": [{"batches": 2, "corruption": {"permute": "false"}}]}}, [],
+         "stream.segments[0].corruption.permute must be true or false, got 'false'"),
+        ({"stream": {"segments": [{"batches": 2, "corruption": {"noise": True}}]}}, [],
+         "stream.segments[0].corruption.noise must be a number >= 0 and finite, got True"),
+        ({"stream": {"segments": [{"batches": 2, "corruption": {"scale": "a"}}]}}, [],
+         "stream.segments[0].corruption.scale must be a number that is finite, got 'a'"),
+        ({"stream": {"segments": [{"batches": 2, "corruption": {"blur": 1}}]}}, [],
+         "unknown config key: stream.segments[0].corruption.blur"),
+        ({"stream": {"segments": [{"batches": 2, "domain": {"channels": 8}},
+                                  {"batches": 2, "domain": {"channels": 8, "length": 4}}]}}, [],
+         "stream.segments[1].domain has 3 classes of 8 x 4 samples, segments[0].domain 3 classes of 8 x 8"),
+        ({"stream": {"segments": [{"batches": 2, "domain": {"channels": 8}},
+                                  {"batches": 2, "domain": {"channels": 16}}]}}, [],
+         "stream.segments[1].domain has 3 classes of 16 x 8 samples, segments[0].domain 3 classes of 8 x 8"),
+        ({"stream": {"segments": [{"batches": 2, "domain": {"channels": 8}},
+                                  {"batches": 2, "domain": {"channels": 8, "num_classes": 6}}]}}, [],
+         "stream.segments[1].domain has 6 classes of 8 x 8 samples, segments[0].domain 3 classes of 8 x 8"),
     ], ids=["nan-lr", "zero-lr", "text-lr", "zero-batch-size", "zero-samples", "fractional-epochs",
             "negative-blocks", "negative-workers", "zero-workers", "no-rates", "no-seeds",
             "text-seed-flag", "text-seed", "negative-seed", "repeated-seed", "scalar-seeds", "scalar-rates",
-            "text-rate", "text-modes", "scalar-grid"])
+            "text-rate", "text-modes", "scalar-grid", "bool-rate", "number-out-dir", "scalar-segments",
+            "scalar-segment", "no-segments", "scalar-domain", "unknown-segment-key", "no-batches",
+            "text-channels", "fractional-length", "zero-length", "text-separation", "one-class",
+            "text-permute", "bool-noise", "text-scale", "unknown-corruption-key", "length-changes",
+            "channels-change", "classes-change"])
     def test_bad_run_setting_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                        overrides, flags, named):
         prepared = []
@@ -353,6 +395,24 @@ class TestRun:
         a = strip_timing(read_records(out))
         b = strip_timing(read_records(out2))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @pytest.mark.parametrize("channels,stream_classes,named", [
+        (16, 3, "the model takes 16 channels and 3 classes, the stream has 8 channels and 3 classes"),
+        (8, 5, "the model takes 8 channels and 3 classes, the stream has 8 channels and 5 classes"),
+    ], ids=["channels", "classes"])
+    def test_checkpoint_of_another_shape_exits_one_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                                   channels, stream_classes, named):
+        ran = []
+        monkeypatch.setattr(cli, "run_cell", lambda *a: ran.append(a))
+        model_path = tmp_path / "model.json"
+        save_model(default_model(channels=channels, num_classes=3, blocks=2, seed=0), model_path)
+        cfg = tiny_config()
+        cfg["stream"]["segments"][0]["domain"]["num_classes"] = stream_classes
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--checkpoint", str(model_path)]) == 1
+        assert capsys.readouterr().err == f"error: {model_path}: {named}\n"
+        assert not ran and not out.exists()
 
     def test_missing_checkpoint_exits_one(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())

@@ -28,6 +28,36 @@ class TestClassMeans:
             class_mean_patterns(5, 4)
 
 
+class TestFieldChecks:
+    """Each type rejects a bad field with a ValueError that starts with the field's name."""
+
+    @pytest.mark.parametrize("make,named", [
+        (lambda: Corruption(scale=float("inf")), "scale must be a number that is finite, got inf"),
+        (lambda: Corruption(offset="1"), "offset must be a number that is finite, got '1'"),
+        (lambda: Corruption(noise=-0.5), "noise must be a number >= 0 and finite, got -0.5"),
+        (lambda: Corruption(noise=True), "noise must be a number >= 0 and finite, got True"),
+        (lambda: Corruption(permute=1), "permute must be true or false, got 1"),
+        (lambda: default_domain(num_classes=1), "num_classes must be an integer >= 2, got 1"),
+        (lambda: default_domain(num_classes=5, channels=4), "num_classes must be <= channels"),
+        (lambda: default_domain(channels=2.0), "channels must be an integer >= 1, got 2.0"),
+        (lambda: default_domain(length=0), "length must be an integer >= 1, got 0"),
+        (lambda: default_domain(separation=float("nan")), "separation must be a number >= 0 and finite"),
+        (lambda: default_domain(source_noise="0.5"), "source_noise must be a number >= 0 and finite"),
+        (lambda: StreamSpec(((default_domain(), 1),), 8, 0, correlated="yes"),
+         "correlated must be true or false, got 'yes'"),
+        (lambda: StreamSpec(((default_domain(), 1),), 8, -1), "seed must be an integer >= 0, got -1"),
+        (lambda: StreamSpec(((default_domain(), 1), (default_domain(), 2.0)), 8, 0),
+         r"segments\[1\].batches must be an integer >= 1, got 2.0"),
+        (lambda: StreamSpec(((default_domain(), 1), (default_domain(length=4), 1)), 8, 0),
+         r"segments\[1\].domain has 3 classes of 16 x 4 samples, segments\[0\].domain 3 classes of 16 x 8"),
+    ], ids=["inf-scale", "text-offset", "negative-noise", "bool-noise", "int-permute", "one-class",
+            "too-many-classes", "float-channels", "zero-length", "nan-separation", "text-source-noise",
+            "text-correlated", "negative-seed", "float-batches", "shape-changes"])
+    def test_rejects_bad_field(self, make, named):
+        with pytest.raises(ValueError, match=f"^{named}"):
+            make()
+
+
 class TestSampleSource:
     def test_zero_noise_returns_class_means(self):
         domain = default_domain(source_noise=0.0)

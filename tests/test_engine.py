@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stta.datagen import continual_stream, make_stream, single_domain_stream
-from stta.engine import AdaptationSchedule, BatchRecord, Engine, EngineConfig, RunMetrics
+from stta.engine import (
+    AdaptationSchedule,
+    BatchRecord,
+    Engine,
+    EngineConfig,
+    RunMetrics,
+    _config_dict,
+    _config_from_dict,
+)
 from stta.model import default_model, forward, pretrain
 from stta.datagen import default_domain, sample_source
 
@@ -86,11 +94,19 @@ class TestEngineBasics:
         ("tau_conf", -0.1, "tau_conf"), ("tau_conf", 1.5, "tau_conf"), ("tau_conf", float("nan"), "tau_conf"),
         ("lr", True, "lr"), ("tau_conf", True, "tau_conf"), ("alpha", False, "alpha"),
         ("tau_delta", True, "tau_delta"), ("beta_centroid", True, "beta_centroid"),
-        ("ema_momentum", True, "ema_momentum"),
+        ("ema_momentum", True, "ema_momentum"), ("ar", True, "adaptation rate True"),
+        ("ar", False, "adaptation rate False"),
     ])
     def test_config_rejects_bad_setting(self, field, value, named):
         with pytest.raises(ValueError, match=named):
             EngineConfig(**{field: value})
+
+    def test_config_holds_the_exact_rate(self):
+        config = EngineConfig(ar="0.5")
+        assert config.ar == Fraction(1, 2) and isinstance(config.ar, Fraction)
+        assert config == EngineConfig(ar=0.5) == EngineConfig(ar=Fraction(1, 2))
+        assert _config_from_dict(_config_dict(config)) == EngineConfig(ar=0.5)
+        assert _config_dict(EngineConfig(ar="1/3"))["ar"] == "1/3"
 
     def test_config_accepts_edge_settings(self):
         EngineConfig(capacity=1, tau_delta=0.0, alpha=0.0, ema_momentum=1.0, beta_centroid=1.0,
