@@ -414,7 +414,10 @@ def run_command(args) -> int:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cells, seeds = grid_cells(cfg["grid"])
         stream = stream_spec_from_config(cfg)
-        validate_pretrain(cfg["pretrain"])
+        samples, classes = validate_pretrain(cfg["pretrain"])["samples"], stream.segments[0][0].num_classes
+        if samples < classes:
+            raise ConfigError(f"pretrain.samples must be >= {classes}, the stream's class count "
+                              f"(one sample per class), got {samples}")
         thresholds = threshold_cells(cfg["thresholds"])
         configs = {(mode, ar): _under("engine: ", engine_config_for, mode, ar, cfg["engine"], seeds[0],
                                       stream.batch_size) for mode, ar in cells}

@@ -33,7 +33,7 @@ def wasserstein(mu: np.ndarray, sigma: np.ndarray, ref_mu: np.ndarray, ref_sigma
     """
     dm = mu - ref_mu
     ds = sigma - ref_sigma
-    return np.sqrt(np.sum(dm * dm, axis=-1) + np.sum(ds * ds, axis=-1))
+    return np.sqrt(np.add.reduce(dm * dm, axis=-1) + np.add.reduce(ds * ds, axis=-1))
 
 
 @dataclass(frozen=True)

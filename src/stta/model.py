@@ -135,15 +135,19 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
     early_mean = early_sigma = None
     layer_stats: list[ChannelStats] = []
     record = [] if norm_source == "batch" else None
+    # Only the batch source's backward reads the norm output batch-major; the others
+    # keep the channel mix's channel-major layout, so the next mix's transpose is a view.
+    order = "C" if record is not None else "K"
+    length = xv.shape[2]
     out = xv
     for weight, layer in zip(model.mix_weights, model.norm_layers):
         out = nm.channel_mix(out, weight)
         stats = batch_channel_stats(out)
         layer_stats.append(stats)
-        if early_mean is None:
-            early_mean = out.mean(axis=2)
+        if early_mean is None:  # np.add.reduce / n is what `.mean` computes, without its Python wrapper
+            early_mean = np.add.reduce(out, axis=2) / length
             centered = out - early_mean[:, :, None]
-            early_sigma = np.sqrt(np.mean(centered * centered, axis=2))
+            early_sigma = np.sqrt(np.add.reduce(centered * centered, axis=2) / length)
         if norm_source == "batch":
             mean, var = stats.mean, stats.var
         elif norm_source == "iobmn":
@@ -155,11 +159,12 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
             mean, var = blended.mean, blended.var
         else:  # frozen source statistics
             mean, var = layer.running_mean, layer.running_var
-        out, saved = normalize(out, mean, var, layer.gamma, layer.beta, layer.epsilon)
+        out, saved = normalize(out, mean, var, layer.gamma, layer.beta, layer.epsilon, order)
         out, mask = nm.relu(out)
         if record is not None:
             record.append((weight, saved, mask))
-    logits = out.mean(axis=(2,)) @ model.head_weight + model.head_bias.reshape(1, -1)  # pool, head
+    pooled = np.ascontiguousarray(np.add.reduce(out, axis=2) / length)  # channel-major rounds differently in BLAS
+    logits = pooled @ model.head_weight + model.head_bias.reshape(1, -1)  # pool, head
     return ForwardResult(logits, early_mean, early_sigma, layer_stats, record)
 
 

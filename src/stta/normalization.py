@@ -13,7 +13,7 @@ alternative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -42,13 +42,16 @@ class MemoryNormState:
     Holds the memory batch's per-channel mean/variance together with the
     feature-map extent and memory count they were measured over, which size
     the sampling-distribution dead zone. Unpopulated until the first
-    adaptation.
+    adaptation. Only `populate` sets them, together with the estimates'
+    standard errors (the dead zone before scaling by `alpha`), so that
+    serving does not recompute those.
     """
 
     alpha: float = 4.0
-    memory_stats: ChannelStats | None = None
-    spatial_extent: int = 0
-    sample_count: int = 0
+    memory_stats: ChannelStats | None = field(default=None, init=False)
+    spatial_extent: int = field(default=0, init=False)
+    sample_count: int = field(default=0, init=False)
+    standard_errors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.alpha >= 0.0:
@@ -64,6 +67,8 @@ class MemoryNormState:
         self.memory_stats = stats
         self.spatial_extent = int(spatial_extent)
         self.sample_count = int(sample_count)
+        sized = self.spatial_extent * self.sample_count >= 2  # if not, corrected_stats raises at first use
+        self.standard_errors = tuple(np.sqrt(s2) for s2 in sampling_variances(self)) if sized else None
 
 
 def sampling_variances(state: MemoryNormState) -> tuple[np.ndarray, np.ndarray]:
@@ -88,26 +93,28 @@ def corrected_stats(state: MemoryNormState, live: ChannelStats) -> ChannelStats:
     smaller live variance can otherwise undershoot when the memory variance
     is small.
     """
-    s2_mean, s2_var = sampling_variances(state)
+    if state.standard_errors is None:
+        sampling_variances(state)  # raises: unpopulated, or fewer than 2 values behind the estimates
+    se_mean, se_var = state.standard_errors
     mem = state.memory_stats
-    mean = mem.mean + soft_shrinkage(live.mean - mem.mean, state.alpha * np.sqrt(s2_mean))
-    var = mem.var + soft_shrinkage(live.var - mem.var, state.alpha * np.sqrt(s2_var))
+    mean = mem.mean + soft_shrinkage(live.mean - mem.mean, state.alpha * se_mean)
+    var = mem.var + soft_shrinkage(live.var - mem.var, state.alpha * se_var)
     return ChannelStats(mean, np.maximum(var, 0.0))
 
 
 def normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarray,
-              beta: np.ndarray, epsilon: float):
+              beta: np.ndarray, epsilon: float, order: str = "K"):
     """gamma * (x - mean) / sqrt(var + epsilon) + beta, per channel.
 
     The one normalization routine, whatever the source of (mean, var). The
-    result is laid out batch-major whatever the layout of `x`: the
-    backward's sums over batch and length read that layout. Also returns
+    result keeps the layout of `x`, or is batch-major with `order="C"`: the
+    layout the backward's sums over batch and length read. Also returns
     what `numerics.backward` needs when (mean, var) are the batch's own
     statistics of `x`.
     """
     shifted_var = var + epsilon
     inv = 1.0 / np.sqrt(shifted_var)
-    centered = np.subtract(x, mean.reshape(1, -1, 1), order="C")
+    centered = np.subtract(x, mean.reshape(1, -1, 1), order=order)
     scaled = centered * inv.reshape(1, -1, 1)
     out = scaled * gamma.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
     return out, (centered, scaled, gamma, inv, shifted_var)
@@ -115,9 +122,10 @@ def normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarra
 
 def batch_channel_stats(f: np.ndarray) -> ChannelStats:
     """Per-channel mean and population variance over batch and length axes."""
-    mean = f.mean(axis=(0, 2))
+    n = f.shape[0] * f.shape[2]
+    mean = np.add.reduce(f, axis=(0, 2)) / n  # what `f.mean` computes, without its Python wrapper
     centered = f - mean.reshape(1, -1, 1)
-    var = np.mean(centered * centered, axis=(0, 2))
+    var = np.add.reduce(centered * centered, axis=(0, 2)) / n
     return ChannelStats(mean, var)
 
 

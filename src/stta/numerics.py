@@ -13,7 +13,9 @@ differentiator kept with the tests, and their results equal it bit for bit.
 Floating-point reductions and matrix products depend on the memory layout
 of their operands, so the kernels keep the reference's layouts wherever a
 reduction or a product reads them: the channel-major result of the channel
-mix, and the batch-major result of the normalization.
+mix, and the batch-major result of the normalization in a recorded (batch
+source) forward. The serving sources keep the channel-major layout through
+normalization and relu; their pooled features are made contiguous for the head.
 """
 
 from __future__ import annotations

@@ -225,6 +225,8 @@ class TestRun:
         ({"pretrain": {"lr": "fast"}}, [], "pretrain.lr"),
         ({"pretrain": {"batch_size": 0}}, [], "pretrain.batch_size"),
         ({"pretrain": {"samples": 0}}, [], "pretrain.samples"),
+        ({"pretrain": {"samples": 2}}, [],
+         "pretrain.samples must be >= 3, the stream's class count (one sample per class), got 2"),
         ({"pretrain": {"epochs": 2.5}}, [], "pretrain.epochs"),
         ({"pretrain": {"blocks": -1}}, [], "pretrain.blocks"),
         ({}, ["--workers", "-1"], "--workers"),
@@ -277,8 +279,8 @@ class TestRun:
         ({"stream": {"segments": [{"batches": 2, "domain": {"channels": 8}},
                                   {"batches": 2, "domain": {"channels": 8, "num_classes": 6}}]}}, [],
          "stream.segments[1].domain has 6 classes of 8 x 8 samples, segments[0].domain 3 classes of 8 x 8"),
-    ], ids=["nan-lr", "zero-lr", "text-lr", "zero-batch-size", "zero-samples", "fractional-epochs",
-            "negative-blocks", "negative-workers", "zero-workers", "no-rates", "no-seeds",
+    ], ids=["nan-lr", "zero-lr", "text-lr", "zero-batch-size", "zero-samples", "fewer-samples-than-classes",
+            "fractional-epochs", "negative-blocks", "negative-workers", "zero-workers", "no-rates", "no-seeds",
             "text-seed-flag", "text-seed", "negative-seed", "repeated-seed", "scalar-seeds", "scalar-rates",
             "text-rate", "text-modes", "scalar-grid", "bool-rate", "number-out-dir", "scalar-segments",
             "scalar-segment", "no-segments", "scalar-domain", "unknown-segment-key", "no-batches",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stta import normalization
 from stta.datagen import continual_stream, make_stream, single_domain_stream
 from stta.engine import (
     AdaptationSchedule,
@@ -158,6 +159,19 @@ class TestEngineBasics:
         engine.process_batch(stream[0].x, stream[0].labels)
         assert all(l.memory_norm.populated for l in model.norm_layers)
         assert engine._inference_source() == "iobmn"
+
+    def test_dead_zone_is_sized_only_at_adaptations(self, base_model, monkeypatch):
+        calls = []
+        sizing = normalization.sampling_variances
+        monkeypatch.setattr(normalization, "sampling_variances", lambda state: calls.append(1) or sizing(state))
+        model = base_model.clone()
+        engine = Engine(model, EngineConfig(ar=Fraction(1, 3), tau_conf=0.0))
+        served = []
+        for batch in make_stream(single_domain_stream(batches=9, batch_size=8, seed=3)):
+            before = len(calls)
+            record = engine.process_batch(batch.x, batch.labels)
+            served.append((record.adapted, len(calls) - before))
+        assert served == [(False, 0), (False, 0), (True, 3)] * 3  # one sizing per norm layer per update
 
     def test_ema_and_frozen_modes_run(self, base_model):
         for mode in ("ema", "frozen"):

@@ -337,6 +337,20 @@ class TestCheckpoint:
         assert np.array_equal(forward(model, xt).logits,
                               forward(loaded, xt).logits)
 
+    def test_round_trip_keeps_iobmn_logits_bitwise(self, tmp_path):
+        # The memory statistics' standard errors are not saved; loading recomputes them.
+        x, y = TestPretrain().make_source(seed=16)
+        model = default_model(channels=8, num_classes=3, blocks=2, seed=17)
+        pretrain(model, x, y, epochs=1, lr=1e-2, seed=18)
+        step = adapt_step(model, x[:6], 1e-3)
+        for layer, stats in zip(model.norm_layers, step.layer_stats):
+            layer.memory_norm.populate(stats, x.shape[2], 6)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        xt = rand_input((3, 8, 8), seed=19)
+        assert np.array_equal(forward(model, xt, "iobmn").logits, forward(loaded, xt, "iobmn").logits)
+
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "other"}')

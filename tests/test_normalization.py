@@ -151,6 +151,29 @@ class TestCorrectedStats:
         outs = [corrected_stats(state, ChannelStats(np.array([g]), np.array([2.0]))).mean[0] for g in grid]
         assert all(b - a >= -1e-12 for a, b in zip(outs, outs[1:]))
 
+    def test_degenerate_sample_size_errors_at_first_use(self):
+        state = populated_state([1.0], extent=1, count=1)  # populating such a state is allowed
+        with pytest.raises(ValueError, match="degenerate sample size 1"):
+            corrected_stats(state, batch_channel_stats(np.zeros((1, 1, 1))))
+
+    def test_only_populate_sets_the_statistics(self):
+        # A state built around populate would have no standard errors to serve with.
+        with pytest.raises(TypeError):
+            MemoryNormState(memory_stats=ChannelStats(np.zeros(1), np.ones(1)), spatial_extent=4, sample_count=4)
+
+    def test_follows_an_alpha_set_after_populating(self):
+        # An engine sets its configured alpha on layers a checkpoint may already have populated.
+        rng = np.random.default_rng(11)
+        mem_mean, mem_var = rng.normal(size=6), rng.uniform(0.1, 3.0, size=6)
+        live = batch_channel_stats(rng.normal(size=(4, 6, 5)))
+        state = populated_state(mem_var, extent=5, count=4, alpha=4.0, mean=mem_mean)
+        before = corrected_stats(state, live)
+        state.alpha = 0.75
+        fresh = populated_state(mem_var, extent=5, count=4, alpha=0.75, mean=mem_mean)
+        got, want = corrected_stats(state, live), corrected_stats(fresh, live)
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.var, want.var)
+        assert not np.array_equal(got.mean, before.mean)
+
 
 class TestNormalize:
     def test_alpha_zero_equals_batch_norm(self):
