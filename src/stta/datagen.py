@@ -39,10 +39,6 @@ class Corruption:
         if not isinstance(self.permute, bool):
             raise ValueError(f"permute must be true or false, got {self.permute!r}")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.scale == 1.0 and self.offset == 0.0 and self.noise == 0.0 and not self.permute
-
 
 IDENTITY = Corruption()
 

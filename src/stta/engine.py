@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -305,24 +306,20 @@ class Engine:
         t0 = time.perf_counter()
         result = forward(self.model, xv, self._inference_source())
         probs = nm.softmax(result.logits)
-        preds = probs.argmax(axis=1)
         mu, sigma = result.early_mean, result.early_sigma
-        pseudo = preds.tolist()
-        confidences = probs.max(axis=1).tolist()
+        pseudo = probs.argmax(axis=1).tolist()
+        confidences = np.maximum.reduce(probs, axis=1).tolist()
         entropies = per_sample_entropy(probs).tolist()
         scores = memory.score(mu, sigma).tolist()
         truth = np.asarray(labels, dtype=np.intp).tolist() if labels is not None else None
 
-        inserted = 0
-        inserted_correct = 0 if labels is not None else None
-        for i in range(xv.shape[0]):
-            outcome = memory.insert(xv[i], pseudo[i], confidences[i], mu[i], sigma[i],
-                                    scores[i], self._arrival, entropies[i])
-            self._arrival += 1
-            if outcome.kind != "rejected_low_conf":
+        inserted = inserted_correct = 0
+        arrival = self._arrival
+        for i, row in enumerate(zip(xv, pseudo, confidences, mu, sigma, scores)):
+            if memory.insert(*row, arrival + i, entropies[i]).kind != "rejected_low_conf":
                 inserted += 1
-                if truth is not None and pseudo[i] == truth[i]:
-                    inserted_correct += 1
+                inserted_correct += truth is not None and pseudo[i] == truth[i]
+        self._arrival = arrival + len(pseudo)
 
         shift = memory.update_centroid(result.layer_stats[0])
         rescored = memory.maybe_rescore(shift)
@@ -342,18 +339,15 @@ class Engine:
                 self._populate_memory_norm(step, batch)
             adaptation_seconds = time.perf_counter() - t2
 
-        correct = None
-        if labels is not None:
-            correct = int((preds == np.asarray(labels, dtype=np.intp)).sum())
         return BatchRecord(
             index=self._batch_index,
             segment=segment,
             size=xv.shape[0],
-            correct=correct,
+            correct=None if truth is None else sum(map(operator.eq, pseudo, truth)),
             adapted=adapted,
             adapt_skipped=skipped,
             inserted=inserted,
-            inserted_correct=inserted_correct,
+            inserted_correct=None if truth is None else inserted_correct,
             rescored=rescored,
             memory_size=len(memory),
             inference_seconds=t1 - t0,

@@ -13,7 +13,7 @@ ablation runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ def wasserstein(mu: np.ndarray, sigma: np.ndarray, ref_mu: np.ndarray, ref_sigma
     return np.sqrt(np.add.reduce(dm * dm, axis=-1) + np.add.reduce(ds * ds, axis=-1))
 
 
-@dataclass(frozen=True)
-class InsertOutcome:
+class InsertOutcome(NamedTuple):
     kind: str  # rejected_low_conf | inserted | inserted_with_eviction
     evicted: int | None = None  # arrival index of the sample that left
 
@@ -98,6 +97,9 @@ class SampleMemory:
         self.beta = float(beta)
         cap = self.capacity
         self.inputs: np.ndarray | None = None  # [cap, *input shape], sized by the first insert
+        # The row shapes `insert` checks each candidate against: inputs.shape[1:] once sized, mu.shape[1:].
+        self._input_shape: tuple | None = None
+        self._stats_shape = (channels,)
         self.labels = np.zeros(cap, dtype=np.int64)
         self.confidences = np.zeros(cap)
         self.mu = np.zeros((cap, channels))
@@ -185,9 +187,9 @@ class SampleMemory:
         mode = self.selection_mode
         if mode == "low_entropy" and entropy is None:
             raise ValueError("low_entropy mode requires candidates with stored entropy")
-        if self.inputs is not None and x.shape != self.inputs.shape[1:]:
-            raise ShapeError(f"input of shape {x.shape} in a memory of {self.inputs.shape[1:]} inputs")
-        if mu.shape != self.mu.shape[1:] or sigma.shape != self.mu.shape[1:]:
+        if x.shape != self._input_shape and self._input_shape is not None:
+            raise ShapeError(f"input of shape {x.shape} in a memory of {self._input_shape} inputs")
+        if mu.shape != self._stats_shape or sigma.shape != self._stats_shape:
             raise ShapeError(f"sample stats: mu {mu.shape} vs sigma {sigma.shape}, {self.mu.shape[1]} channels")
         self._last_arrival = arrival
         if mode in ("crm", "cndrm") and conf <= self.tau_conf:
@@ -217,6 +219,7 @@ class SampleMemory:
     def _write(self, slot, x, label, conf, mu, sigma, wdist, arrival, entropy) -> None:
         if self.inputs is None:
             self.inputs = np.zeros((self.capacity,) + x.shape)
+            self._input_shape = x.shape
         self.inputs[slot] = x
         self.labels[slot] = label
         self.confidences[slot] = conf

@@ -68,7 +68,7 @@ class ForwardResult:
     early_mean: np.ndarray   # per sample, per channel: mean over length
     early_sigma: np.ndarray  # per sample, per channel: std over length
     layer_stats: list[ChannelStats]  # per norm layer: input batch statistics
-    record: list[tuple] | None = None  # batch source, per block: (mix weight, norm saved, relu mask)
+    record: list[tuple] | None = None  # forward(..., record=True): per block (mix weight, norm saved, relu mask)
 
 
 @dataclass(eq=False)
@@ -114,18 +114,22 @@ def default_model(channels: int = 16, num_classes: int = 3, blocks: int = 3, see
 # forward
 
 
-def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
+def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -> ForwardResult:
     """Run the network, collecting early per-sample and per-layer statistics.
 
     Early statistics are each sample's per-channel (mean, std over length)
     of the input to the first norm layer; `layer_stats` are the live batch
     statistics of every norm layer's input. With the `ema` source, each
     norm layer folds the live statistics into its moving average as the
-    pass reaches it. With the `batch` source the result also carries the
-    record that `numerics.backward` differentiates.
+    pass reaches it. With `record` (batch source only; the training steps
+    ask for it) the result also carries the record that `numerics.backward`
+    differentiates; every other forward, serving with any source, keeps
+    the channel mix's channel-major layout and records nothing.
     """
     if norm_source not in NORM_SOURCES:
         raise ValueError(f"unknown norm source {norm_source!r}")
+    if record and norm_source != "batch":
+        raise ValueError(f"only a batch-statistics forward can be recorded, not {norm_source!r}")
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim != 3 or xv.shape[1] != model.in_channels:
         raise ShapeError(f"expected batch x {model.in_channels} x length input, got {xv.shape}")
@@ -134,10 +138,10 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
 
     early_mean = early_sigma = None
     layer_stats: list[ChannelStats] = []
-    record = [] if norm_source == "batch" else None
-    # Only the batch source's backward reads the norm output batch-major; the others
-    # keep the channel mix's channel-major layout, so the next mix's transpose is a view.
-    order = "C" if record is not None else "K"
+    saved_blocks = [] if record else None
+    # Only the backward reads the norm output batch-major; an unrecorded forward keeps
+    # the channel mix's channel-major layout, so the next mix's transpose is a view.
+    order = "C" if record else "K"
     length = xv.shape[2]
     out = xv
     for weight, layer in zip(model.mix_weights, model.norm_layers):
@@ -160,19 +164,22 @@ def forward(model: Model, x, norm_source: str = "batch") -> ForwardResult:
         else:  # frozen source statistics
             mean, var = layer.running_mean, layer.running_var
         out, saved = normalize(out, mean, var, layer.gamma, layer.beta, layer.epsilon, order)
-        out, mask = nm.relu(out)
-        if record is not None:
-            record.append((weight, saved, mask))
+        if record:
+            out, mask = nm.relu(out)
+            saved_blocks.append((weight, saved, mask))
+        else:  # the same values as `nm.relu`, +0.0 for every non-positive entry, without its mask
+            out = np.maximum(out, 0.0)
     pooled = np.ascontiguousarray(np.add.reduce(out, axis=2) / length)  # channel-major rounds differently in BLAS
     logits = pooled @ model.head_weight + model.head_bias.reshape(1, -1)  # pool, head
-    return ForwardResult(logits, early_mean, early_sigma, layer_stats, record)
+    return ForwardResult(logits, early_mean, early_sigma, layer_stats, saved_blocks)
 
 
 # ---------------------------------------------------------------------------
 # losses; each returns the loss and its gradient with respect to the logits.
 # The gradients take the reference differentiator's operations in its order
 # (softmax and exp(log-softmax) both appear), so they equal it bit for bit;
-# the closed forms round differently.
+# the closed forms round differently. Sums and means call `np.add.reduce` (and
+# divide by the count): the ufunc loop behind `.sum`/`.mean`, without its wrapper.
 
 
 def _logits_of(logits) -> np.ndarray:
@@ -184,9 +191,9 @@ def _logits_of(logits) -> np.ndarray:
 
 def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise exp(logits - max) and log-softmax."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e, shifted - np.log(e.sum(axis=-1, keepdims=True))
+    return e, shifted - np.log(np.add.reduce(e, axis=-1, keepdims=True))
 
 
 def entropy_loss(logits) -> tuple[float, np.ndarray]:
@@ -194,13 +201,13 @@ def entropy_loss(logits) -> tuple[float, np.ndarray]:
     lv = _logits_of(logits)
     b = lv.shape[0]
     e, log_p = _log_softmax(lv)
-    p = e / e.sum(axis=-1, keepdims=True)
-    loss = (-((p * log_p).sum(axis=(1,)))).mean(axis=(0,))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    loss = np.add.reduce(-np.add.reduce(p * log_p, axis=1), axis=0) / b
     d_terms = -(1.0 / b)  # d loss / d (p * log_p), every term
     d_p = d_terms * log_p
     d_log_p = d_terms * p
-    grad = d_log_p - np.exp(log_p) * d_log_p.sum(axis=-1, keepdims=True)
-    return float(loss), grad + p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
+    grad = d_log_p - np.exp(log_p) * np.add.reduce(d_log_p, axis=-1, keepdims=True)
+    return float(loss), grad + p * (d_p - np.add.reduce(d_p * p, axis=-1, keepdims=True))
 
 
 def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
@@ -208,20 +215,20 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     lv = _logits_of(logits)
     b = lv.shape[0]
     labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != (b,) or (labels.min() < 0 or labels.max() >= lv.shape[1]):
+    if labels.shape != (b,) or (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= lv.shape[1]):
         raise ValueError(f"need one class index in [0, {lv.shape[1]}) for each of {b} rows")
     _, log_p = _log_softmax(lv)
     rows = np.arange(b)
-    loss = -(log_p[rows, labels].mean(axis=(0,)))
+    loss = -(np.add.reduce(log_p[rows, labels], axis=0) / b)
     d_log_p = np.zeros(lv.shape)
     d_log_p[rows, labels] = -1.0 / b
-    return float(loss), d_log_p - np.exp(log_p) * d_log_p.sum(axis=-1, keepdims=True)
+    return float(loss), d_log_p - np.exp(log_p) * np.add.reduce(d_log_p, axis=-1, keepdims=True)
 
 
 def per_sample_entropy(p: np.ndarray) -> np.ndarray:
     """Entropy of each probability row, natural log; 0 log 0 treated as 0."""
     logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), 0.0)
-    return -(p * logp).sum(axis=-1)
+    return -np.add.reduce(p * logp, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +254,7 @@ def adapt_step(model: Model, memory_batch, lr: float) -> ForwardResult | None:
     batch = np.asarray(memory_batch, dtype=np.float64)
     if batch.shape[0] == 0:
         return None
-    result = forward(model, batch, "batch")
+    result = forward(model, batch, "batch", record=True)
     _, dlogits = entropy_loss(result.logits)
     _descend(model, result, dlogits, lr)
     return result
@@ -299,7 +306,7 @@ def pretrain(model: Model, inputs, labels, epochs: int = 100, lr: float = 1e-2, 
 
 
 def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float) -> float:
-    result = forward(model, xb, "batch")
+    result = forward(model, xb, "batch", record=True)
     loss, dlogits = cross_entropy_loss(result.logits, yb)
     _descend(model, result, dlogits, lr)
     m = RUNNING_MOMENTUM

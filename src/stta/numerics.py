@@ -2,10 +2,11 @@
 
 The model is n >= 1 blocks of (channel mix, normalization, relu), then a
 global mean pool and a classifier head; normalization's forward is
-`stta.normalization.normalize`. A recorded forward keeps, per block, the
-mix weight, what the normalization saved and the relu mask;
-:func:`backward` walks that record from the logits back to the first
-block and returns the norm layers' scale/shift gradients, the only
+`stta.normalization.normalize`. Only the training steps record their
+forward (batch statistics, `forward(..., record=True)`); a recorded forward
+keeps, per block, the mix weight, what the normalization saved and the
+relu mask; :func:`backward` walks that record from the logits back to the
+first block and returns the norm layers' scale/shift gradients, the only
 weights that train.
 
 The kernels repeat, operation for operation, the tape-based reference
@@ -13,9 +14,12 @@ differentiator kept with the tests, and their results equal it bit for bit.
 Floating-point reductions and matrix products depend on the memory layout
 of their operands, so the kernels keep the reference's layouts wherever a
 reduction or a product reads them: the channel-major result of the channel
-mix, and the batch-major result of the normalization in a recorded (batch
-source) forward. The serving sources keep the channel-major layout through
-normalization and relu; their pooled features are made contiguous for the head.
+mix, and the batch-major result of the normalization in a recorded forward.
+Every unrecorded forward, serving with any source, keeps the channel-major
+layout through normalization and relu (`np.maximum(x, 0.0)`: the values of
+:func:`relu`, without its mask); its pooled features are made contiguous
+for the head. Sums call `np.add.reduce`, the ufunc loop behind `.sum`
+and `.mean`, without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ class ShapeError(ValueError):
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-normalized exponentials over the last axis, max-subtracted."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -64,20 +68,20 @@ def backward(record: list[tuple], dlogits: np.ndarray,
     """
     length = record[0][2].shape[2]
     g = dlogits @ head_weight.T
-    g = np.repeat(g.reshape(*g.shape, 1) / length, length, axis=2)
+    g = (g / length)[:, :, None]  # the pool's gradient, broadcast over length by the first mask
     grads = []
     for i in range(len(record) - 1, -1, -1):
         weight, (centered, scaled, gamma, inv, shifted_var), mask = record[i]
         g = g * mask
-        grads.append(((g * scaled).sum(axis=(0, 2)), g.sum(axis=(0, 2))))
+        grads.append((np.add.reduce(g * scaled, axis=(0, 2)), np.add.reduce(g, axis=(0, 2))))
         if i == 0:
             break
         count = g.shape[0] * g.shape[2]
         d_scaled = g * gamma.reshape(1, -1, 1)
         d_centered = d_scaled * inv.reshape(1, -1, 1)
-        d_inv = (d_scaled * centered).sum(axis=(0, 2))
+        d_inv = np.add.reduce(d_scaled * centered, axis=(0, 2))
         d_var = d_inv * (-0.5) * inv / shifted_var
-        d_mean = -d_centered.sum(axis=(0, 2))
+        d_mean = -np.add.reduce(d_centered, axis=(0, 2))
         g = d_centered + (d_var * (2.0 / count)).reshape(1, -1, 1) * centered
         g += (d_mean / count).reshape(1, -1, 1)
         b, c_out, length = g.shape

@@ -125,7 +125,7 @@ class TestCorrupt:
     def test_presets_cover_catalog(self):
         presets = corruption_presets()
         assert {"none", "scale_mild", "scale_strong", "offset", "noise", "permute"} == set(presets)
-        assert presets["none"].is_identity
+        assert presets["none"] == Corruption()
 
 
 class TestMakeStream:

@@ -10,7 +10,8 @@ import pytest
 
 import reference_tape as ref
 from stta import model as kernels
-from stta.model import default_model
+from stta import numerics
+from stta.model import NORM_SOURCES, default_model
 
 # (channels, blocks, batch, length): every channel count, block count, batch
 # size and length of interest appears at least once.
@@ -58,15 +59,18 @@ def assert_same_norm_layers(a, b):
         assert np.array_equal(la.running_var, lb.running_var)
 
 
-@pytest.mark.parametrize("source", ["batch", "iobmn", "ema", "frozen"])
+def populate_memory_norm(model, x):
+    for layer, stats in zip(model.norm_layers, kernels.forward(model, x).layer_stats):
+        layer.memory_norm.populate(stats, x.shape[2], max(2, x.shape[0]))
+
+
+@pytest.mark.parametrize("source", NORM_SOURCES)
 @pytest.mark.parametrize("channels,blocks,batch,length", SHAPES, ids=IDS)
 def test_inference_forward(source, channels, blocks, batch, length):
     model = make_model(channels, blocks, seed=channels + blocks)
     stream = batches(channels, batch, length, 8, seed=batch + length)
     if source == "iobmn":
-        first = kernels.forward(model, stream[0])
-        for layer, stats in zip(model.norm_layers, first.layer_stats):
-            layer.memory_norm.populate(stats, length, max(2, batch))
+        populate_memory_norm(model, stream[0])
     mine, theirs = model.clone(), model.clone()
     for x in stream:
         assert_same_results(kernels.forward(mine, x, source), ref.forward(theirs, x, source))
@@ -74,6 +78,57 @@ def test_inference_forward(source, channels, blocks, batch, length):
         if source == "ema":
             assert np.array_equal(la.ema.stats.mean, lb.ema.stats.mean)
             assert np.array_equal(la.ema.stats.var, lb.ema.stats.var)
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.0], ids=["beta+0", "beta-0"])
+@pytest.mark.parametrize("source", NORM_SOURCES)
+def test_inference_forward_through_a_zeroed_channel(source, beta):
+    """A channel whose normalization output is exactly +-0.0, in every block: the
+    serving relu (`np.maximum` without a mask) must give what the reference's gives."""
+    model = make_model(6, 3, seed=4)
+    for layer in model.norm_layers:
+        layer.gamma[2], layer.beta[2] = 0.0, beta
+    stream = batches(6, 16, 8, 4, seed=9)
+    if source == "iobmn":
+        populate_memory_norm(model, stream[0])
+    mine, theirs = model.clone(), model.clone()
+    for x in stream:
+        got, want = kernels.forward(mine, x, source), ref.forward(theirs, x, source)
+        assert_same_results(got, want)
+        assert got.logits.tobytes() == ref._val(want.logits).tobytes()  # signs of zero too
+
+
+def test_serving_relu_is_relu_bit_for_bit():
+    """`np.maximum(x, 0.0)` gives `relu`'s +0.0 for -0.0, 0.0 and negative subnormals."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([-0.0, 0.0, tiny, -tiny, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                        1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max, 1.0, -1.0])
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 16, 2048):  # scalar tails and vector loops
+        x = rng.choice(special, size=n)
+        want = numerics.relu(x)[0]
+        assert np.maximum(x, 0.0).tobytes() == want.tobytes()
+    cube = rng.choice(special, size=(16, 6, 8))
+    channel_major = cube.transpose(1, 0, 2).copy().transpose(1, 0, 2)  # the channel mix's layout
+    assert np.maximum(channel_major, 0.0).tobytes() == numerics.relu(cube)[0].tobytes()
+
+
+@pytest.mark.parametrize("source", NORM_SOURCES)
+def test_only_a_training_forward_is_recorded(source):
+    model = make_model(6, 2, seed=5)
+    x = batches(6, 16, 8, 1, seed=6)[0]
+    if source == "iobmn":
+        populate_memory_norm(model, x)
+    served = kernels.forward(model, x, source)
+    assert served.record is None
+    if source != "batch":
+        with pytest.raises(ValueError, match="only a batch-statistics forward can be recorded"):
+            kernels.forward(model, x, source, record=True)
+        return
+    recorded = kernels.forward(model, x, "batch", record=True)
+    assert len(recorded.record) == len(model.norm_layers)
+    assert_same_results(served, ref.forward(model.clone(), x))
+    assert_same_results(recorded, ref.forward(model.clone(), x))
 
 
 @pytest.mark.parametrize("channels,blocks,batch,length", SHAPES, ids=IDS)
