@@ -2,8 +2,8 @@
 
 Each batch is classified first (never benefiting from its own update),
 its samples are offered to the memory, the domain centroid absorbs the
-batch's early-layer statistics, and only then, when the rate accumulator
-fires, does one entropy-minimization step run on the memory batch. The
+batch's early-layer statistics, and only then, when floor(batch count * ar)
+steps up, does one entropy-minimization step run on the memory batch. The
 statistics observed during that step seed the memory-based normalization
 used for subsequent inference.
 
@@ -62,30 +62,27 @@ def _as_rate(value) -> Fraction:
 class AdaptationSchedule:
     """Exact proportional scheduler for sparse updates.
 
-    A credit accumulator gains `ar` per batch and fires when it reaches 1
-    (then pays 1 back), so after B batches exactly floor(B * ar) updates
-    have fired for any rational rate, with no float drift.
+    After B batches exactly floor(B * ar) updates have fired: batch B
+    adapts when that floor steps up. The floor is taken in integers, so no
+    rational rate drifts. `batch_count` is the only state.
     """
 
     def __init__(self, ar) -> None:
         self.ar = _as_rate(ar)
-        self._credit = Fraction(0)
-        self.adapt_count = 0
         self.batch_count = 0
 
     @property
-    def credit(self) -> Fraction:
-        return self._credit
+    def adapt_count(self) -> int:
+        return self.batch_count * self.ar.numerator // self.ar.denominator
+
+    @property
+    def credit(self) -> Fraction:  # the fractional part of batch_count * ar
+        return self.batch_count * self.ar - self.adapt_count
 
     def should_adapt(self) -> bool:
         """Call exactly once per batch, in stream order."""
-        self.batch_count += 1
-        self._credit += self.ar
-        if self._credit >= 1:
-            self._credit -= 1
-            self.adapt_count += 1
-            return True
-        return False
+        self.batch_count += 1  # floor(n * ar) steps up exactly when frac(n * ar) < ar
+        return self.batch_count * self.ar.numerator % self.ar.denominator < self.ar.numerator
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,6 @@ class Engine:
         self.memory: SampleMemory | None = None  # sized on the first batch
         self._arrival = 0
         self._rng = np.random.default_rng(config.seed)
-        self._batch_index = 0
         for layer in model.norm_layers:
             layer.memory_norm.alpha = config.alpha
             layer.ema.momentum = config.ema_momentum
@@ -265,7 +261,7 @@ class Engine:
     def _validated(self, x, labels) -> np.ndarray:
         """Check a batch before anything changes; returns its values as a float64 array."""
         xv = np.asarray(x, dtype=np.float64)
-        where = f"batch {self._batch_index}"
+        where = f"batch {self.schedule.batch_count}"
         if xv.ndim != 3 or xv.shape[0] < 1:
             raise ValueError(f"{where}: rejected batch of shape {xv.shape}; "
                              "want a non-empty batch x channel x length array")
@@ -292,15 +288,14 @@ class Engine:
         the engine is then part-way through the batch and must not serve on.
         """
         xv = self._validated(x, labels)
+        index = self.schedule.batch_count
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                record = self._process(xv, labels, segment)
+                return self._process(index, xv, labels, segment)
         except FloatingPointError as exc:
-            raise FloatingPointError(f"batch {self._batch_index}: {exc}") from None
-        self._batch_index += 1
-        return record
+            raise FloatingPointError(f"batch {index}: {exc}") from None
 
-    def _process(self, xv: np.ndarray, labels, segment: int) -> BatchRecord:
+    def _process(self, index: int, xv: np.ndarray, labels, segment: int) -> BatchRecord:
         memory = self._ensure_memory(xv.shape[0])
 
         t0 = time.perf_counter()
@@ -340,7 +335,7 @@ class Engine:
             adaptation_seconds = time.perf_counter() - t2
 
         return BatchRecord(
-            index=self._batch_index,
+            index=index,
             segment=segment,
             size=xv.shape[0],
             correct=None if truth is None else sum(map(operator.eq, pseudo, truth)),
@@ -403,7 +398,7 @@ class Engine:
             },
             "memory": mem,
             "arrival": self._arrival,
-            "batch_index": self._batch_index,
+            "batch_index": self.schedule.batch_count,
             "rng": _rng_state_dict(self._rng),
         }
 
@@ -431,11 +426,17 @@ class Engine:
                           checked_int(credit[1], f"{at}.credit[1]", 1))
         if credit >= 1:
             raise ValueError(f"{at}.credit must be < 1, got {credit}")
-        engine.schedule._credit = credit
-        for key in ("adapt_count", "batch_count"):
-            setattr(engine.schedule, key, checked_int(required(sched, key, at), f"{at}.{key}"))
+        adapt_count, batch_count = (checked_int(required(sched, key, at), f"{at}.{key}")
+                                    for key in ("adapt_count", "batch_count"))
         engine._arrival = checked_int(required(payload, "arrival", top, ": "), f"{top}: arrival")
-        engine._batch_index = checked_int(required(payload, "batch_index", top, ": "), f"{top}: batch_index")
+        batch_index = checked_int(required(payload, "batch_index", top, ": "), f"{top}: batch_index")
+        engine.schedule.batch_count = batch_count  # the other three counts follow from it and config.ar
+        for name, got, want in (("batch_index", batch_index, batch_count),
+                                ("schedule.adapt_count", adapt_count, engine.schedule.adapt_count),
+                                ("schedule.credit", credit, engine.schedule.credit)):
+            if got != want:
+                raise ValueError(f"{top}: {name} {got} disagrees with schedule.batch_count {batch_count} "
+                                 f"at config.ar {config.ar} (want {want})")
         engine._rng = _rng_from_dict(required(payload, "rng", top, ": "))
         mem = required(payload, "memory", top, ": ")
         if mem is not None:
@@ -449,7 +450,6 @@ class Engine:
             raise ValueError(f"{at}: capacity {capacity} disagrees with config.capacity "
                              f"{self.config.capacity}")
         memory = self._ensure_memory(capacity)
-        memory._rng = self._rng
         cen, cen_at = required(mem, "centroid", at, ": "), f"{at}: centroid"
         memory.centroid_mu = checked_array(required(cen, "mu", cen_at), f"{cen_at}.mu", (channels,))
         memory.centroid_sigma = checked_array(required(cen, "sigma", cen_at), f"{cen_at}.sigma", (channels,),

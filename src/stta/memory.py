@@ -53,10 +53,10 @@ class SampleMemory:
       naive       every sample eligible, evict earliest arrival (FIFO)
       random      every sample eligible, evict uniformly at random
       low_entropy every sample eligible, evict highest stored entropy
-      crm         confidence filter + class balance, evict earliest arrival
-                  within the over-represented class
       cndrm       confidence filter + class balance, evict the centroid-
                   farthest sample within the over-represented class
+      crm         cndrm's eviction with staleness in place of distance:
+                  evict the earliest arrival within that class
 
     Samples live in fixed-size arrays, one row per slot: `inputs`,
     `labels`, `confidences`, `mu`, `sigma`, `wdist`, `arrivals` and
@@ -196,27 +196,26 @@ class SampleMemory:
             return _REJECTED
         counts = self.class_counts
         counts[label] = counts.get(label, 0) + 1
+        key = -float(arrival) if mode == "crm" else wdist  # see _farthest_of
         n = self._size
         if n < self.capacity:
-            self._write(n, x, label, conf, mu, sigma, wdist, arrival, entropy)
+            self._write(n, x, label, conf, mu, sigma, wdist, arrival, entropy, key)
             self._size = n + 1
             return _INSERTED
-        slot = self._victim(label, wdist, entropy)
+        slot = self._victim(label, key, entropy)
         if slot == _CANDIDATE:
-            gone = label
-            evicted = arrival
+            gone, evicted = label, arrival
         else:
-            gone = self.labels.item(slot)
-            evicted = self.arrivals.item(slot)
+            gone, evicted = self.labels.item(slot), self.arrivals.item(slot)
             self._farthest.pop(gone, None)
-            self._write(slot, x, label, conf, mu, sigma, wdist, arrival, entropy)
+            self._write(slot, x, label, conf, mu, sigma, wdist, arrival, entropy, key)
         if counts[gone] == 1:
             del counts[gone]
         else:
             counts[gone] -= 1
         return InsertOutcome("inserted_with_eviction", evicted)
 
-    def _write(self, slot, x, label, conf, mu, sigma, wdist, arrival, entropy) -> None:
+    def _write(self, slot, x, label, conf, mu, sigma, wdist, arrival, entropy, key) -> None:
         if self.inputs is None:
             self.inputs = np.zeros((self.capacity,) + x.shape)
             self._input_shape = x.shape
@@ -228,17 +227,18 @@ class SampleMemory:
         self.wdist[slot] = wdist
         self.arrivals[slot] = arrival
         self.entropies[slot] = math.nan if entropy is None else entropy
-        # The newcomer is the latest arrival: it becomes its class's farthest
-        # sample only by being strictly farther.
+        # The newcomer is the latest arrival: it tops its class only by a
+        # strictly larger key, which under crm (staleness) it never has.
         far = self._farthest.get(label)
-        if far is not None and wdist > far[0]:
-            self._farthest[label] = (wdist, slot)
+        if far is not None and key > far[0]:
+            self._farthest[label] = (key, slot)
 
-    def _victim(self, label: int, wdist: float, entropy: float | None) -> int:
+    def _victim(self, label: int, key: float, entropy: float | None) -> int:
         """Slot to evict from a full memory, or `_CANDIDATE`.
 
         The candidate, already counted in `class_counts`, is the latest
-        arrival: it loses every tie that the stalest sample wins.
+        arrival: it loses every tie that the stalest sample wins. `key` is
+        its `_farthest_of` key.
         """
         mode = self.selection_mode
         if mode == "naive":
@@ -250,46 +250,35 @@ class SampleMemory:
             # Highest stored entropy goes; ties evict the stalest.
             slot, top = self._top(np.arange(self.capacity), self.entropies.copy())
             return _CANDIDATE if entropy > top else slot
+        # crm and cndrm: ties between equally large classes go to the class
+        # holding the highest key, the candidate's included, then the lowest id.
         counts = self.class_counts
         top = max(counts.values())
         tied = [c for c, k in counts.items() if k == top]
         alone = counts[label] == 1  # no stored sample shares the candidate's class
-        if mode == "crm":
-            # crm has no distances; ties between equally large classes go to
-            # the class holding the stalest sample, then the lowest class id.
-            # A class the candidate alone holds loses to every other.
-            def stalest(c: int) -> int:
-                arrivals = self.arrivals[self.labels == c]
-                return int(arrivals[arrivals.argmin()])
 
-            target = max(tied, key=lambda c: (-math.inf if c == label and alone else -stalest(c), -c))
-            if target == label and alone:
-                return _CANDIDATE
-            pool = (self.labels == target).nonzero()[0]
-            return int(pool[self.arrivals[pool].argmin()])
-        # cndrm: ties between equally large classes go to the class holding
-        # the farthest sample, the candidate included, then the lowest id.
         def farthest(c: int) -> float:
             if c != label:
                 return self._farthest_of(c)[0]
-            return wdist if alone else max(self._farthest_of(c)[0], wdist)
+            return key if alone else max(self._farthest_of(c)[0], key)
 
         target = tied[0] if len(tied) == 1 else max(tied, key=lambda c: (farthest(c), -c))
-        if target == label and alone:
+        if target == label and (alone or key > self._farthest_of(label)[0]):
             return _CANDIDATE
-        far, slot = self._farthest_of(target)
-        return _CANDIDATE if target == label and wdist > far else slot
+        return self._farthest_of(target)[1]
 
     def _farthest_of(self, label: int) -> tuple[float, int]:
-        """(distance, slot) of the class's farthest stored sample, the stalest among equals.
+        """(key, slot) of the class's highest-keyed sample, the stalest among equal keys.
 
-        Cached per class until the class loses a sample or the distances
-        are rescored; a newcomer updates its class's entry in `_write`.
+        The key is the distance to the centroid under cndrm and `-arrival`
+        under crm. Cached per class until the class loses a sample or the
+        distances are rescored; a newcomer updates its class's entry in `_write`.
         """
         far = self._farthest.get(label)
         if far is None:
             pool = (self.labels == label).nonzero()[0]
-            slot, top = self._top(pool, self.wdist[pool])
+            keys = -self.arrivals[pool].astype(float) if self.selection_mode == "crm" else self.wdist[pool]
+            slot, top = self._top(pool, keys)
             far = self._farthest[label] = (float(top), slot)
         return far
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import threading
@@ -379,6 +380,11 @@ class TestRun:
             cfg["stream"]["correlated"] = value
             assert cli.stream_spec_from_config(cfg, 0).correlated is value
 
+    def test_threshold_for_a_cell_not_run_exits_two(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config(thresholds={"naive@0.5": 0.0}))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "threshold: threshold for naive@0.5: cell naive@1/2 was not run" in capsys.readouterr().err
+
     def test_threshold_pass_exits_zero(self, tmp_path):
         cfg = tiny_config(thresholds={"snap@0.5": 0.0})
         cfg_path = write_config(tmp_path, cfg)
@@ -555,6 +561,24 @@ class TestCompare:
         other = self.make_results(tmp_path, ["snap"], "f2")
         # identical files: any positive allowed drop passes
         assert main(["compare", base, other, "--max-accuracy-drop", "0.5"]) == 0
+
+    def test_accuracy_drop_beyond_the_limit_exits_two(self, tmp_path, capsys):
+        base, other = tmp_path / "base.jsonl", tmp_path / "other.jsonl"
+        base.write_text(result_line("snap", "1", 0.9, 0.1) + result_line("naive", "1", 0.8, 0.1))
+        other.write_text(result_line("snap", "1", 0.5, 0.1) + result_line("naive", "1", 0.75, 0.1))
+        assert main(["compare", str(base), str(other), "--max-accuracy-drop", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "threshold: snap@1: accuracy drop 0.4000 exceeds 0.1\n"
+
+    def test_compare_csv_has_a_row_for_a_gap(self, tmp_path):
+        base, other = tmp_path / "base.jsonl", tmp_path / "other.jsonl"
+        base.write_text(result_line("snap", "1", 0.5, 0.1) + result_line("naive", "1", 0.25, 0.1))
+        other.write_text(result_line("snap", "1", 0.75, 0.2))
+        out_csv = tmp_path / "delta.csv"
+        assert main(["compare", str(base), str(other), "--out", str(out_csv)]) == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [["snap@1", "0.5", "0.75", "0.25", "2.0"], ["naive@1", "", "", "", ""]]
 
     def test_compare_writes_csv(self, tmp_path):
         path = self.make_results(tmp_path, ["snap"], "c1")

@@ -120,6 +120,9 @@ class TestEngineBasics:
         metrics = engine.run_stream([])
         assert metrics.total_batches == 0
         assert metrics.adapt_count == 0
+        assert metrics.accuracy() is None and metrics.pseudo_label_accuracy() is None
+        assert metrics.memory_occupancy() == (0.0, 0)
+        assert metrics.mean_latency() is None and metrics.adaptation_share() == 0.0
 
     def test_memory_capacity_defaults_to_batch_size(self, base_model):
         engine = Engine(base_model.clone(), EngineConfig(ar=0))
@@ -191,7 +194,7 @@ def engine_state(engine):
         None if memory is None else memory.batch().tobytes(),
         engine.schedule.credit, engine.schedule.adapt_count, engine.schedule.batch_count,
         [a.tobytes() for a in affine_digest(engine.model)],
-        engine._arrival, engine._batch_index,
+        engine._arrival,
     )
 
 
@@ -321,16 +324,16 @@ class TestPinnedTrajectories:
 
 
 class TestResume:
-    def test_split_run_equals_whole_run(self, base_model, tmp_path):
+    @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
+    def test_split_run_equals_whole_run(self, base_model, tmp_path, mode):
         spec = single_domain_stream(corruption="scale_strong", batches=20, batch_size=8, seed=9)
         batches = list(make_stream(spec))
+        config = EngineConfig(ar="0.3", capacity=5, selection_mode=mode, seed=10)
 
-        whole_model = base_model.clone()
-        whole = Engine(whole_model, EngineConfig(ar="0.3", seed=10))
+        whole = Engine(base_model.clone(), config)
         metrics_whole = whole.run_stream(batches)
 
-        first_model = base_model.clone()
-        first = Engine(first_model, EngineConfig(ar="0.3", seed=10))
+        first = Engine(base_model.clone(), config)
         metrics_a = first.run_stream(batches[:10])
         path = tmp_path / "engine.json"
         first.save(path)
@@ -339,10 +342,35 @@ class TestResume:
 
         combined = metrics_a.deterministic_dict()["records"] + metrics_b.deterministic_dict()["records"]
         assert combined == metrics_whole.deterministic_dict()["records"]
-        for a, b in zip(affine_digest(whole_model), affine_digest(resumed.model)):
-            assert np.array_equal(a, b)
-        assert whole.memory.dump() == resumed.memory.dump()
-        assert whole.schedule.credit == resumed.schedule.credit
+        assert len(whole.memory) == 5 and whole.schedule.adapt_count == 6
+        assert json.dumps(resumed.state_dict()) == json.dumps(whole.state_dict())
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda p: p["schedule"].update(credit=[1, 5]),
+         r"schedule\.credit 1/5 disagrees with schedule\.batch_count 7 at config\.ar 3/10 \(want 1/10\)"),
+        (lambda p: p["schedule"].update(adapt_count=3),
+         r"schedule\.adapt_count 3 disagrees with schedule\.batch_count 7 at config\.ar 3/10 \(want 2\)"),
+        (lambda p: p["schedule"].update(batch_count=8),
+         r"batch_index 7 disagrees with schedule\.batch_count 8 "),
+        (lambda p: p.update(batch_index=8), r"batch_index 8 disagrees with schedule\.batch_count 7 "),
+        (lambda p: p["config"].update(ar="1/2"),
+         r"schedule\.adapt_count 2 disagrees with schedule\.batch_count 7 at config\.ar 1/2 \(want 3\)"),
+        (lambda p: p.update(schedule={"credit": [9, 10], "adapt_count": 0, "batch_count": 0}, batch_index=0),
+         r"schedule\.credit 9/10 disagrees with schedule\.batch_count 0 "),
+        (lambda p: p.update(schedule={"credit": [9, 10], "adapt_count": 0, "batch_count": 0}, batch_index=10),
+         r"batch_index 10 disagrees with schedule\.batch_count 0 "),
+    ], ids=["credit", "adapt-count", "batch-count", "batch-index", "config-ar", "credit-at-start",
+            "credit-and-batch-index"])
+    def test_checkpoint_rejects_counts_that_disagree(self, base_model, edit, named):
+        # Every count follows from schedule.batch_count and config.ar; one that does not is refused.
+        spec = single_domain_stream(corruption="noise", batches=7, batch_size=8, seed=30)
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.3", seed=31))
+        engine.run_stream(make_stream(spec))
+        payload = json.loads(json.dumps(engine.state_dict()))
+        assert Engine.from_state_dict(payload).state_dict() == payload
+        edit(payload)
+        with pytest.raises(ValueError, match="^engine checkpoint: " + named):
+            Engine.from_state_dict(payload)
 
     def test_refresh_memory_stats_key(self, base_model):
         # Older checkpoints carry the removed refresh switch: off loads, on is refused.
