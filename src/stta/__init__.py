@@ -23,7 +23,6 @@ from .memory import InsertOutcome, SampleMemory, wasserstein
 from .model import (
     ForwardResult,
     Model,
-    PretrainResult,
     adapt_step,
     cross_entropy_loss,
     default_model,
@@ -57,7 +56,7 @@ __all__ = [
     # memory
     "InsertOutcome", "SampleMemory", "wasserstein",
     # model
-    "ForwardResult", "Model", "PretrainResult", "adapt_step", "cross_entropy_loss", "default_model",
+    "ForwardResult", "Model", "adapt_step", "cross_entropy_loss", "default_model",
     "entropy_loss", "evaluate_accuracy", "forward", "load_model", "pretrain", "save_model",
     # normalization
     "ChannelStats", "EmaNormState", "MemoryNormState", "StateError", "corrected_stats", "normalize",

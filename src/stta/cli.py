@@ -103,8 +103,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 @contextlib.contextmanager
-def _reading(path: str):
-    """Report a file that cannot be opened, or is not UTF-8 text, as a ConfigError naming it."""
+def _file_errors(path: str):
+    """Report a file that cannot be opened or made, or is not UTF-8 text, as a ConfigError naming it."""
     try:
         yield
     except OSError as exc:
@@ -117,7 +117,7 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return json.loads(json.dumps(DEFAULT_CONFIG))
     try:
-        with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        with _file_errors(path), open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:  # yaml errors carry line/column marks
         raise ConfigError(f"{path}: {exc}")
@@ -234,7 +234,7 @@ def prepare_model(cfg: dict, seed: int, checkpoint: str | None) -> Model:
     `checkpoint`, which must take the stream's channels and classes (ValueError if not)."""
     domain = stream_spec_from_config(cfg).segments[0][0]
     if checkpoint is not None:
-        with _reading(checkpoint):
+        with _file_errors(checkpoint):
             model = load_model(checkpoint)
         if (model.in_channels, model.num_classes) != (domain.channels, domain.num_classes):
             raise ValueError(f"{checkpoint}: the model takes {model.in_channels} channels and {model.num_classes} "
@@ -328,9 +328,8 @@ SUMMARY_FIELDS = ["cell", "mode", "ar", "seeds", "mean_accuracy", "std_accuracy"
 
 
 def write_results(out_dir: str, records: list[dict]) -> tuple[str, str]:
-    """Write results.jsonl and summary.csv atomically: each goes to a temp file
-    first, and both replace the previous pair only once both are written."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write results.jsonl and summary.csv into the existing `out_dir` atomically: each goes
+    to a temp file first, and both replace the previous pair only once both are written."""
     records = sorted(records, key=lambda r: (r["cell"], r["seed"]))
     jsonl_path = os.path.join(out_dir, "results.jsonl")
     csv_path = os.path.join(out_dir, "summary.csv")
@@ -427,14 +426,14 @@ def run_command(args) -> int:
 
     try:
         base_models = {seed: prepare_model(cfg, seed, args.checkpoint) for seed in seeds}
-    except (ValueError, FloatingPointError) as exc:
+        with _file_errors(out_dir):  # made before any cell runs, so a run cannot lose its results to it
+            os.makedirs(out_dir, exist_ok=True)
+            if args.save_model:
+                for seed, model in base_models.items():
+                    save_model(model, os.path.join(out_dir, f"model-seed{seed}.json"))
+    except (ValueError, FloatingPointError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.save_model:
-        os.makedirs(out_dir, exist_ok=True)
-        for seed, model in base_models.items():
-            save_model(model, os.path.join(out_dir, f"model-seed{seed}.json"))
 
     records: list[dict] = []
     errors: list[str] = []
@@ -446,7 +445,11 @@ def run_command(args) -> int:
             except Exception as exc:  # flush what we have, report failure
                 errors.append(f"{cell_key(mode, ar)} seed {seed}: {exc}")
 
-    jsonl_path, csv_path = write_results(out_dir, records)
+    try:
+        jsonl_path, csv_path = write_results(out_dir, records)
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 3
     print(f"wrote {len(records)} records to {jsonl_path}")
     print(f"wrote summary to {csv_path}")
     for row in summarize(records):
@@ -476,7 +479,7 @@ RECORD_FIELDS = (("cell", str, "a string"), ("mode", str, "a string"), ("ar", st
 
 def _load_records(path: str) -> list[dict]:
     records = []
-    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+    with _file_errors(path), open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -488,7 +491,7 @@ def _load_records(path: str) -> list[dict]:
                 rec = None
             if not isinstance(rec, dict):
                 raise ConfigError(f"{where}: a result record must be a JSON object")
-            if rec.get("schema") != RESULT_SCHEMA:
+            if type(rec.get("schema")) is not int or rec["schema"] != RESULT_SCHEMA:  # not true, not 1.0
                 raise ConfigError(f"{where}: unsupported result schema "
                                   f"{rec.get('schema')!r} (want {RESULT_SCHEMA})")
             for name, kinds, rule in RECORD_FIELDS:
@@ -509,6 +512,8 @@ def _aggregate(records: list[dict], by: str) -> dict[str, dict]:
 
 def compare_command(args) -> int:
     try:
+        if args.max_accuracy_drop is not None and not 0.0 <= args.max_accuracy_drop < math.inf:
+            raise ConfigError(f"--max-accuracy-drop must be >= 0 and finite, got {args.max_accuracy_drop}")
         base = _aggregate(_load_records(args.files[0]), args.by)
         other = _aggregate(_load_records(args.files[1]), args.by)
     except ConfigError as exc:
@@ -577,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--by", choices=("cell", "ar"), default="cell",
                        help="join on mode@ar cells (default) or on ar only")
     cmp_p.add_argument("--max-accuracy-drop", type=float,
-                       help="flag cells whose accuracy dropped more than this")
+                       help="flag cells whose accuracy dropped more than this (>= 0 and finite)")
     cmp_p.add_argument("--out", help="also write the delta table as CSV")
     cmp_p.set_defaults(func=compare_command)
     return parser

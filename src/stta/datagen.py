@@ -117,8 +117,8 @@ def sample_source(spec: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, np.n
     return x, labels
 
 
-def corrupt(x: np.ndarray, corruption: Corruption, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Apply a covariate shift; labels are untouched by construction."""
+def corrupt(x: np.ndarray, corruption: Corruption, rng: np.random.Generator) -> np.ndarray:
+    """Apply a covariate shift, drawing its noise (if any) from `rng`; labels are untouched by construction."""
     out = np.asarray(x, dtype=np.float64)
     if corruption.permute:
         channels = out.shape[-2]
@@ -126,8 +126,6 @@ def corrupt(x: np.ndarray, corruption: Corruption, rng: np.random.Generator | No
         out = out[..., perm, :]
     out = corruption.scale * out + corruption.offset
     if corruption.noise > 0.0:
-        if rng is None:
-            raise ValueError("noisy corruption needs a random generator")
         out = out + rng.normal(0.0, corruption.noise, size=out.shape)
     return out
 

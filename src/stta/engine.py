@@ -154,11 +154,8 @@ class RunMetrics:
     out for reproducibility comparisons.
     """
 
-    def __init__(self, records: list[BatchRecord] | None = None) -> None:
-        self.records: list[BatchRecord] = records if records is not None else []
-
-    def append(self, record: BatchRecord) -> None:
-        self.records.append(record)
+    def __init__(self, records: list[BatchRecord]) -> None:
+        self.records = records
 
     @property
     def total_batches(self) -> int:
@@ -254,12 +251,12 @@ class Engine:
 
     def _populate_memory_norm(self, result, batch: np.ndarray) -> None:
         count, extent = batch.shape[0], batch.shape[2]  # every norm layer sees the input length
-        if extent * count >= 2:  # degenerate sampling-variance denominator guard
+        if extent * count >= 2:  # what `populate` takes: the sampling variance divides by n - 1
             for layer, stats in zip(self.model.norm_layers, result.layer_stats):
                 layer.memory_norm.populate(stats, extent, count)
 
-    def _validated(self, x, labels) -> np.ndarray:
-        """Check a batch before anything changes; returns its values as a float64 array."""
+    def _validated(self, x, labels) -> tuple[np.ndarray, np.ndarray | None]:
+        """Check a batch before anything changes; returns its values as float64 and its labels as intp."""
         xv = np.asarray(x, dtype=np.float64)
         where = f"batch {self.schedule.batch_count}"
         if xv.ndim != 3 or xv.shape[0] < 1:
@@ -272,22 +269,28 @@ class Engine:
             raise ValueError(f"{where}: samples of shape {xv.shape[1:]}, the memory holds {stored.shape[1:]}")
         if not np.isfinite(xv).all():
             raise ValueError(f"{where}: input values must be finite (no NaN/Inf)")
-        if labels is not None and np.shape(labels) != (xv.shape[0],):
-            raise ValueError(f"{where}: labels of shape {np.shape(labels)} for {xv.shape[0]} samples")
-        return xv
+        if labels is None:
+            return xv, None
+        lv, classes = np.asarray(labels), self.model.num_classes
+        if lv.shape != (xv.shape[0],):
+            raise ValueError(f"{where}: labels of shape {lv.shape} for {xv.shape[0]} samples")
+        if lv.dtype.kind not in "iu" or np.minimum.reduce(lv) < 0 or np.maximum.reduce(lv) >= classes:
+            raise ValueError(f"{where}: labels must be integers in [0, {classes}), got {lv.tolist()}")
+        return xv, lv.astype(np.intp, copy=False)
 
     # -- the loop ---------------------------------------------------------
 
     def process_batch(self, x, labels=None, segment: int = 0) -> BatchRecord:
-        """Run one stream batch; labels feed metrics only.
+        """Run one stream batch; its labels (optional class indices) feed metrics only.
 
-        The batch is checked before anything changes: a rejected batch
-        raises ValueError naming its index and leaves the engine as it was.
+        The batch and its labels are checked before anything changes: a
+        rejected batch raises ValueError naming its index and leaves the
+        engine as it was.
         A floating-point overflow, division by zero or invalid operation
         raises FloatingPointError naming the batch index where it happens;
         the engine is then part-way through the batch and must not serve on.
         """
-        xv = self._validated(x, labels)
+        xv, labels = self._validated(x, labels)
         index = self.schedule.batch_count
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -295,7 +298,7 @@ class Engine:
         except FloatingPointError as exc:
             raise FloatingPointError(f"batch {index}: {exc}") from None
 
-    def _process(self, index: int, xv: np.ndarray, labels, segment: int) -> BatchRecord:
+    def _process(self, index: int, xv: np.ndarray, labels: np.ndarray | None, segment: int) -> BatchRecord:
         memory = self._ensure_memory(xv.shape[0])
 
         t0 = time.perf_counter()
@@ -306,7 +309,7 @@ class Engine:
         confidences = np.maximum.reduce(probs, axis=1).tolist()
         entropies = per_sample_entropy(probs).tolist()
         scores = memory.score(mu, sigma).tolist()
-        truth = np.asarray(labels, dtype=np.intp).tolist() if labels is not None else None
+        truth = labels.tolist() if labels is not None else None
 
         inserted = inserted_correct = 0
         arrival = self._arrival
@@ -349,12 +352,9 @@ class Engine:
             adaptation_seconds=adaptation_seconds,
         )
 
-    def run_stream(self, stream, use_labels: bool = True) -> RunMetrics:
+    def run_stream(self, stream) -> RunMetrics:
         """Fold the `StreamBatch`es of a stream; see `process_batch`."""
-        metrics = RunMetrics()
-        for batch in stream:
-            metrics.append(self.process_batch(batch.x, batch.labels if use_labels else None, batch.segment))
-        return metrics
+        return RunMetrics([self.process_batch(batch.x, batch.labels, batch.segment) for batch in stream])
 
     # -- checkpoint/resume --------------------------------------------------
 

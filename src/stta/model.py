@@ -48,8 +48,6 @@ class NormLayer:
 
     def __init__(self, channels: int, epsilon: float = 1e-5,
                  alpha: float = 4.0, ema_momentum: float = 0.9) -> None:
-        if not 0.0 < epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
         self.channels = int(channels)
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
@@ -260,20 +258,13 @@ def adapt_step(model: Model, memory_batch, lr: float) -> ForwardResult | None:
     return result
 
 
-@dataclass
-class PretrainResult:
-    model: Model
-    source_accuracy: float
-    final_loss: float
-
-
 # Weight of each minibatch's statistics in the norm layers' running source statistics.
 RUNNING_MOMENTUM = 0.1
 
 
 def pretrain(model: Model, inputs, labels, epochs: int = 100, lr: float = 1e-2, seed: int = 0,
-             batch_size: int = 32) -> PretrainResult:
-    """Cross-entropy SGD on labeled source data.
+             batch_size: int = 32) -> None:
+    """Cross-entropy SGD on labeled source data, training `model` in place.
 
     Only the norm layers' scale/shift train; the channel-mix and head
     weights keep their seeded initialization. Deterministic under the seed
@@ -291,18 +282,15 @@ def pretrain(model: Model, inputs, labels, epochs: int = 100, lr: float = 1e-2, 
     if y.size and (y.min() < 0 or y.max() >= model.num_classes):
         raise ValueError("class labels out of range")
     rng = np.random.default_rng(seed)
-    final_loss = math.nan
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(epochs):
                 order = rng.permutation(x.shape[0])
                 for start in range(0, x.shape[0], batch_size):
                     take = order[start:start + batch_size]
-                    final_loss = _pretrain_minibatch(model, x[take], y[take], lr)
+                    _pretrain_minibatch(model, x[take], y[take], lr)
     except FloatingPointError as exc:
         raise FloatingPointError(f"pretraining: {exc}") from None
-    accuracy = evaluate_accuracy(model, x, y, batch_size=batch_size)
-    return PretrainResult(model, accuracy, final_loss)
 
 
 def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float) -> float:
@@ -448,10 +436,10 @@ def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
     if stats is not None:
         extent, count = (checked_int(required(mn, key, where_mn), f"{where_mn}.{key}", 1)
                          for key in ("spatial_extent", "sample_count"))
-        if extent * count < 2:
-            raise ValueError(f"{where_mn}: spatial_extent x sample_count must be >= 2 "
-                             f"(the statistics' sample size), got {extent} x {count}")
-        layer.memory_norm.populate(stats, extent, count)
+        try:
+            layer.memory_norm.populate(stats, extent, count)
+        except ValueError as exc:
+            raise ValueError(f"{where_mn}: {exc}") from None
     layer.ema.stats = _stats_from(required(ema, "stats", where_ema), channels, f"{where_ema}.stats")
     return layer
 

@@ -42,9 +42,9 @@ class MemoryNormState:
     Holds the memory batch's per-channel mean/variance together with the
     feature-map extent and memory count they were measured over, which size
     the sampling-distribution dead zone. Unpopulated until the first
-    adaptation. Only `populate` sets them, together with the estimates'
-    standard errors (the dead zone before scaling by `alpha`), so that
-    serving does not recompute those.
+    adaptation. Only `populate` sets them, from at least two values,
+    together with the estimates' standard errors (the dead zone before
+    scaling by `alpha`), so that serving does not recompute those.
     """
 
     alpha: float = 4.0
@@ -62,26 +62,23 @@ class MemoryNormState:
         return self.memory_stats is not None
 
     def populate(self, stats: ChannelStats, spatial_extent: int, sample_count: int) -> None:
-        if spatial_extent < 1 or sample_count < 1:
-            raise ValueError("spatial extent and sample count must be >= 1")
+        if spatial_extent < 1 or sample_count < 1 or spatial_extent * sample_count < 2:
+            raise ValueError(f"spatial_extent x sample_count must be >= 2, got {spatial_extent} x {sample_count}")
         self.memory_stats = stats
         self.spatial_extent = int(spatial_extent)
         self.sample_count = int(sample_count)
-        sized = self.spatial_extent * self.sample_count >= 2  # if not, corrected_stats raises at first use
-        self.standard_errors = tuple(np.sqrt(s2) for s2 in sampling_variances(self)) if sized else None
+        self.standard_errors = tuple(np.sqrt(s2) for s2 in sampling_variances(self))
 
 
 def sampling_variances(state: MemoryNormState) -> tuple[np.ndarray, np.ndarray]:
     """Variances of the memory mean and memory variance as sample estimates.
 
-    With n = extent * count values behind the estimates:
+    With n = extent * count >= 2 values behind the estimates (see `populate`):
     var(mean) = v / n and var(variance) = 2 v^2 / (n - 1), per channel.
     """
     if not state.populated:
         raise StateError("memory normalization state is not populated")
     n = state.spatial_extent * state.sample_count
-    if n < 2:
-        raise ValueError(f"degenerate sample size {n}: need extent*count >= 2")
     v = state.memory_stats.var
     return v / n, 2.0 * v * v / (n - 1)
 
@@ -94,7 +91,7 @@ def corrected_stats(state: MemoryNormState, live: ChannelStats) -> ChannelStats:
     is small.
     """
     if state.standard_errors is None:
-        sampling_variances(state)  # raises: unpopulated, or fewer than 2 values behind the estimates
+        raise StateError("memory normalization state is not populated")
     se_mean, se_var = state.standard_errors
     mem = state.memory_stats
     mean = mem.mean + soft_shrinkage(live.mean - mem.mean, state.alpha * se_mean)

@@ -130,6 +130,31 @@ class TestRun:
         assert sorted(os.listdir(out)) == sorted(before)  # no temp file left behind
         assert {name: (out / name).read_bytes() for name in before} == before
 
+    @pytest.mark.parametrize("flags", [[], ["--save-model"]], ids=["results", "save-model"])
+    def test_out_dir_that_cannot_be_made_exits_one_before_any_cell(self, tmp_path, capsys, monkeypatch, flags):
+        ran = []
+        monkeypatch.setattr(cli, "run_cell", lambda *a: ran.append(a))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main(["run", "--config", write_config(tmp_path, tiny_config()), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
+        assert not ran
+
+    def test_failed_final_write_exits_three(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        run_cell = cli.run_cell
+
+        def then_replace_out_by_a_file(*args):
+            record = run_cell(*args)
+            os.rmdir(out)
+            out.write_text("")
+            return record
+
+        monkeypatch.setattr(cli, "run_cell", then_replace_out_by_a_file)
+        assert main(["run", "--config", write_config(tmp_path, tiny_config()), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out / 'results.jsonl.tmp'}: Not a directory\n" and not captured.out
+
     def test_flag_overrides_beat_config(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
         out = str(tmp_path / "out")
@@ -570,6 +595,16 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err == "threshold: snap@1: accuracy drop 0.4000 exceeds 0.1\n"
 
+    @pytest.mark.parametrize("limit", ["nan", "inf", "-0.1"])
+    def test_bad_max_accuracy_drop_exits_one(self, tmp_path, capsys, limit):
+        base, other = tmp_path / "base.jsonl", tmp_path / "other.jsonl"
+        base.write_text(result_line("snap", "1", 0.9, 0.1))
+        other.write_text(result_line("snap", "1", 0.5, 0.1))
+        assert main(["compare", str(base), str(other), "--max-accuracy-drop", limit]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --max-accuracy-drop must be >= 0 and finite, got {float(limit)}\n"
+        assert not captured.out
+
     def test_compare_csv_has_a_row_for_a_gap(self, tmp_path):
         base, other = tmp_path / "base.jsonl", tmp_path / "other.jsonl"
         base.write_text(result_line("snap", "1", 0.5, 0.1) + result_line("naive", "1", 0.25, 0.1))
@@ -601,8 +636,12 @@ class TestCompare:
          '"timing": {"mean_batch_seconds": 0.1}}', "cell"),
         ('{"schema": 1, "cell": "snap@1", "ar": 1, "mode": "snap", "metrics": {"accuracy": 0.5}, '
          '"timing": {"mean_batch_seconds": 0.1}}', "ar"),
+        ('{"schema": true, "cell": "snap@1", "ar": "1", "mode": "snap", "metrics": {"accuracy": 0.5}, '
+         '"timing": {"mean_batch_seconds": 0.1}}', "unsupported result schema True (want 1)"),
+        ('{"schema": 1.0, "cell": "snap@1", "ar": "1", "mode": "snap", "metrics": {"accuracy": 0.5}, '
+         '"timing": {"mean_batch_seconds": 0.1}}', "unsupported result schema 1.0 (want 1)"),
     ], ids=["no-metrics", "not-an-object", "bad-json", "text-accuracy", "no-latency", "no-cell",
-            "numeric-ar"])
+            "numeric-ar", "bool-schema", "float-schema"])
     def test_malformed_record_rejected(self, tmp_path, capsys, line, named):
         good = self.make_results(tmp_path, ["snap"], "good")
         path = tmp_path / "bad.jsonl"

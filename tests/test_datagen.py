@@ -86,11 +86,14 @@ class TestSampleSource:
 class TestCorrupt:
     def test_identity(self):
         x = np.random.default_rng(3).normal(size=(10, 4, 5))
-        assert np.array_equal(corrupt(x, Corruption()), x)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert np.array_equal(corrupt(x, Corruption(), rng), x)
+        assert rng.bit_generator.state == before  # a noiseless corruption draws nothing
 
     def test_degenerate_constant(self):
         x = np.random.default_rng(4).normal(size=(6, 4, 5))
-        out = corrupt(x, Corruption(scale=0.0, offset=3.5))
+        out = corrupt(x, Corruption(scale=0.0, offset=3.5), np.random.default_rng(0))
         assert np.all(out == 3.5)
 
     def test_monte_carlo_mean(self):
@@ -106,13 +109,9 @@ class TestCorrupt:
     def test_permutation_is_fixed_cyclic_shift(self):
         x = np.zeros((1, 4, 2))
         x[0, 2, :] = 7.0
-        out = corrupt(x, Corruption(permute=True))
+        out = corrupt(x, Corruption(permute=True), np.random.default_rng(0))
         assert np.all(out[0, 1] == 7.0)  # channel i takes old channel i+1
         assert out[0, 2].max() == 0.0
-
-    def test_noise_requires_rng(self):
-        with pytest.raises(ValueError):
-            corrupt(np.zeros((2, 2, 2)), Corruption(noise=1.0))
 
     def test_commutes_with_batching(self):
         base = np.random.default_rng(6).normal(size=(40, 3, 4))

@@ -20,7 +20,7 @@ from stta.engine import (
     _config_dict,
     _config_from_dict,
 )
-from stta.model import default_model, forward, pretrain
+from stta.model import default_model, forward, model_dict, pretrain
 from stta.datagen import default_domain, sample_source
 
 from tent_oracle import run_tent
@@ -187,13 +187,13 @@ class TestEngineBasics:
 
 
 def engine_state(engine):
-    """Everything a rejected batch must leave as it was."""
+    """Everything a rejected batch must leave as it was, the norm layers' memory and EMA statistics included."""
     memory = engine.memory
     return (
         None if memory is None else memory.dump(),
         None if memory is None else memory.batch().tobytes(),
         engine.schedule.credit, engine.schedule.adapt_count, engine.schedule.batch_count,
-        [a.tobytes() for a in affine_digest(engine.model)],
+        json.dumps(model_dict(engine.model)),
         engine._arrival,
     )
 
@@ -204,8 +204,8 @@ class TestBatchValidation:
         spec = single_domain_stream(corruption="noise", batches=4, batch_size=8, seed=16)
         return list(make_stream(spec))
 
-    def warmed(self, base_model, stream):
-        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=17))
+    def warmed(self, base_model, stream, mode):
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=17, inference_stats_mode=mode))
         for batch in stream[:3]:
             engine.process_batch(batch.x, batch.labels)
         assert len(engine.memory) > 0 and engine.schedule.adapt_count == 1
@@ -226,12 +226,21 @@ class TestBatchValidation:
             "short labels": (x, labels[:-1]),
             "long labels": (x, np.append(labels, 0)),
             "2-D labels": (x, labels[:, None]),
+            "string labels": (x, labels.astype(str)),
+            "nan labels": (x, np.where(np.arange(len(labels)) == 5, np.nan, labels)),
+            "fractional labels": (x, labels + 0.5),
+            "negative label": (x, np.where(np.arange(len(labels)) == 2, -1, labels)),
+            "label = num_classes": (x, np.where(np.arange(len(labels)) == 6, 3, labels)),
         }
 
-    @pytest.mark.parametrize("case", ["2-D", "empty", "channels", "length", "nan", "inf",
-                                      "short labels", "long labels", "2-D labels"])
-    def test_rejected_batch_changes_nothing(self, base_model, stream, case):
-        engine = self.warmed(base_model, stream)
+    CASES = ["2-D", "empty", "channels", "length", "nan", "inf", "short labels", "long labels", "2-D labels",
+             "string labels", "nan labels", "fractional labels", "negative label", "label = num_classes"]
+
+    # Under `ema` a forward moves the norm layers' statistics, so a label checked after it would leave a trace.
+    @pytest.mark.parametrize("case,mode", [(c, "iobmn") for c in CASES] + [(c, "ema") for c in CASES],
+                             ids=CASES + [f"ema {c}" for c in CASES])
+    def test_rejected_batch_changes_nothing(self, base_model, stream, case, mode):
+        engine = self.warmed(base_model, stream, mode)
         before = engine_state(engine)
         x, labels = self.bad_batches(stream)[case]
         with pytest.raises(ValueError, match="batch 3"):
@@ -264,7 +273,8 @@ class TestDeterminismAndHygiene:
         def run(use_labels):
             model = base_model.clone()
             engine = Engine(model, EngineConfig(ar="0.5", seed=8))
-            metrics = engine.run_stream(make_stream(spec), use_labels=use_labels)
+            metrics = RunMetrics([engine.process_batch(b.x, b.labels if use_labels else None, b.segment)
+                                  for b in make_stream(spec)])
             return model, engine, metrics
 
         model_l, engine_l, metrics_l = run(True)

@@ -49,8 +49,12 @@ class TestSamplingVariances:
             assert np.max(np.abs(s2v - want_v)) < 1e-12
 
     def test_degenerate_denominator(self):
-        with pytest.raises(ValueError):
-            sampling_variances(populated_state([1.0], extent=1, count=1))
+        # n - 1 is the variance's denominator: populate, the one way in, takes n >= 2 values.
+        for extent, count in ((1, 1), (0, 5), (5, 0), (-1, -3)):
+            state = MemoryNormState()
+            with pytest.raises(ValueError, match=f"spatial_extent x sample_count must be >= 2, got {extent} x {count}"):
+                state.populate(ChannelStats(np.zeros(1), np.ones(1)), extent, count)
+            assert not state.populated and state.standard_errors is None
 
     def test_unpopulated(self):
         with pytest.raises(StateError):
@@ -152,8 +156,11 @@ class TestCorrectedStats:
         assert all(b - a >= -1e-12 for a, b in zip(outs, outs[1:]))
 
     def test_degenerate_sample_size_errors_at_first_use(self):
-        state = populated_state([1.0], extent=1, count=1)  # populating such a state is allowed
-        with pytest.raises(ValueError, match="degenerate sample size 1"):
+        # Populating from fewer than 2 values is refused, so the state never serves a dead zone sized by them.
+        state = MemoryNormState()
+        with pytest.raises(ValueError, match="must be >= 2"):
+            state.populate(ChannelStats(np.zeros(1), np.ones(1)), 1, 1)
+        with pytest.raises(StateError):
             corrected_stats(state, batch_channel_stats(np.zeros((1, 1, 1))))
 
     def test_only_populate_sets_the_statistics(self):
