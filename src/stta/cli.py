@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 import yaml
 
-from .datagen import Corruption, StreamSpec, corruption_presets, default_domain, make_stream, sample_source
+from .datagen import Corruption, StreamSpec, _preset, default_domain, make_stream, sample_source
 from .engine import Engine, EngineConfig, RunMetrics, _as_rate
 from .model import Model, checked_int, checked_number, default_model, is_real, load_model, pretrain
 from .model import required, save_model
@@ -146,12 +146,10 @@ def _under(prefix: str, make, *args, **kwargs):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _corruption(value, at: str) -> Corruption:
+def _corruption(value, segment: str) -> Corruption:
     if isinstance(value, str):
-        presets = corruption_presets()
-        if value not in presets:
-            raise ConfigError(f"{at}: unknown corruption preset {value!r} (have {', '.join(sorted(presets))})")
-        return presets[value]
+        return _under(f"{segment}.", _preset, value)
+    at = f"{segment}.corruption"
     if not isinstance(value, dict):
         raise ConfigError(f"{at} must be a preset name or a mapping, got {value!r}")
     return _under(f"{at}.", Corruption, **_mapping(value, at, Corruption.__dataclass_fields__))
@@ -166,7 +164,7 @@ def stream_spec_from_config(cfg: dict, seed: int = 0) -> StreamSpec:
     for i, entry in enumerate(stream_cfg["segments"]):
         at = f"stream.segments[{i}]"
         _mapping(entry, at, ("domain", "corruption", "batches"))
-        corruption = _corruption(entry.get("corruption", "none"), f"{at}.corruption")
+        corruption = _corruption(entry.get("corruption", "none"), at)
         domain = entry.get("domain")
         domain = _mapping({} if domain is None else domain, f"{at}.domain", DOMAIN_DEFAULTS)
         segments.append((_under(f"{at}.domain.", default_domain, **domain, corruption=corruption),
@@ -235,7 +233,7 @@ def prepare_model(cfg: dict, seed: int, checkpoint: str | None) -> Model:
     domain = stream_spec_from_config(cfg).segments[0][0]
     if checkpoint is not None:
         with _file_errors(checkpoint):
-            model = load_model(checkpoint)
+            model = _under(f"{checkpoint}: ", load_model, checkpoint)
         if (model.in_channels, model.num_classes) != (domain.channels, domain.num_classes):
             raise ValueError(f"{checkpoint}: the model takes {model.in_channels} channels and {model.num_classes} "
                              f"classes, the stream has {domain.channels} channels and {domain.num_classes} classes")
@@ -545,13 +543,13 @@ def compare_command(args) -> int:
     for key, note in gaps:
         print(f"{key:<24} GAP: {note}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cell", "base_accuracy", "other_accuracy", "delta_accuracy", "latency_ratio"])
-            for key, b_acc, o_acc, delta, ratio in rows:
-                writer.writerow([key, b_acc, o_acc, delta, ratio])
-            for key, note in gaps:
-                writer.writerow([key, None, None, None, None])
+        header = ("cell", "base_accuracy", "other_accuracy", "delta_accuracy", "latency_ratio")
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([header, *rows, *((key, None, None, None, None) for key, _ in gaps)])
+        except OSError as exc:
+            print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
+            return 3
     if flagged:
         for line in flagged:
             print(f"threshold: {line}", file=sys.stderr)

@@ -55,6 +55,13 @@ def corruption_presets() -> dict[str, Corruption]:
     }
 
 
+def _preset(name: str) -> Corruption:
+    presets = corruption_presets()
+    if name not in presets:
+        raise ValueError(f"corruption: unknown corruption preset {name!r} (have {', '.join(sorted(presets))})")
+    return presets[name]
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     num_classes: int
@@ -94,7 +101,7 @@ def default_domain(num_classes: int = 3, channels: int = 16, length: int = 8,
                    separation: float = 3.0, source_noise: float = 0.5,
                    corruption: Corruption | str = IDENTITY) -> DomainSpec:
     if isinstance(corruption, str):
-        corruption = corruption_presets()[corruption]
+        corruption = _preset(corruption)
     return DomainSpec(num_classes, channels, length, class_mean_patterns(num_classes, channels, separation),
                       source_noise, corruption)
 

@@ -30,6 +30,7 @@ from .model import (
     Model,
     adapt_step,
     checked_array,
+    checked_batch,
     checked_int,
     checked_number,
     forward,
@@ -256,27 +257,13 @@ class Engine:
                 layer.memory_norm.populate(stats, extent, count)
 
     def _validated(self, x, labels) -> tuple[np.ndarray, np.ndarray | None]:
-        """Check a batch before anything changes; returns its values as float64 and its labels as intp."""
-        xv = np.asarray(x, dtype=np.float64)
+        """Check a batch before anything changes (see `checked_batch`), and that its samples fit the memory."""
         where = f"batch {self.schedule.batch_count}"
-        if xv.ndim != 3 or xv.shape[0] < 1:
-            raise ValueError(f"{where}: rejected batch of shape {xv.shape}; "
-                             "want a non-empty batch x channel x length array")
-        if xv.shape[1] != self.model.in_channels:
-            raise ValueError(f"{where}: {xv.shape[1]} channels, the model takes {self.model.in_channels}")
+        xv, lv = checked_batch(x, labels, self.model, where)
         stored = self.memory.inputs if self.memory is not None else None
         if stored is not None and xv.shape[1:] != stored.shape[1:]:
             raise ValueError(f"{where}: samples of shape {xv.shape[1:]}, the memory holds {stored.shape[1:]}")
-        if not np.isfinite(xv).all():
-            raise ValueError(f"{where}: input values must be finite (no NaN/Inf)")
-        if labels is None:
-            return xv, None
-        lv, classes = np.asarray(labels), self.model.num_classes
-        if lv.shape != (xv.shape[0],):
-            raise ValueError(f"{where}: labels of shape {lv.shape} for {xv.shape[0]} samples")
-        if lv.dtype.kind not in "iu" or np.minimum.reduce(lv) < 0 or np.maximum.reduce(lv) >= classes:
-            raise ValueError(f"{where}: labels must be integers in [0, {classes}), got {lv.tolist()}")
-        return xv, lv.astype(np.intp, copy=False)
+        return xv, lv
 
     # -- the loop ---------------------------------------------------------
 

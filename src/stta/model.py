@@ -212,9 +212,7 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood of integer labels."""
     lv = _logits_of(logits)
     b = lv.shape[0]
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != (b,) or (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= lv.shape[1]):
-        raise ValueError(f"need one class index in [0, {lv.shape[1]}) for each of {b} rows")
+    labels = _checked_labels(labels, b, lv.shape[1], "cross-entropy")
     _, log_p = _log_softmax(lv)
     rows = np.arange(b)
     loss = -(np.add.reduce(log_p[rows, labels], axis=0) / b)
@@ -269,18 +267,14 @@ def pretrain(model: Model, inputs, labels, epochs: int = 100, lr: float = 1e-2, 
     Only the norm layers' scale/shift train; the channel-mix and head
     weights keep their seeded initialization. Deterministic under the seed
     (shuffling is the only randomness). Norm layers accumulate running
-    source statistics for the frozen source. Inputs must be finite; a
-    floating-point overflow, division by zero or invalid operation raises
-    FloatingPointError.
+    source statistics for the frozen source. Data (`checked_batch`) and
+    settings are checked first; a floating-point overflow, division by zero
+    or invalid operation raises FloatingPointError.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.intp)
-    if x.ndim != 3 or x.shape[0] != y.shape[0]:
-        raise ValueError(f"inputs {x.shape} and labels {y.shape} do not line up")
-    if not np.isfinite(x).all():
-        raise ValueError("pretraining inputs must be finite (no NaN/Inf)")
-    if y.size and (y.min() < 0 or y.max() >= model.num_classes):
-        raise ValueError("class labels out of range")
+    x, y = checked_batch(inputs, labels, model, "pretraining")
+    checked_int(epochs, "pretraining: epochs")
+    checked_int(batch_size, "pretraining: batch_size", 1)
+    checked_number(lr, "pretraining: lr", lambda v: 0.0 < v < math.inf, "> 0 and finite")
     rng = np.random.default_rng(seed)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -305,10 +299,8 @@ def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float)
 
 
 def evaluate_accuracy(model: Model, inputs, labels, batch_size: int = 64) -> float:
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.intp)
-    if x.shape[0] == 0:
-        return 0.0
+    x, y = checked_batch(inputs, labels, model, "evaluation")
+    checked_int(batch_size, "evaluation: batch_size", 1)
     correct = 0
     for start in range(0, x.shape[0], batch_size):
         xb, yb = x[start:start + batch_size], y[start:start + batch_size]
@@ -409,6 +401,29 @@ def checked_array(value, where: str, shape: tuple | None = None, nonnegative: bo
     if nonnegative and (arr < 0.0).any():
         raise ValueError(f"{where} must be >= 0")
     return arr
+
+
+def checked_batch(x, labels, model: Model, where: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rule for data: a non-empty, finite batch x in_channels x length array and one integer label in
+    [0, num_classes) per sample (or None), as float64 and intp; ValueError starting with `where` if not."""
+    xv = np.asarray(x, dtype=np.float64)
+    if xv.ndim != 3 or xv.shape[0] < 1 or xv.shape[1] != model.in_channels:
+        raise ValueError(f"{where}: rejected batch of shape {xv.shape}; "
+                         f"want a non-empty batch x {model.in_channels} x length array")
+    if not np.isfinite(xv).all():
+        raise ValueError(f"{where}: input values must be finite (no NaN/Inf)")
+    return xv, None if labels is None else _checked_labels(labels, xv.shape[0], model.num_classes, where)
+
+
+def _checked_labels(labels, count: int, classes: int, where: str) -> np.ndarray:
+    """`checked_batch`'s label part: `count` integer labels in [0, `classes`), as intp."""
+    lv = np.asarray(labels)
+    if lv.shape != (count,):
+        raise ValueError(f"{where}: labels of shape {lv.shape} for {count} samples")
+    if lv.dtype.kind not in "iu" or np.minimum.reduce(lv) < 0 or np.maximum.reduce(lv) >= classes:
+        got = f"{lv.dtype} labels" if lv.dtype.kind not in "iu" else f"labels from {lv.min()} to {lv.max()}"
+        raise ValueError(f"{where}: labels must be integers in [0, {classes}), got {got}")
+    return lv.astype(np.intp, copy=False)
 
 
 def _stats_from(d, channels: int, where: str) -> ChannelStats | None:

@@ -192,11 +192,13 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
         assert "channnels" in capsys.readouterr().err
 
-    def test_bad_corruption_preset_exits_one(self, tmp_path):
+    def test_bad_corruption_preset_exits_one(self, tmp_path, capsys):
         cfg = tiny_config()
         cfg["stream"]["segments"][0]["corruption"] = "fog"
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == ("error: stream.segments[0].corruption: unknown corruption preset 'fog' "
+                                           "(have noise, none, offset, permute, scale_mild, scale_strong)\n")
 
     def test_threshold_failure_exits_two(self, tmp_path, capsys):
         cfg = tiny_config(thresholds={"snap@0.5": 1.01})
@@ -466,7 +468,7 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
                      "--checkpoint", str(bad_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: model checkpoint: layers[2] has kind 'channel_mix', want 'relu'")
+        assert err.startswith(f"error: {bad_path}: model checkpoint: layers[2] has kind 'channel_mix', want 'relu'")
         assert not (tmp_path / "o").exists()
 
     def test_checkpoint_missing_a_field_exits_one(self, tmp_path, capsys):
@@ -477,7 +479,16 @@ class TestRun:
         cfg_path = write_config(tmp_path, tiny_config())
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
                      "--checkpoint", str(bad_path)]) == 1
-        assert capsys.readouterr().err == "error: model checkpoint: layers[1].gamma is missing\n"
+        assert capsys.readouterr().err == f"error: {bad_path}: model checkpoint: layers[1].gamma is missing\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_checkpoint_that_is_not_json_exits_one_naming_it(self, tmp_path, capsys):
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text("not json\n")
+        cfg_path = write_config(tmp_path, tiny_config())
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(bad_path)]) == 1
+        assert capsys.readouterr().err == f"error: {bad_path}: Expecting value: line 1 column 1 (char 0)\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", ["--config", "--checkpoint", "compare-base", "compare-other"])
@@ -623,6 +634,17 @@ class TestCompare:
             header = fh.readline().strip().split(",")
         assert header == ["cell", "base_accuracy", "other_accuracy",
                           "delta_accuracy", "latency_ratio"]
+
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_compare_out_that_cannot_be_written_exits_three(self, tmp_path, capsys, where):
+        base = tmp_path / "base.jsonl"
+        base.write_text(result_line("snap", "1", 0.5, 0.1))
+        out = tmp_path if where == "directory" else tmp_path / "none" / "delta.csv"
+        assert main(["compare", str(base), str(base), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        strerror = "Is a directory" if where == "directory" else "No such file or directory"
+        assert captured.err == f"error: {out}: {strerror}\n"
+        assert captured.out.startswith("cell ")  # the table is printed before the write
 
     @pytest.mark.parametrize("line,named", [
         ('{"schema": 1, "cell": "snap@1", "ar": "1", "mode": "snap", "seed": 0}', "metrics.accuracy"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -28,6 +30,10 @@ class TestClassMeans:
             class_mean_patterns(5, 4)
 
 
+UNKNOWN_FOG = re.escape("corruption: unknown corruption preset 'fog' "
+                        "(have noise, none, offset, permute, scale_mild, scale_strong)") + "$"
+
+
 class TestFieldChecks:
     """Each type rejects a bad field with a ValueError that starts with the field's name."""
 
@@ -50,9 +56,13 @@ class TestFieldChecks:
          r"segments\[1\].batches must be an integer >= 1, got 2.0"),
         (lambda: StreamSpec(((default_domain(), 1), (default_domain(length=4), 1)), 8, 0),
          r"segments\[1\].domain has 3 classes of 16 x 4 samples, segments\[0\].domain 3 classes of 16 x 8"),
+        (lambda: default_domain(corruption="fog"), UNKNOWN_FOG),
+        (lambda: single_domain_stream(corruption="fog"), UNKNOWN_FOG),
+        (lambda: continual_stream(corruptions=("noise", "fog")), UNKNOWN_FOG),
     ], ids=["inf-scale", "text-offset", "negative-noise", "bool-noise", "int-permute", "one-class",
             "too-many-classes", "float-channels", "zero-length", "nan-separation", "text-source-noise",
-            "text-correlated", "negative-seed", "float-batches", "shape-changes"])
+            "text-correlated", "negative-seed", "float-batches", "shape-changes", "unknown-preset",
+            "unknown-preset-single", "unknown-preset-continual"])
     def test_rejects_bad_field(self, make, named):
         with pytest.raises(ValueError, match=f"^{named}"):
             make()

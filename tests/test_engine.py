@@ -23,6 +23,7 @@ from stta.engine import (
 from stta.model import default_model, forward, model_dict, pretrain
 from stta.datagen import default_domain, sample_source
 
+from bad_inputs import CASES as BAD_CASES, bad_batches
 from tent_oracle import run_tent
 
 
@@ -213,28 +214,10 @@ class TestBatchValidation:
 
     def bad_batches(self, stream):
         x, labels = stream[3].x, stream[3].labels
-        nan, inf = x.copy(), x.copy()
-        nan[2, 3, 4] = np.nan
-        inf[0, 0, 0] = -np.inf
-        return {
-            "2-D": (x[0], None),
-            "empty": (x[:0], None),
-            "channels": (x[:, :5], None),
-            "length": (x[:, :, :5], None),
-            "nan": (nan, labels),
-            "inf": (inf, labels),
-            "short labels": (x, labels[:-1]),
-            "long labels": (x, np.append(labels, 0)),
-            "2-D labels": (x, labels[:, None]),
-            "string labels": (x, labels.astype(str)),
-            "nan labels": (x, np.where(np.arange(len(labels)) == 5, np.nan, labels)),
-            "fractional labels": (x, labels + 0.5),
-            "negative label": (x, np.where(np.arange(len(labels)) == 2, -1, labels)),
-            "label = num_classes": (x, np.where(np.arange(len(labels)) == 6, 3, labels)),
-        }
+        # Engine only: the memory holds samples of the first batch's length (8).
+        return {**bad_batches(x, labels, 3), "length": (x[:, :, :5], labels)}
 
-    CASES = ["2-D", "empty", "channels", "length", "nan", "inf", "short labels", "long labels", "2-D labels",
-             "string labels", "nan labels", "fractional labels", "negative label", "label = num_classes"]
+    CASES = [*BAD_CASES, "length"]
 
     # Under `ema` a forward moves the norm layers' statistics, so a label checked after it would leave a trace.
     @pytest.mark.parametrize("case,mode", [(c, "iobmn") for c in CASES] + [(c, "ema") for c in CASES],

@@ -8,6 +8,7 @@ import pytest
 from stta import model as model_module
 from stta.model import (
     adapt_step,
+    cross_entropy_loss,
     default_model,
     entropy_loss,
     evaluate_accuracy,
@@ -20,6 +21,7 @@ from stta.model import (
 )
 from stta.normalization import StateError
 
+from bad_inputs import CASES as BAD_CASES, bad_batches
 from oracles import entropy_mp, finite_difference_grad
 
 
@@ -187,6 +189,16 @@ class TestEntropyLoss:
         assert np.max(np.abs(grads - fd) / denom) < 1e-4
 
 
+class TestCrossEntropyLoss:
+    @pytest.mark.parametrize("labels", [[0, 1, 3], [-1, 1, 2], [0, 1], [[0], [1], [2]], [0.5, 1.2, 2.9],
+                                        [0.0, 1.0, 2.0], ["0", "1", "2"], [0, np.nan, 2], [True, False, True]],
+                             ids=["above", "negative", "short", "2-D", "fractional", "integral floats", "strings",
+                                  "nan", "booleans"])
+    def test_rejects_labels_that_are_not_class_indices(self, labels):
+        with pytest.raises(ValueError, match=r"^cross-entropy: labels "):
+            cross_entropy_loss(np.zeros((3, 3)), labels)
+
+
 class TestAdaptStep:
     def test_lr_zero_keeps_parameters(self):
         model = default_model(seed=16)
@@ -301,20 +313,29 @@ class TestPretrain:
             digests.append(weight_digest(model))
         assert digests[0] == digests[1]
 
-    def test_labels_out_of_range_rejected(self):
-        x, y = self.make_source(seed=10)
+    @pytest.mark.parametrize("case", BAD_CASES)
+    def test_rejected_data_changes_nothing(self, case):
+        x, y = self.make_source(seed=10, n=30)
         model = default_model(channels=8, num_classes=3, blocks=2, seed=11)
-        bad = y.copy()
-        bad[0] = 3
-        with pytest.raises(ValueError):
-            pretrain(model, x, bad, epochs=1, lr=1e-2, seed=12)
+        before = checkpoint_digest(model)
+        with pytest.raises(ValueError, match="^pretraining: "):
+            pretrain(model, *bad_batches(x, y, 3)[case], epochs=1, lr=1e-2, seed=12)
+        assert checkpoint_digest(model) == before
 
-    def test_non_finite_inputs_rejected(self):
-        x, y = self.make_source(seed=10)
+    @pytest.mark.parametrize("setting,value,rule", [
+        ("epochs", -1, "an integer >= 0"), ("epochs", 2.0, "an integer >= 0"), ("epochs", True, "an integer >= 0"),
+        ("batch_size", 0, "an integer >= 1"), ("batch_size", -1, "an integer >= 1"),
+        ("lr", float("nan"), "a number > 0 and finite"), ("lr", math.inf, "a number > 0 and finite"),
+        ("lr", 0.0, "a number > 0 and finite"), ("lr", -1e-2, "a number > 0 and finite"),
+    ])
+    def test_bad_setting_rejected(self, setting, value, rule):
+        x, y = self.make_source(seed=10, n=30)
         model = default_model(channels=8, num_classes=3, blocks=2, seed=11)
-        x[3, 2, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            pretrain(model, x, y, epochs=1, lr=1e-2, seed=12)
+        before = checkpoint_digest(model)
+        settings = {"epochs": 1, "lr": 1e-2, "batch_size": 8, setting: value}
+        with pytest.raises(ValueError, match=f"^pretraining: {setting} must be {rule}, got {value!r}$"):
+            pretrain(model, x, y, seed=12, **settings)
+        assert checkpoint_digest(model) == before
 
     def test_overflow_raises_where_it_happens(self):
         x, y = self.make_source(seed=10)
@@ -329,6 +350,33 @@ class TestPretrain:
         for layer in model.norm_layers:
             assert not np.array_equal(layer.running_mean, np.zeros(8))
             assert not np.array_equal(layer.running_var, np.ones(8))
+
+
+class TestEvaluateAccuracy:
+    def make(self, n=30):
+        x, y = TestPretrain().make_source(seed=16, n=n)
+        return default_model(channels=8, num_classes=3, blocks=2, seed=17), x, y
+
+    @pytest.mark.parametrize("case", BAD_CASES)
+    def test_rejected_data_changes_nothing(self, case):
+        model, x, y = self.make()
+        before = checkpoint_digest(model)
+        with pytest.raises(ValueError, match="^evaluation: "):
+            evaluate_accuracy(model, *bad_batches(x, y, 3)[case])
+        assert checkpoint_digest(model) == before
+
+    @pytest.mark.parametrize("offset,got", [(0.9, "got float64 labels"), (5, "got labels from 5 to 7")])
+    def test_label_error_names_the_rule_not_the_labels(self, offset, got):
+        model, x, y = self.make(n=600)
+        with pytest.raises(ValueError) as err:
+            evaluate_accuracy(model, x, y + offset)
+        assert str(err.value) == f"evaluation: labels must be integers in [0, 3), {got}"
+
+    @pytest.mark.parametrize("batch_size", [0, -5, 2.5, True])
+    def test_bad_batch_size_rejected(self, batch_size):
+        model, x, y = self.make()
+        with pytest.raises(ValueError, match=f"^evaluation: batch_size must be an integer >= 1, got {batch_size}$"):
+            evaluate_accuracy(model, x, y, batch_size=batch_size)
 
 
 class TestCheckpoint:
