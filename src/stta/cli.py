@@ -227,11 +227,19 @@ MODEL_SEED_OFFSET = 20_000
 TRAIN_SEED_OFFSET = 30_000
 
 
+def model_file(directory: str, seed: int) -> str:
+    """Where `--save-model` writes, and `--checkpoint DIR` reads, the source model of `seed`."""
+    return os.path.join(directory, f"model-seed{seed}.json")
+
+
 def prepare_model(cfg: dict, seed: int, checkpoint: str | None) -> Model:
     """The source model for `seed`: pretrained on the stream's first domain, or loaded from
-    `checkpoint`, which must take the stream's channels and classes (ValueError if not)."""
+    `checkpoint` (a file, or a directory holding `model_file`s), which must take the stream's
+    channels and classes (ValueError if not)."""
     domain = stream_spec_from_config(cfg).segments[0][0]
     if checkpoint is not None:
+        if os.path.isdir(checkpoint):
+            checkpoint = model_file(checkpoint, seed)
         with _file_errors(checkpoint):
             model = _under(f"{checkpoint}: ", load_model, checkpoint)
         if (model.in_channels, model.num_classes) != (domain.channels, domain.num_classes):
@@ -428,7 +436,7 @@ def run_command(args) -> int:
             os.makedirs(out_dir, exist_ok=True)
             if args.save_model:
                 for seed, model in base_models.items():
-                    save_model(model, os.path.join(out_dir, f"model-seed{seed}.json"))
+                    save_model(model, model_file(out_dir, seed))
     except (ValueError, FloatingPointError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -456,6 +464,11 @@ def run_command(args) -> int:
         print(f"  {row['cell']:<24} acc {acc} +/- {std} "
               f"adapt {row['mean_adapt_count']:.1f} "
               f"batch {row['mean_batch_seconds'] * 1e3:.2f} ms")
+    for rec in records:  # a starved cell: no scheduled adaptation found a sample in the memory
+        skipped = rec["metrics"]["skipped_adaptations"]
+        if rec["metrics"]["adapt_count"] == 0 and skipped > 0:
+            print(f"warning: {rec['cell']} seed {rec['seed']}: all {skipped} scheduled adaptations were skipped "
+                  "(the memory stayed empty)", file=sys.stderr)
 
     if errors:
         for line in errors:
@@ -569,8 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", choices=MODES, help="restrict the grid to one mode")
     run_p.add_argument("--out", help=f"output directory (default: config, then ${OUT_DIR_ENV}, then ./results)")
     run_p.add_argument("--workers", type=int, help="accepted (>= 1) and ignored: cells run one at a time")
-    run_p.add_argument("--checkpoint", help="load the source model from a checkpoint file "
-                       "(default: pretrain one per seed)")
+    run_p.add_argument("--checkpoint", help="load the source model from a checkpoint file, or each seed N's from "
+                       "DIR/model-seedN.json as --save-model writes them (default: pretrain one per seed)")
     run_p.add_argument("--save-model", action="store_true",
                        help="save the per-seed source models next to the results")
     run_p.set_defaults(func=run_command)

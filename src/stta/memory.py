@@ -254,15 +254,16 @@ class SampleMemory:
         # holding the highest key, the candidate's included, then the lowest id.
         counts = self.class_counts
         top = max(counts.values())
-        tied = [c for c, k in counts.items() if k == top]
         alone = counts[label] == 1  # no stored sample shares the candidate's class
-
-        def farthest(c: int) -> float:
-            if c != label:
-                return self._farthest_of(c)[0]
-            return key if alone else max(self._farthest_of(c)[0], key)
-
-        target = tied[0] if len(tied) == 1 else max(tied, key=lambda c: (farthest(c), -c))
+        target = best = None
+        for c, k in counts.items():
+            if k != top:
+                continue
+            far = key if c == label and alone else self._farthest_of(c)[0]
+            if c == label and key > far:
+                far = key
+            if target is None or far > best or (far == best and c < target):
+                target, best = c, far
         if target == label and (alone or key > self._farthest_of(label)[0]):
             return _CANDIDATE
         return self._farthest_of(target)[1]

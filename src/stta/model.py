@@ -63,8 +63,8 @@ class ForwardResult:
     """Logits plus the statistics observed on the way through the network."""
 
     logits: np.ndarray
-    early_mean: np.ndarray   # per sample, per channel: mean over length
-    early_sigma: np.ndarray  # per sample, per channel: std over length
+    early_mean: np.ndarray | None   # per sample, per channel: mean over length; None when recorded
+    early_sigma: np.ndarray | None  # per sample, per channel: std over length; None when recorded
     layer_stats: list[ChannelStats]  # per norm layer: input batch statistics
     record: list[tuple] | None = None  # forward(..., record=True): per block (mix weight, norm saved, relu mask)
 
@@ -120,9 +120,10 @@ def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -
     statistics of every norm layer's input. With the `ema` source, each
     norm layer folds the live statistics into its moving average as the
     pass reaches it. With `record` (batch source only; the training steps
-    ask for it) the result also carries the record that `numerics.backward`
-    differentiates; every other forward, serving with any source, keeps
-    the channel mix's channel-major layout and records nothing.
+    ask for it) the result carries the record that `numerics.backward`
+    differentiates and no early statistics, which no training step reads;
+    every other forward, serving with any source, keeps the channel mix's
+    channel-major layout and records nothing.
     """
     if norm_source not in NORM_SOURCES:
         raise ValueError(f"unknown norm source {norm_source!r}")
@@ -146,7 +147,7 @@ def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -
         out = nm.channel_mix(out, weight)
         stats = batch_channel_stats(out)
         layer_stats.append(stats)
-        if early_mean is None:  # np.add.reduce / n is what `.mean` computes, without its Python wrapper
+        if early_mean is None and not record:  # np.add.reduce / n: `.mean` without its Python wrapper
             early_mean = np.add.reduce(out, axis=2) / length
             centered = out - early_mean[:, :, None]
             early_sigma = np.sqrt(np.add.reduce(centered * centered, axis=2) / length)
@@ -162,11 +163,9 @@ def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -
         else:  # frozen source statistics
             mean, var = layer.running_mean, layer.running_var
         out, saved = normalize(out, mean, var, layer.gamma, layer.beta, layer.epsilon, order)
-        if record:
-            out, mask = nm.relu(out)
-            saved_blocks.append((weight, saved, mask))
-        else:  # the same values as `nm.relu`, +0.0 for every non-positive entry, without its mask
-            out = np.maximum(out, 0.0)
+        out = np.maximum(out, 0.0)  # relu: +0.0 for every non-positive entry, -0.0 included
+        if record:  # the relu mask: where the output, and so the input, is positive
+            saved_blocks.append((weight, saved, out > 0.0))
     pooled = np.ascontiguousarray(np.add.reduce(out, axis=2) / length)  # channel-major rounds differently in BLAS
     logits = pooled @ model.head_weight + model.head_bias.reshape(1, -1)  # pool, head
     return ForwardResult(logits, early_mean, early_sigma, layer_stats, saved_blocks)
@@ -222,9 +221,8 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
 
 
 def per_sample_entropy(p: np.ndarray) -> np.ndarray:
-    """Entropy of each probability row, natural log; 0 log 0 treated as 0."""
-    logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), 0.0)
-    return -np.add.reduce(p * logp, axis=-1)
+    """Entropy of each probability row, natural log; a 0 entry adds 0 * log(1e-300) = -0.0, so 0 log 0 is 0."""
+    return -np.add.reduce(p * np.log(np.maximum(p, 1e-300)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +402,16 @@ def checked_array(value, where: str, shape: tuple | None = None, nonnegative: bo
 
 
 def checked_batch(x, labels, model: Model, where: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """The rule for data: a non-empty, finite batch x in_channels x length array and one integer label in
-    [0, num_classes) per sample (or None), as float64 and intp; ValueError starting with `where` if not."""
-    xv = np.asarray(x, dtype=np.float64)
+    """The rule for data: a non-empty, finite batch x in_channels x length array of real numbers (bool,
+    integer or float) and one integer label in [0, num_classes) per sample (or None), as float64 (a float64
+    array is not copied) and intp; ValueError starting with `where` if not."""
+    try:
+        xv = np.asarray(x)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ValueError(f"{where}: rejected ragged samples; want one array of real numbers") from None
+    if xv.dtype.kind not in "biuf":
+        raise ValueError(f"{where}: samples must be real numbers (bool, integer or float), got {xv.dtype} samples")
+    xv = xv.astype(np.float64, copy=False)
     if xv.ndim != 3 or xv.shape[0] < 1 or xv.shape[1] != model.in_channels:
         raise ValueError(f"{where}: rejected batch of shape {xv.shape}; "
                          f"want a non-empty batch x {model.in_channels} x length array")

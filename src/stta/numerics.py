@@ -2,12 +2,13 @@
 
 The model is n >= 1 blocks of (channel mix, normalization, relu), then a
 global mean pool and a classifier head; normalization's forward is
-`stta.normalization.normalize`. Only the training steps record their
-forward (batch statistics, `forward(..., record=True)`); a recorded forward
-keeps, per block, the mix weight, what the normalization saved and the
-relu mask; :func:`backward` walks that record from the logits back to the
-first block and returns the norm layers' scale/shift gradients, the only
-weights that train.
+`stta.normalization.normalize` and relu is `np.maximum(x, 0.0)` (+0.0 for
+-0.0 too). Only the training steps record their forward (batch statistics,
+`forward(..., record=True)`); a recorded forward keeps, per block, the mix
+weight, what the normalization saved and the relu mask (`out > 0.0` of the
+relu's output), and no early statistics; :func:`backward` walks that record
+from the logits back to the first block and returns the norm layers'
+scale/shift gradients, the only weights that train.
 
 The kernels repeat, operation for operation, the tape-based reference
 differentiator kept with the tests, and their results equal it bit for bit.
@@ -16,10 +17,9 @@ of their operands, so the kernels keep the reference's layouts wherever a
 reduction or a product reads them: the channel-major result of the channel
 mix, and the batch-major result of the normalization in a recorded forward.
 Every unrecorded forward, serving with any source, keeps the channel-major
-layout through normalization and relu (`np.maximum(x, 0.0)`: the values of
-:func:`relu`, without its mask); its pooled features are made contiguous
-for the head. Sums call `np.add.reduce`, the ufunc loop behind `.sum`
-and `.mean`, without their Python wrappers.
+layout through normalization and relu; its pooled features are made
+contiguous for the head. Sums call `np.add.reduce`, the ufunc loop behind
+`.sum` and `.mean`, without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ def channel_mix(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     b, c, length = x.shape
     mixed = weight @ x.transpose(1, 0, 2).reshape(c, b * length)
     return mixed.reshape(weight.shape[0], b, length).transpose(1, 0, 2)
-
-
-def relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rectified input and the mask of its positive entries."""
-    mask = x > 0.0
-    return np.where(mask, x, 0.0), mask
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ def bad_batches(x, labels, num_classes):
         "channels": (x[:, :x.shape[1] - 1], labels),
         "nan": (nan, labels),
         "inf": (inf, labels),
+        "string samples": (x.astype(str), labels),
+        "ragged samples": ([*x[:-1], x[-1, :, :-1]], labels),
+        "complex samples": (x.astype(complex), labels),
         "short labels": (x, labels[:-1]),
         "long labels": (x, np.append(labels, 0)),
         "2-D labels": (x, labels[:, None]),

@@ -431,6 +431,25 @@ class TestRun:
         b = strip_timing(read_records(out2))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_checkpoint_directory_reads_each_seeds_saved_model(self, tmp_path):
+        cfg_path = write_config(tmp_path, tiny_config(grid={"modes": ["snap"], "ar": ["0.5"], "seeds": [0, 1]}))
+        out, out2 = tmp_path / "out", tmp_path / "out2"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--save-model"]) == 0
+        assert (out / "model-seed0.json").read_bytes() != (out / "model-seed1.json").read_bytes()
+        assert main(["run", "--config", cfg_path, "--out", str(out2), "--checkpoint", str(out)]) == 0
+        lines = [[json.dumps(r, sort_keys=True) for r in strip_timing(read_records(d))] for d in (out, out2)]
+        assert lines[0] == lines[1] and len(lines[0]) == 2
+
+    def test_checkpoint_directory_without_a_seeds_model_exits_one_naming_it(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config(grid={"modes": ["snap"], "ar": ["0.5"], "seeds": [0, 3]}))
+        models = tmp_path / "models"
+        models.mkdir()
+        save_model(default_model(channels=8, blocks=2, seed=0), models / "model-seed0.json")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--checkpoint", str(models)]) == 1
+        assert capsys.readouterr().err == f"error: {models / 'model-seed3.json'}: No such file or directory\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("channels,stream_classes,named", [
         (16, 3, "the model takes 16 channels and 3 classes, the stream has 8 channels and 3 classes"),
         (8, 5, "the model takes 8 channels and 3 classes, the stream has 8 channels and 5 classes"),
@@ -509,7 +528,9 @@ class TestRun:
         }[flag]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        # A --checkpoint directory holds one model per seed, and this one has none for seed 0.
+        named = bad / "model-seed0.json" if (flag, kind) == ("--checkpoint", "directory") else bad
+        assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_diverging_pretraining_exits_one(self, tmp_path, capsys):

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stta import normalization
+from stta import cli, normalization
 from stta.datagen import continual_stream, make_stream, single_domain_stream
 from stta.engine import (
     AdaptationSchedule,
@@ -20,7 +21,7 @@ from stta.engine import (
     _config_dict,
     _config_from_dict,
 )
-from stta.model import default_model, forward, model_dict, pretrain
+from stta.model import default_model, forward, model_dict, pretrain, save_model
 from stta.datagen import default_domain, sample_source
 
 from bad_inputs import CASES as BAD_CASES, bad_batches
@@ -153,6 +154,26 @@ class TestEngineBasics:
         assert metrics.adapt_count == 0
         assert metrics.skipped_adaptations == 5
         assert all(r.memory_size == 0 for r in metrics.records)
+
+    def test_run_names_a_cell_starved_at_batch_size_one(self, base_model, tmp_path, capsys):
+        """At batch size 1 the batch statistics are one sample's, its prediction stays at or below the
+        default `tau_conf`, and CnDRM rejects it: the memory stays empty and every scheduled adaptation
+        is skipped. Two batches at `ar` 1 are the shortest stream that starves with more than one
+        adaptation skipped; `stta run` names the cell on stderr and writes its record as it would anyway."""
+        checkpoint = tmp_path / "model.json"
+        save_model(base_model, checkpoint)
+        cfg = {"stream": {"batch_size": 1, "segments": [{"corruption": "noise", "batches": 2}]},
+               "grid": {"modes": ["snap"], "ar": ["1"], "seeds": [0]}}
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--checkpoint", str(checkpoint)]) == 0
+        assert capsys.readouterr().err == ("warning: snap@1 seed 0: all 2 scheduled adaptations were skipped "
+                                           "(the memory stayed empty)\n")
+        (record,) = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        metrics = record["metrics"]
+        assert (metrics["batches"], metrics["adapt_count"], metrics["skipped_adaptations"]) == (2, 0, 2)
+        assert metrics["memory_mean_occupancy"] == metrics["memory_final_occupancy"] == 0
 
     def test_memory_norm_populates_after_first_adaptation(self, base_model):
         model = base_model.clone()

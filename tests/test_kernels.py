@@ -10,7 +10,6 @@ import pytest
 
 import reference_tape as ref
 from stta import model as kernels
-from stta import numerics
 from stta.model import NORM_SOURCES, default_model
 
 # (channels, blocks, batch, length): every channel count, block count, batch
@@ -45,8 +44,11 @@ def batches(channels, batch, length, count, seed):
 
 def assert_same_results(got, want):
     assert np.array_equal(got.logits, ref._val(want.logits))
-    assert np.array_equal(got.early_mean, want.early_mean)
-    assert np.array_equal(got.early_sigma, want.early_sigma)
+    if got.record is None:
+        assert np.array_equal(got.early_mean, want.early_mean)
+        assert np.array_equal(got.early_sigma, want.early_sigma)
+    else:  # no training step reads them, so a recorded forward does not compute them
+        assert got.early_mean is None and got.early_sigma is None
     for a, b in zip(got.layer_stats, want.layer_stats, strict=True):
         assert np.array_equal(a.mean, b.mean) and np.array_equal(a.var, b.var)
 
@@ -99,18 +101,19 @@ def test_inference_forward_through_a_zeroed_channel(source, beta):
 
 
 def test_serving_relu_is_relu_bit_for_bit():
-    """`np.maximum(x, 0.0)` gives `relu`'s +0.0 for -0.0, 0.0 and negative subnormals."""
+    """`np.maximum(x, 0.0)` gives the reference relu's +0.0 for -0.0, 0.0 and negative subnormals."""
     tiny = np.finfo(np.float64).smallest_subnormal
     special = np.array([-0.0, 0.0, tiny, -tiny, 2.2250738585072014e-308, -2.2250738585072014e-308,
                         1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max, 1.0, -1.0])
     rng = np.random.default_rng(3)
     for n in (1, 3, 16, 2048):  # scalar tails and vector loops
         x = rng.choice(special, size=n)
-        want = numerics.relu(x)[0]
+        want = ref._val(ref.relu(x))
         assert np.maximum(x, 0.0).tobytes() == want.tobytes()
+        assert np.array_equal(np.maximum(x, 0.0) > 0.0, x > 0.0)  # the recorded mask, taken from the output
     cube = rng.choice(special, size=(16, 6, 8))
     channel_major = cube.transpose(1, 0, 2).copy().transpose(1, 0, 2)  # the channel mix's layout
-    assert np.maximum(channel_major, 0.0).tobytes() == numerics.relu(cube)[0].tobytes()
+    assert np.maximum(channel_major, 0.0).tobytes() == ref._val(ref.relu(cube)).tobytes()
 
 
 @pytest.mark.parametrize("source", NORM_SOURCES)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stta import model as model_module
+from stta import numerics
 from stta.model import (
     adapt_step,
     cross_entropy_loss,
@@ -16,6 +17,7 @@ from stta.model import (
     load_model,
     model_dict,
     load_model_dict,
+    per_sample_entropy,
     pretrain,
     save_model,
 )
@@ -187,6 +189,19 @@ class TestEntropyLoss:
         fd = np.array(finite_difference_grad(value, list(z0.ravel()), h=1e-4))
         denom = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(grads - fd) / denom) < 1e-4
+
+
+class TestPerSampleEntropy:
+    def test_equals_the_where_form_on_exact_zeros_and_ones(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.0, 0.25, 0.75],
+                         [1.0 - 2.0 ** -53, 2.0 ** -53, 0.0], [tiny, 1.0, 0.0], [1e-310, 0.0, 1.0], [1e-300, 1.0, 0.0]])
+        # softmax rows whose exponentials underflow to exact zeros and whose largest entry is exactly 1.0
+        logits = np.array([[0.0, -800.0, -800.0], [-800.0, 0.0, 5.0], [3.0, 3.0, -1e4], [0.0, -745.0, -700.0]])
+        p = np.vstack([rows, numerics.softmax(logits)])
+        assert (p == 0.0).any() and (p == 1.0).any()
+        where_form = -np.add.reduce(p * np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), 0.0), axis=-1)
+        assert per_sample_entropy(p).tobytes() == where_form.tobytes()
 
 
 class TestCrossEntropyLoss:
@@ -371,6 +386,28 @@ class TestEvaluateAccuracy:
         with pytest.raises(ValueError) as err:
             evaluate_accuracy(model, x, y + offset)
         assert str(err.value) == f"evaluation: labels must be integers in [0, 3), {got}"
+
+    @pytest.mark.parametrize("kind", [str, bytes, object, complex])
+    def test_non_numeric_samples_are_refused_naming_the_dtype(self, kind):
+        model, x, y = self.make()
+        bad = x.astype(kind)
+        with pytest.raises(ValueError) as err:
+            evaluate_accuracy(model, bad, y)
+        rule = "samples must be real numbers (bool, integer or float)"
+        assert str(err.value) == f"evaluation: {rule}, got {bad.dtype} samples"
+
+    def test_ragged_samples_are_refused_by_name(self):
+        model, x, y = self.make()
+        with pytest.raises(ValueError) as err:
+            evaluate_accuracy(model, [*x[:-1], x[-1, :, :-1]], y)
+        assert str(err.value) == "evaluation: rejected ragged samples; want one array of real numbers"
+
+    def test_real_samples_are_taken_as_float64_and_float64_is_not_copied(self):
+        model, x, y = self.make()
+        assert model_module.checked_batch(x, y, model, "evaluation")[0] is x
+        for kind in (bool, np.int32, np.uint8, np.float32):
+            xv = model_module.checked_batch(x.astype(kind), y, model, "evaluation")[0]
+            assert xv.dtype == np.float64 and np.array_equal(xv, x.astype(kind).astype(np.float64))
 
     @pytest.mark.parametrize("batch_size", [0, -5, 2.5, True])
     def test_bad_batch_size_rejected(self, batch_size):

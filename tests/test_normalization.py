@@ -182,6 +182,65 @@ class TestCorrectedStats:
         assert not np.array_equal(got.mean, before.mean)
 
 
+TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def sign_form_corrected(state, live):
+    """`corrected_stats` with the dead zone written as sign(d) * max(|d| - t, 0)."""
+    def shrink(d, t):
+        return np.sign(d) * np.maximum(np.abs(d) - t, 0.0)
+
+    mem, (se_mean, se_var) = state.memory_stats, state.standard_errors
+    return ChannelStats(mem.mean + shrink(live.mean - mem.mean, state.alpha * se_mean),
+                        np.maximum(mem.var + shrink(live.var - mem.var, state.alpha * se_var), 0.0))
+
+
+class TestClampForm:
+    """`soft_shrinkage` is x - clip(x, -t, t); `corrected_stats` equals the sign form byte for byte.
+
+    Outside the dead zone both forms compute the same difference. Inside it the clamp gives x - x = +0.0
+    where the sign form gives sign(x) * 0.0, so the two zeros can differ in sign. Added to a memory
+    statistic, a zero of either sign changes nothing but a memory mean of -0.0, which becomes +0.0 (the
+    variance is clamped by np.maximum(var, 0.0), which gives +0.0 for both zeros). That sign cannot
+    reach a result: the corrected mean enters only as `x - mean` in `normalize`, whose output reaches
+    nothing but relu, and relu (`np.maximum(out, 0.0)`) maps both zeros to +0.0
+    (`test_the_sign_of_a_zero_mean_does_not_pass_relu`).
+    """
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0], ids=["alpha0", "alpha1", "alpha4"])
+    @pytest.mark.parametrize("mem_mean", [0.0, -0.0, 1.5, -TINY], ids=["mean+0", "mean-0", "mean1.5", "mean-tiny"])
+    @pytest.mark.parametrize("mem_var", [4.0, 0.0, -0.0, TINY], ids=["var4", "var+0", "var-0", "var-tiny"])
+    def test_corrected_stats_equal_the_sign_form(self, alpha, mem_mean, mem_var):
+        offsets = lambda t: np.array([t, -t, 0.0, -0.0, t / 2, -t / 2, TINY, -TINY, 2 * t + 1.0, -2 * t - 1.0,
+                                      np.nextafter(t, np.inf), -np.nextafter(t, np.inf), np.nextafter(t, 0.0)])
+        n = len(offsets(1.0))
+        state = MemoryNormState(alpha=alpha)
+        # extent 3 x count 1: the variance's standard error sqrt(2 v^2 / 2) is v itself, so |d| == t is exact
+        state.populate(ChannelStats(np.full(n, mem_mean), np.full(n, mem_var)), 3, 1)
+        t_mean, t_var = alpha * state.standard_errors[0][0], alpha * state.standard_errors[1][0]
+        live = ChannelStats(mem_mean + offsets(t_mean), mem_var + offsets(t_var))
+        got, want = corrected_stats(state, live), sign_form_corrected(state, live)
+        assert got.var.tobytes() == want.var.tobytes()
+        moved = got.mean.view(np.uint64) != want.mean.view(np.uint64)
+        assert np.array_equal(got.mean, want.mean)
+        if moved.any():  # only a memory mean of -0.0 left in the dead zone, now +0.0 (see the class docstring)
+            assert mem_mean == 0.0 and np.signbit(mem_mean)
+            assert not np.signbit(got.mean[moved]).any() and np.signbit(want.mean[moved]).all()
+
+    def test_the_sign_of_a_zero_mean_does_not_pass_relu(self):
+        x = np.array([-0.0, 0.0, TINY, -TINY, 1.0, -1.0]).reshape(1, 1, -1)
+        for gamma in (1.0, -1.0, 0.0, -0.0):
+            for beta in (0.0, -0.0, 0.5, -0.5):
+                outs = [np.maximum(normalize(x, np.array([mean]), np.array([1.0]), np.array([gamma]),
+                                             np.array([beta]), 1e-5)[0], 0.0).tobytes() for mean in (0.0, -0.0)]
+                assert outs[0] == outs[1]
+
+    def test_soft_shrinkage_gives_plus_zero_in_the_dead_zone(self):
+        x = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, TINY, -TINY])
+        assert soft_shrinkage(x, np.ones_like(x)).tobytes() == np.zeros_like(x).tobytes()
+        assert np.signbit(soft_shrinkage(np.array([-0.0]), np.array([0.0]))).all()  # x - x for x = -0.0 at t = 0
+
+
 class TestNormalize:
     def test_alpha_zero_equals_batch_norm(self):
         rng = np.random.default_rng(3)
