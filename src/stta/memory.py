@@ -254,19 +254,21 @@ class SampleMemory:
         # holding the highest key, the candidate's included, then the lowest id.
         counts = self.class_counts
         top = max(counts.values())
-        alone = counts[label] == 1  # no stored sample shares the candidate's class
-        target = best = None
+        target = best = victim = None
         for c, k in counts.items():
             if k != top:
                 continue
-            far = key if c == label and alone else self._farthest_of(c)[0]
-            if c == label and key > far:
-                far = key
+            if c != label:
+                far, slot = self._farthest_of(c)
+            elif k == 1:  # no stored sample shares the candidate's class
+                far, slot = key, _CANDIDATE
+            else:  # the candidate tops its class only by a strictly larger key
+                far, slot = self._farthest_of(c)
+                if key > far:
+                    far, slot = key, _CANDIDATE
             if target is None or far > best or (far == best and c < target):
-                target, best = c, far
-        if target == label and (alone or key > self._farthest_of(label)[0]):
-            return _CANDIDATE
-        return self._farthest_of(target)[1]
+                target, best, victim = c, far, slot
+        return victim
 
     def _farthest_of(self, label: int) -> tuple[float, int]:
         """(key, slot) of the class's highest-keyed sample, the stalest among equal keys.

@@ -163,7 +163,7 @@ def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -
         else:  # frozen source statistics
             mean, var = layer.running_mean, layer.running_var
         out, saved = normalize(out, mean, var, layer.gamma, layer.beta, layer.epsilon, order)
-        out = np.maximum(out, 0.0)  # relu: +0.0 for every non-positive entry, -0.0 included
+        np.maximum(out, 0.0, out=out)  # relu, in place: +0.0 for every non-positive entry, -0.0 included
         if record:  # the relu mask: where the output, and so the input, is positive
             saved_blocks.append((weight, saved, out > 0.0))
     pooled = np.ascontiguousarray(np.add.reduce(out, axis=2) / length)  # channel-major rounds differently in BLAS
