@@ -32,7 +32,7 @@ class ChannelStats(NamedTuple):
 
 def soft_shrinkage(x: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     """Dead-zone operator sign(x) * max(|x| - threshold, 0), elementwise, for `threshold` >= 0, as x minus x
-    clamped to [-threshold, threshold]: x - x = +0.0 inside the dead zone (-0.0 - +0.0 for -0.0 at threshold 0)."""
+    clamped to [-threshold, threshold]: x - x = +0.0 inside the dead zone, but -0.0 for x = -0.0 at threshold 0."""
     return x - np.minimum(np.maximum(x, -threshold), threshold)
 
 
