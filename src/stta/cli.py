@@ -464,11 +464,8 @@ def run_command(args) -> int:
         print(f"  {row['cell']:<24} acc {acc} +/- {std} "
               f"adapt {row['mean_adapt_count']:.1f} "
               f"batch {row['mean_batch_seconds'] * 1e3:.2f} ms")
-    for rec in records:  # a starved cell: no scheduled adaptation found a sample in the memory
-        skipped = rec["metrics"]["skipped_adaptations"]
-        if rec["metrics"]["adapt_count"] == 0 and skipped > 0:
-            print(f"warning: {rec['cell']} seed {rec['seed']}: all {skipped} scheduled adaptations were skipped "
-                  "(the memory stayed empty)", file=sys.stderr)
+    for line in starved_cells(records):
+        print(f"warning: {line}", file=sys.stderr)
 
     if errors:
         for line in errors:
@@ -480,6 +477,14 @@ def run_command(args) -> int:
             print(f"threshold: {line}", file=sys.stderr)
         return 2
     return 0
+
+
+def starved_cells(records: list[dict]) -> list[str]:
+    """One line per record whose scheduled adaptations were all skipped because the memory stayed empty;
+    a record without `metrics.adapt_count` and `metrics.skipped_adaptations` is not named."""
+    return [f"{rec['cell']} seed {rec.get('seed')}: all {rec['metrics']['skipped_adaptations']} scheduled "
+            "adaptations were skipped (the memory stayed empty)" for rec in records
+            if rec["metrics"].get("adapt_count") == 0 and rec["metrics"].get("skipped_adaptations", 0) > 0]
 
 
 # Every field `compare` reads, with the JSON types it may hold.
@@ -511,6 +516,8 @@ def _load_records(path: str) -> list[dict]:
                     value = value.get(key, {}) if isinstance(value, dict) else {}
                 if isinstance(value, bool) or not isinstance(value, kinds):
                     raise ConfigError(f"{where}: {name} must be {rule}")
+            for key in ("adapt_count", "skipped_adaptations"):  # optional; `starved_cells` reads them
+                checked_int(rec["metrics"].get(key, 0), f"{where}: metrics.{key}")
             records.append(rec)
     return records
 
@@ -525,11 +532,14 @@ def compare_command(args) -> int:
     try:
         if args.max_accuracy_drop is not None and not 0.0 <= args.max_accuracy_drop < math.inf:
             raise ConfigError(f"--max-accuracy-drop must be >= 0 and finite, got {args.max_accuracy_drop}")
-        base = _aggregate(_load_records(args.files[0]), args.by)
-        other = _aggregate(_load_records(args.files[1]), args.by)
-    except ConfigError as exc:
+        loaded = [_load_records(path) for path in args.files]
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for path, records in zip(args.files, loaded):
+        for line in starved_cells(records):
+            print(f"warning: {path}: {line}", file=sys.stderr)
+    base, other = (_aggregate(records, args.by) for records in loaded)
     common = sorted(set(base) & set(other))
     if not common:
         print("error: result files share no cells to compare", file=sys.stderr)

@@ -29,17 +29,16 @@ from .model import (
     NORM_SOURCES,
     Model,
     adapt_step,
-    checked_array,
     checked_batch,
     checked_int,
     checked_number,
     forward,
-    is_real,
     load_model_dict,
     model_dict,
     per_sample_entropy,
     required,
 )
+from .normalization import estimable
 
 
 def _as_rate(value) -> Fraction:
@@ -221,7 +220,6 @@ class Engine:
         self.config = config
         self.schedule = AdaptationSchedule(config.ar)
         self.memory: SampleMemory | None = None  # sized on the first batch
-        self._arrival = 0
         self._rng = np.random.default_rng(config.seed)
         for layer in model.norm_layers:
             layer.memory_norm.alpha = config.alpha
@@ -229,18 +227,14 @@ class Engine:
 
     # -- wiring ---------------------------------------------------------
 
-    def _ensure_memory(self, batch_size: int) -> SampleMemory:
+    def _ensure_memory(self, default_capacity: int) -> SampleMemory:
+        """The memory, made on first use with `config.capacity`, or `default_capacity` if that is None."""
         if self.memory is None:
-            capacity = self.config.capacity if self.config.capacity is not None else batch_size
+            c = self.config
             self.memory = SampleMemory(
-                capacity=capacity,
-                channels=self.model.norm_layers[0].channels,
-                tau_conf=self.config.tau_conf,
-                tau_delta=self.config.tau_delta,
-                beta=self.config.beta_centroid,
-                selection_mode=self.config.selection_mode,
-                rng=self._rng,
-            )
+                capacity=c.capacity if c.capacity is not None else default_capacity,
+                channels=self.model.norm_layers[0].channels, tau_conf=c.tau_conf, tau_delta=c.tau_delta,
+                beta=c.beta_centroid, selection_mode=c.selection_mode, rng=self._rng)
         return self.memory
 
     def _inference_source(self) -> str:
@@ -249,12 +243,6 @@ class Engine:
             populated = all(l.memory_norm.populated for l in self.model.norm_layers)
             return "iobmn" if populated else "batch"
         return mode
-
-    def _populate_memory_norm(self, result, batch: np.ndarray) -> None:
-        count, extent = batch.shape[0], batch.shape[2]  # every norm layer sees the input length
-        if extent * count >= 2:  # what `populate` takes: the sampling variance divides by n - 1
-            for layer, stats in zip(self.model.norm_layers, result.layer_stats):
-                layer.memory_norm.populate(stats, extent, count)
 
     def _validated(self, x, labels) -> tuple[np.ndarray, np.ndarray | None]:
         """Check a batch before anything changes (see `checked_batch`), and that its samples fit the memory."""
@@ -291,23 +279,11 @@ class Engine:
         t0 = time.perf_counter()
         result = forward(self.model, xv, self._inference_source())
         probs = nm.softmax(result.logits)
-        mu, sigma = result.early_mean, result.early_sigma
         pseudo = probs.argmax(axis=1).tolist()
         confidences = np.maximum.reduce(probs, axis=1).tolist()
         entropies = per_sample_entropy(probs).tolist()
-        scores = memory.score(mu, sigma).tolist()
-        truth = labels.tolist() if labels is not None else None
-
-        inserted = inserted_correct = 0
-        arrival = self._arrival
-        for i, row in enumerate(zip(xv, pseudo, confidences, mu, sigma, scores)):
-            if memory.insert(*row, arrival + i, entropies[i]).kind != "rejected_low_conf":
-                inserted += 1
-                inserted_correct += truth is not None and pseudo[i] == truth[i]
-        self._arrival = arrival + len(pseudo)
-
-        shift = memory.update_centroid(result.layer_stats[0])
-        rescored = memory.maybe_rescore(shift)
+        accepted, rescored = memory.offer(xv, pseudo, confidences, result.early_mean, result.early_sigma,
+                                          entropies, result.layer_stats[0])
         t1 = time.perf_counter()
 
         adapted = False
@@ -321,23 +297,20 @@ class Engine:
                 skipped = True
             else:
                 adapted = True
-                self._populate_memory_norm(step, batch)
+                count, extent = batch.shape[0], batch.shape[2]  # every norm layer sees the input length
+                if estimable(extent, count):
+                    for layer, stats in zip(self.model.norm_layers, step.layer_stats):
+                        layer.memory_norm.populate(stats, extent, count)
             adaptation_seconds = time.perf_counter() - t2
 
+        truth = labels.tolist() if labels is not None else None
         return BatchRecord(
-            index=index,
-            segment=segment,
-            size=xv.shape[0],
+            index=index, segment=segment, size=xv.shape[0],
             correct=None if truth is None else sum(map(operator.eq, pseudo, truth)),
-            adapted=adapted,
-            adapt_skipped=skipped,
-            inserted=inserted,
-            inserted_correct=None if truth is None else inserted_correct,
-            rescored=rescored,
-            memory_size=len(memory),
-            inference_seconds=t1 - t0,
-            adaptation_seconds=adaptation_seconds,
-        )
+            adapted=adapted, adapt_skipped=skipped, inserted=len(accepted),
+            inserted_correct=None if truth is None else sum(pseudo[i] == truth[i] for i in accepted),
+            rescored=rescored, memory_size=len(memory),
+            inference_seconds=t1 - t0, adaptation_seconds=adaptation_seconds)
 
     def run_stream(self, stream) -> RunMetrics:
         """Fold the `StreamBatch`es of a stream; see `process_batch`."""
@@ -349,30 +322,6 @@ class Engine:
     ENGINE_VERSION = 1
 
     def state_dict(self) -> dict:
-        mem = None
-        m = self.memory
-        if m is not None:
-            mem = {
-                "capacity": m.capacity,
-                "samples": [
-                    {
-                        "input": m.inputs[s].tolist(),
-                        "pseudo_label": int(m.labels[s]),
-                        "confidence": float(m.confidences[s]),
-                        "mu": m.mu[s].tolist(),
-                        "sigma": m.sigma[s].tolist(),
-                        "wdist": float(m.wdist[s]) if m.wdist[s] != math.inf else "inf",
-                        "arrival_index": int(m.arrivals[s]),
-                        "entropy": None if math.isnan(m.entropies[s]) else float(m.entropies[s]),
-                    }
-                    for s in m.order().tolist()
-                ],
-                "centroid": {
-                    "mu": m.centroid_mu.tolist(),
-                    "sigma": m.centroid_sigma.tolist(),
-                    "initialized": m.centroid_initialized,
-                },
-            }
         return {
             "format": self.ENGINE_FORMAT,
             "version": self.ENGINE_VERSION,
@@ -383,8 +332,8 @@ class Engine:
                 "adapt_count": self.schedule.adapt_count,
                 "batch_count": self.schedule.batch_count,
             },
-            "memory": mem,
-            "arrival": self._arrival,
+            "memory": None if self.memory is None else self.memory.state_dict(),
+            "arrival": 0 if self.memory is None else self.memory.next_arrival,
             "batch_index": self.schedule.batch_count,
             "rng": _rng_state_dict(self._rng),
         }
@@ -415,7 +364,7 @@ class Engine:
             raise ValueError(f"{at}.credit must be < 1, got {credit}")
         adapt_count, batch_count = (checked_int(required(sched, key, at), f"{at}.{key}")
                                     for key in ("adapt_count", "batch_count"))
-        engine._arrival = checked_int(required(payload, "arrival", top, ": "), f"{top}: arrival")
+        arrival = checked_int(required(payload, "arrival", top, ": "), f"{top}: arrival")
         batch_index = checked_int(required(payload, "batch_index", top, ": "), f"{top}: batch_index")
         engine.schedule.batch_count = batch_count  # the other three counts follow from it and config.ar
         for name, got, want in (("batch_index", batch_index, batch_count),
@@ -425,56 +374,15 @@ class Engine:
                 raise ValueError(f"{top}: {name} {got} disagrees with schedule.batch_count {batch_count} "
                                  f"at config.ar {config.ar} (want {want})")
         engine._rng = _rng_from_dict(required(payload, "rng", top, ": "))
-        mem = required(payload, "memory", top, ": ")
+        mem, at = required(payload, "memory", top, ": "), "checkpoint memory"
+        if mem is None and arrival:  # the memory is made by the first batch, before any sample arrives
+            raise ValueError(f"{top}: arrival {arrival} with a null memory (want 0)")
         if mem is not None:
-            engine._load_memory(mem)
+            capacity = checked_int(required(mem, "capacity", at, ": "), f"{at}: capacity", 1)
+            if config.capacity not in (None, capacity):
+                raise ValueError(f"{at}: capacity {capacity} disagrees with config.capacity {config.capacity}")
+            engine._ensure_memory(capacity).load_state_dict(mem, engine.model.num_classes, arrival)
         return engine
-
-    def _load_memory(self, mem: dict) -> None:
-        at, channels = "checkpoint memory", self.model.in_channels
-        capacity = checked_int(required(mem, "capacity", at, ": "), f"{at}: capacity", 1)
-        if self.config.capacity not in (None, capacity):
-            raise ValueError(f"{at}: capacity {capacity} disagrees with config.capacity "
-                             f"{self.config.capacity}")
-        memory = self._ensure_memory(capacity)
-        cen, cen_at = required(mem, "centroid", at, ": "), f"{at}: centroid"
-        memory.centroid_mu = checked_array(required(cen, "mu", cen_at), f"{cen_at}.mu", (channels,))
-        memory.centroid_sigma = checked_array(required(cen, "sigma", cen_at), f"{cen_at}.sigma", (channels,),
-                                              nonnegative=True)
-        memory.centroid_initialized = required(cen, "initialized", cen_at)
-        if not isinstance(memory.centroid_initialized, bool):
-            raise ValueError(f"{cen_at}.initialized must be true or false, "
-                             f"got {memory.centroid_initialized!r}")
-        samples = required(mem, "samples", at, ": ")
-        if not isinstance(samples, list):
-            raise ValueError(f"{at}: samples must be a list, got {samples!r}")
-        for i, s in enumerate(samples):
-            arrival = checked_int(required(s, "arrival_index", f"{at}: samples[{i}]"),
-                                  f"{at}: samples[{i}].arrival_index", below=self._arrival)
-            where = f"{at}: sample {arrival}"
-            conf, wdist, entropy, x, mu, sigma, label = (required(s, key, where, ": ") for key in (
-                "confidence", "wdist", "entropy", "input", "mu", "sigma", "pseudo_label"))
-            x = checked_array(x, f"{where}: input")
-            if x.ndim != 2 or x.shape[0] != channels or x.shape[1] < 1:
-                raise ValueError(f"{where}: input has shape {x.shape}, "
-                                 f"want in_channels x L = ({channels}, L >= 1)")
-            if memory.inputs is not None and x.shape != memory.inputs.shape[1:]:
-                raise ValueError(f"{where}: input has shape {x.shape}, the samples before it "
-                                 f"{memory.inputs.shape[1:]}")
-            mu = checked_array(mu, f"{where}: mu", (channels,))
-            sigma = checked_array(sigma, f"{where}: sigma", (channels,), nonnegative=True)
-            label = checked_int(label, f"{where}: pseudo_label", below=self.model.num_classes)
-            if not (is_real(conf) and 0.0 <= conf <= 1.0):
-                raise ValueError(f"{where}: confidence must be in [0, 1], got {conf!r}")
-            if wdist != "inf" and not (is_real(wdist) and wdist >= 0.0):
-                raise ValueError(f"{where}: wdist must be a number >= 0 or \"inf\", got {wdist!r}")
-            if entropy is not None and not (is_real(entropy) and math.isfinite(entropy)):
-                raise ValueError(f"{where}: entropy must be a finite number or null, got {entropy!r}")
-            outcome = memory.insert(x, label, conf, mu, sigma, math.inf if wdist == "inf" else wdist,
-                                    arrival, entropy)
-            if outcome.kind != "inserted":
-                raise ValueError(f"{where} does not fit a {memory.selection_mode} memory "
-                                 f"of capacity {memory.capacity}")
 
     @classmethod
     def load(cls, path) -> "Engine":

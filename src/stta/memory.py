@@ -17,10 +17,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import checked_array, checked_int, is_real, required
 from .normalization import ChannelStats
 from .numerics import ShapeError
 
 SELECTION_MODES = ("naive", "random", "low_entropy", "crm", "cndrm")
+# One checkpoint entry per stored sample, in this key order (see `SampleMemory.state_dict`).
+SAMPLE_FIELDS = ("input", "pseudo_label", "confidence", "mu", "sigma", "wdist", "arrival_index", "entropy")
 
 
 def wasserstein(mu: np.ndarray, sigma: np.ndarray, ref_mu: np.ndarray, ref_sigma: np.ndarray) -> np.ndarray:
@@ -63,13 +66,17 @@ class SampleMemory:
     `entropies` (NaN where none was given). The first `len(self)` slots are
     filled; a candidate that evicts a stored sample overwrites its slot, so
     slot order is not arrival order and `order()` gives the slots sorted by
-    arrival. Candidates must arrive with increasing arrival indices.
+    arrival. Candidates must arrive with increasing arrival indices, and
+    `next_arrival` is the lowest one the memory takes next.
     `class_counts` maps each stored pseudo-label to its number of samples.
     Callers read these; only `insert` and `maybe_rescore` write them.
 
     The domain centroid, `centroid_mu` and `centroid_sigma`, is a momentum
     average (weight `beta` on the current batch) of early-layer batch
     statistics; it is zeros until `update_centroid` has seen a batch.
+
+    `offer` runs one batch's upkeep; `state_dict` and `load_state_dict`
+    write and read the memory's section of the engine checkpoint.
 
     Single-writer: one engine instance owns the memory for its stream.
     """
@@ -110,7 +117,7 @@ class SampleMemory:
         self.class_counts: dict[int, int] = {}
         self._farthest: dict[int, tuple[float, int]] = {}  # see _farthest_of
         self._size = 0
-        self._last_arrival: int | None = None
+        self.next_arrival = 0
         self.centroid_mu = np.zeros(channels)
         self.centroid_sigma = np.zeros(channels)
         self.centroid_initialized = False
@@ -173,6 +180,19 @@ class SampleMemory:
 
     # -- insertion ----------------------------------------------------------
 
+    def offer(self, x: np.ndarray, labels, confidences, mu: np.ndarray, sigma: np.ndarray, entropies,
+              batch_stats: ChannelStats) -> tuple[list[int], int]:
+        """One batch's upkeep: score every candidate against the centroid as it was, insert them in order
+        with arrival indices from `next_arrival` on, then blend `batch_stats` (the batch's early-layer
+        statistics) into the centroid and rescore. `labels` (pseudo-labels), `confidences` and `entropies`
+        hold one number per candidate, `mu`/`sigma` the `[B, C]` early statistics. Returns the indices of
+        the candidates that passed the confidence filter and the number of rescored samples."""
+        scores = self.score(mu, sigma).tolist()
+        arrival = self.next_arrival
+        accepted = [i for i, row in enumerate(zip(x, labels, confidences, mu, sigma, scores))
+                    if self.insert(*row, arrival + i, entropies[i]).kind != "rejected_low_conf"]
+        return accepted, self.maybe_rescore(self.update_centroid(batch_stats))
+
     def insert(self, x, label: int, conf: float, mu, sigma, wdist: float, arrival: int,
                entropy: float | None = None) -> InsertOutcome:
         """Offer one scored candidate; applies the mode's eligibility and eviction.
@@ -182,8 +202,8 @@ class SampleMemory:
         candidate competes with the stored samples for a place; when it
         wins, it takes the victim's slot.
         """
-        if self._last_arrival is not None and arrival <= self._last_arrival:
-            raise ValueError(f"arrival {arrival} does not follow arrival {self._last_arrival}")
+        if arrival < self.next_arrival:
+            raise ValueError(f"arrival {arrival} comes before the next arrival {self.next_arrival}")
         mode = self.selection_mode
         if mode == "low_entropy" and entropy is None:
             raise ValueError("low_entropy mode requires candidates with stored entropy")
@@ -191,7 +211,7 @@ class SampleMemory:
             raise ShapeError(f"input of shape {x.shape} in a memory of {self._input_shape} inputs")
         if mu.shape != self._stats_shape or sigma.shape != self._stats_shape:
             raise ShapeError(f"sample stats: mu {mu.shape} vs sigma {sigma.shape}, {self.mu.shape[1]} channels")
-        self._last_arrival = arrival
+        self.next_arrival = arrival + 1
         if mode in ("crm", "cndrm") and conf <= self.tau_conf:
             return _REJECTED
         counts = self.class_counts
@@ -317,3 +337,58 @@ class SampleMemory:
                    self.confidences[o].tolist(), self.wdist[o].tolist())
         return "\n".join(f"{a}\t{l}\t{c!r}\t{w!r}" for a, l, c, w in rows)
 
+    # -- checkpoint ---------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """The engine checkpoint's `memory` section: the capacity, one entry of `SAMPLE_FIELDS` per sample
+        in arrival order (an infinite `wdist` as "inf", a missing entropy as null), and the centroid."""
+        o = self.order()
+        columns = ([] if self.inputs is None else self.inputs[o].tolist(), self.labels[o].tolist(),
+                   self.confidences[o].tolist(), self.mu[o].tolist(), self.sigma[o].tolist(),
+                   [w if w != math.inf else "inf" for w in self.wdist[o].tolist()], self.arrivals[o].tolist(),
+                   [None if math.isnan(e) else e for e in self.entropies[o].tolist()])
+        return {"capacity": self.capacity,
+                "samples": [dict(zip(SAMPLE_FIELDS, row)) for row in zip(*columns)],
+                "centroid": {"mu": self.centroid_mu.tolist(), "sigma": self.centroid_sigma.tolist(),
+                             "initialized": self.centroid_initialized}}
+
+    def load_state_dict(self, section, num_classes: int, next_arrival: int) -> None:
+        """Fill this fresh memory, made with the section's capacity, from a `state_dict` section; ValueError
+        naming the field it rejects. The samples are offered back in arrival order, so one this memory would
+        not keep is refused. Arrival indices must be below `next_arrival`, which the memory then takes, and
+        pseudo-labels below `num_classes`."""
+        at, channels = "checkpoint memory", self.mu.shape[1]
+        cen, cen_at = required(section, "centroid", at, ": "), f"{at}: centroid"
+        self.centroid_mu = checked_array(required(cen, "mu", cen_at), f"{cen_at}.mu", (channels,))
+        self.centroid_sigma = checked_array(required(cen, "sigma", cen_at), f"{cen_at}.sigma", (channels,),
+                                            nonnegative=True)
+        self.centroid_initialized = required(cen, "initialized", cen_at)
+        if not isinstance(self.centroid_initialized, bool):
+            raise ValueError(f"{cen_at}.initialized must be true or false, got {self.centroid_initialized!r}")
+        samples = required(section, "samples", at, ": ")
+        if not isinstance(samples, list):
+            raise ValueError(f"{at}: samples must be a list, got {samples!r}")
+        for i, s in enumerate(samples):
+            arrival = checked_int(required(s, "arrival_index", f"{at}: samples[{i}]"),
+                                  f"{at}: samples[{i}].arrival_index", below=next_arrival)
+            where = f"{at}: sample {arrival}"
+            x, label, conf, mu, sigma, wdist, _, entropy = (required(s, key, where, ": ") for key in SAMPLE_FIELDS)
+            x = checked_array(x, f"{where}: input")
+            if x.ndim != 2 or x.shape[0] != channels or x.shape[1] < 1:
+                raise ValueError(f"{where}: input has shape {x.shape}, "
+                                 f"want in_channels x L = ({channels}, L >= 1)")
+            if self._input_shape is not None and x.shape != self._input_shape:
+                raise ValueError(f"{where}: input has shape {x.shape}, the samples before it {self._input_shape}")
+            mu = checked_array(mu, f"{where}: mu", (channels,))
+            sigma = checked_array(sigma, f"{where}: sigma", (channels,), nonnegative=True)
+            label = checked_int(label, f"{where}: pseudo_label", below=num_classes)
+            if not (is_real(conf) and 0.0 <= conf <= 1.0):
+                raise ValueError(f"{where}: confidence must be in [0, 1], got {conf!r}")
+            if wdist != "inf" and not (is_real(wdist) and wdist >= 0.0):
+                raise ValueError(f"{where}: wdist must be a number >= 0 or \"inf\", got {wdist!r}")
+            if entropy is not None and not (is_real(entropy) and math.isfinite(entropy)):
+                raise ValueError(f"{where}: entropy must be a finite number or null, got {entropy!r}")
+            outcome = self.insert(x, label, conf, mu, sigma, math.inf if wdist == "inf" else wdist, arrival, entropy)
+            if outcome.kind != "inserted":
+                raise ValueError(f"{where} does not fit a {self.selection_mode} memory of capacity {self.capacity}")
+        self.next_arrival = next_arrival

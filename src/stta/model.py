@@ -129,7 +129,7 @@ def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -
         raise ValueError(f"unknown norm source {norm_source!r}")
     if record and norm_source != "batch":
         raise ValueError(f"only a batch-statistics forward can be recorded, not {norm_source!r}")
-    xv = np.asarray(x, dtype=np.float64)
+    xv = _real_samples(x, "forward")
     if xv.ndim != 3 or xv.shape[1] != model.in_channels:
         raise ShapeError(f"expected batch x {model.in_channels} x length input, got {xv.shape}")
     if xv.shape[0] < 1:
@@ -245,7 +245,7 @@ def adapt_step(model: Model, memory_batch, lr: float) -> ForwardResult | None:
     """
     if memory_batch is None:
         return None
-    batch = np.asarray(memory_batch, dtype=np.float64)
+    batch = _real_samples(memory_batch, "adaptation step")
     if batch.shape[0] == 0:
         return None
     result = forward(model, batch, "batch", record=True)
@@ -401,17 +401,23 @@ def checked_array(value, where: str, shape: tuple | None = None, nonnegative: bo
     return arr
 
 
-def checked_batch(x, labels, model: Model, where: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """The rule for data: a non-empty, finite batch x in_channels x length array of real numbers (bool,
-    integer or float) and one integer label in [0, num_classes) per sample (or None), as float64 (a float64
-    array is not copied) and intp; ValueError starting with `where` if not."""
+def _real_samples(x, where: str) -> np.ndarray:
+    """`x` as float64 (a float64 array is not copied) if it holds real numbers (bool, integer or float), the
+    dtype rule of `checked_batch`, `forward` and `adapt_step`; ValueError naming `where` and the dtype if not."""
     try:
         xv = np.asarray(x)
     except ValueError:  # nested sequences of unequal lengths
         raise ValueError(f"{where}: rejected ragged samples; want one array of real numbers") from None
     if xv.dtype.kind not in "biuf":
         raise ValueError(f"{where}: samples must be real numbers (bool, integer or float), got {xv.dtype} samples")
-    xv = xv.astype(np.float64, copy=False)
+    return xv.astype(np.float64, copy=False)
+
+
+def checked_batch(x, labels, model: Model, where: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rule for data: a non-empty, finite batch x in_channels x length array of real numbers (bool,
+    integer or float) and one integer label in [0, num_classes) per sample (or None), as float64 (a float64
+    array is not copied) and intp; ValueError starting with `where` if not."""
+    xv = _real_samples(x, where)
     if xv.ndim != 3 or xv.shape[0] < 1 or xv.shape[1] != model.in_channels:
         raise ValueError(f"{where}: rejected batch of shape {xv.shape}; "
                          f"want a non-empty batch x {model.in_channels} x length array")

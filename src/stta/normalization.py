@@ -63,12 +63,17 @@ class MemoryNormState:
         return self.memory_stats is not None
 
     def populate(self, stats: ChannelStats, spatial_extent: int, sample_count: int) -> None:
-        if spatial_extent < 1 or sample_count < 1 or spatial_extent * sample_count < 2:
+        if not estimable(spatial_extent, sample_count):
             raise ValueError(f"spatial_extent x sample_count must be >= 2, got {spatial_extent} x {sample_count}")
         self.memory_stats = stats
         self.spatial_extent = int(spatial_extent)
         self.sample_count = int(sample_count)
         self.standard_errors = tuple(np.sqrt(s2) for s2 in sampling_variances(self))
+
+
+def estimable(spatial_extent: int, sample_count: int) -> bool:
+    """Whether `spatial_extent` x `sample_count` values give `sampling_variances`, which divide by n - 1."""
+    return spatial_extent >= 1 and sample_count >= 1 and spatial_extent * sample_count >= 2
 
 
 def sampling_variances(state: MemoryNormState) -> tuple[np.ndarray, np.ndarray]:

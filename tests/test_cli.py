@@ -693,6 +693,40 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:3: ") and named in err
 
+    @staticmethod
+    def counted(line, **counts):
+        """A `result_line` record with the given `metrics` counts added."""
+        rec = json.loads(line)
+        rec["metrics"].update(counts)
+        return json.dumps(rec) + "\n"
+
+    def test_starved_cell_is_named_on_stderr(self, tmp_path, capsys):
+        """The warning `stta run` gives, from the same helper, after the file's name; the exit code stays 0.
+        Records without the counts (`result_line`'s) and cells that adapted are not named."""
+        base, other = tmp_path / "base.jsonl", tmp_path / "other.jsonl"
+        base.write_text(result_line("snap", "1", 0.9, 0.1) + result_line("naive", "1", 0.8, 0.1))
+        other.write_text(self.counted(result_line("snap", "1", 0.3, 0.1), adapt_count=0, skipped_adaptations=4)
+                         + self.counted(result_line("naive", "1", 0.8, 0.1), adapt_count=2, skipped_adaptations=1)
+                         + self.counted(result_line("crm", "1", 0.8, 0.1), adapt_count=0, skipped_adaptations=0))
+        assert main(["compare", str(base), str(other)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"warning: {other}: snap@1 seed 0: all 4 scheduled adaptations were skipped "
+                                "(the memory stayed empty)\n")
+        assert cli.starved_cells([json.loads(line) for line in other.read_text().splitlines()]) == [
+            "snap@1 seed 0: all 4 scheduled adaptations were skipped (the memory stayed empty)"]
+        assert "snap@1" in captured.out
+
+    @pytest.mark.parametrize("field", ["adapt_count", "skipped_adaptations"])
+    @pytest.mark.parametrize("value", [-1, 1.5, "2", True, None])
+    def test_bad_adaptation_count_exits_one(self, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(result_line("snap", "1", 0.9, 0.1) + self.counted(result_line("naive", "1", 0.8, 0.1),
+                                                                          **{field: value}))
+        assert main(["compare", str(path), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:2: metrics.{field} must be an integer >= 0, got {value!r}\n"
+        assert not captured.out
+
     def test_schema_mismatch_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"schema": 99, "cell": "x@1", "ar": "1", "mode": "x", "seed": 0}\n')

@@ -21,7 +21,8 @@ from stta.engine import (
     _config_dict,
     _config_from_dict,
 )
-from stta.model import default_model, forward, model_dict, pretrain, save_model
+from stta.memory import SELECTION_MODES
+from stta.model import NORM_SOURCES, default_model, forward, model_dict, pretrain, save_model
 from stta.datagen import default_domain, sample_source
 
 from bad_inputs import CASES as BAD_CASES, bad_batches
@@ -175,6 +176,14 @@ class TestEngineBasics:
         assert (metrics["batches"], metrics["adapt_count"], metrics["skipped_adaptations"]) == (2, 0, 2)
         assert metrics["memory_mean_occupancy"] == metrics["memory_final_occupancy"] == 0
 
+    def test_one_value_per_channel_leaves_the_memory_statistics_unpopulated(self, base_model):
+        # A memory of one sample of length 1 has no sampling variance: the step runs, IoBMN stays unpopulated.
+        engine = Engine(base_model.clone(), EngineConfig(ar=1, capacity=1, tau_conf=0.0))
+        record = engine.process_batch(np.random.default_rng(5).normal(size=(1, 16, 1)))
+        assert record.adapted and record.memory_size == 1
+        assert not any(l.memory_norm.populated for l in engine.model.norm_layers)
+        assert engine._inference_source() == "batch"
+
     def test_memory_norm_populates_after_first_adaptation(self, base_model):
         model = base_model.clone()
         engine = Engine(model, EngineConfig(ar=1, tau_conf=0.0))
@@ -216,7 +225,7 @@ def engine_state(engine):
         None if memory is None else memory.batch().tobytes(),
         engine.schedule.credit, engine.schedule.adapt_count, engine.schedule.batch_count,
         json.dumps(model_dict(engine.model)),
-        engine._arrival,
+        engine.state_dict()["arrival"],
     )
 
 
@@ -523,6 +532,15 @@ class TestResume:
         with pytest.raises(ValueError, match="^" + named):
             Engine.from_state_dict(payload)
 
+    def test_checkpoint_without_a_memory_has_seen_no_sample(self, base_model):
+        # The memory is made by the first batch, so a null memory comes with arrival 0 and nothing else.
+        payload = json.loads(json.dumps(Engine(base_model.clone(), EngineConfig(seed=3)).state_dict()))
+        assert (payload["memory"], payload["arrival"]) == (None, 0)
+        assert Engine.from_state_dict(payload).state_dict() == payload
+        payload["arrival"] = 3
+        with pytest.raises(ValueError, match=r"^engine checkpoint: arrival 3 with a null memory \(want 0\)$"):
+            Engine.from_state_dict(payload)
+
     def test_checkpoint_rejects_a_payload_that_is_not_an_object(self):
         with pytest.raises(ValueError, match="^engine checkpoint must be a JSON object$"):
             Engine.from_state_dict([])
@@ -532,6 +550,33 @@ class TestResume:
         path.write_text('{"format": "nope"}')
         with pytest.raises(ValueError):
             Engine.load(path)
+
+
+class TestStreamProperties:
+    """Invariants of any engine config on any short stream, the checkpoint split included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(selection_mode=st.sampled_from(SELECTION_MODES), source=st.sampled_from(NORM_SOURCES),
+           capacity=st.none() | st.integers(1, 20), ar=st.fractions(0, 1, max_denominator=7),
+           tau_conf=st.sampled_from([0.0, 0.5, 0.9]), batch_size=st.sampled_from([1, 2, 3, 16]),
+           batches=st.integers(1, 8), split=st.floats(0, 1), seed=st.integers(0, 3))
+    def test_capacity_schedule_and_split_resume(self, base_model, selection_mode, source, capacity, ar,
+                                                tau_conf, batch_size, batches, split, seed):
+        config = EngineConfig(ar=ar, tau_conf=tau_conf, capacity=capacity, selection_mode=selection_mode,
+                              inference_stats_mode=source, seed=seed)
+        stream = list(make_stream(single_domain_stream(batches=batches, batch_size=batch_size, seed=seed)))
+        whole = Engine(base_model.clone(), config)
+        metrics = whole.run_stream(stream)
+        assert all(r.memory_size <= (capacity or batch_size) for r in metrics.records)
+        assert metrics.adapt_count + metrics.skipped_adaptations == batches * ar.numerator // ar.denominator
+
+        at = round(split * batches)
+        first = Engine(base_model.clone(), config)
+        records = first.run_stream(stream[:at]).deterministic_dict()["records"]
+        resumed = Engine.from_state_dict(json.loads(json.dumps(first.state_dict())))
+        records += resumed.run_stream(stream[at:]).deterministic_dict()["records"]
+        assert records == metrics.deterministic_dict()["records"]
+        assert json.dumps(resumed.state_dict()) == json.dumps(whole.state_dict())
 
 
 class TestTentEquivalence:

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from stta.engine import EngineConfig
-from stta.memory import SampleMemory, wasserstein
+from stta.memory import SAMPLE_FIELDS, SampleMemory, wasserstein
 from stta.normalization import ChannelStats
 from stta.numerics import ShapeError
 
@@ -508,3 +509,132 @@ class TestReferenceReplay:
     def test_matches_list_reference(self, mode, capacity):
         mem = replay_against_reference(mode, capacity, seed=capacity)
         assert len(mem) == capacity
+
+
+def replay_batches_against_reference(mode, capacity, batch_size, seed, candidates=192, classes=5, channels=3):
+    """Drive `offer` and the list-based reference batch by batch.
+
+    The reference takes the upkeep order written out: each candidate is
+    scored against the centroid as it was before the batch and inserted,
+    then the batch's statistics move the centroid and the stored distances
+    are rescored. Some candidates repeat an earlier sample's statistics
+    (ties in distance), entropies come from three values, and the centroid
+    steps are small enough that some batches skip the rescore. Returns the
+    set of rescore decisions taken (shift over `tau_delta` or not).
+    """
+    rng = np.random.default_rng(seed)
+    args = (capacity, channels, 0.5, 0.3, 0.9, mode)
+    mem = SampleMemory(*args, np.random.default_rng(seed))
+    ref = reference.SampleMemory(*args, np.random.default_rng(seed))
+    seen, fired = [], set()
+    for b in range(-(-candidates // batch_size)):
+        rows = []
+        for _ in range(batch_size):
+            if seen and rng.uniform() < 0.2:
+                rows.append(seen[int(rng.integers(len(seen)))])
+            else:
+                rows.append((rng.normal(size=channels), rng.uniform(0, 2, size=channels)))
+                seen.append(rows[-1])
+        mu, sigma = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        x = rng.normal(size=(batch_size, 2, 4))
+        labels = rng.integers(0, classes, size=batch_size).tolist()
+        confidences = rng.uniform(0, 1, size=batch_size).tolist()
+        entropies = rng.choice([0.1, 0.5, 0.9], size=batch_size).tolist()
+        batch_stats = ChannelStats(1.0 + 0.1 * rng.normal(size=channels), rng.uniform(0.9, 1.1, size=channels))
+        arrival = b * batch_size
+        want = []
+        for i in range(batch_size):
+            stats_i = reference.SampleStats(mu[i], sigma[i])
+            outcome = ref.insert(reference.MemorySample(Tensor(x[i]), labels[i], confidences[i], stats_i,
+                                                        ref.score(stats_i), arrival + i, entropies[i]))
+            if outcome.kind != "rejected_low_conf":
+                want.append(i)
+        shift = ref.update_centroid(batch_stats)
+        fired.add(shift > 0.3)
+        want_rescored = ref.maybe_rescore(shift)
+        where = f"{mode} capacity {capacity} batch size {batch_size}, batch {b}"
+        assert mem.offer(x, labels, confidences, mu, sigma, entropies, batch_stats) == (want, want_rescored), where
+        assert mem.next_arrival == arrival + batch_size, where
+        assert mem.dump() == ref.dump(), where
+        want_batch, got_batch = ref.batch(), mem.batch()
+        assert (got_batch is None) == (want_batch is None), where
+        if want_batch is not None:
+            assert np.array_equal(got_batch, want_batch.data), where
+    return fired
+
+
+class TestBatchReferenceReplay:
+    """`offer` against the per-candidate reference: the oracle for a batch-granular upkeep."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 16])
+    @pytest.mark.parametrize("capacity", [1, 3, 16, 64])
+    @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
+    def test_offer_matches_list_reference(self, mode, capacity, batch_size):
+        fired = replay_batches_against_reference(mode, capacity, batch_size, seed=capacity + batch_size)
+        assert fired == {True, False}  # both sides of the rescore threshold were taken
+
+
+def offer_batch(mem, rng, size, conf):
+    """Offer `size` candidates of one confidence, with random inputs and statistics, to a one-channel memory."""
+    return mem.offer(rng.normal(size=(size, 1, 2)), [0] * size, [conf] * size, rng.normal(size=(size, 1)),
+                     rng.uniform(0.5, 1.5, size=(size, 1)), [0.5] * size,
+                     ChannelStats(rng.normal(size=1), rng.uniform(0.5, 1.5, size=1)))
+
+
+class TestOffer:
+    def test_returns_the_candidates_that_pass_the_filter(self):
+        mem = make_memory(capacity=8, tau_conf=0.5)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4, 1, 2))
+        accepted, rescored = mem.offer(x, [0, 1, 0, 1], [0.9, 0.2, 0.5, 0.7], rng.normal(size=(4, 1)),
+                                       rng.uniform(size=(4, 1)), [0.1] * 4, ChannelStats(np.zeros(1), np.ones(1)))
+        assert (accepted, rescored) == ([0, 3], 2)  # 0.5 is not above tau_conf; the first centroid rescores all
+        assert stored(mem, "arrivals") == [0, 3] and mem.next_arrival == 4
+        assert np.array_equal(mem.batch(), x[[0, 3]])
+
+    def test_next_arrival_counts_rejected_candidates(self):
+        mem = make_memory(capacity=2, tau_conf=0.5)
+        rng = np.random.default_rng(1)
+        assert offer_batch(mem, rng, 3, 0.1) == ([], 0)
+        assert len(mem) == 0 and mem.next_arrival == 3
+        with pytest.raises(ValueError, match="arrival 2 comes before the next arrival 3"):
+            offer(mem, 2)
+        assert offer_batch(mem, rng, 2, 0.9)[0] == [0, 1]
+        assert stored(mem, "arrivals") == [3, 4] and mem.next_arrival == 5
+
+
+class TestStateDict:
+    @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
+    def test_round_trip(self, mode):
+        rng, mem_rng = np.random.default_rng(2), np.random.default_rng(5)
+        mem = SampleMemory(5, 1, 0.3, 0.1, 0.9, mode, mem_rng)
+        for _ in range(4):
+            offer_batch(mem, rng, 3, float(rng.uniform(0.2, 1.0)))
+        section = json.loads(json.dumps(mem.state_dict()))
+        assert [entry["arrival_index"] for entry in section["samples"]] == stored(mem, "arrivals")
+        assert all(list(entry) == list(SAMPLE_FIELDS) for entry in section["samples"])
+        loaded_rng = np.random.default_rng()  # the engine checkpoint carries the generator next to the section
+        loaded_rng.bit_generator.state = mem_rng.bit_generator.state
+        loaded = SampleMemory(5, 1, 0.3, 0.1, 0.9, mode, loaded_rng)
+        loaded.load_state_dict(section, num_classes=1, next_arrival=mem.next_arrival)
+        assert loaded.state_dict() == mem.state_dict()
+        assert (loaded.dump(), loaded.next_arrival) == (mem.dump(), mem.next_arrival)
+        assert np.array_equal(loaded.batch(), mem.batch())
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        assert offer_batch(loaded, rng_a, 3, 0.9) == offer_batch(mem, rng_b, 3, 0.9)
+        assert loaded.state_dict() == mem.state_dict()
+
+    def test_a_memory_that_kept_nothing(self):
+        mem = make_memory(capacity=2, tau_conf=0.5)
+        offer_batch(mem, np.random.default_rng(4), 3, 0.1)
+        section = mem.state_dict()
+        assert section["samples"] == [] and section["centroid"]["initialized"]
+        loaded = make_memory(capacity=2, tau_conf=0.5)
+        loaded.load_state_dict(section, num_classes=1, next_arrival=3)
+        assert loaded.state_dict() == section and loaded.next_arrival == 3 and loaded.batch() is None
+
+    def test_infinite_distance_and_missing_entropy(self):
+        mem = make_memory(capacity=2, tau_conf=0.0)
+        offer(mem, 0, wdist=math.inf)
+        (entry,) = mem.state_dict()["samples"]
+        assert (entry["wdist"], entry["entropy"]) == ("inf", None)

@@ -283,6 +283,43 @@ class TestAdaptStep:
             assert np.array_equal(a.var, b.var)
 
 
+ENTRIES = {"forward": lambda model, x: forward(model, x),
+           "adaptation step": lambda model, x: adapt_step(model, x, 1e-2)}
+
+
+class TestSampleDtypeRule:
+    """`forward` and `adapt_step` apply `checked_batch`'s dtype rule: real numbers only, taken as float64."""
+
+    @pytest.mark.parametrize("kind", [str, object])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_non_numeric_samples_are_refused_naming_the_dtype(self, entry, kind):
+        model = default_model(seed=21)
+        before = checkpoint_digest(model)
+        bad = rand_input(seed=22).astype(kind)
+        with pytest.raises(ValueError) as err:
+            ENTRIES[entry](model, bad)
+        rule = "samples must be real numbers (bool, integer or float)"
+        assert str(err.value) == f"{entry}: {rule}, got {bad.dtype} samples"
+        assert checkpoint_digest(model) == before
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_ragged_samples_are_refused_by_name(self, entry):
+        x = rand_input(seed=22)
+        with pytest.raises(ValueError, match=f"^{entry}: rejected ragged samples"):
+            ENTRIES[entry](default_model(seed=21), [*x[:-1], x[-1, :, :-1]])
+
+    @pytest.mark.parametrize("kind", [bool, np.int8, np.int64, np.uint16, np.float16, np.float32, np.float64, list])
+    def test_numeric_samples_give_the_results_of_their_float64_values(self, kind):
+        x = rand_input(seed=23, scale=3.0)
+        x = x.tolist() if kind is list else x.astype(kind)
+        want = np.asarray(x, dtype=np.float64)
+        assert forward(default_model(seed=24), x).logits.tobytes() == \
+            forward(default_model(seed=24), want).logits.tobytes()
+        a, b = default_model(seed=24), default_model(seed=24)
+        assert adapt_step(a, x, 1e-2).logits.tobytes() == adapt_step(b, want, 1e-2).logits.tobytes()
+        assert checkpoint_digest(a) == checkpoint_digest(b)
+
+
 class TestPretrain:
     def make_source(self, seed=0, n=360):
         from stta.datagen import default_domain, sample_source

@@ -10,6 +10,7 @@ from stta.normalization import (
     StateError,
     batch_channel_stats,
     corrected_stats,
+    estimable,
     normalize,
     sampling_variances,
     soft_shrinkage,
@@ -55,6 +56,18 @@ class TestSamplingVariances:
             with pytest.raises(ValueError, match=f"spatial_extent x sample_count must be >= 2, got {extent} x {count}"):
                 state.populate(ChannelStats(np.zeros(1), np.ones(1)), extent, count)
             assert not state.populated and state.standard_errors is None
+
+    def test_estimable_is_what_populate_takes(self):
+        # The engine asks `estimable` before it populates; populate refuses exactly what it calls not estimable.
+        for extent in range(-1, 4):
+            for count in range(-1, 4):
+                state = MemoryNormState()
+                try:
+                    state.populate(ChannelStats(np.zeros(1), np.ones(1)), extent, count)
+                except ValueError:
+                    pass
+                assert state.populated == estimable(extent, count) == (extent >= 1 and count >= 1
+                                                                       and extent * count >= 2)
 
     def test_unpopulated(self):
         with pytest.raises(StateError):
