@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import checked_array, checked_int, is_real, required
+from .model import checked_array, checked_int, checked_number, is_real, required
 from .normalization import ChannelStats
 from .numerics import ShapeError
 
@@ -91,12 +91,17 @@ class SampleMemory:
         selection_mode: str = "cndrm",
         rng: np.random.Generator | None = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        # EngineConfig's rules and messages, before any state is built.
         if selection_mode not in SELECTION_MODES:
-            raise ValueError(f"unknown selection mode {selection_mode!r}")
-        if tau_delta < 0.0:
-            raise ValueError("tau_delta must be non-negative")
+            raise ValueError(f"unknown selection mode {selection_mode!r} (have {', '.join(SELECTION_MODES)})")
+        checked_int(capacity, "capacity", 1)
+        checked_int(channels, "channels", 1)
+        for name, value, ok, rule in (
+            ("tau_conf", tau_conf, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+            ("tau_delta", tau_delta, lambda v: v >= 0.0, ">= 0"),
+            ("beta", beta, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+        ):
+            checked_number(value, name, ok, rule)
         self.capacity = int(capacity)
         self.tau_conf = float(tau_conf)
         self.tau_delta = float(tau_delta)
@@ -212,27 +217,50 @@ class SampleMemory:
         if mu.shape != self._stats_shape or sigma.shape != self._stats_shape:
             raise ShapeError(f"sample stats: mu {mu.shape} vs sigma {sigma.shape}, {self.mu.shape[1]} channels")
         self.next_arrival = arrival + 1
-        if mode in ("crm", "cndrm") and conf <= self.tau_conf:
+        class_balanced = mode in ("crm", "cndrm")
+        if class_balanced and conf <= self.tau_conf:
             return _REJECTED
         counts = self.class_counts
-        counts[label] = counts.get(label, 0) + 1
         key = -float(arrival) if mode == "crm" else wdist  # see _farthest_of
         n = self._size
         if n < self.capacity:
+            counts[label] = counts.get(label, 0) + 1
             self._write(n, x, label, conf, mu, sigma, wdist, arrival, entropy, key)
             self._size = n + 1
             return _INSERTED
-        slot = self._victim(label, key, entropy)
-        if slot == _CANDIDATE:
-            gone, evicted = label, arrival
+        if not class_balanced:
+            slot = self._victim(entropy)
         else:
-            gone, evicted = self.labels.item(slot), self.arrivals.item(slot)
-            self._farthest.pop(gone, None)
-            self._write(slot, x, label, conf, mu, sigma, wdist, arrival, entropy, key)
-        if counts[gone] == 1:
-            del counts[gone]
-        else:
-            counts[gone] -= 1
+            # The victim comes from the largest class, the candidate counted in its own. Ties between
+            # equally large classes go to the class holding the highest key, the candidate's included,
+            # then the lowest id. The candidate is the latest arrival: it loses every tie that the
+            # stalest sample wins, so it tops its class only by a strictly larger key.
+            farthest = self._farthest
+            top = own = counts.get(label, 0) + 1
+            target = best = None
+            for c, k in counts.items():
+                if k < top or c == label:
+                    continue
+                far = farthest.get(c) or self._farthest_of(c)
+                if k > top or target is None or far[0] > best or (far[0] == best and c < target):
+                    top, target, (best, slot) = k, c, far
+            if top == own:
+                far = (key, _CANDIDATE) if own == 1 else farthest.get(label) or self._farthest_of(label)
+                if key > far[0]:
+                    far = (key, _CANDIDATE)
+                if target is None or far[0] > best or (far[0] == best and label < target):
+                    best, slot = far
+        if slot == _CANDIDATE:  # the memory stays as it was
+            return InsertOutcome("inserted_with_eviction", arrival)
+        gone, evicted = self.labels.item(slot), self.arrivals.item(slot)
+        self._farthest.pop(gone, None)
+        self._write(slot, x, label, conf, mu, sigma, wdist, arrival, entropy, key)
+        if gone != label:
+            counts[label] = counts.get(label, 0) + 1
+            if counts[gone] == 1:
+                del counts[gone]
+            else:
+                counts[gone] -= 1
         return InsertOutcome("inserted_with_eviction", evicted)
 
     def _write(self, slot, x, label, conf, mu, sigma, wdist, arrival, entropy, key) -> None:
@@ -253,12 +281,11 @@ class SampleMemory:
         if far is not None and key > far[0]:
             self._farthest[label] = (key, slot)
 
-    def _victim(self, label: int, key: float, entropy: float | None) -> int:
-        """Slot to evict from a full memory, or `_CANDIDATE`.
+    def _victim(self, entropy: float | None) -> int:
+        """Slot to evict from a full naive, random or low_entropy memory, or `_CANDIDATE`.
 
-        The candidate, already counted in `class_counts`, is the latest
-        arrival: it loses every tie that the stalest sample wins. `key` is
-        its `_farthest_of` key.
+        The candidate is the latest arrival: it loses every tie that the
+        stalest sample wins.
         """
         mode = self.selection_mode
         if mode == "naive":
@@ -266,29 +293,9 @@ class SampleMemory:
         if mode == "random":
             rank = int(self._rng.integers(self.capacity + 1))
             return _CANDIDATE if rank == self.capacity else int(self.order()[rank])
-        if mode == "low_entropy":
-            # Highest stored entropy goes; ties evict the stalest.
-            slot, top = self._top(np.arange(self.capacity), self.entropies.copy())
-            return _CANDIDATE if entropy > top else slot
-        # crm and cndrm: ties between equally large classes go to the class
-        # holding the highest key, the candidate's included, then the lowest id.
-        counts = self.class_counts
-        top = max(counts.values())
-        target = best = victim = None
-        for c, k in counts.items():
-            if k != top:
-                continue
-            if c != label:
-                far, slot = self._farthest_of(c)
-            elif k == 1:  # no stored sample shares the candidate's class
-                far, slot = key, _CANDIDATE
-            else:  # the candidate tops its class only by a strictly larger key
-                far, slot = self._farthest_of(c)
-                if key > far:
-                    far, slot = key, _CANDIDATE
-            if target is None or far > best or (far == best and c < target):
-                target, best, victim = c, far, slot
-        return victim
+        # low_entropy: highest stored entropy goes; ties evict the stalest.
+        slot, top = self._top(np.arange(self.capacity), self.entropies.copy())
+        return _CANDIDATE if entropy > top else slot
 
     def _farthest_of(self, label: int) -> tuple[float, int]:
         """(key, slot) of the class's highest-keyed sample, the stalest among equal keys.
@@ -355,8 +362,8 @@ class SampleMemory:
     def load_state_dict(self, section, num_classes: int, next_arrival: int) -> None:
         """Fill this fresh memory, made with the section's capacity, from a `state_dict` section; ValueError
         naming the field it rejects. The samples are offered back in arrival order, so one this memory would
-        not keep is refused. Arrival indices must be below `next_arrival`, which the memory then takes, and
-        pseudo-labels below `num_classes`."""
+        not keep is refused. Arrival indices must increase and stay below `next_arrival`, which the memory then
+        takes, and pseudo-labels below `num_classes`."""
         at, channels = "checkpoint memory", self.mu.shape[1]
         cen, cen_at = required(section, "centroid", at, ": "), f"{at}: centroid"
         self.centroid_mu = checked_array(required(cen, "mu", cen_at), f"{cen_at}.mu", (channels,))
@@ -371,6 +378,10 @@ class SampleMemory:
         for i, s in enumerate(samples):
             arrival = checked_int(required(s, "arrival_index", f"{at}: samples[{i}]"),
                                   f"{at}: samples[{i}].arrival_index", below=next_arrival)
+            if i and arrival <= previous:
+                raise ValueError(f"{at}: samples[{i}].arrival_index {arrival} does not follow samples[{i - 1}]'s "
+                                 f"{previous}; samples go in arrival order")
+            previous = arrival
             where = f"{at}: sample {arrival}"
             x, label, conf, mu, sigma, wdist, _, entropy = (required(s, key, where, ": ") for key in SAMPLE_FIELDS)
             x = checked_array(x, f"{where}: input")

@@ -44,8 +44,10 @@ class MemoryNormState:
     feature-map extent and memory count they were measured over, which size
     the sampling-distribution dead zone. Unpopulated until the first
     adaptation. Only `populate` sets them, from at least two values,
-    together with the estimates' standard errors (the dead zone before
-    scaling by `alpha`), so that serving does not recompute those.
+    together with the estimates' standard errors, so that serving does not
+    recompute those; `corrected_stats` scales them by `alpha` into the dead
+    zone once per population or change of `alpha`, on the first served
+    batch after it.
     """
 
     alpha: float = 4.0
@@ -53,6 +55,7 @@ class MemoryNormState:
     spatial_extent: int = field(default=0, init=False)
     sample_count: int = field(default=0, init=False)
     standard_errors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _sized_zone: tuple | None = field(default=None, init=False, repr=False)  # (alpha, dead zone at that alpha)
 
     def __post_init__(self) -> None:
         if not self.alpha >= 0.0:
@@ -69,6 +72,22 @@ class MemoryNormState:
         self.spatial_extent = int(spatial_extent)
         self.sample_count = int(sample_count)
         self.standard_errors = tuple(np.sqrt(s2) for s2 in sampling_variances(self))
+        self._sized_zone = None
+
+    def _dead_zone(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """`(-t, t)` for the mean and for the variance, with t = `alpha` x standard error.
+
+        Sized on the first call after `populate` or after `alpha` changes
+        (`Engine` assigns its configured `alpha` to layers that a checkpoint
+        may have populated), and reused until then.
+        """
+        sized = self._sized_zone
+        if sized is None or sized[0] != self.alpha:
+            if self.standard_errors is None:
+                raise StateError("memory normalization state is not populated")
+            zone = tuple((-t, t) for t in (self.alpha * se for se in self.standard_errors))
+            sized = self._sized_zone = (self.alpha, zone)
+        return sized[1]
 
 
 def estimable(spatial_extent: int, sample_count: int) -> bool:
@@ -96,13 +115,20 @@ def corrected_stats(state: MemoryNormState, live: ChannelStats) -> ChannelStats:
     smaller live variance can otherwise undershoot when the memory variance
     is small.
     """
-    if state.standard_errors is None:
-        raise StateError("memory normalization state is not populated")
-    se_mean, se_var = state.standard_errors
+    mean_zone, var_zone = state._dead_zone()
     mem = state.memory_stats
-    mean = mem.mean + soft_shrinkage(live.mean - mem.mean, state.alpha * se_mean)
-    var = mem.var + soft_shrinkage(live.var - mem.var, state.alpha * se_var)
-    return ChannelStats(mean, np.maximum(var, 0.0))
+    mean = _shrunk_toward(mem.mean, live.mean, *mean_zone)
+    var = _shrunk_toward(mem.var, live.var, *var_zone)
+    return ChannelStats(mean, np.maximum(var, 0.0, out=var))
+
+
+def _shrunk_toward(stored: np.ndarray, live: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """stored + soft_shrinkage(live - stored, high) for low = -high, in two new arrays instead of five."""
+    d = live - stored
+    clamped = np.maximum(d, low)
+    np.minimum(clamped, high, out=clamped)
+    np.subtract(d, clamped, out=d)
+    return np.add(stored, d, out=d)
 
 
 def normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarray,
@@ -113,10 +139,20 @@ def normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarra
     result keeps the layout of `x`, or is batch-major with `order="C"`: the
     layout the backward's sums over batch and length read. Also returns
     what `numerics.backward` needs when (mean, var) are the batch's own
-    statistics of `x`.
+    statistics of `x`, except for a serving call (`order="K"`) on the
+    channel mix's channel-major layout: that one works on the contiguous
+    (C, B*L) rows of `x`, in place on its own result after the first
+    operation, and returns None for the intermediates, which nothing reads.
     """
     shifted_var = var + epsilon
     inv = 1.0 / np.sqrt(shifted_var)
+    rows = _channel_rows(x) if order == "K" else None
+    if rows is not None:  # the same operations in the same order as below, broadcast over (C, 1)
+        out = rows - mean[:, None]
+        out *= inv[:, None]
+        out *= gamma[:, None]
+        out += beta[:, None]
+        return out.reshape(x.shape[1], x.shape[0], x.shape[2]).transpose(1, 0, 2), None
     centered = np.subtract(x, mean.reshape(1, -1, 1), order=order)
     scaled = centered * inv.reshape(1, -1, 1)
     out = scaled * gamma.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
@@ -124,12 +160,30 @@ def normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarra
 
 
 def batch_channel_stats(f: np.ndarray) -> ChannelStats:
-    """Per-channel mean and population variance over batch and length axes."""
+    """Per-channel mean and population variance over batch and length axes.
+
+    On the channel mix's channel-major layout the sums run along the
+    contiguous (C, B*L) rows of `f`: the reduction the strided (B, C, L)
+    view gets, bit for bit, without the multi-axis iteration.
+    """
+    rows = _channel_rows(f)
+    if rows is not None:
+        n = rows.shape[1]
+        mean = np.add.reduce(rows, axis=1) / n
+        centered = rows - mean[:, None]
+        np.multiply(centered, centered, out=centered)
+        return ChannelStats(mean, np.add.reduce(centered, axis=1) / n)
     n = f.shape[0] * f.shape[2]
     mean = np.add.reduce(f, axis=(0, 2)) / n  # what `f.mean` computes, without its Python wrapper
     centered = f - mean.reshape(1, -1, 1)
     var = np.add.reduce(centered * centered, axis=(0, 2)) / n
     return ChannelStats(mean, var)
+
+
+def _channel_rows(x: np.ndarray) -> np.ndarray | None:
+    """The (C, B*L) rows of a channel-major B x C x L array, as a view; None for any other layout."""
+    by_channel = x.transpose(1, 0, 2)
+    return by_channel.reshape(x.shape[1], -1) if by_channel.flags.c_contiguous else None
 
 
 @dataclass

@@ -414,6 +414,24 @@ class TestResume:
         with pytest.raises(ValueError, match="refresh_memory_stats"):
             Engine.from_state_dict(payload)
 
+    def test_a_resumed_engine_serves_with_its_configured_alpha(self, base_model):
+        # The loaded model's layers were populated at alpha 4; the engine then writes its own alpha into them.
+        batches = list(make_stream(single_domain_stream(corruption="noise", batches=3, batch_size=8, seed=30)))
+        engine = Engine(base_model.clone(), EngineConfig(ar=1, tau_conf=0.0))
+        engine.run_stream(batches)
+        payload = json.loads(json.dumps(engine.state_dict()))
+        payload["config"]["alpha"] = 0.5
+        resumed = Engine.from_state_dict(payload)
+        live = forward(resumed.model, batches[-1].x).layer_stats
+        for layer, old, stats in zip(resumed.model.norm_layers, engine.model.norm_layers, live):
+            mn = layer.memory_norm
+            fresh = normalization.MemoryNormState(alpha=0.5)
+            fresh.populate(mn.memory_stats, mn.spatial_extent, mn.sample_count)
+            got, want = normalization.corrected_stats(mn, stats), normalization.corrected_stats(fresh, stats)
+            assert got.mean.tobytes() == want.mean.tobytes() and got.var.tobytes() == want.var.tobytes()
+            at_four = normalization.corrected_stats(old.memory_norm, stats)
+            assert not (np.array_equal(got.mean, at_four.mean) and np.array_equal(got.var, at_four.var))
+
     def test_checkpoint_keeps_every_config_field(self, base_model, tmp_path):
         config = EngineConfig(ar="1/3", tau_conf=0.25, tau_delta=0.2, alpha=2.0, beta_centroid=0.5,
                               ema_momentum=0.7, lr=0.01, capacity=5, selection_mode="crm",
@@ -469,6 +487,11 @@ class TestResume:
     def _set_input(payload, index, shape):
         payload["memory"]["samples"][index]["input"] = np.zeros(shape).tolist()
 
+    @staticmethod
+    def _swap_first_samples(payload):
+        samples = payload["memory"]["samples"]
+        samples[0], samples[1] = samples[1], samples[0]
+
     @pytest.mark.parametrize("edit,named", [
         (lambda p: p["memory"]["samples"][1].pop("mu"), r"checkpoint memory: sample \d+: mu is missing"),
         (lambda p: p["memory"]["samples"][0].pop("arrival_index"),
@@ -512,6 +535,9 @@ class TestResume:
          r"checkpoint memory: sample \d+: pseudo_label must be an integer >= 0 and < 3, got 3"),
         (lambda p: p["memory"]["samples"][1].update(arrival_index=10 ** 6),
          r"checkpoint memory: samples\[1\]\.arrival_index must be an integer >= 0 and < 16"),
+        (lambda p: TestResume._swap_first_samples(p),
+         r"checkpoint memory: samples\[1\]\.arrival_index \d+ does not follow samples\[0\]'s \d+; "
+         r"samples go in arrival order$"),
     ], ids=[
         "sample-mu-missing", "arrival-index-missing", "config-unknown-key", "config-seed-string",
         "config-ar-zero-denominator", "credit-zero-denominator", "credit-above-one",
@@ -521,6 +547,7 @@ class TestResume:
         "samples-not-a-list", "first-input-channels", "first-input-flat",
         "first-input-empty-length", "second-input-length", "sample-mu-length",
         "sample-sigma-length", "pseudo-label-out-of-range", "arrival-index-too-late",
+        "samples-out-of-order",
     ])
     def test_checkpoint_rejects_malformed_fields(self, base_model, edit, named):
         spec = single_domain_stream(corruption="noise", batches=2, batch_size=8, seed=28)

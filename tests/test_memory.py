@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -436,6 +437,36 @@ class TestScore:
             mem.score(np.zeros((4, 3)), np.ones((4, 3)))
         with pytest.raises(ShapeError):
             mem.score(np.zeros((4, 2)), np.ones((3, 2)))
+
+
+class TestSettings:
+    """The memory checks its settings before it builds any state, by `EngineConfig`'s rules and messages."""
+
+    @pytest.mark.parametrize("setting,value,named", [
+        ("capacity", 2.5, "capacity must be an integer >= 1, got 2.5"),
+        ("capacity", True, "capacity must be an integer >= 1, got True"),
+        ("capacity", 0, "capacity must be an integer >= 1, got 0"),
+        ("channels", 0, "channels must be an integer >= 1, got 0"),
+        ("channels", 1.0, "channels must be an integer >= 1, got 1.0"),
+        ("tau_conf", math.nan, "tau_conf must be a number in [0, 1], got nan"),
+        ("tau_conf", 1.5, "tau_conf must be a number in [0, 1], got 1.5"),
+        ("tau_conf", True, "tau_conf must be a number in [0, 1], got True"),
+        ("tau_delta", math.nan, "tau_delta must be a number >= 0, got nan"),
+        ("tau_delta", -0.1, "tau_delta must be a number >= 0, got -0.1"),
+        ("beta", 5.0, "beta must be a number in (0, 1], got 5.0"),
+        ("beta", 0.0, "beta must be a number in (0, 1], got 0.0"),
+        ("beta", "0.5", "beta must be a number in (0, 1], got '0.5'"),
+        ("selection_mode", "nope", "unknown selection mode 'nope' (have naive, random, low_entropy, crm, cndrm)"),
+    ])
+    def test_rejects_bad_setting(self, setting, value, named):
+        settings = dict(capacity=4, channels=1, tau_conf=0.5, tau_delta=0.1, beta=0.9, selection_mode="cndrm")
+        with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
+            SampleMemory(**dict(settings, **{setting: value}))
+
+    def test_accepts_edge_settings(self):
+        mem = SampleMemory(1, 1, tau_conf=0.0, tau_delta=0.0, beta=1.0, selection_mode="naive")
+        assert (mem.capacity, mem.tau_conf, mem.tau_delta, mem.beta) == (1, 0.0, 0.0, 1.0)
+        SampleMemory(np.int64(3), np.int64(2), tau_conf=1.0, beta=1e-9)
 
 
 class TestInsertChecks:

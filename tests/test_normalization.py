@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stta import normalization
 from stta.normalization import (
     ChannelStats,
     EmaNormState,
@@ -15,6 +16,7 @@ from stta.normalization import (
     sampling_variances,
     soft_shrinkage,
 )
+from stta.numerics import channel_mix
 
 from oracles import corrected_stats_mp, normalize_mp, sampling_variances_mp, soft_shrinkage_mp
 
@@ -195,6 +197,34 @@ class TestCorrectedStats:
         assert not np.array_equal(got.mean, before.mean)
 
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.75, 4.0, 1e6])
+    def test_an_assigned_alpha_serves_as_a_populating_one(self, alpha):
+        rng = np.random.default_rng(12)
+        mem = ChannelStats(rng.normal(size=5), rng.uniform(0.1, 3.0, size=5))
+        live = ChannelStats(mem.mean + rng.normal(size=5), mem.var * rng.uniform(0.2, 5.0, size=5))
+        state = populated_state(mem.var, extent=3, count=7, alpha=2.0, mean=mem.mean)
+        corrected_stats(state, live)  # served at alpha 2 first
+        state.alpha = alpha
+        fresh = populated_state(mem.var, extent=3, count=7, alpha=alpha, mean=mem.mean)
+        got, want = corrected_stats(state, live), corrected_stats(fresh, live)
+        assert got.mean.tobytes() == want.mean.tobytes() and got.var.tobytes() == want.var.tobytes()
+
+    def test_the_dead_zone_is_sized_once_per_population_or_alpha(self):
+        rng = np.random.default_rng(13)
+        mem_var = rng.uniform(0.1, 3.0, size=4)
+        live = ChannelStats(rng.normal(size=4), rng.uniform(0.1, 3.0, size=4))
+        state = populated_state(mem_var, extent=3, count=5, alpha=4.0)
+        corrected_stats(state, live)
+        sized = state._sized_zone
+        corrected_stats(state, live)
+        assert state._sized_zone is sized  # served batches reuse it
+        state.alpha = 1.5
+        corrected_stats(state, live)
+        assert state._sized_zone is not sized and state._sized_zone[0] == 1.5
+        state.populate(ChannelStats(np.zeros(4), mem_var * 2.0), 3, 5)
+        assert state._sized_zone is None  # the next served batch sizes the new statistics' zone
+
+
 TINY = np.finfo(np.float64).smallest_subnormal
 
 
@@ -339,3 +369,68 @@ class TestChannelStats:
         stats = batch_channel_stats(f)
         assert stats.mean[0] == 2.0
         assert stats.var[0] == 1.0
+
+
+def stats_before_rows(f):
+    """`batch_channel_stats` as it reads for every layout: sums over the (B, C, L) axes 0 and 2."""
+    n = f.shape[0] * f.shape[2]
+    mean = np.add.reduce(f, axis=(0, 2)) / n
+    centered = f - mean.reshape(1, -1, 1)
+    return mean, np.add.reduce(centered * centered, axis=(0, 2)) / n
+
+
+def serving_before_rows(x, mean, var, gamma, beta, epsilon):
+    """`normalize`'s serving result as it reads for every layout, in the layout of `x`."""
+    inv = 1.0 / np.sqrt(var + epsilon)
+    centered = np.subtract(x, mean.reshape(1, -1, 1), order="K")
+    return centered * inv.reshape(1, -1, 1) * gamma.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
+
+
+SHAPES = [(1, 16, 8), (16, 1, 8), (16, 16, 1), (1, 1, 1), (3, 5, 7), (16, 16, 8)]
+
+
+class TestChannelMajorRows:
+    """On the channel mix's channel-major layout, the statistics and the serving normalization run on
+    contiguous (C, B*L) rows; every other layout keeps the (B, C, L) expressions. Both give the same bits."""
+
+    @staticmethod
+    def operands(shape, seed=0):
+        rng = np.random.default_rng(seed)
+        b, c, length = shape
+        x = rng.normal(rng.normal(size=(1, c, 1)) * 50.0, 3.0, size=(b, c, length))
+        mix = rng.normal(size=(c, c)) / np.sqrt(c)
+        return x, mix, rng.normal(size=c), rng.uniform(0.1, 4.0, size=c), rng.normal(size=c), rng.normal(size=c)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_channel_major_matches_the_strided_expressions(self, shape):
+        x, mix, mean, var, gamma, beta = self.operands(shape)
+        f = channel_mix(x, mix)
+        assert normalization._channel_rows(f) is not None
+        got, want = batch_channel_stats(f), stats_before_rows(f)
+        assert got.mean.tobytes() == want[0].tobytes() and got.var.tobytes() == want[1].tobytes()
+        before = f.copy()
+        out, saved = normalize(f, mean, var, gamma, beta, 1e-5)
+        assert saved is None and np.array_equal(f, before)  # the serving call leaves its input alone
+        assert out.tobytes() == serving_before_rows(f, mean, var, gamma, beta, 1e-5).tobytes()
+        assert out.transpose(1, 0, 2).flags.c_contiguous  # still channel-major: the next mix reads a view
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_other_layouts_take_the_general_path(self, shape):
+        x, _mix, mean, var, gamma, beta = self.operands(shape, seed=1)
+        b, c, _ = shape
+        strided = np.repeat(x, 2, axis=2)[:, :, ::2]  # neither batch- nor channel-major, unless one value
+        for f, general in ((x, b > 1 and c > 1), (strided, x.size > 1)):
+            assert (normalization._channel_rows(f) is None) == general
+            got, want = batch_channel_stats(f), stats_before_rows(f)
+            assert got.mean.tobytes() == want[0].tobytes() and got.var.tobytes() == want[1].tobytes()
+            out, saved = normalize(f, mean, var, gamma, beta, 1e-5)
+            assert (saved is not None) == general
+            assert out.tobytes() == serving_before_rows(f, mean, var, gamma, beta, 1e-5).tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_a_recorded_call_keeps_the_batch_major_path(self, shape):
+        x, mix, mean, var, gamma, beta = self.operands(shape, seed=2)
+        f = channel_mix(x, mix)
+        out, saved = normalize(f, mean, var, gamma, beta, 1e-5, order="C")
+        assert out.flags.c_contiguous and len(saved) == 5
+        assert out.tobytes() == serving_before_rows(f, mean, var, gamma, beta, 1e-5).tobytes()
