@@ -235,17 +235,16 @@ class SampleMemory:
             # equally large classes go to the class holding the highest key, the candidate's included,
             # then the lowest id. The candidate is the latest arrival: it loses every tie that the
             # stalest sample wins, so it tops its class only by a strictly larger key.
-            farthest = self._farthest
             top = own = counts.get(label, 0) + 1
             target = best = None
             for c, k in counts.items():
                 if k < top or c == label:
                     continue
-                far = farthest.get(c) or self._farthest_of(c)
+                far = self._farthest_of(c)
                 if k > top or target is None or far[0] > best or (far[0] == best and c < target):
                     top, target, (best, slot) = k, c, far
             if top == own:
-                far = (key, _CANDIDATE) if own == 1 else farthest.get(label) or self._farthest_of(label)
+                far = (key, _CANDIDATE) if own == 1 else self._farthest_of(label)
                 if key > far[0]:
                     far = (key, _CANDIDATE)
                 if target is None or far[0] > best or (far[0] == best and label < target):

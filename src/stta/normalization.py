@@ -33,7 +33,12 @@ class ChannelStats(NamedTuple):
 def soft_shrinkage(x: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     """Dead-zone operator sign(x) * max(|x| - threshold, 0), elementwise, for `threshold` >= 0, as x minus x
     clamped to [-threshold, threshold]: x - x = +0.0 inside the dead zone, but -0.0 for x = -0.0 at threshold 0."""
-    return x - np.minimum(np.maximum(x, -threshold), threshold)
+    return _shrunk(x, -threshold, threshold)
+
+
+def _shrunk(x: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """`soft_shrinkage` with the dead zone given by its ends, low = -high."""
+    return x - np.minimum(np.maximum(x, low), high)
 
 
 @dataclass
@@ -117,43 +122,31 @@ def corrected_stats(state: MemoryNormState, live: ChannelStats) -> ChannelStats:
     """
     mean_zone, var_zone = state._dead_zone()
     mem = state.memory_stats
-    mean = _shrunk_toward(mem.mean, live.mean, *mean_zone)
-    var = _shrunk_toward(mem.var, live.var, *var_zone)
+    mean = mem.mean + _shrunk(live.mean - mem.mean, *mean_zone)
+    var = mem.var + _shrunk(live.var - mem.var, *var_zone)
     return ChannelStats(mean, np.maximum(var, 0.0, out=var))
-
-
-def _shrunk_toward(stored: np.ndarray, live: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """stored + soft_shrinkage(live - stored, high) for low = -high, in two new arrays instead of five."""
-    d = live - stored
-    clamped = np.maximum(d, low)
-    np.minimum(clamped, high, out=clamped)
-    np.subtract(d, clamped, out=d)
-    return np.add(stored, d, out=d)
 
 
 def normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarray,
               beta: np.ndarray, epsilon: float, order: str = "K"):
     """gamma * (x - mean) / sqrt(var + epsilon) + beta, per channel.
 
-    The one normalization routine, whatever the source of (mean, var). The
-    result keeps the layout of `x`, or is batch-major with `order="C"`: the
-    layout the backward's sums over batch and length read. Also returns
-    what `numerics.backward` needs when (mean, var) are the batch's own
-    statistics of `x`, except for a serving call (`order="K"`) on the
-    channel mix's channel-major layout: that one works on the contiguous
-    (C, B*L) rows of `x`, in place on its own result after the first
-    operation, and returns None for the intermediates, which nothing reads.
+    The one normalization routine, whatever the source of (mean, var). A
+    serving call (`order="K"`) keeps the layout of `x`, works in place on
+    its own result after the first operation and returns None for the
+    intermediates, which nothing reads. A recorded call (`order="C"`) is
+    batch-major, the layout the backward's sums over batch and length
+    read, and also returns what `numerics.backward` needs when (mean, var)
+    are the batch's own statistics of `x`.
     """
     shifted_var = var + epsilon
     inv = 1.0 / np.sqrt(shifted_var)
-    rows = _channel_rows(x) if order == "K" else None
-    if rows is not None:  # the same operations in the same order as below, broadcast over (C, 1)
-        out = rows - mean[:, None]
-        out *= inv[:, None]
-        out *= gamma[:, None]
-        out += beta[:, None]
-        return out.reshape(x.shape[1], x.shape[0], x.shape[2]).transpose(1, 0, 2), None
     centered = np.subtract(x, mean.reshape(1, -1, 1), order=order)
+    if order == "K":  # the operations below, in the same order, on one array
+        centered *= inv.reshape(1, -1, 1)
+        centered *= gamma.reshape(1, -1, 1)
+        centered += beta.reshape(1, -1, 1)
+        return centered, None
     scaled = centered * inv.reshape(1, -1, 1)
     out = scaled * gamma.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
     return out, (centered, scaled, gamma, inv, shifted_var)

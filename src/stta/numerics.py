@@ -18,11 +18,11 @@ reduction or a product reads them: the channel-major result of the channel
 mix, and the batch-major result of the normalization in a recorded forward.
 Every unrecorded forward, serving with any source, keeps the channel-major
 layout through normalization and relu; its pooled features are made
-contiguous for the head. On that layout the batch statistics and the
-serving normalization run on the mix's contiguous (C, B*L) rows with
-(C, 1) broadcasts, which sum in the order the strided (B, C, L) view does;
-the recorded forward's batch-major normalization keeps the (B, C, L)
-expressions. IoBMN's dead zone is sized once per adaptation (and after
+contiguous for the head. On that layout the batch statistics sum along
+the mix's contiguous (C, B*L) rows, in the order the strided (B, C, L)
+view does; the serving normalization works in place on its own result and
+saves nothing, while the recorded forward's batch-major one keeps what the
+backward reads. IoBMN's dead zone is sized once per adaptation (and after
 `alpha` changes), not per served batch. Sums call `np.add.reduce`, the
 ufunc loop behind `.sum` and `.mean`, without their Python wrappers.
 """
