@@ -30,9 +30,9 @@ import numpy as np
 import yaml
 
 from .datagen import Corruption, StreamSpec, _preset, default_domain, make_stream, sample_source
-from .engine import Engine, EngineConfig, RunMetrics, _as_rate
-from .model import Model, checked_int, checked_number, default_model, is_real, load_model, pretrain
-from .model import required, save_model
+from .engine import REAL_SETTINGS, Engine, EngineConfig, RunMetrics, _as_rate
+from .model import Model, default_model, load_model, pretrain, required, save_model
+from .numerics import FINITE, FINITE_POSITIVE, checked_int, checked_number, is_real
 
 RESULT_SCHEMA = 1
 OUT_DIR_ENV = "STTA_OUT_DIR"
@@ -54,9 +54,6 @@ MODE_PRESETS: dict[str, dict] = {
 }
 MODES = tuple(MODE_PRESETS)
 
-# The real-valued engine settings, each an `EngineConfig` field of the same name.
-ENGINE_REALS = ("tau_conf", "tau_delta", "alpha", "beta_centroid", "ema_momentum", "lr")
-
 DEFAULT_CONFIG = {
     "out_dir": None,
     "stream": {
@@ -71,7 +68,7 @@ DEFAULT_CONFIG = {
         "batch_size": 32,
         "blocks": 3,
     },
-    "engine": {key: getattr(EngineConfig, key) for key in (*ENGINE_REALS, "capacity")},
+    "engine": {key: getattr(EngineConfig, key) for key in (*REAL_SETTINGS, "capacity")},
     "grid": {
         "modes": ["snap"],
         "ar": ["0.1"],
@@ -215,7 +212,7 @@ def grid_cells(grid: dict) -> tuple[list[tuple[str, Fraction]], list[int]]:
 
 def engine_config_for(mode: str, ar: Fraction, engine_cfg: dict, seed: int,
                       batch_size: int) -> EngineConfig:
-    settings = {**{key: _real(engine_cfg[key], key) for key in ENGINE_REALS}, **MODE_PRESETS[mode], "ar": ar}
+    settings = {**{key: _real(engine_cfg[key], key) for key in REAL_SETTINGS}, **MODE_PRESETS[mode], "ar": ar}
     capacity = batch_size if mode == "tent-equivalent" else engine_cfg["capacity"]
     return EngineConfig(capacity=capacity, seed=seed, **settings)
 
@@ -368,8 +365,7 @@ def threshold_cells(thresholds) -> dict:
             raise ConfigError(f"threshold key {key!r}: unknown mode {mode!r}")
         rate = _under(f"threshold key {key!r}: ", _as_rate, ar)
         where = f"threshold {key!r}: minimum"
-        value = checked_number(minimum if is_real(minimum) else _real(minimum, where), where, math.isfinite,
-                               "that is finite")
+        value = checked_number(minimum if is_real(minimum) else _real(minimum, where), where, FINITE)
         cells[key] = (cell_key(mode, rate), value)
     return cells
 
@@ -378,8 +374,7 @@ def validate_pretrain(pre: dict) -> dict:
     """The pretrain section typed: integer counts >= 1 and a finite float step size lr > 0."""
     settings = {key: checked_int(pre[key], f"pretrain.{key}", 1)
                 for key in ("samples", "epochs", "batch_size", "blocks")}
-    settings["lr"] = checked_number(_real(pre["lr"], "pretrain.lr"), "pretrain.lr", lambda v: 0.0 < v < math.inf,
-                                    "> 0 and finite")
+    settings["lr"] = checked_number(_real(pre["lr"], "pretrain.lr"), "pretrain.lr", FINITE_POSITIVE)
     return settings
 
 

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import checked_int, checked_number
-
-_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0.0, ">= 0 and finite")  # a `checked_number` rule
+from .numerics import FINITE, FINITE_NONNEGATIVE, checked_int, checked_number
 
 
 @dataclass(frozen=True)
@@ -34,8 +32,8 @@ class Corruption:
 
     def __post_init__(self) -> None:
         for name in ("scale", "offset"):
-            checked_number(getattr(self, name), name, math.isfinite, "that is finite")
-        checked_number(self.noise, "noise", *_NONNEGATIVE)
+            checked_number(getattr(self, name), name, FINITE)
+        checked_number(self.noise, "noise", FINITE_NONNEGATIVE)
         if not isinstance(self.permute, bool):
             raise ValueError(f"permute must be true or false, got {self.permute!r}")
 
@@ -75,7 +73,7 @@ class DomainSpec:
         checked_int(self.num_classes, "num_classes", 2)
         checked_int(self.channels, "channels", 1)
         checked_int(self.length, "length", 1)
-        checked_number(self.source_noise, "source_noise", *_NONNEGATIVE)
+        checked_number(self.source_noise, "source_noise", FINITE_NONNEGATIVE)
         object.__setattr__(self, "class_means", np.asarray(self.class_means, dtype=np.float64))
         if self.class_means.shape != (self.num_classes, self.channels):
             raise ValueError(
@@ -89,7 +87,7 @@ def class_mean_patterns(num_classes: int, channels: int, separation: float = 3.0
     """
     checked_int(num_classes, "num_classes", 2)
     checked_int(channels, "channels", 1)
-    checked_number(separation, "separation", *_NONNEGATIVE)
+    checked_number(separation, "separation", FINITE_NONNEGATIVE)
     if num_classes > channels:
         raise ValueError(f"num_classes must be <= channels for one-hot patterns, got {num_classes} > {channels}")
     means = np.zeros((num_classes, channels))

@@ -15,7 +15,6 @@ only non-deterministic part of a run's metrics.
 from __future__ import annotations
 
 import json
-import math
 import operator
 import time
 from dataclasses import asdict, dataclass, fields
@@ -30,8 +29,6 @@ from .model import (
     Model,
     adapt_step,
     checked_batch,
-    checked_int,
-    checked_number,
     forward,
     load_model_dict,
     model_dict,
@@ -39,6 +36,7 @@ from .model import (
     required,
 )
 from .normalization import estimable
+from .numerics import FINITE_NONNEGATIVE, HALF_OPEN_UNIT, NONNEGATIVE, UNIT_INTERVAL, checked_int, checked_number
 
 
 def _as_rate(value) -> Fraction:
@@ -85,6 +83,11 @@ class AdaptationSchedule:
         return self.batch_count * self.ar.numerator % self.ar.denominator < self.ar.numerator
 
 
+# The real-valued engine settings, each an `EngineConfig` field of the same name, with its `checked_number` rule.
+REAL_SETTINGS = {"tau_conf": UNIT_INTERVAL, "tau_delta": NONNEGATIVE, "alpha": NONNEGATIVE,
+                 "beta_centroid": HALF_OPEN_UNIT, "ema_momentum": HALF_OPEN_UNIT, "lr": FINITE_NONNEGATIVE}
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     ar: Fraction | float | str = "0.1"  # read into the exact Fraction on construction
@@ -108,15 +111,8 @@ class EngineConfig:
         if self.capacity is not None:
             checked_int(self.capacity, "capacity", 1)
         checked_int(self.seed, "seed")
-        for name, ok, rule in (
-            ("lr", lambda v: math.isfinite(v) and v >= 0.0, ">= 0 and finite"),
-            ("tau_conf", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-            ("tau_delta", lambda v: v >= 0.0, ">= 0"),
-            ("alpha", lambda v: v >= 0.0, ">= 0"),
-            ("beta_centroid", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-            ("ema_momentum", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-        ):
-            checked_number(getattr(self, name), name, ok, rule)
+        for name, rule in REAL_SETTINGS.items():
+            checked_number(getattr(self, name), name, rule)
 
 
 @dataclass

@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import checked_array, checked_int, checked_number, is_real, required
+from .model import checked_array, required
 from .normalization import ChannelStats
-from .numerics import ShapeError
+from .numerics import HALF_OPEN_UNIT, NONNEGATIVE, UNIT_INTERVAL, ShapeError, checked_int, checked_number, is_real
 
 SELECTION_MODES = ("naive", "random", "low_entropy", "crm", "cndrm")
 # One checkpoint entry per stored sample, in this key order (see `SampleMemory.state_dict`).
@@ -96,12 +96,9 @@ class SampleMemory:
             raise ValueError(f"unknown selection mode {selection_mode!r} (have {', '.join(SELECTION_MODES)})")
         checked_int(capacity, "capacity", 1)
         checked_int(channels, "channels", 1)
-        for name, value, ok, rule in (
-            ("tau_conf", tau_conf, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-            ("tau_delta", tau_delta, lambda v: v >= 0.0, ">= 0"),
-            ("beta", beta, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-        ):
-            checked_number(value, name, ok, rule)
+        checked_number(tau_conf, "tau_conf", UNIT_INTERVAL)
+        checked_number(tau_delta, "tau_delta", NONNEGATIVE)
+        checked_number(beta, "beta", HALF_OPEN_UNIT)
         self.capacity = int(capacity)
         self.tau_conf = float(tau_conf)
         self.tau_delta = float(tau_delta)
@@ -396,8 +393,10 @@ class SampleMemory:
                 raise ValueError(f"{where}: confidence must be in [0, 1], got {conf!r}")
             if wdist != "inf" and not (is_real(wdist) and wdist >= 0.0):
                 raise ValueError(f"{where}: wdist must be a number >= 0 or \"inf\", got {wdist!r}")
-            if entropy is not None and not (is_real(entropy) and math.isfinite(entropy)):
-                raise ValueError(f"{where}: entropy must be a finite number or null, got {entropy!r}")
+            nullable = self.selection_mode != "low_entropy"  # `insert` needs a low_entropy candidate's entropy
+            if not (is_real(entropy) and math.isfinite(entropy) or nullable and entropy is None):
+                rule = "a finite number or null" if nullable else "a finite number"
+                raise ValueError(f"{where}: entropy must be {rule}, got {entropy!r}")
             outcome = self.insert(x, label, conf, mu, sigma, math.inf if wdist == "inf" else wdist, arrival, entropy)
             if outcome.kind != "inserted":
                 raise ValueError(f"{where} does not fit a {self.selection_mode} memory of capacity {self.capacity}")

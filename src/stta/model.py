@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -32,7 +31,7 @@ from .normalization import (
     batch_channel_stats,
     normalize,
 )
-from .numerics import ShapeError
+from .numerics import FINITE_POSITIVE, HALF_OPEN_UNIT, NONNEGATIVE, ShapeError, checked_int, checked_number
 
 NORM_SOURCES = ("batch", "iobmn", "ema", "frozen")
 
@@ -272,7 +271,7 @@ def pretrain(model: Model, inputs, labels, epochs: int = 100, lr: float = 1e-2, 
     x, y = checked_batch(inputs, labels, model, "pretraining")
     checked_int(epochs, "pretraining: epochs")
     checked_int(batch_size, "pretraining: batch_size", 1)
-    checked_number(lr, "pretraining: lr", lambda v: 0.0 < v < math.inf, "> 0 and finite")
+    checked_number(lr, "pretraining: lr", FINITE_POSITIVE)
     rng = np.random.default_rng(seed)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -355,27 +354,6 @@ def model_dict(model: Model) -> dict:
     }
 
 
-def is_real(value) -> bool:
-    """A real number that is not a boolean (JSON and YAML booleans are ints to Python)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def checked_number(value, where: str, ok, rule: str):
-    """`value` if it is a real number for which `ok` holds; ValueError naming `where` and `rule`."""
-    if not (is_real(value) and ok(value)):
-        raise ValueError(f"{where} must be a number {rule}, got {value!r}")
-    return value
-
-
-def checked_int(value, where: str, minimum: int = 0, below: int | None = None) -> int:
-    """`value` if it is an integer >= `minimum` (and < `below`, if given); ValueError naming `where`."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum
-            or (below is not None and value >= below)):
-        bounds = f">= {minimum}" + ("" if below is None else f" and < {below}")
-        raise ValueError(f"{where} must be an integer {bounds}, got {value!r}")
-    return int(value)
-
-
 def required(entry, key: str, where: str, sep: str = "."):
     """`entry[key]`; ValueError naming `where` if `entry` is not a JSON object,
     or `where{sep}{key}` if it has no `key`."""
@@ -450,11 +428,9 @@ def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
     mn, ema = required(entry, "memory_norm", where), required(entry, "ema", where)
     layer = NormLayer(
         channels,
-        checked_number(required(entry, "epsilon", where), f"{where}.epsilon", lambda v: 0.0 < v < math.inf,
-                       "> 0 and finite"),
-        checked_number(required(mn, "alpha", where_mn), f"{where_mn}.alpha", lambda v: v >= 0.0, ">= 0"),
-        checked_number(required(ema, "momentum", where_ema), f"{where_ema}.momentum",
-                       lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
+        checked_number(required(entry, "epsilon", where), f"{where}.epsilon", FINITE_POSITIVE),
+        checked_number(required(mn, "alpha", where_mn), f"{where_mn}.alpha", NONNEGATIVE),
+        checked_number(required(ema, "momentum", where_ema), f"{where_ema}.momentum", HALF_OPEN_UNIT))
     for name in ("gamma", "beta", "running_mean", "running_var"):
         setattr(layer, name, checked_array(required(entry, name, where), f"{where}.{name}", (channels,),
                                            nonnegative=name == "running_var"))

@@ -18,6 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .numerics import HALF_OPEN_UNIT, NONNEGATIVE, checked_number
+
 
 class StateError(RuntimeError):
     """Normalization state used before it was populated."""
@@ -52,7 +54,8 @@ class MemoryNormState:
     together with the estimates' standard errors, so that serving does not
     recompute those; `corrected_stats` scales them by `alpha` into the dead
     zone once per population or change of `alpha`, on the first served
-    batch after it.
+    batch after it, checking an assigned `alpha` by the rule construction
+    uses.
     """
 
     alpha: float = 4.0
@@ -63,8 +66,7 @@ class MemoryNormState:
     _sized_zone: tuple | None = field(default=None, init=False, repr=False)  # (alpha, dead zone at that alpha)
 
     def __post_init__(self) -> None:
-        if not self.alpha >= 0.0:
-            raise ValueError(f"alpha must be a number >= 0, got {self.alpha!r}")
+        checked_number(self.alpha, "alpha", NONNEGATIVE)
 
     @property
     def populated(self) -> bool:
@@ -90,6 +92,7 @@ class MemoryNormState:
         if sized is None or sized[0] != self.alpha:
             if self.standard_errors is None:
                 raise StateError("memory normalization state is not populated")
+            checked_number(self.alpha, "alpha", NONNEGATIVE)
             zone = tuple((-t, t) for t in (self.alpha * se for se in self.standard_errors))
             sized = self._sized_zone = (self.alpha, zone)
         return sized[1]
@@ -153,30 +156,12 @@ def normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarra
 
 
 def batch_channel_stats(f: np.ndarray) -> ChannelStats:
-    """Per-channel mean and population variance over batch and length axes.
-
-    On the channel mix's channel-major layout the sums run along the
-    contiguous (C, B*L) rows of `f`: the reduction the strided (B, C, L)
-    view gets, bit for bit, without the multi-axis iteration.
-    """
-    rows = _channel_rows(f)
-    if rows is not None:
-        n = rows.shape[1]
-        mean = np.add.reduce(rows, axis=1) / n
-        centered = rows - mean[:, None]
-        np.multiply(centered, centered, out=centered)
-        return ChannelStats(mean, np.add.reduce(centered, axis=1) / n)
+    """Per-channel mean and population variance over batch and length axes, for any layout of `f`."""
     n = f.shape[0] * f.shape[2]
     mean = np.add.reduce(f, axis=(0, 2)) / n  # what `f.mean` computes, without its Python wrapper
     centered = f - mean.reshape(1, -1, 1)
     var = np.add.reduce(centered * centered, axis=(0, 2)) / n
     return ChannelStats(mean, var)
-
-
-def _channel_rows(x: np.ndarray) -> np.ndarray | None:
-    """The (C, B*L) rows of a channel-major B x C x L array, as a view; None for any other layout."""
-    by_channel = x.transpose(1, 0, 2)
-    return by_channel.reshape(x.shape[1], -1) if by_channel.flags.c_contiguous else None
 
 
 @dataclass
@@ -193,8 +178,7 @@ class EmaNormState:
     stats: ChannelStats | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.momentum <= 1.0):
-            raise ValueError("momentum must be in (0, 1]")
+        checked_number(self.momentum, "momentum", HALF_OPEN_UNIT)
 
     def update(self, live: ChannelStats) -> ChannelStats:
         if self.stats is None:

@@ -18,22 +18,64 @@ reduction or a product reads them: the channel-major result of the channel
 mix, and the batch-major result of the normalization in a recorded forward.
 Every unrecorded forward, serving with any source, keeps the channel-major
 layout through normalization and relu; its pooled features are made
-contiguous for the head. On that layout the batch statistics sum along
-the mix's contiguous (C, B*L) rows, in the order the strided (B, C, L)
-view does; the serving normalization works in place on its own result and
-saves nothing, while the recorded forward's batch-major one keeps what the
-backward reads. IoBMN's dead zone is sized once per adaptation (and after
-`alpha` changes), not per served batch. Sums call `np.add.reduce`, the
-ufunc loop behind `.sum` and `.mean`, without their Python wrappers.
+contiguous for the head. The serving normalization works in place on its
+own result and saves nothing, while the recorded forward's batch-major one
+keeps what the backward reads. IoBMN's dead zone is sized once per
+adaptation (and after `alpha` changes), not per served batch. Sums call
+`np.add.reduce`, the ufunc loop behind `.sum` and `.mean`, without their
+Python wrappers. The module also holds the shared checks of numbers, by
+which every type that holds a setting checks it; it imports nothing from
+the package.
 """
 
 from __future__ import annotations
+
+import numbers
+import sys
 
 import numpy as np
 
 
 class ShapeError(ValueError):
     """Operand shapes do not satisfy an operation's contract."""
+
+
+# ---------------------------------------------------------------------------
+# checks of numbers
+
+
+def is_real(value) -> bool:
+    """A real number that is not a boolean (JSON and YAML booleans are ints to Python)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# The `checked_number` rules: (test, how a message states it). Each real-valued
+# setting has one, and every type that holds the setting checks it by that rule.
+# "Finite" is "a float can hold it": an integer beyond the largest float is not.
+_MAX = sys.float_info.max
+UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+HALF_OPEN_UNIT = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+NONNEGATIVE = (lambda v: v >= 0.0, ">= 0")
+FINITE_NONNEGATIVE = (lambda v: 0.0 <= v <= _MAX, ">= 0 and finite")
+FINITE_POSITIVE = (lambda v: 0.0 < v <= _MAX, "> 0 and finite")
+FINITE = (lambda v: -_MAX <= v <= _MAX, "that is finite")
+
+
+def checked_number(value, where: str, rule: tuple):
+    """`value` if it is a real number that passes `rule`; ValueError `<where> must be a number <rule>, got ...`."""
+    ok, text = rule
+    if not (is_real(value) and ok(value)):
+        raise ValueError(f"{where} must be a number {text}, got {value!r}")
+    return value
+
+
+def checked_int(value, where: str, minimum: int = 0, below: int | None = None) -> int:
+    """`value` if it is an integer >= `minimum` (and < `below`, if given); ValueError naming `where`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum
+            or (below is not None and value >= below)):
+        bounds = f">= {minimum}" + ("" if below is None else f" and < {below}")
+        raise ValueError(f"{where} must be an integer {bounds}, got {value!r}")
+    return int(value)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -463,13 +463,16 @@ class TestResume:
         ("wdist", math.nan, "sample {}: wdist must be a number >= 0"),
         ("wdist", "far", "sample {}: wdist must be a number >= 0"),
         ("entropy", math.inf, "sample {}: entropy must be a finite number"),
+        ("entropy", None, "sample {}: entropy must be a finite number, got None"),  # in a low_entropy memory
         ("centroid.mu", "nan", "centroid.mu must be finite"),
         ("centroid.sigma", "inf", "centroid.sigma must be finite"),
         ("centroid.sigma", "negative", "centroid.sigma must be >= 0"),
     ])
     def test_checkpoint_rejects_bad_memory_values(self, base_model, field, value, named):
         spec = single_domain_stream(corruption="noise", batches=3, batch_size=8, seed=28)
-        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=29))
+        # A null entropy is a missing one, which only a low_entropy memory refuses: its eviction reads it.
+        mode = "low_entropy" if value is None else "cndrm"
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", selection_mode=mode, seed=29))
         engine.run_stream(make_stream(spec))
         payload = json.loads(json.dumps(engine.state_dict()))
         sample = payload["memory"]["samples"][1]

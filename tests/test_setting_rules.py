@@ -1,0 +1,82 @@
+"""Every type that holds a real-valued setting checks it by the setting's one rule, with one message:
+`<name> must be a number <rule>, got <value>`."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from stta import (ChannelStats, Corruption, EmaNormState, EngineConfig, MemoryNormState, SampleMemory,
+                  corrected_stats, default_model, pretrain)
+from stta.model import load_model_dict, model_dict
+
+
+def checkpoint_with(value, *keys):
+    """A one-block model checkpoint whose norm layer entry holds `value` at `keys`, loaded."""
+    payload = model_dict(default_model(channels=2, num_classes=2, blocks=1))
+    entry = payload["layers"][1]
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    return load_model_dict(payload)
+
+
+# (setting, holder, how the holder takes a value, the name its message gives, the rule, a value out of range)
+HOLDERS = [
+    ("alpha", "EngineConfig", lambda v: EngineConfig(alpha=v), "alpha", ">= 0", -1.0),
+    ("alpha", "MemoryNormState", lambda v: MemoryNormState(alpha=v), "alpha", ">= 0", -1.0),
+    ("alpha", "model checkpoint", lambda v: checkpoint_with(v, "memory_norm", "alpha"),
+     "model checkpoint: layers[1].memory_norm.alpha", ">= 0", -1.0),
+    ("momentum", "EngineConfig", lambda v: EngineConfig(ema_momentum=v), "ema_momentum", "in (0, 1]", 0.0),
+    ("momentum", "EmaNormState", lambda v: EmaNormState(momentum=v), "momentum", "in (0, 1]", 0.0),
+    ("momentum", "model checkpoint", lambda v: checkpoint_with(v, "ema", "momentum"),
+     "model checkpoint: layers[1].ema.momentum", "in (0, 1]", 0.0),
+    ("tau_conf", "EngineConfig", lambda v: EngineConfig(tau_conf=v), "tau_conf", "in [0, 1]", 1.5),
+    ("tau_conf", "SampleMemory", lambda v: SampleMemory(4, 2, tau_conf=v), "tau_conf", "in [0, 1]", 1.5),
+    ("tau_delta", "EngineConfig", lambda v: EngineConfig(tau_delta=v), "tau_delta", ">= 0", -0.5),
+    ("tau_delta", "SampleMemory", lambda v: SampleMemory(4, 2, tau_delta=v), "tau_delta", ">= 0", -0.5),
+    ("beta", "EngineConfig", lambda v: EngineConfig(beta_centroid=v), "beta_centroid", "in (0, 1]", 1.5),
+    ("beta", "SampleMemory", lambda v: SampleMemory(4, 2, beta=v), "beta", "in (0, 1]", 1.5),
+]
+BAD_VALUES = {"boolean": True, "numeric-string": "0.5", "nan": math.nan, "out-of-range": None}  # None: the row's own
+
+
+def message(name, rule, value):
+    return "^" + re.escape(f"{name} must be a number {rule}, got {value!r}") + "$"
+
+
+@pytest.mark.parametrize("kind", list(BAD_VALUES))
+@pytest.mark.parametrize("setting,holder,make,name,rule,out_of_range", HOLDERS,
+                         ids=[f"{row[0]}-{row[1]}" for row in HOLDERS])
+def test_every_holder_raises_the_rule_message(setting, holder, make, name, rule, out_of_range, kind):
+    value = BAD_VALUES[kind] if BAD_VALUES[kind] is not None else out_of_range
+    with pytest.raises(ValueError, match=message(name, rule, value)):
+        make(value)
+
+
+@pytest.mark.parametrize("kind", list(BAD_VALUES))
+@pytest.mark.parametrize("served_first", [False, True], ids=["fresh-zone", "sized-zone"])
+def test_an_assigned_alpha_is_checked_before_the_state_serves(kind, served_first):
+    value = BAD_VALUES[kind] if BAD_VALUES[kind] is not None else -1.0
+    state = MemoryNormState(alpha=4.0)
+    state.populate(ChannelStats(np.zeros(2), np.ones(2)), 8, 16)
+    live = ChannelStats(np.zeros(2), np.ones(2))
+    if served_first:
+        corrected_stats(state, live)
+    state.alpha = value
+    with pytest.raises(ValueError, match=message("alpha", ">= 0", value)):
+        corrected_stats(state, live)
+
+
+@pytest.mark.parametrize("make,name,rule", [
+    (lambda v: Corruption(scale=v), "scale", "that is finite"),
+    (lambda v: Corruption(noise=v), "noise", ">= 0 and finite"),
+    (lambda v: EngineConfig(lr=v), "lr", ">= 0 and finite"),
+    (lambda v: checkpoint_with(v, "epsilon"), "model checkpoint: layers[1].epsilon", "> 0 and finite"),
+    (lambda v: pretrain(default_model(channels=2, num_classes=2, blocks=1), np.zeros((2, 2, 3)), [0, 1], lr=v),
+     "pretraining: lr", "> 0 and finite"),
+], ids=["corruption-scale", "corruption-noise", "engine-lr", "checkpoint-epsilon", "pretrain-lr"])
+def test_an_integer_beyond_the_largest_float_is_not_finite(make, name, rule):
+    with pytest.raises(ValueError, match=message(name, rule, 10**400)):
+        make(10**400)
