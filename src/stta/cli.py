@@ -20,7 +20,6 @@ import contextlib
 import csv
 import inspect
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -32,7 +31,7 @@ import yaml
 from .datagen import Corruption, StreamSpec, _preset, default_domain, make_stream, sample_source
 from .engine import REAL_SETTINGS, Engine, EngineConfig, RunMetrics, _as_rate
 from .model import Model, default_model, load_model, pretrain, required, save_model
-from .numerics import FINITE, FINITE_POSITIVE, checked_int, checked_number, is_real
+from .numerics import FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, checked_int, checked_number, is_real
 
 RESULT_SCHEMA = 1
 OUT_DIR_ENV = "STTA_OUT_DIR"
@@ -525,8 +524,8 @@ def _aggregate(records: list[dict], by: str) -> dict[str, dict]:
 
 def compare_command(args) -> int:
     try:
-        if args.max_accuracy_drop is not None and not 0.0 <= args.max_accuracy_drop < math.inf:
-            raise ConfigError(f"--max-accuracy-drop must be >= 0 and finite, got {args.max_accuracy_drop}")
+        if args.max_accuracy_drop is not None:
+            checked_number(args.max_accuracy_drop, "--max-accuracy-drop", FINITE_NONNEGATIVE)
         loaded = [_load_records(path) for path in args.files]
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import FINITE, FINITE_NONNEGATIVE, checked_int, checked_number
+from .numerics import FINITE, FINITE_NONNEGATIVE, checked_bool, checked_int, checked_number
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class Corruption:
         for name in ("scale", "offset"):
             checked_number(getattr(self, name), name, FINITE)
         checked_number(self.noise, "noise", FINITE_NONNEGATIVE)
-        if not isinstance(self.permute, bool):
-            raise ValueError(f"permute must be true or false, got {self.permute!r}")
+        checked_bool(self.permute, "permute")
 
 
 IDENTITY = Corruption()
@@ -145,8 +144,7 @@ class StreamSpec:
     def __post_init__(self) -> None:
         checked_int(self.batch_size, "batch_size", 1)
         checked_int(self.seed, "seed")
-        if not isinstance(self.correlated, bool):
-            raise ValueError(f"correlated must be true or false, got {self.correlated!r}")
+        checked_bool(self.correlated, "correlated")
         if not self.segments:
             raise ValueError("segments must hold at least one segment")
         object.__setattr__(self, "segments", tuple(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import operator
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,8 +35,8 @@ from .model import (
     per_sample_entropy,
     required,
 )
-from .normalization import estimable
-from .numerics import FINITE_NONNEGATIVE, HALF_OPEN_UNIT, NONNEGATIVE, UNIT_INTERVAL, checked_int, checked_number
+from .normalization import MemoryNormState, estimable
+from .numerics import FINITE_NONNEGATIVE, HALF_OPEN_UNIT, UNIT_INTERVAL, checked_int, checked_number
 
 
 def _as_rate(value) -> Fraction:
@@ -84,7 +84,7 @@ class AdaptationSchedule:
 
 
 # The real-valued engine settings, each an `EngineConfig` field of the same name, with its `checked_number` rule.
-REAL_SETTINGS = {"tau_conf": UNIT_INTERVAL, "tau_delta": NONNEGATIVE, "alpha": NONNEGATIVE,
+REAL_SETTINGS = {"tau_conf": UNIT_INTERVAL, "tau_delta": FINITE_NONNEGATIVE, "alpha": FINITE_NONNEGATIVE,
                  "beta_centroid": HALF_OPEN_UNIT, "ema_momentum": HALF_OPEN_UNIT, "lr": FINITE_NONNEGATIVE}
 
 
@@ -217,9 +217,9 @@ class Engine:
         self.schedule = AdaptationSchedule(config.ar)
         self.memory: SampleMemory | None = None  # sized on the first batch
         self._rng = np.random.default_rng(config.seed)
-        for layer in model.norm_layers:
-            layer.memory_norm.alpha = config.alpha
-            layer.ema.momentum = config.ema_momentum
+        for layer in model.norm_layers:  # the configured settings, in new values built through their checks
+            layer.memory_norm = replace(layer.memory_norm, alpha=config.alpha)
+            layer.ema = replace(layer.ema, momentum=config.ema_momentum)
 
     # -- wiring ---------------------------------------------------------
 
@@ -296,7 +296,7 @@ class Engine:
                 count, extent = batch.shape[0], batch.shape[2]  # every norm layer sees the input length
                 if estimable(extent, count):
                     for layer, stats in zip(self.model.norm_layers, step.layer_stats):
-                        layer.memory_norm.populate(stats, extent, count)
+                        layer.memory_norm = MemoryNormState(self.config.alpha, stats, extent, count)
             adaptation_seconds = time.perf_counter() - t2
 
         truth = labels.tolist() if labels is not None else None

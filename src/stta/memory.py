@@ -19,7 +19,8 @@ import numpy as np
 
 from .model import checked_array, required
 from .normalization import ChannelStats
-from .numerics import HALF_OPEN_UNIT, NONNEGATIVE, UNIT_INTERVAL, ShapeError, checked_int, checked_number, is_real
+from .numerics import (FINITE_NONNEGATIVE, HALF_OPEN_UNIT, UNIT_INTERVAL, ShapeError, checked_bool, checked_int,
+                       checked_number, is_real)
 
 SELECTION_MODES = ("naive", "random", "low_entropy", "crm", "cndrm")
 # One checkpoint entry per stored sample, in this key order (see `SampleMemory.state_dict`).
@@ -97,7 +98,7 @@ class SampleMemory:
         checked_int(capacity, "capacity", 1)
         checked_int(channels, "channels", 1)
         checked_number(tau_conf, "tau_conf", UNIT_INTERVAL)
-        checked_number(tau_delta, "tau_delta", NONNEGATIVE)
+        checked_number(tau_delta, "tau_delta", FINITE_NONNEGATIVE)
         checked_number(beta, "beta", HALF_OPEN_UNIT)
         self.capacity = int(capacity)
         self.tau_conf = float(tau_conf)
@@ -365,9 +366,7 @@ class SampleMemory:
         self.centroid_mu = checked_array(required(cen, "mu", cen_at), f"{cen_at}.mu", (channels,))
         self.centroid_sigma = checked_array(required(cen, "sigma", cen_at), f"{cen_at}.sigma", (channels,),
                                             nonnegative=True)
-        self.centroid_initialized = required(cen, "initialized", cen_at)
-        if not isinstance(self.centroid_initialized, bool):
-            raise ValueError(f"{cen_at}.initialized must be true or false, got {self.centroid_initialized!r}")
+        self.centroid_initialized = checked_bool(required(cen, "initialized", cen_at), f"{cen_at}.initialized")
         samples = required(section, "samples", at, ": ")
         if not isinstance(samples, list):
             raise ValueError(f"{at}: samples must be a list, got {samples!r}")
@@ -389,10 +388,9 @@ class SampleMemory:
             mu = checked_array(mu, f"{where}: mu", (channels,))
             sigma = checked_array(sigma, f"{where}: sigma", (channels,), nonnegative=True)
             label = checked_int(label, f"{where}: pseudo_label", below=num_classes)
-            if not (is_real(conf) and 0.0 <= conf <= 1.0):
-                raise ValueError(f"{where}: confidence must be in [0, 1], got {conf!r}")
-            if wdist != "inf" and not (is_real(wdist) and wdist >= 0.0):
-                raise ValueError(f"{where}: wdist must be a number >= 0 or \"inf\", got {wdist!r}")
+            checked_number(conf, f"{where}: confidence", UNIT_INTERVAL)
+            if wdist != "inf":  # the marker of an unscored sample
+                checked_number(wdist, f"{where}: wdist", FINITE_NONNEGATIVE)
             nullable = self.selection_mode != "low_entropy"  # `insert` needs a low_entropy candidate's entropy
             if not (is_real(entropy) and math.isfinite(entropy) or nullable and entropy is None):
                 rule = "a finite number or null" if nullable else "a finite number"

@@ -31,7 +31,7 @@ from .normalization import (
     batch_channel_stats,
     normalize,
 )
-from .numerics import FINITE_POSITIVE, HALF_OPEN_UNIT, NONNEGATIVE, ShapeError, checked_int, checked_number
+from .numerics import FINITE_NONNEGATIVE, FINITE_POSITIVE, HALF_OPEN_UNIT, ShapeError, checked_int, checked_number
 
 NORM_SOURCES = ("batch", "iobmn", "ema", "frozen")
 
@@ -429,7 +429,7 @@ def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
     layer = NormLayer(
         channels,
         checked_number(required(entry, "epsilon", where), f"{where}.epsilon", FINITE_POSITIVE),
-        checked_number(required(mn, "alpha", where_mn), f"{where_mn}.alpha", NONNEGATIVE),
+        checked_number(required(mn, "alpha", where_mn), f"{where_mn}.alpha", FINITE_NONNEGATIVE),
         checked_number(required(ema, "momentum", where_ema), f"{where_ema}.momentum", HALF_OPEN_UNIT))
     for name in ("gamma", "beta", "running_mean", "running_var"):
         setattr(layer, name, checked_array(required(entry, name, where), f"{where}.{name}", (channels,),
@@ -439,7 +439,7 @@ def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
         extent, count = (checked_int(required(mn, key, where_mn), f"{where_mn}.{key}", 1)
                          for key in ("spatial_extent", "sample_count"))
         try:
-            layer.memory_norm.populate(stats, extent, count)
+            layer.memory_norm = MemoryNormState(layer.memory_norm.alpha, stats, extent, count)
         except ValueError as exc:
             raise ValueError(f"{where_mn}: {exc}") from None
     layer.ema.stats = _stats_from(required(ema, "stats", where_ema), channels, f"{where_ema}.stats")

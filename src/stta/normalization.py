@@ -7,18 +7,20 @@ the last adaptation batch. Those statistics are treated as estimates with
 known sampling variance, and are corrected toward the live batch
 statistics only where the live values fall outside a dead zone sized by
 the estimates' standard error (soft shrinkage, :func:`corrected_stats`).
-An exponential-moving-average provider is included as the ablation
-alternative.
+That dead zone is sized once per adaptation, on the first batch served
+with its statistics, not per served batch. An exponential-moving-average
+provider is included as the ablation alternative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import HALF_OPEN_UNIT, NONNEGATIVE, checked_number
+from .numerics import FINITE_NONNEGATIVE, HALF_OPEN_UNIT, checked_int, checked_number
 
 
 class StateError(RuntimeError):
@@ -43,59 +45,37 @@ def _shrunk(x: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return x - np.minimum(np.maximum(x, low), high)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryNormState:
-    """Per-layer statistics frozen at the last adaptation event.
+    """Per-layer statistics of the last adaptation event, one immutable value; unpopulated without statistics.
 
-    Holds the memory batch's per-channel mean/variance together with the
-    feature-map extent and memory count they were measured over, which size
-    the sampling-distribution dead zone. Unpopulated until the first
-    adaptation. Only `populate` sets them, from at least two values,
-    together with the estimates' standard errors, so that serving does not
-    recompute those; `corrected_stats` scales them by `alpha` into the dead
-    zone once per population or change of `alpha`, on the first served
-    batch after it, checking an assigned `alpha` by the rule construction
-    uses.
+    The memory batch's per-channel mean/variance, with the feature-map
+    extent and memory count they were measured over: integers >= 1 whose
+    product, at least 2, sizes the sampling-distribution dead zone. Each
+    adaptation builds a new value, and a new `alpha` takes
+    `dataclasses.replace`; both pass the checks of construction.
     """
 
     alpha: float = 4.0
-    memory_stats: ChannelStats | None = field(default=None, init=False)
-    spatial_extent: int = field(default=0, init=False)
-    sample_count: int = field(default=0, init=False)
-    standard_errors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-    _sized_zone: tuple | None = field(default=None, init=False, repr=False)  # (alpha, dead zone at that alpha)
+    memory_stats: ChannelStats | None = None
+    spatial_extent: int = 0
+    sample_count: int = 0
 
     def __post_init__(self) -> None:
-        checked_number(self.alpha, "alpha", NONNEGATIVE)
+        checked_number(self.alpha, "alpha", FINITE_NONNEGATIVE)
+        if self.memory_stats is not None:
+            extent, count = (checked_int(getattr(self, key), key, 1) for key in ("spatial_extent", "sample_count"))
+            if not estimable(extent, count):
+                raise ValueError(f"spatial_extent x sample_count must be >= 2, got {extent} x {count}")
 
     @property
     def populated(self) -> bool:
         return self.memory_stats is not None
 
-    def populate(self, stats: ChannelStats, spatial_extent: int, sample_count: int) -> None:
-        if not estimable(spatial_extent, sample_count):
-            raise ValueError(f"spatial_extent x sample_count must be >= 2, got {spatial_extent} x {sample_count}")
-        self.memory_stats = stats
-        self.spatial_extent = int(spatial_extent)
-        self.sample_count = int(sample_count)
-        self.standard_errors = tuple(np.sqrt(s2) for s2 in sampling_variances(self))
-        self._sized_zone = None
-
+    @cached_property
     def _dead_zone(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """`(-t, t)` for the mean and for the variance, with t = `alpha` x standard error.
-
-        Sized on the first call after `populate` or after `alpha` changes
-        (`Engine` assigns its configured `alpha` to layers that a checkpoint
-        may have populated), and reused until then.
-        """
-        sized = self._sized_zone
-        if sized is None or sized[0] != self.alpha:
-            if self.standard_errors is None:
-                raise StateError("memory normalization state is not populated")
-            checked_number(self.alpha, "alpha", NONNEGATIVE)
-            zone = tuple((-t, t) for t in (self.alpha * se for se in self.standard_errors))
-            sized = self._sized_zone = (self.alpha, zone)
-        return sized[1]
+        """`(-t, t)` for the mean and for the variance, t = `alpha` x standard error; StateError if unpopulated."""
+        return tuple((-t, t) for t in (self.alpha * np.sqrt(s2) for s2 in sampling_variances(self)))
 
 
 def estimable(spatial_extent: int, sample_count: int) -> bool:
@@ -106,7 +86,7 @@ def estimable(spatial_extent: int, sample_count: int) -> bool:
 def sampling_variances(state: MemoryNormState) -> tuple[np.ndarray, np.ndarray]:
     """Variances of the memory mean and memory variance as sample estimates.
 
-    With n = extent * count >= 2 values behind the estimates (see `populate`):
+    With n = extent * count >= 2 values behind the estimates (see `MemoryNormState`):
     var(mean) = v / n and var(variance) = 2 v^2 / (n - 1), per channel.
     """
     if not state.populated:
@@ -123,7 +103,7 @@ def corrected_stats(state: MemoryNormState, live: ChannelStats) -> ChannelStats:
     smaller live variance can otherwise undershoot when the memory variance
     is small.
     """
-    mean_zone, var_zone = state._dead_zone()
+    mean_zone, var_zone = state._dead_zone
     mem = state.memory_stats
     mean = mem.mean + _shrunk(live.mean - mem.mean, *mean_zone)
     var = mem.var + _shrunk(live.var - mem.var, *var_zone)

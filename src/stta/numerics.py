@@ -20,12 +20,10 @@ Every unrecorded forward, serving with any source, keeps the channel-major
 layout through normalization and relu; its pooled features are made
 contiguous for the head. The serving normalization works in place on its
 own result and saves nothing, while the recorded forward's batch-major one
-keeps what the backward reads. IoBMN's dead zone is sized once per
-adaptation (and after `alpha` changes), not per served batch. Sums call
-`np.add.reduce`, the ufunc loop behind `.sum` and `.mean`, without their
-Python wrappers. The module also holds the shared checks of numbers, by
-which every type that holds a setting checks it; it imports nothing from
-the package.
+keeps what the backward reads. Sums call `np.add.reduce`, the ufunc loop
+behind `.sum` and `.mean`, without their Python wrappers. The module also
+holds the shared checks of numbers and booleans, by which every type that
+holds a setting checks it; it imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ def is_real(value) -> bool:
 _MAX = sys.float_info.max
 UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 HALF_OPEN_UNIT = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-NONNEGATIVE = (lambda v: v >= 0.0, ">= 0")
 FINITE_NONNEGATIVE = (lambda v: 0.0 <= v <= _MAX, ">= 0 and finite")
 FINITE_POSITIVE = (lambda v: 0.0 < v <= _MAX, "> 0 and finite")
 FINITE = (lambda v: -_MAX <= v <= _MAX, "that is finite")
@@ -66,6 +63,13 @@ def checked_number(value, where: str, rule: tuple):
     ok, text = rule
     if not (is_real(value) and ok(value)):
         raise ValueError(f"{where} must be a number {text}, got {value!r}")
+    return value
+
+
+def checked_bool(value, where: str) -> bool:
+    """`value` if it is a boolean; ValueError `<where> must be true or false, got ...`."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{where} must be true or false, got {value!r}")
     return value
 
 

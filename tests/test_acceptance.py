@@ -105,8 +105,7 @@ def test_criterion_1_formula_oracles():
         for _ in range(1000):
             var = rng.uniform(0, 8, size=3)
             extent, count = int(rng.integers(1, 10)), int(rng.integers(2, 30))
-            state = MemoryNormState(alpha=1.0)
-            state.populate(ChannelStats(np.zeros(3), var), extent, count)
+            state = MemoryNormState(1.0, ChannelStats(np.zeros(3), var), extent, count)
             s2m, s2v = sampling_variances(state)
             want_m, want_v = sampling_variances_mp(var, extent, count)
             assert np.max(np.abs(s2m - want_m)) < 1e-10
@@ -117,8 +116,7 @@ def test_criterion_1_formula_oracles():
             mem_var = rng.uniform(0.01, 4, size=3)
             live_var = rng.uniform(0, 4, size=3)
             alpha = float(rng.uniform(0, 6))
-            state = MemoryNormState(alpha=alpha)
-            state.populate(ChannelStats(mem_mean, mem_var), 4, 7)
+            state = MemoryNormState(alpha, ChannelStats(mem_mean, mem_var), 4, 7)
             got = corrected_stats(state, ChannelStats(live_mean, live_var))
             want_mean, want_var = corrected_stats_mp(mem_mean, mem_var, live_mean, live_var, 4, 7, alpha)
             assert np.max(np.abs(got.mean - want_mean)) < 1e-10
@@ -129,8 +127,7 @@ def test_criterion_1_formula_oracles():
             gamma, beta = rng.normal(size=3), rng.normal(size=3)
             mem_mean, mem_var = rng.normal(size=3), rng.uniform(0.05, 3, size=3)
             alpha = float(rng.uniform(0, 5))
-            state = MemoryNormState(alpha=alpha)
-            state.populate(ChannelStats(mem_mean, mem_var), 3, 6)
+            state = MemoryNormState(alpha, ChannelStats(mem_mean, mem_var), 3, 6)
             stats = corrected_stats(state, batch_channel_stats(f))
             got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
             want = np.array(normalize_mp(f.tolist(), list(mem_mean), list(mem_var),
@@ -260,8 +257,7 @@ def test_criterion_5_memory_norm_limits():
         for _ in range(200):
             f = rng.normal(0.5, 2.0, size=(4, 3, 5))
             gamma, beta = rng.normal(size=3), rng.normal(size=3)
-            state = MemoryNormState(alpha=0.0)
-            state.populate(ChannelStats(rng.normal(size=3), rng.uniform(0.1, 2, size=3)), 5, 9)
+            state = MemoryNormState(0.0, ChannelStats(rng.normal(size=3), rng.uniform(0.1, 2, size=3)), 5, 9)
             live = batch_channel_stats(f)
             stats = corrected_stats(state, batch_channel_stats(f))
             got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
@@ -274,8 +270,7 @@ def test_criterion_5_memory_norm_limits():
             f = rng.normal(0.0, 2.0, size=(4, 3, 5))
             gamma, beta = rng.normal(size=3), rng.normal(size=3)
             mem_mean, mem_var = rng.normal(size=3), rng.uniform(0.1, 2, size=3)
-            state = MemoryNormState(alpha=1e9)
-            state.populate(ChannelStats(mem_mean, mem_var), 5, 9)
+            state = MemoryNormState(1e9, ChannelStats(mem_mean, mem_var), 5, 9)
             stats = corrected_stats(state, batch_channel_stats(f))
             got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
             want = gamma.reshape(1, -1, 1) * (f - mem_mean.reshape(1, -1, 1)) \
@@ -288,8 +283,7 @@ def test_criterion_5_memory_norm_limits():
             mem_mean = rng.normal(size=channels)
             mem_var = rng.uniform(0.05, 3, size=channels)
             alpha = float(rng.uniform(0.1, 6))
-            state = MemoryNormState(alpha=alpha)
-            state.populate(ChannelStats(mem_mean, mem_var), 4, 8)
+            state = MemoryNormState(alpha, ChannelStats(mem_mean, mem_var), 4, 8)
             s2m, s2v = sampling_variances(state)
             lam_mean = alpha * np.sqrt(s2m)
             lam_var = alpha * np.sqrt(s2v)

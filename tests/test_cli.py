@@ -634,7 +634,7 @@ class TestCompare:
         other.write_text(result_line("snap", "1", 0.5, 0.1))
         assert main(["compare", str(base), str(other), "--max-accuracy-drop", limit]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: --max-accuracy-drop must be >= 0 and finite, got {float(limit)}\n"
+        assert captured.err == f"error: --max-accuracy-drop must be a number >= 0 and finite, got {float(limit)}\n"
         assert not captured.out
 
     def test_compare_csv_has_a_row_for_a_gap(self, tmp_path):

@@ -194,18 +194,28 @@ class TestEngineBasics:
         assert all(l.memory_norm.populated for l in model.norm_layers)
         assert engine._inference_source() == "iobmn"
 
-    def test_dead_zone_is_sized_only_at_adaptations(self, base_model, monkeypatch):
+    @staticmethod
+    def sizings(base_model, monkeypatch, config):
+        """(adapted, `sampling_variances` calls) per batch of a 9-batch stream."""
         calls = []
         sizing = normalization.sampling_variances
         monkeypatch.setattr(normalization, "sampling_variances", lambda state: calls.append(1) or sizing(state))
-        model = base_model.clone()
-        engine = Engine(model, EngineConfig(ar=Fraction(1, 3), tau_conf=0.0))
+        engine = Engine(base_model.clone(), config)
         served = []
         for batch in make_stream(single_domain_stream(batches=9, batch_size=8, seed=3)):
             before = len(calls)
             record = engine.process_batch(batch.x, batch.labels)
             served.append((record.adapted, len(calls) - before))
-        assert served == [(False, 0), (False, 0), (True, 3)] * 3  # one sizing per norm layer per update
+        return served
+
+    def test_dead_zone_is_sized_on_the_first_serve_after_each_adaptation(self, base_model, monkeypatch):
+        served = self.sizings(base_model, monkeypatch, EngineConfig(ar=Fraction(1, 3), tau_conf=0.0))
+        # The batch that adapts is served before its update; the next one sizes each norm layer's zone once.
+        assert served == [(False, 0), (False, 0), (True, 0)] + [(False, 3), (False, 0), (True, 0)] * 2
+
+    def test_tent_equivalent_computes_no_standard_error(self, base_model, monkeypatch):
+        config = EngineConfig(ar=1, capacity=8, **cli.MODE_PRESETS["tent-equivalent"])
+        assert self.sizings(base_model, monkeypatch, config) == [(True, 0)] * 9  # it never serves memory statistics
 
     def test_ema_and_frozen_modes_run(self, base_model):
         for mode in ("ema", "frozen"):
@@ -415,7 +425,7 @@ class TestResume:
             Engine.from_state_dict(payload)
 
     def test_a_resumed_engine_serves_with_its_configured_alpha(self, base_model):
-        # The loaded model's layers were populated at alpha 4; the engine then writes its own alpha into them.
+        # The loaded model's layers were populated at alpha 4; the engine then swaps in values at its own alpha.
         batches = list(make_stream(single_domain_stream(corruption="noise", batches=3, batch_size=8, seed=30)))
         engine = Engine(base_model.clone(), EngineConfig(ar=1, tau_conf=0.0))
         engine.run_stream(batches)
@@ -425,8 +435,7 @@ class TestResume:
         live = forward(resumed.model, batches[-1].x).layer_stats
         for layer, old, stats in zip(resumed.model.norm_layers, engine.model.norm_layers, live):
             mn = layer.memory_norm
-            fresh = normalization.MemoryNormState(alpha=0.5)
-            fresh.populate(mn.memory_stats, mn.spatial_extent, mn.sample_count)
+            fresh = normalization.MemoryNormState(0.5, mn.memory_stats, mn.spatial_extent, mn.sample_count)
             got, want = normalization.corrected_stats(mn, stats), normalization.corrected_stats(fresh, stats)
             assert got.mean.tobytes() == want.mean.tobytes() and got.var.tobytes() == want.var.tobytes()
             at_four = normalization.corrected_stats(old.memory_norm, stats)
@@ -457,8 +466,8 @@ class TestResume:
         ("mu", "inf", "sample {}: mu must be finite"),
         ("sigma", "nan", "sample {}: sigma must be finite"),
         ("sigma", "negative", "sample {}: sigma must be >= 0"),
-        ("confidence", 1.5, "sample {}: confidence must be in [0, 1]"),
-        ("confidence", math.nan, "sample {}: confidence must be in [0, 1]"),
+        ("confidence", 1.5, "sample {}: confidence must be a number in [0, 1]"),
+        ("confidence", math.nan, "sample {}: confidence must be a number in [0, 1]"),
         ("wdist", -0.5, "sample {}: wdist must be a number >= 0"),
         ("wdist", math.nan, "sample {}: wdist must be a number >= 0"),
         ("wdist", "far", "sample {}: wdist must be a number >= 0"),

@@ -11,6 +11,7 @@ import pytest
 import reference_tape as ref
 from stta import model as kernels
 from stta.model import NORM_SOURCES, default_model
+from stta.normalization import MemoryNormState
 
 # (channels, blocks, batch, length): every channel count, block count, batch
 # size and length of interest appears at least once.
@@ -63,7 +64,7 @@ def assert_same_norm_layers(a, b):
 
 def populate_memory_norm(model, x):
     for layer, stats in zip(model.norm_layers, kernels.forward(model, x).layer_stats):
-        layer.memory_norm.populate(stats, x.shape[2], max(2, x.shape[0]))
+        layer.memory_norm = MemoryNormState(layer.memory_norm.alpha, stats, x.shape[2], max(2, x.shape[0]))
 
 
 @pytest.mark.parametrize("source", NORM_SOURCES)

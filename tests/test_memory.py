@@ -451,8 +451,8 @@ class TestSettings:
         ("tau_conf", math.nan, "tau_conf must be a number in [0, 1], got nan"),
         ("tau_conf", 1.5, "tau_conf must be a number in [0, 1], got 1.5"),
         ("tau_conf", True, "tau_conf must be a number in [0, 1], got True"),
-        ("tau_delta", math.nan, "tau_delta must be a number >= 0, got nan"),
-        ("tau_delta", -0.1, "tau_delta must be a number >= 0, got -0.1"),
+        ("tau_delta", math.nan, "tau_delta must be a number >= 0 and finite, got nan"),
+        ("tau_delta", -0.1, "tau_delta must be a number >= 0 and finite, got -0.1"),
         ("beta", 5.0, "beta must be a number in (0, 1], got 5.0"),
         ("beta", 0.0, "beta must be a number in (0, 1], got 0.0"),
         ("beta", "0.5", "beta must be a number in (0, 1], got '0.5'"),

@@ -1,8 +1,11 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stta import normalization
 from stta.normalization import (
     ChannelStats,
     EmaNormState,
@@ -23,9 +26,7 @@ from oracles import corrected_stats_mp, normalize_mp, sampling_variances_mp, sof
 def populated_state(var, extent=8, count=16, alpha=4.0, mean=None):
     var = np.asarray(var, dtype=np.float64)
     mean = np.zeros_like(var) if mean is None else np.asarray(mean, dtype=np.float64)
-    state = MemoryNormState(alpha=alpha)
-    state.populate(ChannelStats(mean, var), extent, count)
-    return state
+    return MemoryNormState(alpha, ChannelStats(mean, var), extent, count)
 
 
 class TestSamplingVariances:
@@ -51,20 +52,28 @@ class TestSamplingVariances:
             assert np.max(np.abs(s2v - want_v)) < 1e-12
 
     def test_degenerate_denominator(self):
-        # n - 1 is the variance's denominator: populate, the one way in, takes n >= 2 values.
-        for extent, count in ((1, 1), (0, 5), (5, 0), (-1, -3)):
-            state = MemoryNormState()
-            with pytest.raises(ValueError, match=f"spatial_extent x sample_count must be >= 2, got {extent} x {count}"):
-                state.populate(ChannelStats(np.zeros(1), np.ones(1)), extent, count)
-            assert not state.populated and state.standard_errors is None
+        # n - 1 is the variance's denominator: a value with statistics holds n >= 2 values behind them.
+        with pytest.raises(ValueError, match="^spatial_extent x sample_count must be >= 2, got 1 x 1$"):
+            MemoryNormState(4.0, ChannelStats(np.zeros(1), np.ones(1)), 1, 1)
+        for extent, count, named in ((0, 5, "spatial_extent"), (5, 0, "sample_count"), (-1, -3, "spatial_extent")):
+            with pytest.raises(ValueError, match=f"^{named} must be an integer >= 1, got -?[0-9]+$"):
+                MemoryNormState(4.0, ChannelStats(np.zeros(1), np.ones(1)), extent, count)
+
+    @pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "boolean"])
+    @pytest.mark.parametrize("named", ["spatial_extent", "sample_count"])
+    def test_extent_and_count_are_integers(self, named, value):
+        # Neither is rounded or read as 1: a value that is not an integer is refused.
+        sizes = {"spatial_extent": 4, "sample_count": 4, named: value}
+        with pytest.raises(ValueError, match=f"^{named} must be an integer >= 1, got {value!r}$"):
+            MemoryNormState(4.0, ChannelStats(np.zeros(1), np.ones(1)), **sizes)
 
     def test_estimable_is_what_populate_takes(self):
-        # The engine asks `estimable` before it populates; populate refuses exactly what it calls not estimable.
+        # The engine asks `estimable` before it builds a value; construction refuses what it calls not estimable.
         for extent in range(-1, 4):
             for count in range(-1, 4):
                 state = MemoryNormState()
                 try:
-                    state.populate(ChannelStats(np.zeros(1), np.ones(1)), extent, count)
+                    state = MemoryNormState(4.0, ChannelStats(np.zeros(1), np.ones(1)), extent, count)
                 except ValueError:
                     pass
                 assert state.populated == estimable(extent, count) == (extent >= 1 and count >= 1
@@ -170,58 +179,48 @@ class TestCorrectedStats:
         assert all(b - a >= -1e-12 for a, b in zip(outs, outs[1:]))
 
     def test_degenerate_sample_size_errors_at_first_use(self):
-        # Populating from fewer than 2 values is refused, so the state never serves a dead zone sized by them.
+        # A value from fewer than 2 values is refused, so no state serves a dead zone sized by them.
         state = MemoryNormState()
         with pytest.raises(ValueError, match="must be >= 2"):
-            state.populate(ChannelStats(np.zeros(1), np.ones(1)), 1, 1)
+            state = MemoryNormState(4.0, ChannelStats(np.zeros(1), np.ones(1)), 1, 1)
         with pytest.raises(StateError):
             corrected_stats(state, batch_channel_stats(np.zeros((1, 1, 1))))
 
-    def test_only_populate_sets_the_statistics(self):
-        # A state built around populate would have no standard errors to serve with.
-        with pytest.raises(TypeError):
-            MemoryNormState(memory_stats=ChannelStats(np.zeros(1), np.ones(1)), spatial_extent=4, sample_count=4)
-
-    def test_follows_an_alpha_set_after_populating(self):
-        # An engine sets its configured alpha on layers a checkpoint may already have populated.
-        rng = np.random.default_rng(11)
-        mem_mean, mem_var = rng.normal(size=6), rng.uniform(0.1, 3.0, size=6)
-        live = batch_channel_stats(rng.normal(size=(4, 6, 5)))
-        state = populated_state(mem_var, extent=5, count=4, alpha=4.0, mean=mem_mean)
-        before = corrected_stats(state, live)
-        state.alpha = 0.75
-        fresh = populated_state(mem_var, extent=5, count=4, alpha=0.75, mean=mem_mean)
-        got, want = corrected_stats(state, live), corrected_stats(fresh, live)
-        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.var, want.var)
-        assert not np.array_equal(got.mean, before.mean)
-
+    @pytest.mark.parametrize("name", ["alpha", "memory_stats", "spatial_extent", "sample_count"])
+    def test_assigning_a_field_of_a_built_value_raises(self, name):
+        state = populated_state([1.0, 2.0], extent=3, count=5)
+        with pytest.raises(FrozenInstanceError):
+            setattr(state, name, getattr(populated_state([3.0, 4.0], extent=2, count=7, alpha=1.0), name))
+        assert (state.alpha, state.spatial_extent, state.sample_count) == (4.0, 3, 5)
+        assert np.array_equal(state.memory_stats.var, [1.0, 2.0])
 
     @pytest.mark.parametrize("alpha", [0.0, 0.75, 4.0, 1e6])
-    def test_an_assigned_alpha_serves_as_a_populating_one(self, alpha):
+    def test_a_replaced_alpha_serves_as_a_built_one(self, alpha):
+        # An engine swaps its configured alpha into layers a checkpoint may already have populated.
         rng = np.random.default_rng(12)
         mem = ChannelStats(rng.normal(size=5), rng.uniform(0.1, 3.0, size=5))
         live = ChannelStats(mem.mean + rng.normal(size=5), mem.var * rng.uniform(0.2, 5.0, size=5))
         state = populated_state(mem.var, extent=3, count=7, alpha=2.0, mean=mem.mean)
-        corrected_stats(state, live)  # served at alpha 2 first
-        state.alpha = alpha
-        fresh = populated_state(mem.var, extent=3, count=7, alpha=alpha, mean=mem.mean)
-        got, want = corrected_stats(state, live), corrected_stats(fresh, live)
+        before = corrected_stats(state, live)  # served at alpha 2 first: its dead zone is sized
+        got = corrected_stats(replace(state, alpha=alpha), live)
+        want = corrected_stats(populated_state(mem.var, extent=3, count=7, alpha=alpha, mean=mem.mean), live)
         assert got.mean.tobytes() == want.mean.tobytes() and got.var.tobytes() == want.var.tobytes()
+        assert not np.array_equal(got.mean, before.mean)
+        assert corrected_stats(state, live).mean.tobytes() == before.mean.tobytes()  # the original is unchanged
 
-    def test_the_dead_zone_is_sized_once_per_population_or_alpha(self):
+    def test_the_dead_zone_is_sized_once_per_value(self, monkeypatch):
+        calls = []
+        sizing = normalization.sampling_variances
+        monkeypatch.setattr(normalization, "sampling_variances", lambda state: calls.append(1) or sizing(state))
         rng = np.random.default_rng(13)
-        mem_var = rng.uniform(0.1, 3.0, size=4)
         live = ChannelStats(rng.normal(size=4), rng.uniform(0.1, 3.0, size=4))
-        state = populated_state(mem_var, extent=3, count=5, alpha=4.0)
-        corrected_stats(state, live)
-        sized = state._sized_zone
-        corrected_stats(state, live)
-        assert state._sized_zone is sized  # served batches reuse it
-        state.alpha = 1.5
-        corrected_stats(state, live)
-        assert state._sized_zone is not sized and state._sized_zone[0] == 1.5
-        state.populate(ChannelStats(np.zeros(4), mem_var * 2.0), 3, 5)
-        assert state._sized_zone is None  # the next served batch sizes the new statistics' zone
+        state = populated_state(rng.uniform(0.1, 3.0, size=4), extent=3, count=5, alpha=4.0)
+        assert not calls  # building a value computes no standard error
+        for _ in range(3):
+            corrected_stats(state, live)
+        assert len(calls) == 1  # served batches reuse the zone
+        corrected_stats(replace(state, alpha=1.5), live)
+        assert len(calls) == 2  # a new value sizes its own
 
 
 TINY = np.finfo(np.float64).smallest_subnormal
@@ -232,7 +231,7 @@ def sign_form_corrected(state, live):
     def shrink(d, t):
         return np.sign(d) * np.maximum(np.abs(d) - t, 0.0)
 
-    mem, (se_mean, se_var) = state.memory_stats, state.standard_errors
+    mem, (se_mean, se_var) = state.memory_stats, (np.sqrt(s2) for s2 in sampling_variances(state))
     return ChannelStats(mem.mean + shrink(live.mean - mem.mean, state.alpha * se_mean),
                         np.maximum(mem.var + shrink(live.var - mem.var, state.alpha * se_var), 0.0))
 
@@ -256,10 +255,9 @@ class TestClampForm:
         offsets = lambda t: np.array([t, -t, 0.0, -0.0, t / 2, -t / 2, TINY, -TINY, 2 * t + 1.0, -2 * t - 1.0,
                                       np.nextafter(t, np.inf), -np.nextafter(t, np.inf), np.nextafter(t, 0.0)])
         n = len(offsets(1.0))
-        state = MemoryNormState(alpha=alpha)
         # extent 3 x count 1: the variance's standard error sqrt(2 v^2 / 2) is v itself, so |d| == t is exact
-        state.populate(ChannelStats(np.full(n, mem_mean), np.full(n, mem_var)), 3, 1)
-        t_mean, t_var = alpha * state.standard_errors[0][0], alpha * state.standard_errors[1][0]
+        state = MemoryNormState(alpha, ChannelStats(np.full(n, mem_mean), np.full(n, mem_var)), 3, 1)
+        t_mean, t_var = (alpha * np.sqrt(s2[0]) for s2 in sampling_variances(state))
         live = ChannelStats(mem_mean + offsets(t_mean), mem_var + offsets(t_var))
         got, want = corrected_stats(state, live), sign_form_corrected(state, live)
         assert got.var.tobytes() == want.var.tobytes()

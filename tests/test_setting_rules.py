@@ -3,6 +3,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,22 +25,24 @@ def checkpoint_with(value, *keys):
 
 # (setting, holder, how the holder takes a value, the name its message gives, the rule, a value out of range)
 HOLDERS = [
-    ("alpha", "EngineConfig", lambda v: EngineConfig(alpha=v), "alpha", ">= 0", -1.0),
-    ("alpha", "MemoryNormState", lambda v: MemoryNormState(alpha=v), "alpha", ">= 0", -1.0),
+    ("alpha", "EngineConfig", lambda v: EngineConfig(alpha=v), "alpha", ">= 0 and finite", -1.0),
+    ("alpha", "MemoryNormState", lambda v: MemoryNormState(alpha=v), "alpha", ">= 0 and finite", -1.0),
     ("alpha", "model checkpoint", lambda v: checkpoint_with(v, "memory_norm", "alpha"),
-     "model checkpoint: layers[1].memory_norm.alpha", ">= 0", -1.0),
+     "model checkpoint: layers[1].memory_norm.alpha", ">= 0 and finite", -1.0),
     ("momentum", "EngineConfig", lambda v: EngineConfig(ema_momentum=v), "ema_momentum", "in (0, 1]", 0.0),
     ("momentum", "EmaNormState", lambda v: EmaNormState(momentum=v), "momentum", "in (0, 1]", 0.0),
     ("momentum", "model checkpoint", lambda v: checkpoint_with(v, "ema", "momentum"),
      "model checkpoint: layers[1].ema.momentum", "in (0, 1]", 0.0),
     ("tau_conf", "EngineConfig", lambda v: EngineConfig(tau_conf=v), "tau_conf", "in [0, 1]", 1.5),
     ("tau_conf", "SampleMemory", lambda v: SampleMemory(4, 2, tau_conf=v), "tau_conf", "in [0, 1]", 1.5),
-    ("tau_delta", "EngineConfig", lambda v: EngineConfig(tau_delta=v), "tau_delta", ">= 0", -0.5),
-    ("tau_delta", "SampleMemory", lambda v: SampleMemory(4, 2, tau_delta=v), "tau_delta", ">= 0", -0.5),
+    ("tau_delta", "EngineConfig", lambda v: EngineConfig(tau_delta=v), "tau_delta", ">= 0 and finite", -0.5),
+    ("tau_delta", "SampleMemory", lambda v: SampleMemory(4, 2, tau_delta=v), "tau_delta", ">= 0 and finite", -0.5),
     ("beta", "EngineConfig", lambda v: EngineConfig(beta_centroid=v), "beta_centroid", "in (0, 1]", 1.5),
     ("beta", "SampleMemory", lambda v: SampleMemory(4, 2, beta=v), "beta", "in (0, 1]", 1.5),
 ]
-BAD_VALUES = {"boolean": True, "numeric-string": "0.5", "nan": math.nan, "out-of-range": None}  # None: the row's own
+# None: the row's own. No setting takes an infinity, nor an integer beyond the largest float.
+BAD_VALUES = {"boolean": True, "numeric-string": "0.5", "nan": math.nan, "out-of-range": None,
+              "beyond-float": 10**400, "infinity": math.inf}
 
 
 def message(name, rule, value):
@@ -57,16 +60,15 @@ def test_every_holder_raises_the_rule_message(setting, holder, make, name, rule,
 
 @pytest.mark.parametrize("kind", list(BAD_VALUES))
 @pytest.mark.parametrize("served_first", [False, True], ids=["fresh-zone", "sized-zone"])
-def test_an_assigned_alpha_is_checked_before_the_state_serves(kind, served_first):
+def test_a_replaced_alpha_is_checked_by_the_rule(kind, served_first):
+    # A new alpha reaches a state only through `replace`, which builds a new value by the constructor's checks.
     value = BAD_VALUES[kind] if BAD_VALUES[kind] is not None else -1.0
-    state = MemoryNormState(alpha=4.0)
-    state.populate(ChannelStats(np.zeros(2), np.ones(2)), 8, 16)
-    live = ChannelStats(np.zeros(2), np.ones(2))
+    state = MemoryNormState(4.0, ChannelStats(np.zeros(2), np.ones(2)), 8, 16)
     if served_first:
-        corrected_stats(state, live)
-    state.alpha = value
-    with pytest.raises(ValueError, match=message("alpha", ">= 0", value)):
-        corrected_stats(state, live)
+        corrected_stats(state, ChannelStats(np.zeros(2), np.ones(2)))
+    with pytest.raises(ValueError, match=message("alpha", ">= 0 and finite", value)):
+        replace(state, alpha=value)
+    assert state.alpha == 4.0
 
 
 @pytest.mark.parametrize("make,name,rule", [

@@ -21,6 +21,7 @@ from stta import model as model_module
 from stta.datagen import continual_stream, default_domain, make_stream, sample_source
 from stta.engine import Engine
 from stta.model import default_model, forward, pretrain
+from stta.normalization import MemoryNormState
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -47,7 +48,7 @@ def test_traced_forward_spans_every_norm_layer(tracer, source):
     if source == "iobmn":
         first = forward(model, x)
         for layer, stats in zip(model.norm_layers, first.layer_stats):
-            layer.memory_norm.populate(stats, x.shape[2], 3)
+            layer.memory_norm = MemoryNormState(layer.memory_norm.alpha, stats, x.shape[2], 3)
     before = tracer.bindings()
     t = tracer.Tracer()
     with t.installed():
