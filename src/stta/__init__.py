@@ -27,7 +27,6 @@ from .model import (
     cross_entropy_loss,
     default_model,
     entropy_loss,
-    evaluate_accuracy,
     forward,
     load_model,
     pretrain,
@@ -41,7 +40,6 @@ from .normalization import (
     corrected_stats,
     normalize,
     sampling_variances,
-    soft_shrinkage,
 )
 from .numerics import ShapeError, backward
 
@@ -57,10 +55,10 @@ __all__ = [
     "InsertOutcome", "SampleMemory", "wasserstein",
     # model
     "ForwardResult", "Model", "adapt_step", "cross_entropy_loss", "default_model",
-    "entropy_loss", "evaluate_accuracy", "forward", "load_model", "pretrain", "save_model",
+    "entropy_loss", "forward", "load_model", "pretrain", "save_model",
     # normalization
     "ChannelStats", "EmaNormState", "MemoryNormState", "StateError", "corrected_stats", "normalize",
-    "sampling_variances", "soft_shrinkage",
+    "sampling_variances",
     # numerics
     "ShapeError", "backward",
 ]

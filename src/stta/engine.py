@@ -393,11 +393,6 @@ def _config_dict(config: EngineConfig) -> dict:
 def _config_from_dict(d) -> EngineConfig:
     if not isinstance(d, dict):
         raise ValueError(f"engine checkpoint: config must be a JSON object, got {d!r}")
-    d = dict(d)
-    # Checkpoints written before the per-batch memory-statistics refresh was
-    # removed carry its switch; only the frozen statistics it defaulted to load.
-    if d.pop("refresh_memory_stats", False) is not False:
-        raise ValueError("engine checkpoint sets refresh_memory_stats, which is no longer supported")
     for key in d:
         if key not in EngineConfig.__dataclass_fields__:
             raise ValueError(f"engine checkpoint: config.{key} is not an engine setting")

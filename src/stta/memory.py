@@ -64,10 +64,10 @@ class SampleMemory:
 
     Samples live in fixed-size arrays, one row per slot: `inputs`,
     `labels`, `confidences`, `mu`, `sigma`, `wdist`, `arrivals` and
-    `entropies` (NaN where none was given). The first `len(self)` slots are
-    filled; a candidate that evicts a stored sample overwrites its slot, so
-    slot order is not arrival order and `order()` gives the slots sorted by
-    arrival. Candidates must arrive with increasing arrival indices, and
+    `entropies`. The first `len(self)` slots are filled; a candidate that
+    evicts a stored sample overwrites its slot, so slot order is not
+    arrival order and `order()` gives the slots sorted by arrival.
+    Candidates must arrive with increasing arrival indices, and
     `next_arrival` is the lowest one the memory takes next.
     `class_counts` maps each stored pseudo-label to its number of samples.
     Callers read these; only `insert` and `maybe_rescore` write them.
@@ -197,7 +197,7 @@ class SampleMemory:
         return accepted, self.maybe_rescore(self.update_centroid(batch_stats))
 
     def insert(self, x, label: int, conf: float, mu, sigma, wdist: float, arrival: int,
-               entropy: float | None = None) -> InsertOutcome:
+               entropy: float) -> InsertOutcome:
         """Offer one scored candidate; applies the mode's eligibility and eviction.
 
         `x` is the sample's input and `mu`/`sigma` its per-channel early
@@ -208,8 +208,6 @@ class SampleMemory:
         if arrival < self.next_arrival:
             raise ValueError(f"arrival {arrival} comes before the next arrival {self.next_arrival}")
         mode = self.selection_mode
-        if mode == "low_entropy" and entropy is None:
-            raise ValueError("low_entropy mode requires candidates with stored entropy")
         if x.shape != self._input_shape and self._input_shape is not None:
             raise ShapeError(f"input of shape {x.shape} in a memory of {self._input_shape} inputs")
         if mu.shape != self._stats_shape or sigma.shape != self._stats_shape:
@@ -271,14 +269,14 @@ class SampleMemory:
         self.sigma[slot] = sigma
         self.wdist[slot] = wdist
         self.arrivals[slot] = arrival
-        self.entropies[slot] = math.nan if entropy is None else entropy
+        self.entropies[slot] = entropy
         # The newcomer is the latest arrival: it tops its class only by a
         # strictly larger key, which under crm (staleness) it never has.
         far = self._farthest.get(label)
         if far is not None and key > far[0]:
             self._farthest[label] = (key, slot)
 
-    def _victim(self, entropy: float | None) -> int:
+    def _victim(self, entropy: float) -> int:
         """Slot to evict from a full naive, random or low_entropy memory, or `_CANDIDATE`.
 
         The candidate is the latest arrival: it loses every tie that the
@@ -345,12 +343,12 @@ class SampleMemory:
 
     def state_dict(self) -> dict:
         """The engine checkpoint's `memory` section: the capacity, one entry of `SAMPLE_FIELDS` per sample
-        in arrival order (an infinite `wdist` as "inf", a missing entropy as null), and the centroid."""
+        in arrival order (an infinite `wdist` as "inf"), and the centroid."""
         o = self.order()
         columns = ([] if self.inputs is None else self.inputs[o].tolist(), self.labels[o].tolist(),
                    self.confidences[o].tolist(), self.mu[o].tolist(), self.sigma[o].tolist(),
                    [w if w != math.inf else "inf" for w in self.wdist[o].tolist()], self.arrivals[o].tolist(),
-                   [None if math.isnan(e) else e for e in self.entropies[o].tolist()])
+                   self.entropies[o].tolist())
         return {"capacity": self.capacity,
                 "samples": [dict(zip(SAMPLE_FIELDS, row)) for row in zip(*columns)],
                 "centroid": {"mu": self.centroid_mu.tolist(), "sigma": self.centroid_sigma.tolist(),
@@ -391,10 +389,8 @@ class SampleMemory:
             checked_number(conf, f"{where}: confidence", UNIT_INTERVAL)
             if wdist != "inf":  # the marker of an unscored sample
                 checked_number(wdist, f"{where}: wdist", FINITE_NONNEGATIVE)
-            nullable = self.selection_mode != "low_entropy"  # `insert` needs a low_entropy candidate's entropy
-            if not (is_real(entropy) and math.isfinite(entropy) or nullable and entropy is None):
-                rule = "a finite number or null" if nullable else "a finite number"
-                raise ValueError(f"{where}: entropy must be {rule}, got {entropy!r}")
+            if not (is_real(entropy) and math.isfinite(entropy)):
+                raise ValueError(f"{where}: entropy must be a finite number, got {entropy!r}")
             outcome = self.insert(x, label, conf, mu, sigma, math.inf if wdist == "inf" else wdist, arrival, entropy)
             if outcome.kind != "inserted":
                 raise ValueError(f"{where} does not fit a {self.selection_mode} memory of capacity {self.capacity}")

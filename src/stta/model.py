@@ -295,17 +295,6 @@ def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float)
     return loss
 
 
-def evaluate_accuracy(model: Model, inputs, labels, batch_size: int = 64) -> float:
-    x, y = checked_batch(inputs, labels, model, "evaluation")
-    checked_int(batch_size, "evaluation: batch_size", 1)
-    correct = 0
-    for start in range(0, x.shape[0], batch_size):
-        xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-        result = forward(model, xb)
-        correct += int((result.logits.argmax(axis=1) == yb).sum())
-    return correct / x.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 

@@ -34,14 +34,9 @@ class ChannelStats(NamedTuple):
     var: np.ndarray
 
 
-def soft_shrinkage(x: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-    """Dead-zone operator sign(x) * max(|x| - threshold, 0), elementwise, for `threshold` >= 0, as x minus x
-    clamped to [-threshold, threshold]: x - x = +0.0 inside the dead zone, but -0.0 for x = -0.0 at threshold 0."""
-    return _shrunk(x, -threshold, threshold)
-
-
 def _shrunk(x: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """`soft_shrinkage` with the dead zone given by its ends, low = -high."""
+    """Dead-zone operator sign(x) * max(|x| - high, 0) for the zone [low, high] = [-t, t], t >= 0, as x minus
+    x clamped to the zone: x - x = +0.0 inside it, but -0.0 for x = -0.0 at t = 0."""
     return x - np.minimum(np.maximum(x, low), high)
 
 
@@ -74,8 +69,12 @@ class MemoryNormState:
 
     @cached_property
     def _dead_zone(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """`(-t, t)` for the mean and for the variance, t = `alpha` x standard error; StateError if unpopulated."""
-        return tuple((-t, t) for t in (self.alpha * np.sqrt(s2) for s2 in sampling_variances(self)))
+        """`(-t, t)` for the mean and for the variance, t = `alpha` x standard error; StateError if unpopulated.
+
+        A t that overflows is +inf: its channel serves the memory statistic, the large-`alpha` limit.
+        """
+        with np.errstate(over="ignore"):
+            return tuple((-t, t) for t in (self.alpha * np.sqrt(s2) for s2 in sampling_variances(self)))
 
 
 def estimable(spatial_extent: int, sample_count: int) -> bool:

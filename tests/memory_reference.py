@@ -109,7 +109,7 @@ class MemorySample:
     stats: SampleStats
     wdist: float
     arrival_index: int
-    entropy: float | None = None
+    entropy: float
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,6 @@ class SampleMemory:
         """Offer a scored candidate; applies the mode's eligibility and eviction."""
         if self.selection_mode in ("crm", "cndrm") and candidate.confidence <= self.tau_conf:
             return InsertOutcome("rejected_low_conf")
-        if self.selection_mode == "low_entropy" and candidate.entropy is None:
-            raise ValueError("low_entropy mode requires candidates with stored entropy")
         self.samples.append(candidate)
         if len(self.samples) <= self.capacity:
             return InsertOutcome("inserted")

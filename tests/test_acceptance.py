@@ -33,7 +33,6 @@ from stta.normalization import (
     corrected_stats,
     normalize,
     sampling_variances,
-    soft_shrinkage,
 )
 
 from memory_oracle import OracleMemory
@@ -94,7 +93,10 @@ def test_criterion_1_formula_oracles():
         for _ in range(1000):
             x = float(rng.uniform(-10, 10))
             lam = float(rng.uniform(0, 5))
-            assert abs(soft_shrinkage(x, lam) - soft_shrinkage_mp(x, lam)) < 1e-10
+            # memory mean 0, and variance 2 over extent 1 x count 2: standard error 1, so the mean zone is lam
+            state = MemoryNormState(lam, ChannelStats(np.zeros(1), np.full(1, 2.0)), 1, 2)
+            got = corrected_stats(state, ChannelStats(np.array([x]), np.full(1, 2.0))).mean.item()
+            assert abs(got - soft_shrinkage_mp(x, lam)) < 1e-10
 
         for _ in range(1000):
             mu_a, mu_b = rng.normal(size=4), rng.normal(size=4)
@@ -216,7 +218,7 @@ def test_criterion_3_memory_oracle_equivalence():
                 sigma = rng.uniform(0, 2, size=channels)
                 label = int(rng.integers(0, classes))
                 conf = float(rng.uniform(0, 1))
-                memory.insert(tiny, label, conf, mu, sigma, float(memory.score(mu, sigma)), step)
+                memory.insert(tiny, label, conf, mu, sigma, float(memory.score(mu, sigma)), step, 0.0)
                 oracle.offer(step, label, conf, mu, sigma)
                 if (step + 1) % batch == 0:
                     mean = rng.normal(size=channels)

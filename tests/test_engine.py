@@ -22,7 +22,7 @@ from stta.engine import (
     _config_from_dict,
 )
 from stta.memory import SELECTION_MODES
-from stta.model import NORM_SOURCES, default_model, forward, model_dict, pretrain, save_model
+from stta.model import NORM_SOURCES, adapt_step, default_model, forward, model_dict, pretrain, save_model
 from stta.datagen import default_domain, sample_source
 
 from bad_inputs import CASES as BAD_CASES, bad_batches
@@ -217,6 +217,57 @@ class TestEngineBasics:
         config = EngineConfig(ar=1, capacity=8, **cli.MODE_PRESETS["tent-equivalent"])
         assert self.sizings(base_model, monkeypatch, config) == [(True, 0)] * 9  # it never serves memory statistics
 
+    def test_an_overflowing_dead_zone_serves_the_memory_statistics(self, monkeypatch):
+        # alpha x standard error overflows to +inf: each channel serves the memory statistics as they are.
+        served = []
+
+        def spy(model, x, source="batch", record=False):
+            result = forward(model, x, source, record)
+            if source == "iobmn":
+                held = model.clone()
+                for layer, mine in zip(held.norm_layers, model.norm_layers):
+                    layer.running_mean, layer.running_var = mine.memory_norm.memory_stats
+                served.append((result.logits, forward(held, x, "frozen").logits))
+            return result
+
+        monkeypatch.setattr("stta.engine.forward", spy)
+        engine = Engine(default_model(channels=4, blocks=1, seed=40),
+                        EngineConfig(ar=1, capacity=4, tau_conf=0.0, alpha=1e308, seed=41))
+        rng = np.random.default_rng(42)
+        for _ in range(6):
+            engine.process_batch(rng.normal(0.0, 100.0, size=(4, 4, 8)))
+        assert len(served) == 5
+        assert all(got.tobytes() == want.tobytes() for got, want in served)
+        zone = engine.model.norm_layers[0].memory_norm._dead_zone
+        assert all(np.isinf(t).any() for _, t in zone)
+
+    def test_an_adaptation_steps_on_the_memory_in_arrival_order_and_builds_iobmn_from_it(self, base_model,
+                                                                                        monkeypatch):
+        steps = []
+        step_on = adapt_step
+
+        def spy(model, batch, lr):
+            step = step_on(model, batch, lr)
+            steps.append((batch, engine.memory.batch(), engine.memory.arrivals[engine.memory.order()], step))
+            return step
+
+        monkeypatch.setattr("stta.engine.adapt_step", spy)
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", capacity=12, seed=5))
+        batches = list(make_stream(single_domain_stream(corruption="noise", batches=8, batch_size=8, seed=6)))
+        seen = np.concatenate([b.x for b in batches])  # arrival indices count the stream's samples
+        for b in batches:
+            before = len(steps)
+            record = engine.process_batch(b.x)
+            assert len(steps) - before == int(record.adapted)
+            if record.adapted:
+                batch, held, arrivals, step = steps[-1]
+                assert batch.tobytes() == held.tobytes() == seen[np.sort(arrivals)].tobytes()
+                for layer, stats in zip(engine.model.norm_layers, step.layer_stats):
+                    state = layer.memory_norm
+                    assert (state.sample_count, state.spatial_extent) == (batch.shape[0], batch.shape[2])
+                    assert state.memory_stats is stats
+        assert len(steps) == 4 and len({len(batch) for batch, *_ in steps}) > 1
+
     def test_ema_and_frozen_modes_run(self, base_model):
         for mode in ("ema", "frozen"):
             engine = Engine(base_model.clone(), EngineConfig(ar="0.5", inference_stats_mode=mode))
@@ -405,24 +456,16 @@ class TestResume:
         with pytest.raises(ValueError, match="^engine checkpoint: " + named):
             Engine.from_state_dict(payload)
 
-    def test_refresh_memory_stats_key(self, base_model):
-        # Older checkpoints carry the removed refresh switch: off loads, on is refused.
-        spec = single_domain_stream(corruption="noise", batches=6, batch_size=8, seed=18)
-        batches = list(make_stream(spec))
+    @pytest.mark.parametrize("value", [False, True])
+    def test_refresh_memory_stats_key(self, base_model, value):
+        # The removed refresh switch is no engine setting: the key is refused whatever its value.
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=19))
-        engine.run_stream(batches[:3])
         payload = json.loads(json.dumps(engine.state_dict()))
         assert "refresh_memory_stats" not in payload["config"]
-        payload["config"]["refresh_memory_stats"] = False
-        resumed = Engine.from_state_dict(payload)
-        assert resumed.memory.dump() == engine.memory.dump()
-        assert resumed.state_dict() == engine.state_dict()
-        resumed.run_stream(batches[3:])
-        engine.run_stream(batches[3:])
-        assert resumed.memory.dump() == engine.memory.dump()
-        payload["config"]["refresh_memory_stats"] = True
-        with pytest.raises(ValueError, match="refresh_memory_stats"):
+        payload["config"]["refresh_memory_stats"] = value
+        with pytest.raises(ValueError) as err:
             Engine.from_state_dict(payload)
+        assert str(err.value) == "engine checkpoint: config.refresh_memory_stats is not an engine setting"
 
     def test_a_resumed_engine_serves_with_its_configured_alpha(self, base_model):
         # The loaded model's layers were populated at alpha 4; the engine then swaps in values at its own alpha.
@@ -472,16 +515,14 @@ class TestResume:
         ("wdist", math.nan, "sample {}: wdist must be a number >= 0"),
         ("wdist", "far", "sample {}: wdist must be a number >= 0"),
         ("entropy", math.inf, "sample {}: entropy must be a finite number"),
-        ("entropy", None, "sample {}: entropy must be a finite number, got None"),  # in a low_entropy memory
+        ("entropy", None, "sample {}: entropy must be a finite number, got None"),  # in every mode
         ("centroid.mu", "nan", "centroid.mu must be finite"),
         ("centroid.sigma", "inf", "centroid.sigma must be finite"),
         ("centroid.sigma", "negative", "centroid.sigma must be >= 0"),
     ])
     def test_checkpoint_rejects_bad_memory_values(self, base_model, field, value, named):
         spec = single_domain_stream(corruption="noise", batches=3, batch_size=8, seed=28)
-        # A null entropy is a missing one, which only a low_entropy memory refuses: its eviction reads it.
-        mode = "low_entropy" if value is None else "cndrm"
-        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", selection_mode=mode, seed=29))
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=29))
         engine.run_stream(make_stream(spec))
         payload = json.loads(json.dumps(engine.state_dict()))
         sample = payload["memory"]["samples"][1]

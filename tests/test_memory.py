@@ -21,7 +21,7 @@ def stats(mu, sigma):
     return np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
 
 
-def offer(mem, arrival, label=0, conf=0.9, mu=(0.0,), sigma=(1.0,), wdist=0.0, entropy=None):
+def offer(mem, arrival, label=0, conf=0.9, mu=(0.0,), sigma=(1.0,), wdist=0.0, entropy=0.0):
     return mem.insert(np.zeros((1, 2)), label, conf, np.asarray(mu, dtype=float),
                       np.asarray(sigma, dtype=float), wdist, arrival, entropy)
 
@@ -136,6 +136,17 @@ class TestMaybeRescore:
         for slot in mem.order():
             assert mem.wdist[slot] == wasserstein(*slot_stats(mem, slot), *centroid(mem))
 
+    @pytest.mark.parametrize("tau_delta,rescored", [(0.5, 0), (np.nextafter(0.5, 0), 3)], ids=["at", "below"])
+    def test_threshold_is_strict(self, tau_delta, rescored):
+        # beta 1: the centroid moves from (mu 0, sigma 1) to (0.5, 1), a shift of exactly 0.5.
+        mem = make_memory(tau_delta=tau_delta, beta=1.0)
+        mem.update_centroid(ChannelStats(np.array([0.0]), np.array([1.0])))
+        for i in range(3):
+            offer(mem, i, wdist=1.0)
+        shift = mem.update_centroid(ChannelStats(np.array([0.5]), np.array([1.0])))
+        assert shift == 0.5
+        assert mem.maybe_rescore(shift) == rescored
+
     def test_rescored_values_match_always_rescore_oracle(self):
         rng = np.random.default_rng(2)
         mem = make_memory(capacity=8, tau_delta=0.1, tau_conf=0.0, channels=3)
@@ -146,7 +157,7 @@ class TestMaybeRescore:
                 mu, sigma = rng.normal(size=3), rng.uniform(0, 2, size=3)
                 mem.insert(np.zeros((1, 1)), int(rng.integers(0, 3)),
                            float(rng.uniform(0.1, 1.0)), mu, sigma,
-                           float(mem.score(mu, sigma)), arrival)
+                           float(mem.score(mu, sigma)), arrival, 0.0)
                 arrival += 1
             shift = mem.update_centroid(ChannelStats(rng.normal(size=3), rng.uniform(0.1, 2, size=3)))
             if mem.maybe_rescore(shift) > 0:
@@ -282,7 +293,7 @@ class TestInvariantsRandomRun:
             wdist = float(mem.score(mu, sigma))
             before = list(zip(stored(mem, "arrivals"), stored(mem, "labels"), stored(mem, "wdist")))
             before.append((arrival, label, wdist))
-            out = mem.insert(np.zeros((1, 1)), label, 0.9, mu, sigma, wdist, arrival)
+            out = mem.insert(np.zeros((1, 1)), label, 0.9, mu, sigma, wdist, arrival, 0.0)
             arrival += 1
             if out.kind == "inserted_with_eviction":
                 _, evicted_label, evicted_wdist = next(s for s in before if s[0] == out.evicted)
@@ -303,7 +314,7 @@ class TestOracleReplay:
             label = int(rng.integers(0, classes))
             conf = float(rng.uniform(0, 1))
             mem.insert(np.zeros((1, 1)), label, conf, mu, sigma,
-                       float(mem.score(mu, sigma)), arrival)
+                       float(mem.score(mu, sigma)), arrival, 0.0)
             oracle.offer(arrival, label, conf, mu, sigma)
             arrival += 1
             if (step + 1) % batch == 0:
@@ -326,7 +337,7 @@ class TestMemoryBatch:
     def test_single_sample_round_trip(self):
         mem = make_memory()
         x = np.arange(6.0).reshape(2, 3)
-        mem.insert(x, 1, 0.9, np.array([0.0]), np.array([1.0]), 0.0, 0)
+        mem.insert(x, 1, 0.9, np.array([0.0]), np.array([1.0]), 0.0, 0, 0.0)
         batch = mem.batch()
         assert batch.shape == (1, 2, 3)
         assert np.array_equal(batch[0], x)
@@ -365,11 +376,6 @@ class TestAblationModes:
             offer(mem, i, conf=0.1, entropy=e)
         assert sorted(stored(mem, "entropies")) == [1.0, 2.0, 3.0]
         assert stored(mem, "arrivals") == [1, 2, 3]
-
-    def test_low_entropy_requires_entropy(self):
-        mem = make_memory(mode="low_entropy")
-        with pytest.raises(ValueError):
-            offer(mem, 0, entropy=None)
 
     def test_crm_evicts_stalest_within_largest_class(self):
         mem = make_memory(capacity=3, mode="crm", tau_conf=0.5)
@@ -482,9 +488,9 @@ class TestInsertChecks:
         offer(mem, 0, label=1)
         before = (mem.dump(), dict(mem.class_counts), mem.batch())
         with pytest.raises(ShapeError):
-            mem.insert(np.zeros((1, 3)), 0, 0.9, np.zeros(1), np.ones(1), 0.0, 1)
+            mem.insert(np.zeros((1, 3)), 0, 0.9, np.zeros(1), np.ones(1), 0.0, 1, 0.0)
         with pytest.raises(ShapeError):
-            mem.insert(np.zeros((1, 2)), 0, 0.9, np.zeros(2), np.ones(2), 0.0, 1)
+            mem.insert(np.zeros((1, 2)), 0, 0.9, np.zeros(2), np.ones(2), 0.0, 1, 0.0)
         assert (mem.dump(), mem.class_counts) == before[:2]
         assert np.array_equal(mem.batch(), before[2])
         assert offer(mem, 1).kind == "inserted"
@@ -664,8 +670,8 @@ class TestStateDict:
         loaded.load_state_dict(section, num_classes=1, next_arrival=3)
         assert loaded.state_dict() == section and loaded.next_arrival == 3 and loaded.batch() is None
 
-    def test_infinite_distance_and_missing_entropy(self):
+    def test_infinite_distance(self):
         mem = make_memory(capacity=2, tau_conf=0.0)
         offer(mem, 0, wdist=math.inf)
         (entry,) = mem.state_dict()["samples"]
-        assert (entry["wdist"], entry["entropy"]) == ("inf", None)
+        assert (entry["wdist"], entry["entropy"]) == ("inf", 0.0)

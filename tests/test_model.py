@@ -12,7 +12,6 @@ from stta.model import (
     cross_entropy_loss,
     default_model,
     entropy_loss,
-    evaluate_accuracy,
     forward,
     load_model,
     model_dict,
@@ -320,6 +319,13 @@ class TestSampleDtypeRule:
         assert checkpoint_digest(a) == checkpoint_digest(b)
 
 
+def batch_stats_accuracy(model, x, y, batch_size=32):
+    """Share of `x` classified as `y` by batch-statistics forwards over consecutive `batch_size` slices."""
+    correct = sum(int((forward(model, x[s:s + batch_size]).logits.argmax(axis=1) == y[s:s + batch_size]).sum())
+                  for s in range(0, x.shape[0], batch_size))
+    return correct / x.shape[0]
+
+
 class TestPretrain:
     def make_source(self, seed=0, n=360):
         from stta.datagen import default_domain, sample_source
@@ -334,9 +340,9 @@ class TestPretrain:
         model = default_model(channels=8, num_classes=3, blocks=2, seed=2)
         assert pretrain(model, x, y, epochs=100, lr=1e-2, seed=3) is None
         # golden value for this exact seed triple (deterministic run)
-        assert evaluate_accuracy(model, x, y, batch_size=32) == pytest.approx(0.9805555555555555, abs=1e-12)
+        assert batch_stats_accuracy(model, x, y) == pytest.approx(0.9805555555555555, abs=1e-12)
         xt, yt = self.make_source(seed=99)  # fresh draw as a test split
-        assert evaluate_accuracy(model, xt, yt) > 0.95
+        assert batch_stats_accuracy(model, xt, yt) > 0.95
 
     @pytest.mark.parametrize("n,batch_size,epochs", [(360, 32, 3), (64, 32, 2), (10, 4, 1), (5, 8, 0)])
     def test_forwards_only_its_minibatches(self, monkeypatch, n, batch_size, epochs):
@@ -389,11 +395,56 @@ class TestPretrain:
             pretrain(model, x, y, seed=12, **settings)
         assert checkpoint_digest(model) == before
 
+    @pytest.mark.parametrize("offset,got", [(0.9, "got float64 labels"), (5, "got labels from 5 to 7")])
+    def test_label_error_names_the_rule_not_the_labels(self, offset, got):
+        x, y = self.make_source(seed=16, n=600)
+        with pytest.raises(ValueError) as err:
+            pretrain(default_model(channels=8, num_classes=3, blocks=2, seed=17), x, y + offset, epochs=1)
+        assert str(err.value) == f"pretraining: labels must be integers in [0, 3), {got}"
+
+    @pytest.mark.parametrize("kind", [str, bytes, object, complex])
+    def test_non_numeric_samples_are_refused_naming_the_dtype(self, kind):
+        x, y = self.make_source(seed=16, n=30)
+        bad = x.astype(kind)
+        with pytest.raises(ValueError) as err:
+            pretrain(default_model(channels=8, num_classes=3, blocks=2, seed=17), bad, y, epochs=1)
+        rule = "samples must be real numbers (bool, integer or float)"
+        assert str(err.value) == f"pretraining: {rule}, got {bad.dtype} samples"
+
+    def test_ragged_samples_are_refused_by_name(self):
+        x, y = self.make_source(seed=16, n=30)
+        with pytest.raises(ValueError) as err:
+            pretrain(default_model(channels=8, num_classes=3, blocks=2, seed=17), [*x[:-1], x[-1, :, :-1]], y)
+        assert str(err.value) == "pretraining: rejected ragged samples; want one array of real numbers"
+
+    def test_real_samples_are_taken_as_float64_and_float64_is_not_copied(self):
+        x, y = self.make_source(seed=16, n=30)
+        model = default_model(channels=8, num_classes=3, blocks=2, seed=17)
+        assert model_module.checked_batch(x, y, model, "pretraining")[0] is x
+        for kind in (bool, np.int32, np.uint8, np.float32):
+            xv = model_module.checked_batch(x.astype(kind), y, model, "pretraining")[0]
+            assert xv.dtype == np.float64 and np.array_equal(xv, x.astype(kind).astype(np.float64))
+
     def test_overflow_raises_where_it_happens(self):
         x, y = self.make_source(seed=10)
         model = default_model(channels=8, num_classes=3, blocks=2, seed=11)
         with pytest.raises(FloatingPointError, match="pretraining: overflow"):
             pretrain(model, x, y, epochs=3, lr=1e200, seed=12)
+
+    def test_one_minibatch_blends_a_tenth_of_its_statistics(self):
+        # One epoch of one minibatch: running = 0.9 x init + 0.1 x that minibatch's statistics, before its update.
+        x, y = self.make_source(seed=13, n=40)
+        model = default_model(channels=8, num_classes=3, blocks=2, seed=14)
+        rng = np.random.default_rng(19)
+        for layer in model.norm_layers:
+            layer.running_mean, layer.running_var = rng.normal(size=8), rng.uniform(0.5, 2.0, size=8)
+        init = [(layer.running_mean, layer.running_var) for layer in model.norm_layers]
+        order = np.random.default_rng(15).permutation(40)  # pretrain's shuffle at seed 15
+        seen = forward(model.clone(), x[order], "batch", record=True).layer_stats
+        pretrain(model, x, y, epochs=1, lr=1e-2, seed=15, batch_size=40)
+        for layer, (mean, var), stats in zip(model.norm_layers, init, seen):
+            assert layer.running_mean.tobytes() == (0.9 * mean + 0.1 * stats.mean).tobytes()
+            assert layer.running_var.tobytes() == (0.9 * var + 0.1 * stats.var).tobytes()
 
     def test_running_stats_tracked(self):
         x, y = self.make_source(seed=13)
@@ -402,55 +453,6 @@ class TestPretrain:
         for layer in model.norm_layers:
             assert not np.array_equal(layer.running_mean, np.zeros(8))
             assert not np.array_equal(layer.running_var, np.ones(8))
-
-
-class TestEvaluateAccuracy:
-    def make(self, n=30):
-        x, y = TestPretrain().make_source(seed=16, n=n)
-        return default_model(channels=8, num_classes=3, blocks=2, seed=17), x, y
-
-    @pytest.mark.parametrize("case", BAD_CASES)
-    def test_rejected_data_changes_nothing(self, case):
-        model, x, y = self.make()
-        before = checkpoint_digest(model)
-        with pytest.raises(ValueError, match="^evaluation: "):
-            evaluate_accuracy(model, *bad_batches(x, y, 3)[case])
-        assert checkpoint_digest(model) == before
-
-    @pytest.mark.parametrize("offset,got", [(0.9, "got float64 labels"), (5, "got labels from 5 to 7")])
-    def test_label_error_names_the_rule_not_the_labels(self, offset, got):
-        model, x, y = self.make(n=600)
-        with pytest.raises(ValueError) as err:
-            evaluate_accuracy(model, x, y + offset)
-        assert str(err.value) == f"evaluation: labels must be integers in [0, 3), {got}"
-
-    @pytest.mark.parametrize("kind", [str, bytes, object, complex])
-    def test_non_numeric_samples_are_refused_naming_the_dtype(self, kind):
-        model, x, y = self.make()
-        bad = x.astype(kind)
-        with pytest.raises(ValueError) as err:
-            evaluate_accuracy(model, bad, y)
-        rule = "samples must be real numbers (bool, integer or float)"
-        assert str(err.value) == f"evaluation: {rule}, got {bad.dtype} samples"
-
-    def test_ragged_samples_are_refused_by_name(self):
-        model, x, y = self.make()
-        with pytest.raises(ValueError) as err:
-            evaluate_accuracy(model, [*x[:-1], x[-1, :, :-1]], y)
-        assert str(err.value) == "evaluation: rejected ragged samples; want one array of real numbers"
-
-    def test_real_samples_are_taken_as_float64_and_float64_is_not_copied(self):
-        model, x, y = self.make()
-        assert model_module.checked_batch(x, y, model, "evaluation")[0] is x
-        for kind in (bool, np.int32, np.uint8, np.float32):
-            xv = model_module.checked_batch(x.astype(kind), y, model, "evaluation")[0]
-            assert xv.dtype == np.float64 and np.array_equal(xv, x.astype(kind).astype(np.float64))
-
-    @pytest.mark.parametrize("batch_size", [0, -5, 2.5, True])
-    def test_bad_batch_size_rejected(self, batch_size):
-        model, x, y = self.make()
-        with pytest.raises(ValueError, match=f"^evaluation: batch_size must be an integer >= 1, got {batch_size}$"):
-            evaluate_accuracy(model, x, y, batch_size=batch_size)
 
 
 class TestCheckpoint:

@@ -16,7 +16,6 @@ from stta.normalization import (
     estimable,
     normalize,
     sampling_variances,
-    soft_shrinkage,
 )
 from stta.numerics import channel_mix
 
@@ -27,6 +26,13 @@ def populated_state(var, extent=8, count=16, alpha=4.0, mean=None):
     var = np.asarray(var, dtype=np.float64)
     mean = np.zeros_like(var) if mean is None else np.asarray(mean, dtype=np.float64)
     return MemoryNormState(alpha, ChannelStats(mean, var), extent, count)
+
+
+def shrunk(x: float, lam: float) -> float:
+    """sign(x) * max(|x| - lam, 0), the dead-zone operator, through `corrected_stats`: a memory mean of 0 and a
+    mean zone of exactly `lam` (variance 2 over extent 1 x count 2 has standard error 1, so the zone is alpha)."""
+    state = MemoryNormState(lam, ChannelStats(np.zeros(1), np.full(1, 2.0)), 1, 2)
+    return corrected_stats(state, ChannelStats(np.array([x]), np.full(1, 2.0))).mean.item()
 
 
 class TestSamplingVariances:
@@ -85,24 +91,29 @@ class TestSamplingVariances:
 
 
 class TestSoftShrinkage:
+    """The dead-zone operator, measured as `corrected_stats` applies it to a mean (see `shrunk`)."""
+
     def test_inside_dead_zone(self):
-        assert soft_shrinkage(0.5, 1.0) == 0.0
+        assert shrunk(0.5, 1.0) == 0.0
 
     def test_direct(self):
-        assert soft_shrinkage(3.0, 1.0) == 2.0
+        assert shrunk(3.0, 1.0) == 2.0
 
     def test_odd_symmetry(self):
-        assert soft_shrinkage(-3.0, 1.0) == -2.0
+        assert shrunk(-3.0, 1.0) == -2.0
 
     def test_elementwise_with_per_element_threshold(self):
-        out = soft_shrinkage(np.array([3.0, -3.0, 0.2]), np.array([1.0, 2.0, 0.5]))
-        assert np.array_equal(out, [2.0, -1.0, 0.0])
+        # Channels of one state share alpha; variances 2 t^2 over n = 2 give each channel its own zone t.
+        t = np.array([1.0, 2.0, 0.5])
+        state = MemoryNormState(1.0, ChannelStats(np.zeros(3), 2.0 * t * t), 1, 2)
+        out = corrected_stats(state, ChannelStats(np.array([3.0, -3.0, 0.2]), 2.0 * t * t))
+        assert np.array_equal(out.mean, [2.0, -1.0, 0.0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-1e6, 1e6), st.floats(0, 1e6))
     def test_properties(self, x, lam):
-        out = soft_shrinkage(x, lam)
-        assert out == -soft_shrinkage(-x, lam)            # odd
+        out = shrunk(x, lam)
+        assert out == -shrunk(-x, lam)                    # odd
         assert abs(out) <= abs(x) or x == 0.0             # shrinks
         assert out == pytest.approx(soft_shrinkage_mp(x, lam), abs=1e-9)
 
@@ -237,7 +248,7 @@ def sign_form_corrected(state, live):
 
 
 class TestClampForm:
-    """`soft_shrinkage` is x - clip(x, -t, t); `corrected_stats` equals the sign form byte for byte.
+    """The dead zone is x - clip(x, -t, t); `corrected_stats` equals the sign form byte for byte.
 
     Outside the dead zone both forms compute the same difference. Inside it the clamp gives x - x = +0.0
     where the sign form gives sign(x) * 0.0, so the two zeros can differ in sign. Added to a memory
@@ -277,8 +288,7 @@ class TestClampForm:
 
     def test_soft_shrinkage_gives_plus_zero_in_the_dead_zone(self):
         x = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, TINY, -TINY])
-        assert soft_shrinkage(x, np.ones_like(x)).tobytes() == np.zeros_like(x).tobytes()
-        assert np.signbit(soft_shrinkage(np.array([-0.0]), np.array([0.0]))).all()  # x - x for x = -0.0 at t = 0
+        assert np.array([shrunk(v, 1.0) for v in x]).tobytes() == np.zeros_like(x).tobytes()
 
 
 class TestNormalize:
