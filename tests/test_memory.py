@@ -670,6 +670,21 @@ class TestStateDict:
         loaded.load_state_dict(section, num_classes=1, next_arrival=3)
         assert loaded.state_dict() == section and loaded.next_arrival == 3 and loaded.batch() is None
 
+    @pytest.mark.parametrize("entropy", [None, math.nan, -math.inf, "0.1", True],
+                             ids=["null", "nan", "inf", "string", "bool"])
+    @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
+    def test_entropy_must_be_finite_in_every_mode(self, mode, entropy):
+        mem = SampleMemory(5, 1, 0.3, 0.1, 0.9, mode, np.random.default_rng(5))
+        offer_batch(mem, np.random.default_rng(2), 3, 0.9)
+        section = json.loads(json.dumps(mem.state_dict()))
+        sample = section["samples"][1]
+        sample["entropy"] = entropy
+        loaded = SampleMemory(5, 1, 0.3, 0.1, 0.9, mode, np.random.default_rng(5))
+        with pytest.raises(ValueError) as err:
+            loaded.load_state_dict(section, num_classes=1, next_arrival=mem.next_arrival)
+        want = f"checkpoint memory: sample {sample['arrival_index']}: entropy must be a finite number, got {entropy!r}"
+        assert str(err.value) == want
+
     def test_infinite_distance(self):
         mem = make_memory(capacity=2, tau_conf=0.0)
         offer(mem, 0, wdist=math.inf)

@@ -383,6 +383,7 @@ class TestPretrain:
     @pytest.mark.parametrize("setting,value,rule", [
         ("epochs", -1, "an integer >= 0"), ("epochs", 2.0, "an integer >= 0"), ("epochs", True, "an integer >= 0"),
         ("batch_size", 0, "an integer >= 1"), ("batch_size", -1, "an integer >= 1"),
+        ("batch_size", 2.5, "an integer >= 1"), ("batch_size", True, "an integer >= 1"),
         ("lr", float("nan"), "a number > 0 and finite"), ("lr", math.inf, "a number > 0 and finite"),
         ("lr", 0.0, "a number > 0 and finite"), ("lr", -1e-2, "a number > 0 and finite"),
     ])
