@@ -84,15 +84,14 @@ class AdaptationSchedule:
 
 
 # The real-valued engine settings, each an `EngineConfig` field of the same name, with its `checked_number` rule.
-REAL_SETTINGS = {"tau_conf": UNIT_INTERVAL, "tau_delta": FINITE_NONNEGATIVE, "alpha": FINITE_NONNEGATIVE,
-                 "beta_centroid": HALF_OPEN_UNIT, "ema_momentum": HALF_OPEN_UNIT, "lr": FINITE_NONNEGATIVE}
+REAL_SETTINGS = {"tau_conf": UNIT_INTERVAL, "alpha": FINITE_NONNEGATIVE, "beta_centroid": HALF_OPEN_UNIT,
+                 "ema_momentum": HALF_OPEN_UNIT, "lr": FINITE_NONNEGATIVE}
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     ar: Fraction | float | str = "0.1"  # read into the exact Fraction on construction
     tau_conf: float = 0.5
-    tau_delta: float = 0.1
     alpha: float = 4.0
     beta_centroid: float = 0.9
     ema_momentum: float = 0.9
@@ -109,10 +108,10 @@ class EngineConfig:
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {self.selection_mode!r} (have {', '.join(SELECTION_MODES)})")
         if self.capacity is not None:
-            checked_int(self.capacity, "capacity", 1)
-        checked_int(self.seed, "seed")
+            object.__setattr__(self, "capacity", checked_int(self.capacity, "capacity", 1))
+        object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
         for name, rule in REAL_SETTINGS.items():
-            checked_number(getattr(self, name), name, rule)
+            object.__setattr__(self, name, checked_number(getattr(self, name), name, rule))
 
 
 @dataclass
@@ -229,7 +228,7 @@ class Engine:
             c = self.config
             self.memory = SampleMemory(
                 capacity=c.capacity if c.capacity is not None else default_capacity,
-                channels=self.model.norm_layers[0].channels, tau_conf=c.tau_conf, tau_delta=c.tau_delta,
+                channels=self.model.norm_layers[0].channels, tau_conf=c.tau_conf,
                 beta=c.beta_centroid, selection_mode=c.selection_mode, rng=self._rng)
         return self.memory
 

@@ -82,12 +82,13 @@ class SampleMemory:
     Single-writer: one engine instance owns the memory for its stream.
     """
 
+    tau_delta = 0.1  # the centroid shift beyond which `maybe_rescore` recomputes distances; a constant
+
     def __init__(
         self,
         capacity: int,
         channels: int,
         tau_conf: float = 0.5,
-        tau_delta: float = 0.1,
         beta: float = 0.9,
         selection_mode: str = "cndrm",
         rng: np.random.Generator | None = None,
@@ -95,16 +96,11 @@ class SampleMemory:
         # EngineConfig's rules and messages, before any state is built.
         if selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {selection_mode!r} (have {', '.join(SELECTION_MODES)})")
-        checked_int(capacity, "capacity", 1)
-        checked_int(channels, "channels", 1)
-        checked_number(tau_conf, "tau_conf", UNIT_INTERVAL)
-        checked_number(tau_delta, "tau_delta", FINITE_NONNEGATIVE)
-        checked_number(beta, "beta", HALF_OPEN_UNIT)
-        self.capacity = int(capacity)
-        self.tau_conf = float(tau_conf)
-        self.tau_delta = float(tau_delta)
+        self.capacity = checked_int(capacity, "capacity", 1)
+        channels = checked_int(channels, "channels", 1)
+        self.tau_conf = float(checked_number(tau_conf, "tau_conf", UNIT_INTERVAL))
+        self.beta = float(checked_number(beta, "beta", HALF_OPEN_UNIT))
         self.selection_mode = selection_mode
-        self.beta = float(beta)
         cap = self.capacity
         self.inputs: np.ndarray | None = None  # [cap, *input shape], sized by the first insert
         # The row shapes `insert` checks each candidate against: inputs.shape[1:] once sized, mu.shape[1:].
@@ -169,7 +165,7 @@ class SampleMemory:
         return shift
 
     def maybe_rescore(self, shift: float) -> int:
-        """Recompute stored distances when the centroid moved significantly.
+        """Recompute stored distances when the centroid moved by more than `tau_delta`.
 
         Returns the number of rescored samples (0 when the shift stayed
         within the threshold).

@@ -57,9 +57,11 @@ class MemoryNormState:
     sample_count: int = 0
 
     def __post_init__(self) -> None:
-        checked_number(self.alpha, "alpha", FINITE_NONNEGATIVE)
+        object.__setattr__(self, "alpha", checked_number(self.alpha, "alpha", FINITE_NONNEGATIVE))
         if self.memory_stats is not None:
             extent, count = (checked_int(getattr(self, key), key, 1) for key in ("spatial_extent", "sample_count"))
+            object.__setattr__(self, "spatial_extent", extent)
+            object.__setattr__(self, "sample_count", count)
             if not estimable(extent, count):
                 raise ValueError(f"spatial_extent x sample_count must be >= 2, got {extent} x {count}")
 
@@ -157,7 +159,7 @@ class EmaNormState:
     stats: ChannelStats | None = None
 
     def __post_init__(self) -> None:
-        checked_number(self.momentum, "momentum", HALF_OPEN_UNIT)
+        self.momentum = checked_number(self.momentum, "momentum", HALF_OPEN_UNIT)
 
     def update(self, live: ChannelStats) -> ChannelStats:
         if self.stats is None:

@@ -58,12 +58,14 @@ FINITE_POSITIVE = (lambda v: 0.0 < v <= _MAX, "> 0 and finite")
 FINITE = (lambda v: -_MAX <= v <= _MAX, "that is finite")
 
 
-def checked_number(value, where: str, rule: tuple):
-    """`value` if it is a real number that passes `rule`; ValueError `<where> must be a number <rule>, got ...`."""
+def checked_number(value, where: str, rule: tuple) -> int | float:
+    """`value` as a Python int or float if it is a real number (a numpy scalar read as the one it holds) that passes
+    `rule`; ValueError `<where> must be a number <rule>, got ...`. Every rule bounds it, so a float can hold it."""
     ok, text = rule
-    if not (is_real(value) and ok(value)):
+    number = value.item() if isinstance(value, np.generic) else value
+    if not (is_real(number) and ok(number)):
         raise ValueError(f"{where} must be a number {text}, got {value!r}")
-    return value
+    return int(number) if isinstance(number, numbers.Integral) else float(number)
 
 
 def checked_bool(value, where: str) -> bool:

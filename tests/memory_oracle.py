@@ -20,10 +20,11 @@ def distance(mu_a, sigma_a, mu_b, sigma_b):
 class OracleMemory:
     """Confidence filter + class balance + farthest-from-centroid eviction."""
 
-    def __init__(self, capacity, tau_conf, tau_delta, beta):
+    tau_delta = 0.1  # the centroid shift beyond which stored distances are recomputed
+
+    def __init__(self, capacity, tau_conf, beta):
         self.capacity = capacity
         self.tau_conf = tau_conf
-        self.tau_delta = tau_delta
         self.beta = beta
         self.entries = []  # dicts: arrival, label, conf, mu, sigma, wdist
         self.mu = None

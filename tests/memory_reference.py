@@ -133,12 +133,13 @@ class SampleMemory:
     Single-writer: one engine instance owns the memory for its stream.
     """
 
+    tau_delta = 0.1  # the centroid shift beyond which stored distances are recomputed
+
     def __init__(
         self,
         capacity: int,
         channels: int,
         tau_conf: float = 0.5,
-        tau_delta: float = 0.1,
         beta: float = 0.9,
         selection_mode: str = "cndrm",
         rng: np.random.Generator | None = None,
@@ -147,11 +148,8 @@ class SampleMemory:
             raise ValueError("capacity must be >= 1")
         if selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {selection_mode!r}")
-        if tau_delta < 0.0:
-            raise ValueError("tau_delta must be non-negative")
         self.capacity = int(capacity)
         self.tau_conf = float(tau_conf)
-        self.tau_delta = float(tau_delta)
         self.selection_mode = selection_mode
         self.samples: list[MemorySample] = []
         self.centroid = DomainCentroid.empty(channels, beta)
@@ -178,7 +176,7 @@ class SampleMemory:
         return shift
 
     def maybe_rescore(self, shift: float) -> int:
-        """Recompute stored distances when the centroid moved significantly.
+        """Recompute stored distances when the centroid moved by more than `tau_delta`.
 
         Returns the number of rescored samples (0 when the shift stayed
         within the threshold).

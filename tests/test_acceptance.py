@@ -209,9 +209,8 @@ def test_criterion_3_memory_oracle_equivalence():
         capacity, classes, channels, batch = 16, 3, 16, 16
         for seed in (0, 1, 2):
             rng = np.random.default_rng(400 + seed)
-            memory = SampleMemory(capacity, channels, tau_conf=0.5, tau_delta=0.1,
-                                  beta=0.9, selection_mode="cndrm")
-            oracle = OracleMemory(capacity, 0.5, 0.1, 0.9)
+            memory = SampleMemory(capacity, channels, tau_conf=0.5, beta=0.9, selection_mode="cndrm")
+            oracle = OracleMemory(capacity, 0.5, 0.9)
             tiny = np.zeros((1, 1))
             for step in range(1000):
                 mu = rng.normal(size=channels)
@@ -309,7 +308,7 @@ def test_criterion_5_memory_norm_limits():
 
 # Calibration run of 2026-08-10, seeds 0..4, default 3-class stream,
 # corruption scale_strong (scale 3.0 offset 1.0), 150 batches of 16,
-# engine defaults (tau_conf 0.5, tau_delta 0.1, alpha 4, beta 0.9, lr 1e-3),
+# engine defaults (tau_conf 0.5, alpha 4, beta 0.9, lr 1e-3) and CnDRM's fixed rescoring threshold 0.1,
 # source models pretrained 600 samples / 60 epochs / lr 5e-2:
 #   source-only  0.7454
 #   naive @0.1   0.9864

@@ -225,7 +225,6 @@ class TestRun:
     @pytest.mark.parametrize("engine_cfg,named", [
         ({"capacity": 0}, "capacity"),
         ({"capacity": 2.5}, "capacity"),
-        ({"tau_delta": -1}, "tau_delta"),
         ({"alpha": -0.5}, "alpha"),
         ({"ema_momentum": 0.0}, "ema_momentum"),
         ({"ema_momentum": 1.5}, "ema_momentum"),
@@ -233,7 +232,7 @@ class TestRun:
         ({"lr": float("nan")}, "lr"),
         ({"lr": -0.01}, "lr"),
         ({"tau_conf": 1.5}, "tau_conf"),
-    ], ids=["zero-capacity", "fractional-capacity", "negative-tau-delta", "negative-alpha",
+    ], ids=["zero-capacity", "fractional-capacity", "negative-alpha",
             "zero-momentum", "momentum-above-one", "text-beta", "nan-lr", "negative-lr",
             "tau-conf-above-one"])
     def test_bad_engine_key_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
@@ -298,6 +297,7 @@ class TestRun:
          "stream.segments[0].corruption.scale must be a number that is finite, got 'a'"),
         ({"stream": {"segments": [{"batches": 2, "corruption": {"blur": 1}}]}}, [],
          "unknown config key: stream.segments[0].corruption.blur"),
+        ({"engine": {"tau_delta": 0.1}}, [], "unknown config key: engine.tau_delta"),
         ({"stream": {"segments": [{"batches": 2, "domain": {"channels": 8}},
                                   {"batches": 2, "domain": {"channels": 8, "length": 4}}]}}, [],
          "stream.segments[1].domain has 3 classes of 8 x 4 samples, segments[0].domain 3 classes of 8 x 8"),
@@ -313,7 +313,8 @@ class TestRun:
             "text-rate", "text-modes", "scalar-grid", "bool-rate", "number-out-dir", "scalar-segments",
             "scalar-segment", "no-segments", "scalar-domain", "unknown-segment-key", "no-batches",
             "text-channels", "fractional-length", "zero-length", "text-separation", "one-class",
-            "text-permute", "bool-noise", "text-scale", "unknown-corruption-key", "length-changes",
+            "text-permute", "bool-noise", "text-scale", "unknown-corruption-key", "rescore-threshold-key",
+            "length-changes",
             "channels-change", "classes-change"])
     def test_bad_run_setting_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                        overrides, flags, named):
@@ -321,7 +322,7 @@ class TestRun:
         monkeypatch.setattr(cli, "prepare_model", lambda *a: prepared.append(a))
         cfg = tiny_config()
         for section, values in overrides.items():
-            cfg[section] = {**cfg[section], **values} if isinstance(values, dict) else values
+            cfg[section] = {**cfg.get(section, {}), **values} if isinstance(values, dict) else values
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "o"
         assert main(["run", "--config", cfg_path, "--out", str(out), *flags]) == 1
@@ -331,13 +332,13 @@ class TestRun:
 
     @pytest.mark.parametrize("section,key,value,named", [
         ("engine", "lr", "fast", "engine: lr must be a number, got 'fast'"),
-        ("engine", "tau_delta", "1e-3x", "engine: tau_delta must be a number, got '1e-3x'"),
+        ("engine", "tau_conf", "5e-1x", "engine: tau_conf must be a number, got '5e-1x'"),
         ("engine", "alpha", True, "engine: alpha must be a number, got True"),
         ("engine", "ema_momentum", False, "engine: ema_momentum must be a number, got False"),
         ("pretrain", "lr", True, "pretrain.lr must be a number, got True"),
         ("thresholds", "snap@0.5", True, "threshold 'snap@0.5': minimum must be a number, got True"),
         ("thresholds", "snap@0.5", "1e-1x", "threshold 'snap@0.5': minimum must be a number, got '1e-1x'"),
-    ], ids=["text-engine-lr", "text-tau-delta", "bool-alpha", "bool-momentum", "bool-pretrain-lr",
+    ], ids=["text-engine-lr", "text-tau-conf", "bool-alpha", "bool-momentum", "bool-pretrain-lr",
             "bool-threshold", "text-threshold"])
     def test_non_numeric_real_setting_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                                 section, key, value, named):

@@ -90,14 +90,13 @@ class TestEngineBasics:
     @pytest.mark.parametrize("field,value,named", [
         ("capacity", 0, "capacity"), ("capacity", -3, "capacity"), ("capacity", 1.5, "capacity"),
         ("capacity", True, "capacity"), ("selection_mode", "nope", "selection mode"),
-        ("tau_delta", -1, "tau_delta"), ("tau_delta", float("nan"), "tau_delta"),
         ("alpha", -1.0, "alpha"), ("ema_momentum", 0.0, "ema_momentum"),
         ("ema_momentum", 1.01, "ema_momentum"), ("beta_centroid", 0.0, "beta_centroid"),
         ("inference_stats_mode", "nope", "inference stats mode"),
         ("lr", float("nan"), "lr"), ("lr", float("inf"), "lr"), ("lr", -1e-3, "lr"), ("lr", "0.1", "lr"),
         ("tau_conf", -0.1, "tau_conf"), ("tau_conf", 1.5, "tau_conf"), ("tau_conf", float("nan"), "tau_conf"),
         ("lr", True, "lr"), ("tau_conf", True, "tau_conf"), ("alpha", False, "alpha"),
-        ("tau_delta", True, "tau_delta"), ("beta_centroid", True, "beta_centroid"),
+        ("beta_centroid", True, "beta_centroid"),
         ("ema_momentum", True, "ema_momentum"), ("ar", True, "adaptation rate True"),
         ("ar", False, "adaptation rate False"),
     ])
@@ -113,7 +112,7 @@ class TestEngineBasics:
         assert _config_dict(EngineConfig(ar="1/3"))["ar"] == "1/3"
 
     def test_config_accepts_edge_settings(self):
-        EngineConfig(capacity=1, tau_delta=0.0, alpha=0.0, ema_momentum=1.0, beta_centroid=1.0,
+        EngineConfig(capacity=1, alpha=0.0, ema_momentum=1.0, beta_centroid=1.0,
                      lr=0.0, tau_conf=0.0)
         EngineConfig(tau_conf=1.0)
         EngineConfig(capacity=None, selection_mode="naive")
@@ -369,20 +368,24 @@ def sha256_json(payload):
 
 
 class TestPinnedTrajectories:
-    """Digests of whole runs, computed before the engine's internals moved to plain arrays."""
+    """Digests of whole runs, computed before the engine's internals moved to plain arrays.
+
+    The state digests are of those same states with `config.tau_delta` deleted, the key the config lost
+    when CnDRM's rescoring threshold became a constant.
+    """
 
     CASES = {
         "snap": (
             lambda: continual_stream(("scale_strong", "noise"), batches_per_segment=20, batch_size=16, seed=22),
             lambda: EngineConfig(ar="0.1", seed=23),
-            "07295b71ae655cf7e637a8cd5f4c2a9c8064c3d0408621e6b78524b730149c59",
+            "d38ec43c9a40b4e7d0a6cfcf93486bda5aa845f98098f88ab27b11fdab05c533",
             "cbb25d238666ce68894c5ed25fe261261dda43104f6f81f11b09360722f3d364",
         ),
         "tent-equivalent": (
             lambda: single_domain_stream(corruption="noise", batches=8, batch_size=16, seed=24),
             lambda: EngineConfig(ar=1, tau_conf=0.0, selection_mode="naive", inference_stats_mode="batch",
                                  capacity=16, seed=25),
-            "4b4665a313636b02909cbc17ce814a031c902c456867089c94eb75060d382f1c",
+            "0a2b7e6f94f087a44f7adf549241a56c04084aa46f88e6810db8cd7f353addf3",
             "60f95fd05e1d99791e9801beea05882c6b5bdd80fb5a87fd668c781cfa7cc9d7",
         ),
     }
@@ -485,7 +488,7 @@ class TestResume:
             assert not (np.array_equal(got.mean, at_four.mean) and np.array_equal(got.var, at_four.var))
 
     def test_checkpoint_keeps_every_config_field(self, base_model, tmp_path):
-        config = EngineConfig(ar="1/3", tau_conf=0.25, tau_delta=0.2, alpha=2.0, beta_centroid=0.5,
+        config = EngineConfig(ar="1/3", tau_conf=0.25, alpha=2.0, beta_centroid=0.5,
                               ema_momentum=0.7, lr=0.01, capacity=5, selection_mode="crm",
                               inference_stats_mode="ema", seed=9)
         names = [f.name for f in fields(EngineConfig)]
@@ -550,6 +553,8 @@ class TestResume:
         (lambda p: p["memory"]["samples"][0].pop("arrival_index"),
          r"checkpoint memory: samples\[0\]\.arrival_index is missing"),
         (lambda p: p["config"].update(bogus=1), r"engine checkpoint: config\.bogus is not an engine setting"),
+        (lambda p: p["config"].update(tau_delta=0.1),
+         r"engine checkpoint: config\.tau_delta is not an engine setting$"),
         (lambda p: p["config"].update(seed="x"), r"engine checkpoint: config: seed must be an integer >= 0"),
         (lambda p: p["config"].update(ar="1/0"), r"engine checkpoint: config: adaptation rate '1/0'"),
         (lambda p: p["schedule"].update(credit=[1, 0]),
@@ -592,7 +597,8 @@ class TestResume:
          r"checkpoint memory: samples\[1\]\.arrival_index \d+ does not follow samples\[0\]'s \d+; "
          r"samples go in arrival order$"),
     ], ids=[
-        "sample-mu-missing", "arrival-index-missing", "config-unknown-key", "config-seed-string",
+        "sample-mu-missing", "arrival-index-missing", "config-unknown-key", "config-rescore-threshold",
+        "config-seed-string",
         "config-ar-zero-denominator", "credit-zero-denominator", "credit-above-one",
         "credit-not-a-pair", "adapt-count-negative", "rng-empty", "rng-other-generator",
         "batch-index-string", "arrival-float", "memory-missing", "capacity-zero",

@@ -39,8 +39,8 @@ def centroid(mem):
     return mem.centroid_mu, mem.centroid_sigma
 
 
-def make_memory(capacity=4, mode="cndrm", tau_conf=0.5, tau_delta=0.1, beta=0.9, channels=1, seed=0):
-    return SampleMemory(capacity, channels, tau_conf, tau_delta, beta, mode,
+def make_memory(capacity=4, mode="cndrm", tau_conf=0.5, beta=0.9, channels=1, seed=0):
+    return SampleMemory(capacity, channels, tau_conf, beta, mode,
                         np.random.default_rng(seed))
 
 
@@ -128,7 +128,7 @@ class TestMaybeRescore:
         assert stored(mem, "wdist") == [1.0] * 3
 
     def test_shift_over_threshold_rescores_all(self):
-        mem = make_memory(capacity=10, tau_delta=0.1)
+        mem = make_memory(capacity=10)
         mem.update_centroid(ChannelStats(np.array([0.0]), np.array([1.0])))
         for i in range(7):
             offer(mem, i, mu=[float(i)], sigma=[1.0], wdist=-1.0)
@@ -136,20 +136,26 @@ class TestMaybeRescore:
         for slot in mem.order():
             assert mem.wdist[slot] == wasserstein(*slot_stats(mem, slot), *centroid(mem))
 
-    @pytest.mark.parametrize("tau_delta,rescored", [(0.5, 0), (np.nextafter(0.5, 0), 3)], ids=["at", "below"])
-    def test_threshold_is_strict(self, tau_delta, rescored):
-        # beta 1: the centroid moves from (mu 0, sigma 1) to (0.5, 1), a shift of exactly 0.5.
-        mem = make_memory(tau_delta=tau_delta, beta=1.0)
+    @pytest.mark.parametrize("mean,rescored", [(0.1, 0), (np.nextafter(0.1, 1), 3)], ids=["at", "above"])
+    def test_threshold_is_strict(self, mean, rescored):
+        # beta 1: the centroid moves from (mu 0, sigma 1) to (mean, 1), a shift of exactly `mean`.
+        mem = make_memory(beta=1.0)
         mem.update_centroid(ChannelStats(np.array([0.0]), np.array([1.0])))
         for i in range(3):
             offer(mem, i, wdist=1.0)
-        shift = mem.update_centroid(ChannelStats(np.array([0.5]), np.array([1.0])))
-        assert shift == 0.5
+        shift = mem.update_centroid(ChannelStats(np.array([mean]), np.array([1.0])))
+        assert shift == mean and mem.tau_delta == 0.1
         assert mem.maybe_rescore(shift) == rescored
+
+    @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
+    def test_threshold_is_a_constant(self, mode):
+        assert make_memory(mode=mode).tau_delta == SampleMemory.tau_delta == 0.1
+        with pytest.raises(TypeError, match="tau_delta"):
+            SampleMemory(4, 1, tau_delta=0.1)
 
     def test_rescored_values_match_always_rescore_oracle(self):
         rng = np.random.default_rng(2)
-        mem = make_memory(capacity=8, tau_delta=0.1, tau_conf=0.0, channels=3)
+        mem = make_memory(capacity=8, tau_conf=0.0, channels=3)
         arrival = 0
         fired_checks = 0
         for _ in range(120):
@@ -304,9 +310,8 @@ class TestInvariantsRandomRun:
 class TestOracleReplay:
     def drive(self, seed, steps=300, capacity=8, classes=3, channels=4, batch=5):
         rng = np.random.default_rng(seed)
-        mem = make_memory(capacity=capacity, mode="cndrm", tau_conf=0.5,
-                          tau_delta=0.1, beta=0.9, channels=channels)
-        oracle = OracleMemory(capacity, 0.5, 0.1, 0.9)
+        mem = make_memory(capacity=capacity, mode="cndrm", tau_conf=0.5, beta=0.9, channels=channels)
+        oracle = OracleMemory(capacity, 0.5, 0.9)
         arrival = 0
         for step in range(steps):
             mu = rng.normal(size=channels)
@@ -457,21 +462,19 @@ class TestSettings:
         ("tau_conf", math.nan, "tau_conf must be a number in [0, 1], got nan"),
         ("tau_conf", 1.5, "tau_conf must be a number in [0, 1], got 1.5"),
         ("tau_conf", True, "tau_conf must be a number in [0, 1], got True"),
-        ("tau_delta", math.nan, "tau_delta must be a number >= 0 and finite, got nan"),
-        ("tau_delta", -0.1, "tau_delta must be a number >= 0 and finite, got -0.1"),
         ("beta", 5.0, "beta must be a number in (0, 1], got 5.0"),
         ("beta", 0.0, "beta must be a number in (0, 1], got 0.0"),
         ("beta", "0.5", "beta must be a number in (0, 1], got '0.5'"),
         ("selection_mode", "nope", "unknown selection mode 'nope' (have naive, random, low_entropy, crm, cndrm)"),
     ])
     def test_rejects_bad_setting(self, setting, value, named):
-        settings = dict(capacity=4, channels=1, tau_conf=0.5, tau_delta=0.1, beta=0.9, selection_mode="cndrm")
+        settings = dict(capacity=4, channels=1, tau_conf=0.5, beta=0.9, selection_mode="cndrm")
         with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
             SampleMemory(**dict(settings, **{setting: value}))
 
     def test_accepts_edge_settings(self):
-        mem = SampleMemory(1, 1, tau_conf=0.0, tau_delta=0.0, beta=1.0, selection_mode="naive")
-        assert (mem.capacity, mem.tau_conf, mem.tau_delta, mem.beta) == (1, 0.0, 0.0, 1.0)
+        mem = SampleMemory(1, 1, tau_conf=0.0, beta=1.0, selection_mode="naive")
+        assert (mem.capacity, mem.tau_conf, mem.beta) == (1, 0.0, 1.0)
         SampleMemory(np.int64(3), np.int64(2), tau_conf=1.0, beta=1e-9)
 
 
@@ -505,7 +508,7 @@ def replay_against_reference(mode, capacity, seed, steps=600, classes=5, channel
     and distance), and five labels outnumber the small capacities.
     """
     rng = np.random.default_rng(seed)
-    args = (capacity, channels, 0.5, 0.3, 0.9, mode)
+    args = (capacity, channels, 0.5, 0.9, mode)
     mem = SampleMemory(*args, np.random.default_rng(seed))
     ref = reference.SampleMemory(*args, np.random.default_rng(seed))
     seen = []
@@ -560,7 +563,7 @@ def replay_batches_against_reference(mode, capacity, batch_size, seed, candidate
     set of rescore decisions taken (shift over `tau_delta` or not).
     """
     rng = np.random.default_rng(seed)
-    args = (capacity, channels, 0.5, 0.3, 0.9, mode)
+    args = (capacity, channels, 0.5, 0.9, mode)
     mem = SampleMemory(*args, np.random.default_rng(seed))
     ref = reference.SampleMemory(*args, np.random.default_rng(seed))
     seen, fired = [], set()
@@ -577,7 +580,7 @@ def replay_batches_against_reference(mode, capacity, batch_size, seed, candidate
         labels = rng.integers(0, classes, size=batch_size).tolist()
         confidences = rng.uniform(0, 1, size=batch_size).tolist()
         entropies = rng.choice([0.1, 0.5, 0.9], size=batch_size).tolist()
-        batch_stats = ChannelStats(1.0 + 0.1 * rng.normal(size=channels), rng.uniform(0.9, 1.1, size=channels))
+        batch_stats = ChannelStats(1.0 + 0.03 * rng.normal(size=channels), rng.uniform(0.97, 1.03, size=channels))
         arrival = b * batch_size
         want = []
         for i in range(batch_size):
@@ -587,7 +590,7 @@ def replay_batches_against_reference(mode, capacity, batch_size, seed, candidate
             if outcome.kind != "rejected_low_conf":
                 want.append(i)
         shift = ref.update_centroid(batch_stats)
-        fired.add(shift > 0.3)
+        fired.add(shift > ref.tau_delta)
         want_rescored = ref.maybe_rescore(shift)
         where = f"{mode} capacity {capacity} batch size {batch_size}, batch {b}"
         assert mem.offer(x, labels, confidences, mu, sigma, entropies, batch_stats) == (want, want_rescored), where
@@ -644,7 +647,7 @@ class TestStateDict:
     @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
     def test_round_trip(self, mode):
         rng, mem_rng = np.random.default_rng(2), np.random.default_rng(5)
-        mem = SampleMemory(5, 1, 0.3, 0.1, 0.9, mode, mem_rng)
+        mem = SampleMemory(5, 1, 0.3, 0.9, mode, mem_rng)
         for _ in range(4):
             offer_batch(mem, rng, 3, float(rng.uniform(0.2, 1.0)))
         section = json.loads(json.dumps(mem.state_dict()))
@@ -652,7 +655,7 @@ class TestStateDict:
         assert all(list(entry) == list(SAMPLE_FIELDS) for entry in section["samples"])
         loaded_rng = np.random.default_rng()  # the engine checkpoint carries the generator next to the section
         loaded_rng.bit_generator.state = mem_rng.bit_generator.state
-        loaded = SampleMemory(5, 1, 0.3, 0.1, 0.9, mode, loaded_rng)
+        loaded = SampleMemory(5, 1, 0.3, 0.9, mode, loaded_rng)
         loaded.load_state_dict(section, num_classes=1, next_arrival=mem.next_arrival)
         assert loaded.state_dict() == mem.state_dict()
         assert (loaded.dump(), loaded.next_arrival) == (mem.dump(), mem.next_arrival)
@@ -674,12 +677,12 @@ class TestStateDict:
                              ids=["null", "nan", "inf", "string", "bool"])
     @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
     def test_entropy_must_be_finite_in_every_mode(self, mode, entropy):
-        mem = SampleMemory(5, 1, 0.3, 0.1, 0.9, mode, np.random.default_rng(5))
+        mem = SampleMemory(5, 1, 0.3, 0.9, mode, np.random.default_rng(5))
         offer_batch(mem, np.random.default_rng(2), 3, 0.9)
         section = json.loads(json.dumps(mem.state_dict()))
         sample = section["samples"][1]
         sample["entropy"] = entropy
-        loaded = SampleMemory(5, 1, 0.3, 0.1, 0.9, mode, np.random.default_rng(5))
+        loaded = SampleMemory(5, 1, 0.3, 0.9, mode, np.random.default_rng(5))
         with pytest.raises(ValueError) as err:
             loaded.load_state_dict(section, num_classes=1, next_arrival=mem.next_arrival)
         want = f"checkpoint memory: sample {sample['arrival_index']}: entropy must be a finite number, got {entropy!r}"

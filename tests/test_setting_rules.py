@@ -3,13 +3,14 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stta import (ChannelStats, Corruption, EmaNormState, EngineConfig, MemoryNormState, SampleMemory,
-                  corrected_stats, default_model, pretrain)
+from stta import (ChannelStats, Corruption, EmaNormState, Engine, EngineConfig, MemoryNormState, SampleMemory,
+                  corrected_stats, default_model, load_model, pretrain, save_model)
 from stta.model import load_model_dict, model_dict
 
 
@@ -35,8 +36,6 @@ HOLDERS = [
      "model checkpoint: layers[1].ema.momentum", "in (0, 1]", 0.0),
     ("tau_conf", "EngineConfig", lambda v: EngineConfig(tau_conf=v), "tau_conf", "in [0, 1]", 1.5),
     ("tau_conf", "SampleMemory", lambda v: SampleMemory(4, 2, tau_conf=v), "tau_conf", "in [0, 1]", 1.5),
-    ("tau_delta", "EngineConfig", lambda v: EngineConfig(tau_delta=v), "tau_delta", ">= 0 and finite", -0.5),
-    ("tau_delta", "SampleMemory", lambda v: SampleMemory(4, 2, tau_delta=v), "tau_delta", ">= 0 and finite", -0.5),
     ("beta", "EngineConfig", lambda v: EngineConfig(beta_centroid=v), "beta_centroid", "in (0, 1]", 1.5),
     ("beta", "SampleMemory", lambda v: SampleMemory(4, 2, beta=v), "beta", "in (0, 1]", 1.5),
 ]
@@ -82,3 +81,25 @@ def test_a_replaced_alpha_is_checked_by_the_rule(kind, served_first):
 def test_an_integer_beyond_the_largest_float_is_not_finite(make, name, rule):
     with pytest.raises(ValueError, match=message(name, rule, 10**400)):
         make(10**400)
+
+
+def test_numpy_scalar_settings_are_held_as_python_numbers(tmp_path):
+    # A numpy scalar passes its rule as the number it holds, without a warning, and every holder keeps that
+    # Python number, which the engine and model checkpoints write.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = EngineConfig(ar="1/2", capacity=np.int64(4), seed=np.int64(3), lr=np.float32(1e-3))
+        states = (MemoryNormState(np.float32(2.0), ChannelStats(np.zeros(2), np.ones(2)), np.int64(8), np.int64(16)),
+                  EmaNormState(momentum=np.float32(0.5)))
+    assert [type(getattr(config, key)) for key in ("capacity", "seed", "lr")] == [int, int, float]
+    held = (states[0].alpha, states[0].spatial_extent, states[0].sample_count, states[1].momentum)
+    assert [type(value) for value in held] == [float, int, int, float]
+    engine = Engine(default_model(channels=2, num_classes=2, blocks=1), config)
+    for x in np.random.default_rng(0).normal(size=(2, 4, 2, 3)):
+        engine.process_batch(x)
+    engine.save(tmp_path / "engine.json")
+    assert Engine.load(tmp_path / "engine.json").state_dict() == engine.state_dict()
+    model = default_model(channels=2, num_classes=2, blocks=1)
+    model.norm_layers[0].memory_norm, model.norm_layers[0].ema = states
+    save_model(model, tmp_path / "model.json")
+    assert model_dict(load_model(tmp_path / "model.json")) == model_dict(model)
