@@ -39,9 +39,11 @@ HOLDERS = [
     ("beta", "EngineConfig", lambda v: EngineConfig(beta_centroid=v), "beta_centroid", "in (0, 1]", 1.5),
     ("beta", "SampleMemory", lambda v: SampleMemory(4, 2, beta=v), "beta", "in (0, 1]", 1.5),
 ]
-# None: the row's own. No setting takes an infinity, nor an integer beyond the largest float.
+# None: the row's own. No setting takes an infinity, nor an integer beyond the largest float. A numpy scalar is
+# read as the Python number it holds: a numpy boolean is a boolean, and a float32 infinity is not finite.
 BAD_VALUES = {"boolean": True, "numeric-string": "0.5", "nan": math.nan, "out-of-range": None,
-              "beyond-float": 10**400, "infinity": math.inf}
+              "beyond-float": 10**400, "infinity": math.inf, "numpy-boolean": np.True_,
+              "numpy-float32-infinity": np.float32(math.inf)}
 
 
 def message(name, rule, value):
@@ -54,6 +56,16 @@ def message(name, rule, value):
 def test_every_holder_raises_the_rule_message(setting, holder, make, name, rule, out_of_range, kind):
     value = BAD_VALUES[kind] if BAD_VALUES[kind] is not None else out_of_range
     with pytest.raises(ValueError, match=message(name, rule, value)):
+        make(value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int64(1)], ids=["float32", "float64", "int64"])
+@pytest.mark.parametrize("setting,holder,make,name,rule,out_of_range", HOLDERS,
+                         ids=[f"{row[0]}-{row[1]}" for row in HOLDERS])
+def test_every_holder_takes_an_in_range_numpy_scalar_without_a_warning(setting, holder, make, name, rule,
+                                                                        out_of_range, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         make(value)
 
 
