@@ -116,6 +116,7 @@ class SampleMemory:
         self.class_counts: dict[int, int] = {}
         self._farthest: dict[int, tuple[float, int]] = {}  # see _farthest_of
         self._size = 0
+        self._oldest = 0  # naive: the slot of the earliest arrival, since slots fill and are evicted in arrival order
         self.next_arrival = 0
         self.centroid_mu = np.zeros(channels)
         self.centroid_sigma = np.zeros(channels)
@@ -280,7 +281,8 @@ class SampleMemory:
         """
         mode = self.selection_mode
         if mode == "naive":
-            return int(self.arrivals.argmin())
+            slot, self._oldest = self._oldest, (self._oldest + 1) % self.capacity
+            return slot
         if mode == "random":
             rank = int(self._rng.integers(self.capacity + 1))
             return _CANDIDATE if rank == self.capacity else int(self.order()[rank])

@@ -114,15 +114,16 @@ def default_model(channels: int = 16, num_classes: int = 3, blocks: int = 3, see
 def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -> ForwardResult:
     """Run the network, collecting early per-sample and per-layer statistics.
 
-    Early statistics are each sample's per-channel (mean, std over length)
-    of the input to the first norm layer; `layer_stats` are the live batch
-    statistics of every norm layer's input. With the `ema` source, each
-    norm layer folds the live statistics into its moving average as the
-    pass reaches it. With `record` (batch source only; the training steps
-    ask for it) the result carries the record that `numerics.backward`
-    differentiates and no early statistics, which no training step reads;
-    every other forward, serving with any source, keeps the channel mix's
-    channel-major layout and records nothing.
+    Activations are channel rows, one C-contiguous `(C, B*L)` array from
+    the first mix (`weight @ rows`) to the pool. Early statistics are each
+    sample's per-channel (mean, std over length) of the input to the first
+    norm layer, as `(B, C)` transposed views; `layer_stats` are the live
+    batch statistics of every norm layer's input. With the `ema` source,
+    each norm layer folds the live statistics into its moving average as
+    the pass reaches it. With `record` (batch source only; the training
+    steps ask for it) each block normalizes a batch-major copy of its rows
+    and keeps what `numerics.backward` differentiates, and the result
+    carries no early statistics, which no training step reads.
     """
     if norm_source not in NORM_SOURCES:
         raise ValueError(f"unknown norm source {norm_source!r}")
@@ -137,36 +138,36 @@ def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -
     early_mean = early_sigma = None
     layer_stats: list[ChannelStats] = []
     saved_blocks = [] if record else None
-    # Only the backward reads the norm output batch-major; an unrecorded forward keeps
-    # the channel mix's channel-major layout, so the next mix's transpose is a view.
-    order = "C" if record else "K"
-    length = xv.shape[2]
-    out = xv
+    b, length = xv.shape[0], xv.shape[2]
+    rows = xv.transpose(1, 0, 2)  # (C, B, L); each mix multiplies its (C, B*L) reshape, a view of serving rows
     for weight, layer in zip(model.mix_weights, model.norm_layers):
-        out = nm.channel_mix(out, weight)
-        stats = batch_channel_stats(out)
+        rows = weight @ rows.reshape(-1, b * length)
+        stats, centered = batch_channel_stats(rows)
         layer_stats.append(stats)
         if early_mean is None and not record:  # np.add.reduce / n: `.mean` without its Python wrapper
-            early_mean = np.add.reduce(out, axis=2) / length
-            centered = out - early_mean[:, :, None]
-            early_sigma = np.sqrt(np.add.reduce(centered * centered, axis=2) / length)
-        if norm_source == "batch":
-            mean, var = stats.mean, stats.var
-        elif norm_source == "iobmn":
-            # Looked up on its module, where the benchmark's tracer counts the shrinkage.
-            corrected = normalization.corrected_stats(layer.memory_norm, stats)
-            mean, var = corrected.mean, corrected.var
+            by_sample = rows.reshape(-1, b, length)
+            sample_mean = np.add.reduce(by_sample, axis=2) / length
+            deviation = by_sample - sample_mean[:, :, None]
+            early_mean, early_sigma = sample_mean.T, np.sqrt(np.add.reduce(deviation * deviation, axis=2) / length).T
+        mean, var = stats
+        if norm_source == "iobmn":  # looked up on its module, where the benchmark's tracer counts the shrinkage
+            mean, var = normalization.corrected_stats(layer.memory_norm, stats)
         elif norm_source == "ema":
-            blended = layer.ema.update(stats)
-            mean, var = blended.mean, blended.var
-        else:  # frozen source statistics
+            mean, var = layer.ema.update(stats)
+        elif norm_source == "frozen":  # the source statistics of pretraining
             mean, var = layer.running_mean, layer.running_var
-        out, saved = normalize(out, mean, var, layer.gamma, layer.beta, layer.epsilon, order)
-        np.maximum(out, 0.0, out=out)  # relu, in place: +0.0 for every non-positive entry, -0.0 included
+        if norm_source != "batch":  # the batch's own mean centred the rows already
+            np.subtract(rows, mean.reshape(-1, 1), out=centered)
+        # A serving block normalizes its rows in place; a recorded one a batch-major copy, which the backward reads.
+        feed = centered.reshape(-1, b, length).transpose(1, 0, 2).copy() if record else centered
+        rows, saved = normalize(feed, var, layer.gamma, layer.beta, layer.epsilon, record)
+        np.maximum(rows, 0.0, out=rows)  # relu, in place: +0.0 for every non-positive entry, -0.0 included
         if record:  # the relu mask: where the output, and so the input, is positive
-            saved_blocks.append((weight, saved, out > 0.0))
-    pooled = np.ascontiguousarray(np.add.reduce(out, axis=2) / length)  # channel-major rounds differently in BLAS
-    logits = pooled @ model.head_weight + model.head_bias.reshape(1, -1)  # pool, head
+            saved_blocks.append((weight, saved, rows > 0.0))
+            rows = rows.transpose(1, 0, 2)  # its (C, B*L) reshape is a copy, or at L = 1 a Fortran-ordered view
+    # The pool, as a C-contiguous (B, C) array: the head's product rounds by the layout of its operands.
+    pooled = np.ascontiguousarray((np.add.reduce(rows.reshape(-1, b, length), axis=2) / length).T)
+    logits = pooled @ model.head_weight + model.head_bias.reshape(1, -1)
     return ForwardResult(logits, early_mean, early_sigma, layer_stats, saved_blocks)
 
 

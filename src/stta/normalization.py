@@ -1,7 +1,7 @@
 """Normalization and the statistics it can be fed.
 
-:func:`normalize` is the one per-channel affine normalization; the model
-feeds it one of four (mean, var) sources. Between sparse model updates,
+:func:`normalize` is the one per-channel affine normalization, of channel
+rows centred on one of four (mean, var) sources. Between sparse model updates,
 normalization layers can keep using the per-channel statistics observed on
 the last adaptation batch. Those statistics are treated as estimates with
 known sampling variance, and are corrected toward the live batch
@@ -111,38 +111,38 @@ def corrected_stats(state: MemoryNormState, live: ChannelStats) -> ChannelStats:
     return ChannelStats(mean, np.maximum(var, 0.0, out=var))
 
 
-def normalize(x: np.ndarray, mean: np.ndarray, var: np.ndarray, gamma: np.ndarray,
-              beta: np.ndarray, epsilon: float, order: str = "K"):
-    """gamma * (x - mean) / sqrt(var + epsilon) + beta, per channel.
+def normalize(centered: np.ndarray, var: np.ndarray, gamma: np.ndarray, beta: np.ndarray, epsilon: float,
+              record: bool = False):
+    """gamma * centered / sqrt(var + epsilon) + beta, per channel, for `centered` = x - mean.
 
-    The one normalization routine, whatever the source of (mean, var). A
-    serving call (`order="K"`) keeps the layout of `x`, works in place on
-    its own result after the first operation and returns None for the
-    intermediates, which nothing reads. A recorded call (`order="C"`) is
-    batch-major, the layout the backward's sums over batch and length
-    read, and also returns what `numerics.backward` needs when (mean, var)
-    are the batch's own statistics of `x`.
+    The one normalization routine, whatever the source of (mean, var).
+    `centered` holds channel rows, `(C, N)`, or a batch-major `(B, C, L)`
+    array; the per-channel values act as `(C, 1)` columns, which broadcast
+    over both. A serving call works in place on `centered` and returns it
+    with None for the intermediates, which nothing reads. A recorded call
+    (`record`, on the batch-major layout the backward's sums read) leaves
+    `centered` alone and also returns what `numerics.backward` needs when
+    (mean, var) are the batch's own statistics.
     """
     shifted_var = var + epsilon
     inv = 1.0 / np.sqrt(shifted_var)
-    centered = np.subtract(x, mean.reshape(1, -1, 1), order=order)
-    if order == "K":  # the operations below, in the same order, on one array
-        centered *= inv.reshape(1, -1, 1)
-        centered *= gamma.reshape(1, -1, 1)
-        centered += beta.reshape(1, -1, 1)
+    if not record:  # the operations below, in the same order, on one array
+        centered *= inv.reshape(-1, 1)
+        centered *= gamma.reshape(-1, 1)
+        centered += beta.reshape(-1, 1)
         return centered, None
-    scaled = centered * inv.reshape(1, -1, 1)
-    out = scaled * gamma.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
+    scaled = centered * inv.reshape(-1, 1)
+    out = scaled * gamma.reshape(-1, 1) + beta.reshape(-1, 1)
     return out, (centered, scaled, gamma, inv, shifted_var)
 
 
-def batch_channel_stats(f: np.ndarray) -> ChannelStats:
-    """Per-channel mean and population variance over batch and length axes, for any layout of `f`."""
-    n = f.shape[0] * f.shape[2]
-    mean = np.add.reduce(f, axis=(0, 2)) / n  # what `f.mean` computes, without its Python wrapper
-    centered = f - mean.reshape(1, -1, 1)
-    var = np.add.reduce(centered * centered, axis=(0, 2)) / n
-    return ChannelStats(mean, var)
+def batch_channel_stats(rows: np.ndarray) -> tuple[ChannelStats, np.ndarray]:
+    """Per-channel mean and population variance of channel rows `(C, N)`, each a channel's values over batch
+    and length, and the centred rows `rows - mean` that the variance sums (a new array)."""
+    n = rows.shape[1]
+    mean = np.add.reduce(rows, axis=1) / n  # what `rows.mean` computes, without its Python wrapper
+    centered = rows - mean.reshape(-1, 1)
+    return ChannelStats(mean, np.add.reduce(centered * centered, axis=1) / n), centered
 
 
 @dataclass

@@ -1,9 +1,11 @@
-"""Forward and backward kernels for the model's one fixed shape.
+"""The backward kernel for the model's one fixed shape, softmax, and the checks of settings.
 
 The model is n >= 1 blocks of (channel mix, normalization, relu), then a
-global mean pool and a classifier head; normalization's forward is
-`stta.normalization.normalize` and relu is `np.maximum(x, 0.0)` (+0.0 for
--0.0 too). Only the training steps record their forward (batch statistics,
+global mean pool and a classifier head. Its forward, `stta.model.forward`,
+keeps activations as channel rows: one C-contiguous `(C, B*L)` array,
+mixed by `weight @ rows` and normalized by `stta.normalization.normalize`
+with `(C, 1)` columns; relu is `np.maximum(x, 0.0)` (+0.0 for -0.0 too).
+Only the training steps record their forward (batch statistics,
 `forward(..., record=True)`); a recorded forward keeps, per block, the mix
 weight, what the normalization saved and the relu mask (`out > 0.0` of the
 relu's output), and no early statistics; :func:`backward` walks that record
@@ -14,16 +16,17 @@ The kernels repeat, operation for operation, the tape-based reference
 differentiator kept with the tests, and their results equal it bit for bit.
 Floating-point reductions and matrix products depend on the memory layout
 of their operands, so the kernels keep the reference's layouts wherever a
-reduction or a product reads them: the channel-major result of the channel
-mix, and the batch-major result of the normalization in a recorded forward.
-Every unrecorded forward, serving with any source, keeps the channel-major
-layout through normalization and relu; its pooled features are made
-contiguous for the head. The serving normalization works in place on its
-own result and saves nothing, while the recorded forward's batch-major one
-keeps what the backward reads. Sums call `np.add.reduce`, the ufunc loop
-behind `.sum` and `.mean`, without their Python wrappers. The module also
-holds the shared checks of numbers and booleans, by which every type that
-holds a setting checks it; it imports nothing from the package.
+reduction or a product reads them: the channel rows of the channel mix,
+and the batch-major result of the normalization in a recorded forward,
+whose next mix reads its `(C, B*L)` reshape (a copy, or at L = 1 a
+Fortran-ordered view). A serving forward normalizes its rows in place and
+saves nothing. At L = 1 its next mix reads C-ordered rows where the
+reference and the recorded forward read that view, and some BLAS kernels
+round the two products differently (`tests/test_kernels.py` pins where
+they differ). Sums call `np.add.reduce`, the ufunc loop behind `.sum` and
+`.mean`, without their Python wrappers. The module also holds the shared
+checks of numbers and booleans, by which every type that holds a setting
+checks it; it imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -88,17 +91,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-normalized exponentials over the last axis, max-subtracted."""
     e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# forward kernels
-
-
-def channel_mix(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """batch x c_in x length -> batch x c_out x length, laid out channel-major."""
-    b, c, length = x.shape
-    mixed = weight @ x.transpose(1, 0, 2).reshape(c, b * length)
-    return mixed.reshape(weight.shape[0], b, length).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

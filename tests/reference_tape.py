@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from stta.model import NORM_SOURCES, RUNNING_MOMENTUM, ForwardResult, Model, NormLayer
-from stta.normalization import ChannelStats, batch_channel_stats, corrected_stats
+from stta.normalization import ChannelStats, corrected_stats
 from stta.numerics import ShapeError
 
 
@@ -486,6 +486,14 @@ def _norm_with(x, mean, var, gamma, beta, epsilon):
     return add(mul(scaled, expand(gamma, shape, (1,))), expand(beta, shape, (1,)))
 
 
+def channel_stats(value: np.ndarray) -> ChannelStats:
+    """Per-channel mean and population variance of a `(B, C, L)` value over its batch and length axes:
+    the values of `reduce_mean` and `reduce_var` over axes (0, 2)."""
+    mean = value.mean(axis=(0, 2))
+    centered = value - mean.reshape(1, -1, 1)
+    return ChannelStats(mean, np.mean(centered * centered, axis=(0, 2)))
+
+
 def _norm_batch(x, gamma, beta, epsilon):
     return _norm_with(x, reduce_mean(x, (0, 2)), reduce_var(x, (0, 2)), gamma, beta, epsilon)
 
@@ -517,7 +525,7 @@ def forward(model: Model, x, norm_source: str = "batch",
     for block, (weight, layer) in enumerate(zip(model.mix_weights, model.norm_layers)):
         out = _mix(out, Tensor._wrap(weight))
         value = _val(out)
-        stats = batch_channel_stats(value)
+        stats = channel_stats(value)
         layer_stats.append(stats)
         if block == 0:
             early_mean = value.mean(axis=2)

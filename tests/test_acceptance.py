@@ -130,11 +130,12 @@ def test_criterion_1_formula_oracles():
             mem_mean, mem_var = rng.normal(size=3), rng.uniform(0.05, 3, size=3)
             alpha = float(rng.uniform(0, 5))
             state = MemoryNormState(alpha, ChannelStats(mem_mean, mem_var), 3, 6)
-            stats = corrected_stats(state, batch_channel_stats(f))
-            got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
+            rows = f.transpose(1, 0, 2).reshape(3, -1)  # the channel rows the forward normalizes
+            stats = corrected_stats(state, batch_channel_stats(rows)[0])
+            got, _ = normalize(rows - stats.mean.reshape(-1, 1), stats.var, gamma, beta, 1e-5)
             want = np.array(normalize_mp(f.tolist(), list(mem_mean), list(mem_var),
                                          3, 6, alpha, list(gamma), list(beta), 1e-5))
-            assert np.max(np.abs(got - want)) < 1e-10
+            assert np.max(np.abs(got - want.transpose(1, 0, 2).reshape(3, -1))) < 1e-10
 
 
 def _min_relu_margin(model, batch: Tensor) -> float:
@@ -256,26 +257,26 @@ def test_criterion_5_memory_norm_limits():
         rng = np.random.default_rng(500)
         # alpha = 0: test-batch normalization to 1e-12
         for _ in range(200):
-            f = rng.normal(0.5, 2.0, size=(4, 3, 5))
+            rows = rng.normal(0.5, 2.0, size=(4, 3, 5)).transpose(1, 0, 2).reshape(3, -1)  # channel rows
             gamma, beta = rng.normal(size=3), rng.normal(size=3)
             state = MemoryNormState(0.0, ChannelStats(rng.normal(size=3), rng.uniform(0.1, 2, size=3)), 5, 9)
-            live = batch_channel_stats(f)
-            stats = corrected_stats(state, batch_channel_stats(f))
-            got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
-            want = gamma.reshape(1, -1, 1) * (f - live.mean.reshape(1, -1, 1)) \
-                / np.sqrt(live.var + 1e-5).reshape(1, -1, 1) + beta.reshape(1, -1, 1)
+            live, _ = batch_channel_stats(rows)
+            stats = corrected_stats(state, live)
+            got, _ = normalize(rows - stats.mean.reshape(-1, 1), stats.var, gamma, beta, 1e-5)
+            want = gamma.reshape(-1, 1) * (rows - live.mean.reshape(-1, 1)) \
+                / np.sqrt(live.var + 1e-5).reshape(-1, 1) + beta.reshape(-1, 1)
             assert np.max(np.abs(got - want)) < 1e-12
 
         # alpha huge: memory-statistics normalization to 1e-12
         for _ in range(200):
-            f = rng.normal(0.0, 2.0, size=(4, 3, 5))
+            rows = rng.normal(0.0, 2.0, size=(4, 3, 5)).transpose(1, 0, 2).reshape(3, -1)  # channel rows
             gamma, beta = rng.normal(size=3), rng.normal(size=3)
             mem_mean, mem_var = rng.normal(size=3), rng.uniform(0.1, 2, size=3)
             state = MemoryNormState(1e9, ChannelStats(mem_mean, mem_var), 5, 9)
-            stats = corrected_stats(state, batch_channel_stats(f))
-            got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
-            want = gamma.reshape(1, -1, 1) * (f - mem_mean.reshape(1, -1, 1)) \
-                / np.sqrt(mem_var + 1e-5).reshape(1, -1, 1) + beta.reshape(1, -1, 1)
+            stats = corrected_stats(state, batch_channel_stats(rows)[0])
+            got, _ = normalize(rows - stats.mean.reshape(-1, 1), stats.var, gamma, beta, 1e-5)
+            want = gamma.reshape(-1, 1) * (rows - mem_mean.reshape(-1, 1)) \
+                / np.sqrt(mem_var + 1e-5).reshape(-1, 1) + beta.reshape(-1, 1)
             assert np.max(np.abs(got - want)) < 1e-12
 
         # dead zone and saturation bound over 1000 random cases

@@ -21,7 +21,7 @@ from stta.engine import (
     _config_dict,
     _config_from_dict,
 )
-from stta.memory import SELECTION_MODES
+from stta.memory import SELECTION_MODES, SampleMemory
 from stta.model import NORM_SOURCES, adapt_step, default_model, forward, model_dict, pretrain, save_model
 from stta.datagen import default_domain, sample_source
 
@@ -400,6 +400,28 @@ class TestPinnedTrajectories:
         assert sum(r.rescored > 0 for r in metrics.records) > 3
         assert sha256_json(metrics.deterministic_dict()) == metrics_digest
         assert sha256_json(engine.state_dict()) == state_digest
+
+    # sha256 of the bytes of every `SampleMemory.score` result on the snap case, in call order.
+    SCORES_DIGEST = "9eb6a842f41705f050e9df11e1a4f53fdbe7b9fb5a12f602d3fee6918aece5bf"
+
+    def test_every_candidate_score_pinned(self, base_model, monkeypatch):
+        """Rescoring fires on every batch and overwrites each stored distance before a record or the state
+        digest reads it, so only this digest sees the scores' bits. `score` reads the early statistics as the
+        forward hands them out, `(B, C)` transposed views; a C-contiguous copy of them sums each distance in
+        another order and moves this digest, and no other."""
+        spec, config, _, _ = self.CASES["snap"]
+        digest, results, score = hashlib.sha256(), [], SampleMemory.score
+
+        def spy(memory, mu, sigma):
+            results.append(score(memory, mu, sigma))
+            digest.update(results[-1].tobytes())
+            return results[-1]
+
+        monkeypatch.setattr(SampleMemory, "score", spy)
+        Engine(base_model.clone(), config()).run_stream(make_stream(spec()))
+        assert len(results) == 40 and all(r.shape == (16,) for r in results)
+        assert np.isinf(results[0]).all() and np.isfinite(np.concatenate(results[1:])).all()
+        assert digest.hexdigest() == self.SCORES_DIGEST
 
     def test_overflow_names_the_batch(self, base_model):
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5", lr=1.0e200, seed=26))

@@ -23,6 +23,9 @@ SHAPES = [
     (3, 3, 16, 8),
     (6, 3, 1, 8),
     (16, 2, 16, 1),
+    (6, 3, 3, 1),     # a batch of 3 at length 1: the recorded forward's next mix reads a Fortran-ordered view
+    (16, 3, 16, 9),   # 9: one past numpy's unrolled blocks of 8 in the sums over length
+    (16, 2, 4, 130),  # 130: past the 128-element blocks of numpy's pairwise sums
 ]
 IDS = [f"c{c}-b{k}-n{n}-l{l}" for c, k, n, l in SHAPES]
 
@@ -139,6 +142,34 @@ def test_only_a_training_forward_is_recorded(source):
     assert len(recorded.record) == len(model.norm_layers)
     assert_same_results(served, ref.forward(model.clone(), x))
     assert_same_results(recorded, ref.forward(model.clone(), x))
+
+
+def test_serving_and_recorded_forwards_differ_only_where_the_recorded_mix_reads_a_fortran_view():
+    """A recorded block's output is batch-major, so the next mix reads its `(C, B*L)` reshape: a C-ordered
+    copy, except at length 1 with more than one sample, where the reshape is a Fortran-ordered view (as in
+    the reference). A serving forward's rows are always C-ordered. That operand layout is the one place the
+    two batch-statistics forwards part; the pool, the statistics and the normalization give the same bits.
+    Whether the two products round differently is the BLAS kernel's choice: with numpy's OpenBLAS here they
+    differ at 16 channels for batches other than 1 and 16, and agree at 1, 3 and 6 channels."""
+    differ = set()
+    for channels in (1, 3, 6, 16):
+        for blocks in (1, 2, 3):
+            for batch in (1, 2, 3, 4, 16, 33):
+                for length in (1, 2, 8, 9):
+                    model = make_model(channels, blocks, seed=channels + blocks)
+                    x = batches(channels, batch, length, 1, seed=batch + length)[0]
+                    served, recorded = kernels.forward(model, x), kernels.forward(model, x, record=True)
+                    stats = zip(served.layer_stats, recorded.layer_stats, strict=True)
+                    if not (np.array_equal(served.logits, recorded.logits)
+                            and all(np.array_equal(a.mean, b.mean) and np.array_equal(a.var, b.var) for a, b in stats)):
+                        differ.add((channels, blocks, batch, length))
+    fortran = {(c, k, n, 1) for c in (1, 3, 6, 16) for k in (2, 3) for n in (2, 3, 4, 16, 33)}
+    assert differ <= fortran
+    assert differ == {(16, k, n, 1) for k in (2, 3) for n in (2, 3, 4, 33)}
+    model, x = make_model(16, 2, seed=18), batches(16, 3, 1, 1, seed=4)[0]
+    want = ref._val(ref.forward(model.clone(), x).logits)  # the reference multiplies the view, as recorded
+    assert np.array_equal(kernels.forward(model, x, record=True).logits, want)
+    assert not np.array_equal(kernels.forward(model, x).logits, want)
 
 
 @pytest.mark.parametrize("channels,blocks,batch,length", SHAPES, ids=IDS)

@@ -365,6 +365,22 @@ class TestAblationModes:
             offer(mem, i, conf=0.01)
         assert stored(mem, "arrivals") == [6, 7, 8, 9]
 
+    def test_naive_evicts_the_earliest_arrival(self):
+        """Once full, each naive insert evicts the earliest arrival held: after the fill, after the slots'
+        ring has wrapped around, and in a memory loaded from a full memory's checkpoint."""
+        mem = make_memory(capacity=3, mode="naive")
+        arrivals = [0, 2, 3, 7, 8, 9, 12, 13]  # arrival indices need only increase
+        for i, arrival in enumerate(arrivals):
+            assert offer(mem, arrival).evicted == (arrivals[i - 3] if i >= 3 else None)
+            assert stored(mem, "arrivals") == arrivals[max(0, i - 2):i + 1]
+        assert mem.arrivals.tolist() == [12, 13, 9]  # five evictions: the ring went round once and on by two
+        loaded = make_memory(capacity=3, mode="naive")
+        loaded.load_state_dict(json.loads(json.dumps(mem.state_dict())), num_classes=1, next_arrival=14)
+        assert loaded.arrivals.tolist() == [9, 12, 13]  # refilled in arrival order
+        for arrival, evicted in ((14, 9), (15, 12), (16, 13), (17, 14)):
+            assert offer(loaded, arrival).evicted == offer(mem, arrival).evicted == evicted
+            assert loaded.dump() == mem.dump()
+
     def test_random_reproducible(self):
         def trace(seed):
             mem = make_memory(capacity=3, mode="random", seed=seed)

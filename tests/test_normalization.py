@@ -17,7 +17,6 @@ from stta.normalization import (
     normalize,
     sampling_variances,
 )
-from stta.numerics import channel_mix
 
 from oracles import corrected_stats_mp, normalize_mp, sampling_variances_mp, soft_shrinkage_mp
 
@@ -195,7 +194,7 @@ class TestCorrectedStats:
         with pytest.raises(ValueError, match="must be >= 2"):
             state = MemoryNormState(4.0, ChannelStats(np.zeros(1), np.ones(1)), 1, 1)
         with pytest.raises(StateError):
-            corrected_stats(state, batch_channel_stats(np.zeros((1, 1, 1))))
+            corrected_stats(state, batch_channel_stats(np.zeros((1, 1)))[0])
 
     @pytest.mark.parametrize("name", ["alpha", "memory_stats", "spatial_extent", "sample_count"])
     def test_assigning_a_field_of_a_built_value_raises(self, name):
@@ -254,8 +253,8 @@ class TestClampForm:
     where the sign form gives sign(x) * 0.0, so the two zeros can differ in sign. Added to a memory
     statistic, a zero of either sign changes nothing but a memory mean of -0.0, which becomes +0.0 (the
     variance is clamped by np.maximum(var, 0.0), which gives +0.0 for both zeros). That sign cannot
-    reach a result: the corrected mean enters only as `x - mean` in `normalize`, whose output reaches
-    nothing but relu, and relu (`np.maximum(out, 0.0)`) maps both zeros to +0.0
+    reach a result: the corrected mean enters only as `x - mean`, the centred rows `normalize` scales, whose
+    output reaches nothing but relu, and relu (`np.maximum(out, 0.0)`) maps both zeros to +0.0
     (`test_the_sign_of_a_zero_mean_does_not_pass_relu`).
     """
 
@@ -279,10 +278,10 @@ class TestClampForm:
             assert not np.signbit(got.mean[moved]).any() and np.signbit(want.mean[moved]).all()
 
     def test_the_sign_of_a_zero_mean_does_not_pass_relu(self):
-        x = np.array([-0.0, 0.0, TINY, -TINY, 1.0, -1.0]).reshape(1, 1, -1)
+        x = np.array([[-0.0, 0.0, TINY, -TINY, 1.0, -1.0]])  # one channel row
         for gamma in (1.0, -1.0, 0.0, -0.0):
             for beta in (0.0, -0.0, 0.5, -0.5):
-                outs = [np.maximum(normalize(x, np.array([mean]), np.array([1.0]), np.array([gamma]),
+                outs = [np.maximum(normalize(x - np.array([[mean]]), np.array([1.0]), np.array([gamma]),
                                              np.array([beta]), 1e-5)[0], 0.0).tobytes() for mean in (0.0, -0.0)]
                 assert outs[0] == outs[1]
 
@@ -291,30 +290,35 @@ class TestClampForm:
         assert np.array([shrunk(v, 1.0) for v in x]).tobytes() == np.zeros_like(x).tobytes()
 
 
+def channel_rows(f):
+    """The `(C, B*L)` channel rows of a `(B, C, L)` feature map: the layout the forward normalizes."""
+    return f.transpose(1, 0, 2).reshape(f.shape[1], -1)
+
+
 class TestNormalize:
     def test_alpha_zero_equals_batch_norm(self):
         rng = np.random.default_rng(3)
-        f = rng.normal(1.5, 2.0, size=(6, 4, 5))
+        rows = channel_rows(rng.normal(1.5, 2.0, size=(6, 4, 5)))
         gamma, beta = rng.normal(size=4), rng.normal(size=4)
         state = populated_state(rng.uniform(0.5, 2.0, size=4), extent=5, count=9,
                                 alpha=0.0, mean=rng.normal(size=4))
-        stats = corrected_stats(state, batch_channel_stats(f))
-        got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
-        live = batch_channel_stats(f)
-        want = gamma.reshape(1, -1, 1) * (f - live.mean.reshape(1, -1, 1)) \
-            / np.sqrt(live.var + 1e-5).reshape(1, -1, 1) + beta.reshape(1, -1, 1)
+        live, _ = batch_channel_stats(rows)
+        stats = corrected_stats(state, live)
+        got, _ = normalize(rows - stats.mean.reshape(-1, 1), stats.var, gamma, beta, 1e-5)
+        want = gamma.reshape(-1, 1) * (rows - live.mean.reshape(-1, 1)) \
+            / np.sqrt(live.var + 1e-5).reshape(-1, 1) + beta.reshape(-1, 1)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_huge_alpha_equals_memory_norm(self):
         rng = np.random.default_rng(4)
-        f = rng.normal(0.0, 3.0, size=(5, 3, 4))
+        rows = channel_rows(rng.normal(0.0, 3.0, size=(5, 3, 4)))
         gamma, beta = rng.normal(size=3), rng.normal(size=3)
         mem_mean, mem_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
         state = populated_state(mem_var, extent=4, count=8, alpha=1e9, mean=mem_mean)
-        stats = corrected_stats(state, batch_channel_stats(f))
-        got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
-        want = gamma.reshape(1, -1, 1) * (f - mem_mean.reshape(1, -1, 1)) \
-            / np.sqrt(mem_var + 1e-5).reshape(1, -1, 1) + beta.reshape(1, -1, 1)
+        stats = corrected_stats(state, batch_channel_stats(rows)[0])
+        got, _ = normalize(rows - stats.mean.reshape(-1, 1), stats.var, gamma, beta, 1e-5)
+        want = gamma.reshape(-1, 1) * (rows - mem_mean.reshape(-1, 1)) \
+            / np.sqrt(mem_var + 1e-5).reshape(-1, 1) + beta.reshape(-1, 1)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_dead_zone_fixed_point_bit_identical(self):
@@ -324,13 +328,13 @@ class TestNormalize:
         mem_var = rng.uniform(1.0, 2.0, size=3)
         mem_mean = rng.normal(size=3)
         state = populated_state(mem_var, extent=1000, count=1000, alpha=1e6, mean=mem_mean)
-        f = rng.normal(size=(4, 3, 6)) * 0.01 + mem_mean.reshape(1, -1, 1)
+        rows = channel_rows(rng.normal(size=(4, 3, 6)) * 0.01 + mem_mean.reshape(1, -1, 1))
         gamma, beta = rng.normal(size=3), rng.normal(size=3)
-        stats = corrected_stats(state, batch_channel_stats(f))
-        got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
+        stats = corrected_stats(state, batch_channel_stats(rows)[0])
+        got, _ = normalize(rows - stats.mean.reshape(-1, 1), stats.var, gamma, beta, 1e-5)
         # same affine arithmetic, raw memory stats substituted for corrected
-        scale = 1.0 / np.sqrt(mem_var + 1e-5).reshape(1, -1, 1)
-        want = gamma.reshape(1, -1, 1) * (f - mem_mean.reshape(1, -1, 1)) * scale + beta.reshape(1, -1, 1)
+        scale = 1.0 / np.sqrt(mem_var + 1e-5).reshape(-1, 1)
+        want = gamma.reshape(-1, 1) * (rows - mem_mean.reshape(-1, 1)) * scale + beta.reshape(-1, 1)
         assert np.array_equal(got, want)
 
     def test_matches_extended_precision_oracle(self):
@@ -339,15 +343,16 @@ class TestNormalize:
         gamma, beta = rng.normal(size=4), rng.normal(size=4)
         mem_mean, mem_var = rng.normal(size=4), rng.uniform(0.1, 3.0, size=4)
         state = populated_state(mem_var, extent=2, count=5, alpha=2.0, mean=mem_mean)
-        stats = corrected_stats(state, batch_channel_stats(f))
-        got, _ = normalize(f, stats.mean, stats.var, gamma, beta, 1e-5)
-        want = np.array(normalize_mp(f.tolist(), list(mem_mean), list(mem_var),
-                                     2, 5, 2.0, list(gamma), list(beta), 1e-5))
+        rows = channel_rows(f)
+        stats = corrected_stats(state, batch_channel_stats(rows)[0])
+        got, _ = normalize(rows - stats.mean.reshape(-1, 1), stats.var, gamma, beta, 1e-5)
+        want = channel_rows(np.array(normalize_mp(f.tolist(), list(mem_mean), list(mem_var),
+                                                   2, 5, 2.0, list(gamma), list(beta), 1e-5)))
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_unpopulated_state_errors(self):
         with pytest.raises(StateError):
-            corrected_stats(MemoryNormState(), batch_channel_stats(np.zeros((2, 3, 4))))
+            corrected_stats(MemoryNormState(), batch_channel_stats(np.zeros((3, 8)))[0])
 
 
 class TestEmaNormState:
@@ -372,14 +377,15 @@ class TestEmaNormState:
 
 class TestChannelStats:
     def test_batch_channel_stats_population(self):
-        f = np.array([[[1.0, 3.0]]])  # one sample, one channel, two positions
-        stats = batch_channel_stats(f)
+        rows = np.array([[1.0, 3.0]])  # one channel, two values
+        stats, centered = batch_channel_stats(rows)
         assert stats.mean[0] == 2.0
         assert stats.var[0] == 1.0
+        assert np.array_equal(centered, [[-1.0, 1.0]]) and np.array_equal(rows, [[1.0, 3.0]])
 
 
 def stats_before_rows(f):
-    """`batch_channel_stats` as it reads for every layout: sums over the (B, C, L) axes 0 and 2."""
+    """`batch_channel_stats` as it read before channel rows: sums over the (B, C, L) axes 0 and 2."""
     n = f.shape[0] * f.shape[2]
     mean = np.add.reduce(f, axis=(0, 2)) / n
     centered = f - mean.reshape(1, -1, 1)
@@ -387,7 +393,7 @@ def stats_before_rows(f):
 
 
 def serving_before_rows(x, mean, var, gamma, beta, epsilon):
-    """`normalize`'s serving result as it reads for every layout, in the layout of `x`."""
+    """`normalize`'s serving result as it read before channel rows, in the layout of the (B, C, L) `x`."""
     inv = 1.0 / np.sqrt(var + epsilon)
     centered = np.subtract(x, mean.reshape(1, -1, 1), order="K")
     return centered * inv.reshape(1, -1, 1) * gamma.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
@@ -397,44 +403,47 @@ SHAPES = [(1, 16, 8), (16, 1, 8), (16, 16, 1), (1, 1, 1), (3, 5, 7), (16, 16, 8)
 
 
 class TestChannelMajorRows:
-    """The statistics and the serving normalization, which runs in place, take one body on every layout, the
-    channel mix's channel-major one included. Each gives the bits of the expressions it replaces."""
+    """The statistics reduce along the channel mix's `(C, B*L)` rows, and the serving normalization works
+    on centred rows in place. Each gives the bits of the `(B, C, L)` expressions it replaces, evaluated on
+    the rows' channel-major `(B, C, L)` view."""
 
     @staticmethod
     def operands(shape, seed=0):
         rng = np.random.default_rng(seed)
         b, c, length = shape
         x = rng.normal(rng.normal(size=(1, c, 1)) * 50.0, 3.0, size=(b, c, length))
-        mix = rng.normal(size=(c, c)) / np.sqrt(c)
-        return x, mix, rng.normal(size=c), rng.uniform(0.1, 4.0, size=c), rng.normal(size=c), rng.normal(size=c)
+        rows = (rng.normal(size=(c, c)) / np.sqrt(c)) @ channel_rows(x)  # a channel mix
+        view = rows.reshape(c, b, length).transpose(1, 0, 2)
+        return rows, view, rng.normal(size=c), rng.uniform(0.1, 4.0, size=c), rng.normal(size=c), rng.normal(size=c)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_channel_major_matches_the_strided_expressions(self, shape):
-        x, mix, mean, var, gamma, beta = self.operands(shape)
-        f = channel_mix(x, mix)
-        got, want = batch_channel_stats(f), stats_before_rows(f)
+        rows, view, mean, var, gamma, beta = self.operands(shape)
+        (got, centered), want = batch_channel_stats(rows), stats_before_rows(view)
         assert got.mean.tobytes() == want[0].tobytes() and got.var.tobytes() == want[1].tobytes()
-        before = f.copy()
-        out, saved = normalize(f, mean, var, gamma, beta, 1e-5)
-        assert saved is None and np.array_equal(f, before)  # the serving call leaves its input alone
-        assert out.tobytes() == serving_before_rows(f, mean, var, gamma, beta, 1e-5).tobytes()
-        assert out.transpose(1, 0, 2).flags.c_contiguous  # still channel-major: the next mix reads a view
+        assert centered.tobytes() == (rows - got.mean.reshape(-1, 1)).tobytes()
+        before = rows.copy()
+        served = rows - mean.reshape(-1, 1)
+        out, saved = normalize(served, var, gamma, beta, 1e-5)
+        assert saved is None and out is served and np.array_equal(rows, before)  # in place on its argument
+        want = serving_before_rows(view, mean, var, gamma, beta, 1e-5)
+        assert out.reshape(view.shape[1], view.shape[0], -1).transpose(1, 0, 2).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
-    def test_other_layouts_take_the_general_path(self, shape):
-        x, _mix, mean, var, gamma, beta = self.operands(shape, seed=1)
-        strided = np.repeat(x, 2, axis=2)[:, :, ::2]  # neither batch- nor channel-major, unless one value
-        for f in (x, strided):
-            got, want = batch_channel_stats(f), stats_before_rows(f)
-            assert got.mean.tobytes() == want[0].tobytes() and got.var.tobytes() == want[1].tobytes()
-            out, saved = normalize(f, mean, var, gamma, beta, 1e-5)
-            assert saved is None  # serving returns no intermediates on any layout
-            assert out.tobytes() == serving_before_rows(f, mean, var, gamma, beta, 1e-5).tobytes()
+    def test_the_batch_source_normalizes_the_centred_rows(self, shape):
+        """Normalizing the rows `batch_channel_stats` centred gives the bits of subtracting the mean again."""
+        rows, view, _mean, _var, gamma, beta = self.operands(shape, seed=1)
+        stats, centered = batch_channel_stats(rows)
+        out, _ = normalize(centered, stats.var, gamma, beta, 1e-5)
+        want = serving_before_rows(view, stats.mean, stats.var, gamma, beta, 1e-5)
+        assert out.reshape(view.shape[1], view.shape[0], -1).transpose(1, 0, 2).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_a_recorded_call_keeps_the_batch_major_path(self, shape):
-        x, mix, mean, var, gamma, beta = self.operands(shape, seed=2)
-        f = channel_mix(x, mix)
-        out, saved = normalize(f, mean, var, gamma, beta, 1e-5, order="C")
-        assert out.flags.c_contiguous and len(saved) == 5
-        assert out.tobytes() == serving_before_rows(f, mean, var, gamma, beta, 1e-5).tobytes()
+        _rows, view, mean, var, gamma, beta = self.operands(shape, seed=2)
+        centered = np.subtract(view, mean.reshape(1, -1, 1), order="C")
+        before = centered.copy()
+        out, saved = normalize(centered, var, gamma, beta, 1e-5, record=True)
+        assert out.flags.c_contiguous and len(saved) == 5 and saved[0] is centered
+        assert np.array_equal(centered, before)  # a recorded call leaves its argument alone
+        assert out.tobytes() == serving_before_rows(view, mean, var, gamma, beta, 1e-5).tobytes()
