@@ -115,15 +115,15 @@ def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -
     """Run the network, collecting early per-sample and per-layer statistics.
 
     Activations are channel rows, one C-contiguous `(C, B*L)` array from
-    the first mix (`weight @ rows`) to the pool. Early statistics are each
-    sample's per-channel (mean, std over length) of the input to the first
-    norm layer, as `(B, C)` transposed views; `layer_stats` are the live
-    batch statistics of every norm layer's input. With the `ema` source,
-    each norm layer folds the live statistics into its moving average as
-    the pass reaches it. With `record` (batch source only; the training
-    steps ask for it) each block normalizes a batch-major copy of its rows
-    and keeps what `numerics.backward` differentiates, and the result
-    carries no early statistics, which no training step reads.
+    the first mix (`weight @ rows`) to the pool, in every forward. Early
+    statistics are each sample's per-channel (mean, std over length) of the
+    input to the first norm layer, as `(B, C)` transposed views;
+    `layer_stats` are the live batch statistics of every norm layer's
+    input. With the `ema` source, each norm layer folds the live statistics
+    into its moving average as the pass reaches it. With `record` (batch
+    source only; the training steps ask for it) each block keeps what
+    `numerics.backward` differentiates, and the result carries no early
+    statistics, which no training step reads.
     """
     if norm_source not in NORM_SOURCES:
         raise ValueError(f"unknown norm source {norm_source!r}")
@@ -139,9 +139,9 @@ def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -
     layer_stats: list[ChannelStats] = []
     saved_blocks = [] if record else None
     b, length = xv.shape[0], xv.shape[2]
-    rows = xv.transpose(1, 0, 2)  # (C, B, L); each mix multiplies its (C, B*L) reshape, a view of serving rows
+    rows = xv.transpose(1, 0, 2).reshape(-1, b * length)  # the input's channel rows
     for weight, layer in zip(model.mix_weights, model.norm_layers):
-        rows = weight @ rows.reshape(-1, b * length)
+        rows = weight @ rows
         stats, centered = batch_channel_stats(rows)
         layer_stats.append(stats)
         if early_mean is None and not record:  # np.add.reduce / n: `.mean` without its Python wrapper
@@ -158,13 +158,11 @@ def forward(model: Model, x, norm_source: str = "batch", record: bool = False) -
             mean, var = layer.running_mean, layer.running_var
         if norm_source != "batch":  # the batch's own mean centred the rows already
             np.subtract(rows, mean.reshape(-1, 1), out=centered)
-        # A serving block normalizes its rows in place; a recorded one a batch-major copy, which the backward reads.
-        feed = centered.reshape(-1, b, length).transpose(1, 0, 2).copy() if record else centered
-        rows, saved = normalize(feed, var, layer.gamma, layer.beta, layer.epsilon, record)
+        # A serving block normalizes its rows in place; a recorded one into new rows, saving what the backward reads.
+        rows, saved = normalize(centered, var, layer.gamma, layer.beta, layer.epsilon, record)
         np.maximum(rows, 0.0, out=rows)  # relu, in place: +0.0 for every non-positive entry, -0.0 included
         if record:  # the relu mask: where the output, and so the input, is positive
             saved_blocks.append((weight, saved, rows > 0.0))
-            rows = rows.transpose(1, 0, 2)  # its (C, B*L) reshape is a copy, or at L = 1 a Fortran-ordered view
     # The pool, as a C-contiguous (B, C) array: the head's product rounds by the layout of its operands.
     pooled = np.ascontiguousarray((np.add.reduce(rows.reshape(-1, b, length), axis=2) / length).T)
     logits = pooled @ model.head_weight + model.head_bias.reshape(1, -1)

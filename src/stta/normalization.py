@@ -116,13 +116,12 @@ def normalize(centered: np.ndarray, var: np.ndarray, gamma: np.ndarray, beta: np
     """gamma * centered / sqrt(var + epsilon) + beta, per channel, for `centered` = x - mean.
 
     The one normalization routine, whatever the source of (mean, var).
-    `centered` holds channel rows, `(C, N)`, or a batch-major `(B, C, L)`
-    array; the per-channel values act as `(C, 1)` columns, which broadcast
-    over both. A serving call works in place on `centered` and returns it
-    with None for the intermediates, which nothing reads. A recorded call
-    (`record`, on the batch-major layout the backward's sums read) leaves
-    `centered` alone and also returns what `numerics.backward` needs when
-    (mean, var) are the batch's own statistics.
+    `centered` holds channel rows, `(C, N)`; the per-channel values act as
+    `(C, 1)` columns. A serving call works in place on `centered` and
+    returns it with None for the intermediates, which nothing reads. A
+    recorded call (`record`) leaves `centered` alone and also returns what
+    `numerics.backward` needs when (mean, var) are the batch's own
+    statistics.
     """
     shifted_var = var + epsilon
     inv = 1.0 / np.sqrt(shifted_var)

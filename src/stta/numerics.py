@@ -15,18 +15,15 @@ scale/shift gradients, the only weights that train.
 The kernels repeat, operation for operation, the tape-based reference
 differentiator kept with the tests, and their results equal it bit for bit.
 Floating-point reductions and matrix products depend on the memory layout
-of their operands, so the kernels keep the reference's layouts wherever a
-reduction or a product reads them: the channel rows of the channel mix,
-and the batch-major result of the normalization in a recorded forward,
-whose next mix reads its `(C, B*L)` reshape (a copy, or at L = 1 a
-Fortran-ordered view). A serving forward normalizes its rows in place and
-saves nothing. At L = 1 its next mix reads C-ordered rows where the
-reference and the recorded forward read that view, and some BLAS kernels
-round the two products differently (`tests/test_kernels.py` pins where
-they differ). Sums call `np.add.reduce`, the ufunc loop behind `.sum` and
-`.mean`, without their Python wrappers. The module also holds the shared
-checks of numbers and booleans, by which every type that holds a setting
-checks it; it imports nothing from the package.
+of their operands, so the forward, the backward and the reference keep one
+layout throughout: C-contiguous `(C, B*L)` channel rows, reduced along each
+row and mixed by `weight @ rows` (`weight.T @ g` backward). A serving
+forward normalizes its rows in place and saves nothing; a recorded one
+takes the same operations into new arrays, so the two give the same bits.
+Sums call `np.add.reduce`, the ufunc loop behind `.sum` and `.mean`,
+without their Python wrappers. The module also holds the shared checks of
+numbers and booleans, by which every type that holds a setting checks it;
+it imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -102,29 +99,27 @@ def backward(record: list[tuple], dlogits: np.ndarray,
     """Scale/shift gradients of every norm layer, in block order.
 
     `record` holds one `(mix weight, norm saved, relu mask)` entry per
-    block, in block order. Nothing before the first norm layer trains, so
-    the walk stops at its scale/shift.
+    block, in block order, its arrays `(C, B*L)` rows; the gradient stays
+    rows from the pool back. Nothing before the first norm layer trains,
+    so the walk stops at its scale/shift.
     """
-    length = record[0][2].shape[2]
-    g = dlogits @ head_weight.T
-    g = (g / length)[:, :, None]  # the pool's gradient, broadcast over length by the first mask
+    count = record[0][2].shape[1]  # B*L, the columns of every block's rows
+    length = count // dlogits.shape[0]
+    g = (dlogits @ head_weight.T / length).T.repeat(length, axis=1)  # the pool's gradient, as rows
     grads = []
     for i in range(len(record) - 1, -1, -1):
         weight, (centered, scaled, gamma, inv, shifted_var), mask = record[i]
         g = g * mask
-        grads.append((np.add.reduce(g * scaled, axis=(0, 2)), np.add.reduce(g, axis=(0, 2))))
+        grads.append((np.add.reduce(g * scaled, axis=1), np.add.reduce(g, axis=1)))
         if i == 0:
             break
-        count = g.shape[0] * g.shape[2]
-        d_scaled = g * gamma.reshape(1, -1, 1)
-        d_centered = d_scaled * inv.reshape(1, -1, 1)
-        d_inv = np.add.reduce(d_scaled * centered, axis=(0, 2))
+        d_scaled = g * gamma.reshape(-1, 1)
+        d_centered = d_scaled * inv.reshape(-1, 1)
+        d_inv = np.add.reduce(d_scaled * centered, axis=1)
         d_var = d_inv * (-0.5) * inv / shifted_var
-        d_mean = -np.add.reduce(d_centered, axis=(0, 2))
-        g = d_centered + (d_var * (2.0 / count)).reshape(1, -1, 1) * centered
-        g += (d_mean / count).reshape(1, -1, 1)
-        b, c_out, length = g.shape
-        cols = weight.T @ g.transpose(1, 0, 2).reshape(c_out, b * length)
-        g = cols.reshape(weight.shape[1], b, length).transpose(1, 0, 2)
+        d_mean = -np.add.reduce(d_centered, axis=1)
+        g = d_centered + (d_var * (2.0 / count)).reshape(-1, 1) * centered
+        g += (d_mean / count).reshape(-1, 1)
+        g = weight.T @ g
     grads.reverse()
     return grads

@@ -6,8 +6,9 @@ explicit (never implicit) broadcasting. Differentiation is recorded on an
 explicit :class:`Tape`; gradients accumulate additively across fan-out and
 are returned per trainable slot by :func:`backward`.
 
-The second half re-expresses the model's forward pass, losses and update
-steps on the tape. The fused kernels in `stta.numerics` and `stta.model`
+The second half re-expresses the model's forward pass, on the same
+`(C, B*L)` channel rows as the package, its losses and its update steps on
+the tape. The fused kernels in `stta.numerics` and `stta.model`
 must reproduce these results bit for bit (see test_kernels.py); the
 finite-difference tests check the tape itself.
 """
@@ -260,6 +261,11 @@ def transpose(a: ArrayLike, perm: Sequence[int]):
     return _apply(_tape_of(a), np.transpose(av, perm), (a,), lambda g: [np.transpose(g, inv)])
 
 
+def contiguous(a: ArrayLike):
+    """A C-ordered copy of `a`, the same values."""
+    return _apply(_tape_of(a), np.ascontiguousarray(_value(a)), (a,), lambda g: [g])
+
+
 def reshape(a: ArrayLike, shape: Sequence[int]):
     av = _value(a)
     shape = tuple(int(s) for s in shape)
@@ -273,8 +279,8 @@ def expand(v: ArrayLike, shape: Sequence[int], axes: Sequence[int]):
     """Place v's dimensions at `axes` of `shape` and tile across the rest.
 
     The only broadcasting permitted anywhere in this module: explicit, with
-    the target shape spelled out (e.g. a per-channel vector expanded over a
-    batch-by-channel-by-length feature map).
+    the target shape spelled out (e.g. a per-channel vector expanded over
+    the channel rows of a feature map).
     """
     vv = _value(v)
     shape = tuple(int(s) for s in shape)
@@ -469,38 +475,35 @@ def _val(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else x.data
 
 
-def _mix(x, weight):
-    # batch x c_in x length -> batch x c_out x length via a 2-D product
+def _rows(x):
+    # batch x channels x length -> the channel rows (channels, batch * length) that every mix multiplies
     b, c, length = _val(x).shape
-    cols = reshape(transpose(x, (1, 0, 2)), (c, b * length))
-    mixed = matmul(weight, cols)
-    c_out = _val(mixed).shape[0]
-    return transpose(reshape(mixed, (c_out, b, length)), (1, 0, 2))
+    return reshape(transpose(x, (1, 0, 2)), (c, b * length))
 
 
 def _norm_with(x, mean, var, gamma, beta, epsilon):
     shape = _val(x).shape
     inv = rsqrt(add_scalar(var, epsilon))
-    centered = sub(x, expand(mean, shape, (1,)))
-    scaled = mul(centered, expand(inv, shape, (1,)))
-    return add(mul(scaled, expand(gamma, shape, (1,))), expand(beta, shape, (1,)))
+    centered = sub(x, expand(mean, shape, (0,)))
+    scaled = mul(centered, expand(inv, shape, (0,)))
+    return add(mul(scaled, expand(gamma, shape, (0,))), expand(beta, shape, (0,)))
 
 
 def channel_stats(value: np.ndarray) -> ChannelStats:
-    """Per-channel mean and population variance of a `(B, C, L)` value over its batch and length axes:
-    the values of `reduce_mean` and `reduce_var` over axes (0, 2)."""
-    mean = value.mean(axis=(0, 2))
-    centered = value - mean.reshape(1, -1, 1)
-    return ChannelStats(mean, np.mean(centered * centered, axis=(0, 2)))
+    """Per-channel mean and population variance of channel rows `(C, B*L)`: the values of `reduce_mean` and
+    `reduce_var` over axis 1."""
+    mean = value.mean(axis=1)
+    centered = value - mean.reshape(-1, 1)
+    return ChannelStats(mean, np.mean(centered * centered, axis=1))
 
 
 def _norm_batch(x, gamma, beta, epsilon):
-    return _norm_with(x, reduce_mean(x, (0, 2)), reduce_var(x, (0, 2)), gamma, beta, epsilon)
+    return _norm_with(x, reduce_mean(x, (1,)), reduce_var(x, (1,)), gamma, beta, epsilon)
 
 
 def forward(model: Model, x, norm_source: str = "batch",
             norm_params: dict[int, tuple] | None = None) -> ForwardResult:
-    """Run the network, collecting early per-sample and per-layer statistics.
+    """Run the network on channel rows, collecting early per-sample and per-layer statistics.
 
     `x` may be a Tensor (pure evaluation) or a tape Var (differentiable;
     batch statistics only). `norm_params` substitutes (gamma, beta) nodes
@@ -521,16 +524,18 @@ def forward(model: Model, x, norm_source: str = "batch",
 
     early_mean = early_sigma = None
     layer_stats: list[ChannelStats] = []
-    out = x
+    b, c, length = xv.shape
+    out = _rows(x)
     for block, (weight, layer) in enumerate(zip(model.mix_weights, model.norm_layers)):
-        out = _mix(out, Tensor._wrap(weight))
+        out = matmul(Tensor._wrap(weight), out)
         value = _val(out)
         stats = channel_stats(value)
         layer_stats.append(stats)
         if block == 0:
-            early_mean = value.mean(axis=2)
-            centered = value - early_mean[:, :, None]
-            early_sigma = np.sqrt(np.mean(centered * centered, axis=2))
+            by_sample = value.reshape(c, b, length)
+            sample_mean = by_sample.mean(axis=2)
+            centered = by_sample - sample_mean[:, :, None]
+            early_mean, early_sigma = sample_mean.T, np.sqrt(np.mean(centered * centered, axis=2)).T
         if norm_params and block in norm_params:
             gamma, beta = norm_params[block]
         else:
@@ -548,7 +553,9 @@ def forward(model: Model, x, norm_source: str = "batch",
                 mean, var = layer.running_mean, layer.running_var
             out = _norm_with(out, Tensor._wrap(mean), Tensor._wrap(var), gamma, beta, layer.epsilon)
         out = relu(out)
-    out = reduce_mean(out, (2,))  # global mean pool
+    pooled = reduce_mean(reshape(out, (c, b, length)), (2,))  # global mean pool, (C, B)
+    # The head multiplies a C-ordered (B, C) operand: a product rounds by the layout of its operands.
+    out = contiguous(transpose(pooled, (1, 0)))
     out = add(matmul(out, Tensor._wrap(model.head_weight)),
               expand(Tensor._wrap(model.head_bias), _val(out).shape[:1] + model.head_bias.shape, (1,)))
     return ForwardResult(out, early_mean, early_sigma, layer_stats)
@@ -572,6 +579,25 @@ def cross_entropy_loss(logits, labels):
     return neg(reduce_mean(picked, (0,)))
 
 
+def _trainable_norms(tape: Tape, model: Model) -> tuple[dict[int, tuple], list[tuple[NormLayer, Var, Var]]]:
+    """Trainable tape variables for every norm layer's (gamma, beta): `forward`'s `norm_params` and the slots
+    `_descend` updates. Nothing else trains."""
+    norm_params: dict[int, tuple] = {}
+    slots: list[tuple[NormLayer, Var, Var]] = []
+    for block, layer in enumerate(model.norm_layers):
+        g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
+        b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
+        norm_params[block] = (g, b)
+        slots.append((layer, g, b))
+    return norm_params, slots
+
+
+def _descend(slots, grads: dict[Var, Tensor], lr: float) -> None:
+    for layer, g, b in slots:
+        layer.gamma = layer.gamma - lr * grads[g].data
+        layer.beta = layer.beta - lr * grads[b].data
+
+
 def adapt_step(model: Model, memory_batch, lr: float) -> ForwardResult | None:
     """One entropy-minimization SGD step on every norm layer's scale/shift."""
     if memory_batch is None:
@@ -580,47 +606,19 @@ def adapt_step(model: Model, memory_batch, lr: float) -> ForwardResult | None:
     if batch.data.shape[0] == 0:
         return None
     tape = Tape()
-    norm_params: dict[int, tuple] = {}
-    slots: list[tuple[NormLayer, Var, Var]] = []
-    for block, layer in enumerate(model.norm_layers):
-        g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
-        b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
-        norm_params[block] = (g, b)
-        slots.append((layer, g, b))
-    x = tape.variable(batch)
-    result = forward(model, x, "batch", norm_params)
-    loss = entropy_loss(result.logits)
-    grads = backward(tape, loss)
-    for layer, g, b in slots:
-        layer.gamma = layer.gamma - lr * grads[g].data
-        layer.beta = layer.beta - lr * grads[b].data
+    norm_params, slots = _trainable_norms(tape, model)
+    result = forward(model, tape.variable(batch), "batch", norm_params)
+    _descend(slots, backward(tape, entropy_loss(result.logits)), lr)
     return result
 
 
 def pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float) -> float:
     """One cross-entropy SGD step, as the package's pretraining takes it."""
     tape = Tape()
-    norm_params: dict[int, tuple] = {}
-    trained: list[tuple] = []  # (object, attribute, var)
-    mix_vars = []
-    for block, (weight, layer) in enumerate(zip(model.mix_weights, model.norm_layers)):
-        mix_vars.append(tape.variable(Tensor._wrap(weight), trainable=True))
-        g = tape.variable(Tensor._wrap(layer.gamma), trainable=True)
-        b = tape.variable(Tensor._wrap(layer.beta), trainable=True)
-        norm_params[block] = (g, b)
-        trained.append((layer, "gamma", g))
-        trained.append((layer, "beta", b))
-    w = tape.variable(Tensor._wrap(model.head_weight), trainable=True)
-    b = tape.variable(Tensor._wrap(model.head_bias), trainable=True)
-    trained.append((model, "head_weight", w))
-    trained.append((model, "head_bias", b))
-    x = tape.variable(Tensor._wrap(xb))
-    result = forward(model, x, "batch", norm_params)
+    norm_params, slots = _trainable_norms(tape, model)
+    result = forward(model, tape.variable(Tensor._wrap(xb)), "batch", norm_params)
     loss = cross_entropy_loss(result.logits, yb)
-    grads = backward(tape, loss)
-    model.mix_weights = [weight - lr * grads[var].data for weight, var in zip(model.mix_weights, mix_vars)]
-    for obj, attr, var in trained:
-        setattr(obj, attr, getattr(obj, attr) - lr * grads[var].data)
+    _descend(slots, backward(tape, loss), lr)
     m = RUNNING_MOMENTUM
     for layer, stats in zip(model.norm_layers, result.layer_stats):
         layer.running_mean = (1.0 - m) * layer.running_mean + m * stats.mean

@@ -81,7 +81,7 @@ class TestBuild:
         domain = default_domain(num_classes=3, channels=6, length=8, separation=3.0, source_noise=0.5)
         x, y = sample_source(domain, 60, 4)
         pretrain(model, x, y, epochs=2, lr=5e-2, seed=5, batch_size=16)
-        assert checkpoint_digest(model) == "d130a89af3bbd82b5d390744e46533279e1124e51dc242d7b37c588f73edf7f7"
+        assert checkpoint_digest(model) == "9a39eb08b795c241f5e6a5a450ce5c5d6a5aa27abbfb01d7bdfecf7b71db192d"
 
 
 class TestForward:

@@ -439,11 +439,13 @@ class TestChannelMajorRows:
         assert out.reshape(view.shape[1], view.shape[0], -1).transpose(1, 0, 2).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
-    def test_a_recorded_call_keeps_the_batch_major_path(self, shape):
-        _rows, view, mean, var, gamma, beta = self.operands(shape, seed=2)
-        centered = np.subtract(view, mean.reshape(1, -1, 1), order="C")
+    def test_a_recorded_call_gives_the_serving_bits_in_new_rows(self, shape):
+        rows, view, mean, var, gamma, beta = self.operands(shape, seed=2)
+        centered = rows - mean.reshape(-1, 1)
         before = centered.copy()
         out, saved = normalize(centered, var, gamma, beta, 1e-5, record=True)
         assert out.flags.c_contiguous and len(saved) == 5 and saved[0] is centered
         assert np.array_equal(centered, before)  # a recorded call leaves its argument alone
-        assert out.tobytes() == serving_before_rows(view, mean, var, gamma, beta, 1e-5).tobytes()
+        assert out.tobytes() == normalize(centered.copy(), var, gamma, beta, 1e-5)[0].tobytes()
+        want = serving_before_rows(view, mean, var, gamma, beta, 1e-5)
+        assert out.reshape(view.shape[1], view.shape[0], -1).transpose(1, 0, 2).tobytes() == want.tobytes()
