@@ -16,7 +16,6 @@ from .datagen import (
     default_domain,
     make_stream,
     sample_source,
-    single_domain_stream,
 )
 from .engine import AdaptationSchedule, BatchRecord, Engine, EngineConfig, RunMetrics
 from .memory import InsertOutcome, SampleMemory, wasserstein
@@ -48,7 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     # datagen
     "Corruption", "DomainSpec", "StreamBatch", "StreamSpec", "continual_stream", "corruption_presets",
-    "default_domain", "make_stream", "sample_source", "single_domain_stream",
+    "default_domain", "make_stream", "sample_source",
     # engine
     "AdaptationSchedule", "BatchRecord", "Engine", "EngineConfig", "RunMetrics",
     # memory

@@ -180,13 +180,6 @@ def make_stream(spec: StreamSpec):
             yield StreamBatch(shifted[lo:hi], labels[lo:hi].copy(), segment_index)
 
 
-def single_domain_stream(corruption: Corruption | str = "noise", batches: int = 100,
-                         batch_size: int = 16, seed: int = 0, correlated: bool = False,
-                         **domain_kwargs) -> StreamSpec:
-    domain = default_domain(corruption=corruption, **domain_kwargs)
-    return StreamSpec(((domain, batches),), batch_size, seed, correlated)
-
-
 def continual_stream(corruptions=("scale_strong", "noise", "offset"), batches_per_segment: int = 60,
                      batch_size: int = 16, seed: int = 0, correlated: bool = False,
                      **domain_kwargs) -> StreamSpec:

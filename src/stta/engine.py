@@ -69,14 +69,6 @@ class AdaptationSchedule:
         self.ar = _as_rate(ar)
         self.batch_count = 0
 
-    @property
-    def adapt_count(self) -> int:
-        return self.batch_count * self.ar.numerator // self.ar.denominator
-
-    @property
-    def credit(self) -> Fraction:  # the fractional part of batch_count * ar
-        return self.batch_count * self.ar - self.adapt_count
-
     def should_adapt(self) -> bool:
         """Call exactly once per batch, in stream order."""
         self.batch_count += 1  # floor(n * ar) steps up exactly when frac(n * ar) < ar
@@ -314,7 +306,7 @@ class Engine:
     # -- checkpoint/resume --------------------------------------------------
 
     ENGINE_FORMAT = "stta-engine"
-    ENGINE_VERSION = 1
+    ENGINE_VERSION = 2
 
     def state_dict(self) -> dict:
         return {
@@ -322,14 +314,8 @@ class Engine:
             "version": self.ENGINE_VERSION,
             "config": _config_dict(self.config),
             "model": model_dict(self.model),
-            "schedule": {
-                "credit": [self.schedule.credit.numerator, self.schedule.credit.denominator],
-                "adapt_count": self.schedule.adapt_count,
-                "batch_count": self.schedule.batch_count,
-            },
+            "batch_count": self.schedule.batch_count,
             "memory": None if self.memory is None else self.memory.state_dict(),
-            "arrival": 0 if self.memory is None else self.memory.next_arrival,
-            "batch_index": self.schedule.batch_count,
             "rng": _rng_state_dict(self._rng),
         }
 
@@ -349,34 +335,14 @@ class Engine:
         top = "engine checkpoint"
         config = _config_from_dict(required(payload, "config", top, ": "))
         engine = cls(load_model_dict(required(payload, "model", top, ": ")), config)
-        sched, at = required(payload, "schedule", top, ": "), f"{top}: schedule"
-        credit = required(sched, "credit", at)
-        if not (isinstance(credit, list) and len(credit) == 2):
-            raise ValueError(f"{at}.credit must be a [numerator, denominator] pair, got {credit!r}")
-        credit = Fraction(checked_int(credit[0], f"{at}.credit[0]"),
-                          checked_int(credit[1], f"{at}.credit[1]", 1))
-        if credit >= 1:
-            raise ValueError(f"{at}.credit must be < 1, got {credit}")
-        adapt_count, batch_count = (checked_int(required(sched, key, at), f"{at}.{key}")
-                                    for key in ("adapt_count", "batch_count"))
-        arrival = checked_int(required(payload, "arrival", top, ": "), f"{top}: arrival")
-        batch_index = checked_int(required(payload, "batch_index", top, ": "), f"{top}: batch_index")
-        engine.schedule.batch_count = batch_count  # the other three counts follow from it and config.ar
-        for name, got, want in (("batch_index", batch_index, batch_count),
-                                ("schedule.adapt_count", adapt_count, engine.schedule.adapt_count),
-                                ("schedule.credit", credit, engine.schedule.credit)):
-            if got != want:
-                raise ValueError(f"{top}: {name} {got} disagrees with schedule.batch_count {batch_count} "
-                                 f"at config.ar {config.ar} (want {want})")
+        engine.schedule.batch_count = checked_int(required(payload, "batch_count", top, ": "), f"{top}: batch_count")
         engine._rng = _rng_from_dict(required(payload, "rng", top, ": "))
         mem, at = required(payload, "memory", top, ": "), "checkpoint memory"
-        if mem is None and arrival:  # the memory is made by the first batch, before any sample arrives
-            raise ValueError(f"{top}: arrival {arrival} with a null memory (want 0)")
         if mem is not None:
             capacity = checked_int(required(mem, "capacity", at, ": "), f"{at}: capacity", 1)
             if config.capacity not in (None, capacity):
                 raise ValueError(f"{at}: capacity {capacity} disagrees with config.capacity {config.capacity}")
-            engine._ensure_memory(capacity).load_state_dict(mem, engine.model.num_classes, arrival)
+            engine._ensure_memory(capacity).load_state_dict(mem, engine.model.num_classes)
         return engine
 
     @classmethod

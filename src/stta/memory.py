@@ -340,24 +340,25 @@ class SampleMemory:
     # -- checkpoint ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The engine checkpoint's `memory` section: the capacity, one entry of `SAMPLE_FIELDS` per sample
-        in arrival order (an infinite `wdist` as "inf"), and the centroid."""
+        """The engine checkpoint's `memory` section: the capacity, `next_arrival`, one entry of `SAMPLE_FIELDS`
+        per sample in arrival order (an infinite `wdist` as "inf"), and the centroid."""
         o = self.order()
         columns = ([] if self.inputs is None else self.inputs[o].tolist(), self.labels[o].tolist(),
                    self.confidences[o].tolist(), self.mu[o].tolist(), self.sigma[o].tolist(),
                    [w if w != math.inf else "inf" for w in self.wdist[o].tolist()], self.arrivals[o].tolist(),
                    self.entropies[o].tolist())
-        return {"capacity": self.capacity,
+        return {"capacity": self.capacity, "next_arrival": self.next_arrival,
                 "samples": [dict(zip(SAMPLE_FIELDS, row)) for row in zip(*columns)],
                 "centroid": {"mu": self.centroid_mu.tolist(), "sigma": self.centroid_sigma.tolist(),
                              "initialized": self.centroid_initialized}}
 
-    def load_state_dict(self, section, num_classes: int, next_arrival: int) -> None:
+    def load_state_dict(self, section, num_classes: int) -> None:
         """Fill this fresh memory, made with the section's capacity, from a `state_dict` section; ValueError
         naming the field it rejects. The samples are offered back in arrival order, so one this memory would
-        not keep is refused. Arrival indices must increase and stay below `next_arrival`, which the memory then
-        takes, and pseudo-labels below `num_classes`."""
+        not keep is refused. Arrival indices must increase and stay below the section's `next_arrival`, which
+        the memory then takes, and pseudo-labels below `num_classes`."""
         at, channels = "checkpoint memory", self.mu.shape[1]
+        next_arrival = checked_int(required(section, "next_arrival", at, ": "), f"{at}: next_arrival")
         cen, cen_at = required(section, "centroid", at, ": "), f"{at}: centroid"
         self.centroid_mu = checked_array(required(cen, "mu", cen_at), f"{cen_at}.mu", (channels,))
         self.centroid_sigma = checked_array(required(cen, "sigma", cen_at), f"{cen_at}.sigma", (channels,),

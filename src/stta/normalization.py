@@ -125,14 +125,10 @@ def normalize(centered: np.ndarray, var: np.ndarray, gamma: np.ndarray, beta: np
     """
     shifted_var = var + epsilon
     inv = 1.0 / np.sqrt(shifted_var)
-    if not record:  # the operations below, in the same order, on one array
-        centered *= inv.reshape(-1, 1)
-        centered *= gamma.reshape(-1, 1)
-        centered += beta.reshape(-1, 1)
-        return centered, None
-    scaled = centered * inv.reshape(-1, 1)
-    out = scaled * gamma.reshape(-1, 1) + beta.reshape(-1, 1)
-    return out, (centered, scaled, gamma, inv, shifted_var)
+    scaled = np.multiply(centered, inv.reshape(-1, 1), out=None if record else centered)
+    out = np.multiply(scaled, gamma.reshape(-1, 1), out=None if record else scaled)
+    out += beta.reshape(-1, 1)
+    return out, (centered, scaled, gamma, inv, shifted_var) if record else None
 
 
 def batch_channel_stats(rows: np.ndarray) -> tuple[ChannelStats, np.ndarray]:

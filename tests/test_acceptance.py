@@ -21,7 +21,6 @@ from stta.datagen import (
     default_domain,
     make_stream,
     sample_source,
-    single_domain_stream,
 )
 from stta.engine import AdaptationSchedule, Engine, EngineConfig
 from stta.memory import SampleMemory, wasserstein
@@ -232,7 +231,7 @@ def test_criterion_3_memory_oracle_equivalence():
 def test_criterion_4_tent_equivalence():
     with criterion(4, "engine reduces to the standalone every-batch loop", budget_seconds=30.0):
         base = pretrain_source_model(7)
-        spec = single_domain_stream(corruption="noise", batches=200, batch_size=16, seed=7)
+        spec = continual_stream(("noise",), batches_per_segment=200, batch_size=16, seed=7)
         batches = list(make_stream(spec))
 
         engine_model = base.clone()
@@ -320,8 +319,8 @@ CALIBRATED = {"source-only": 0.7454, "naive": 0.9864, "snap": 0.9957, "full": 0.
 
 def test_criterion_6_end_to_end_pattern(source_models):
     with criterion(6, "accuracy ordering and sparse-vs-full gap", budget_seconds=120.0):
-        spec = lambda seed: single_domain_stream(corruption="scale_strong", batches=150,
-                                                 batch_size=16, seed=seed)
+        spec = lambda seed: continual_stream(("scale_strong",), batches_per_segment=150,
+                                             batch_size=16, seed=seed)
         accs = {"source-only": [], "naive": [], "snap": [], "full": []}
         for seed in SEEDS:
             base = source_models[seed]
@@ -351,8 +350,7 @@ def test_criterion_7_pseudo_label_quality(source_models):
     with criterion(7, "confidence-selected pseudo-labels beat random"):
         conf_acc, rand_acc = [], []
         for seed in SEEDS:
-            spec = single_domain_stream(corruption="scale_strong", batches=150,
-                                        batch_size=16, seed=seed)
+            spec = continual_stream(("scale_strong",), batches_per_segment=150, batch_size=16, seed=seed)
             m, _, _ = run_engine(source_models[seed], spec, seed, ar="0.1",
                                  selection_mode="cndrm", inference_stats_mode="batch")
             conf_acc.append(m.pseudo_label_accuracy())
@@ -374,8 +372,7 @@ def test_criterion_8_scheduling_and_compute_share(source_models):
 
         shares = []
         for ar in rates:
-            spec = single_domain_stream(corruption="scale_strong", batches=300,
-                                        batch_size=16, seed=0)
+            spec = continual_stream(("scale_strong",), batches_per_segment=300, batch_size=16, seed=0)
             metrics, _, _ = run_engine(source_models[0], spec, 0, ar=ar)
             shares.append(metrics.adaptation_share())
         print("  adaptation shares:", [f"{s:.3f}" for s in shares])

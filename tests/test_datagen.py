@@ -14,7 +14,6 @@ from stta.datagen import (
     default_domain,
     make_stream,
     sample_source,
-    single_domain_stream,
 )
 
 
@@ -57,12 +56,11 @@ class TestFieldChecks:
         (lambda: StreamSpec(((default_domain(), 1), (default_domain(length=4), 1)), 8, 0),
          r"segments\[1\].domain has 3 classes of 16 x 4 samples, segments\[0\].domain 3 classes of 16 x 8"),
         (lambda: default_domain(corruption="fog"), UNKNOWN_FOG),
-        (lambda: single_domain_stream(corruption="fog"), UNKNOWN_FOG),
         (lambda: continual_stream(corruptions=("noise", "fog")), UNKNOWN_FOG),
     ], ids=["inf-scale", "text-offset", "negative-noise", "bool-noise", "int-permute", "one-class",
             "too-many-classes", "float-channels", "zero-length", "nan-separation", "text-source-noise",
             "text-correlated", "negative-seed", "float-batches", "shape-changes", "unknown-preset",
-            "unknown-preset-single", "unknown-preset-continual"])
+            "unknown-preset-continual"])
     def test_rejects_bad_field(self, make, named):
         with pytest.raises(ValueError, match=f"^{named}"):
             make()
@@ -139,7 +137,7 @@ class TestCorrupt:
 
 class TestMakeStream:
     def test_batch_count_and_sizes(self):
-        spec = single_domain_stream(corruption="none", batches=10, batch_size=16, seed=0)
+        spec = continual_stream(("none",), batches_per_segment=10, batch_size=16, seed=0)
         batches = list(make_stream(spec))
         assert len(batches) == 10
         assert sum(b.x.shape[0] for b in batches) == 160
@@ -152,7 +150,7 @@ class TestMakeStream:
         assert tags == [0, 0, 0, 1, 1, 1]
 
     def test_bit_reproducible(self):
-        spec = single_domain_stream(corruption="noise", batches=5, batch_size=8, seed=2)
+        spec = continual_stream(("noise",), batches_per_segment=5, batch_size=8, seed=2)
         a = [b.x for b in make_stream(spec)]
         b = [b.x for b in make_stream(spec)]
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
@@ -161,7 +159,7 @@ class TestMakeStream:
         # chi-square over pooled per-batch histograms should not reject
         # uniform class draws at p > 0.001 for any of a few seeds
         for seed in (0, 1, 2):
-            spec = single_domain_stream(corruption="none", batches=30, batch_size=16, seed=seed)
+            spec = continual_stream(("none",), batches_per_segment=30, batch_size=16, seed=seed)
             counts = np.zeros(3)
             for batch in make_stream(spec):
                 counts += np.bincount(batch.labels, minlength=3)
@@ -170,14 +168,13 @@ class TestMakeStream:
             assert p > 0.001
 
     def test_correlated_mode_sorts_labels(self):
-        spec = single_domain_stream(corruption="none", batches=6, batch_size=8, seed=3,
-                                    correlated=True)
+        spec = continual_stream(("none",), batches_per_segment=6, batch_size=8, seed=3, correlated=True)
         labels = np.concatenate([b.labels for b in make_stream(spec)])
         assert np.all(np.diff(labels) >= 0)
 
     def test_labels_unchanged_by_corruption(self):
-        clean = single_domain_stream(corruption="none", batches=4, batch_size=8, seed=4)
-        noisy = single_domain_stream(corruption="noise", batches=4, batch_size=8, seed=4)
+        clean = continual_stream(("none",), batches_per_segment=4, batch_size=8, seed=4)
+        noisy = continual_stream(("noise",), batches_per_segment=4, batch_size=8, seed=4)
         for a, b in zip(make_stream(clean), make_stream(noisy)):
             assert np.array_equal(a.labels, b.labels)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stta import cli, normalization
-from stta.datagen import continual_stream, make_stream, single_domain_stream
+from stta.datagen import continual_stream, make_stream
 from stta.engine import (
     AdaptationSchedule,
     BatchRecord,
@@ -72,7 +72,6 @@ class TestSchedule:
         for n in range(1, 1001):
             count += s.should_adapt()
             assert count == (n * rate.numerator) // rate.denominator
-            assert 0 <= s.credit < 1
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -128,12 +127,12 @@ class TestEngineBasics:
 
     def test_memory_capacity_defaults_to_batch_size(self, base_model):
         engine = Engine(base_model.clone(), EngineConfig(ar=0))
-        spec = single_domain_stream(batches=2, batch_size=12, seed=0)
+        spec = continual_stream(("noise",), batches_per_segment=2, batch_size=12, seed=0)
         engine.run_stream(make_stream(spec))
         assert engine.memory.capacity == 12
 
     def test_zero_rate_matches_bn_stats_baseline(self, base_model):
-        spec = single_domain_stream(corruption="noise", batches=20, batch_size=16, seed=1)
+        spec = continual_stream(("noise",), batches_per_segment=20, batch_size=16, seed=1)
         model = base_model.clone()
         engine = Engine(model, EngineConfig(ar=0, inference_stats_mode="batch"))
         metrics = engine.run_stream(make_stream(spec))
@@ -149,7 +148,7 @@ class TestEngineBasics:
     def test_adaptation_skipped_when_memory_empty(self, base_model):
         # threshold 1.0 rejects every candidate (confidence can never exceed it)
         engine = Engine(base_model.clone(), EngineConfig(ar=1, tau_conf=1.0))
-        spec = single_domain_stream(batches=5, batch_size=8, seed=2)
+        spec = continual_stream(("noise",), batches_per_segment=5, batch_size=8, seed=2)
         metrics = engine.run_stream(make_stream(spec))
         assert metrics.adapt_count == 0
         assert metrics.skipped_adaptations == 5
@@ -186,7 +185,7 @@ class TestEngineBasics:
     def test_memory_norm_populates_after_first_adaptation(self, base_model):
         model = base_model.clone()
         engine = Engine(model, EngineConfig(ar=1, tau_conf=0.0))
-        spec = single_domain_stream(batches=3, batch_size=8, seed=3)
+        spec = continual_stream(("noise",), batches_per_segment=3, batch_size=8, seed=3)
         stream = list(make_stream(spec))
         assert engine._inference_source() == "batch"
         engine.process_batch(stream[0].x, stream[0].labels)
@@ -201,7 +200,7 @@ class TestEngineBasics:
         monkeypatch.setattr(normalization, "sampling_variances", lambda state: calls.append(1) or sizing(state))
         engine = Engine(base_model.clone(), config)
         served = []
-        for batch in make_stream(single_domain_stream(batches=9, batch_size=8, seed=3)):
+        for batch in make_stream(continual_stream(("noise",), batches_per_segment=9, batch_size=8, seed=3)):
             before = len(calls)
             record = engine.process_batch(batch.x, batch.labels)
             served.append((record.adapted, len(calls) - before))
@@ -252,7 +251,7 @@ class TestEngineBasics:
 
         monkeypatch.setattr("stta.engine.adapt_step", spy)
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5", capacity=12, seed=5))
-        batches = list(make_stream(single_domain_stream(corruption="noise", batches=8, batch_size=8, seed=6)))
+        batches = list(make_stream(continual_stream(("noise",), batches_per_segment=8, batch_size=8, seed=6)))
         seen = np.concatenate([b.x for b in batches])  # arrival indices count the stream's samples
         for b in batches:
             before = len(steps)
@@ -270,7 +269,7 @@ class TestEngineBasics:
     def test_ema_and_frozen_modes_run(self, base_model):
         for mode in ("ema", "frozen"):
             engine = Engine(base_model.clone(), EngineConfig(ar="0.5", inference_stats_mode=mode))
-            spec = single_domain_stream(batches=6, batch_size=8, seed=4)
+            spec = continual_stream(("noise",), batches_per_segment=6, batch_size=8, seed=4)
             metrics = engine.run_stream(make_stream(spec))
             assert metrics.total_batches == 6
             acc = metrics.accuracy()
@@ -283,23 +282,22 @@ def engine_state(engine):
     return (
         None if memory is None else memory.dump(),
         None if memory is None else memory.batch().tobytes(),
-        engine.schedule.credit, engine.schedule.adapt_count, engine.schedule.batch_count,
+        engine.schedule.batch_count,
         json.dumps(model_dict(engine.model)),
-        engine.state_dict()["arrival"],
+        None if memory is None else memory.next_arrival,
     )
 
 
 class TestBatchValidation:
     @pytest.fixture(scope="class")
     def stream(self):
-        spec = single_domain_stream(corruption="noise", batches=4, batch_size=8, seed=16)
+        spec = continual_stream(("noise",), batches_per_segment=4, batch_size=8, seed=16)
         return list(make_stream(spec))
 
     def warmed(self, base_model, stream, mode):
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=17, inference_stats_mode=mode))
-        for batch in stream[:3]:
-            engine.process_batch(batch.x, batch.labels)
-        assert len(engine.memory) > 0 and engine.schedule.adapt_count == 1
+        adapted = sum(engine.process_batch(batch.x, batch.labels).adapted for batch in stream[:3])
+        assert len(engine.memory) > 0 and adapted == 1
         return engine
 
     def bad_batches(self, stream):
@@ -331,7 +329,7 @@ class TestBatchValidation:
 
 class TestDeterminismAndHygiene:
     def test_fixed_seed_bit_identical_metrics(self, base_model):
-        spec = single_domain_stream(corruption="noise", batches=15, batch_size=8, seed=5)
+        spec = continual_stream(("noise",), batches_per_segment=15, batch_size=8, seed=5)
 
         def run():
             engine = Engine(base_model.clone(), EngineConfig(ar="0.3", seed=7))
@@ -341,7 +339,7 @@ class TestDeterminismAndHygiene:
         assert a.deterministic_dict() == b.deterministic_dict()
 
     def test_label_hygiene(self, base_model):
-        spec = single_domain_stream(corruption="noise", batches=12, batch_size=8, seed=6)
+        spec = continual_stream(("noise",), batches_per_segment=12, batch_size=8, seed=6)
 
         def run(use_labels):
             model = base_model.clone()
@@ -372,21 +370,23 @@ class TestPinnedTrajectories:
 
     The state digests are of those same states with `config.tau_delta` deleted, the key the config lost
     when CnDRM's rescoring threshold became a constant, and with the scale/shift that training on channel
-    rows gives: its sums over each row round in another order than sums over batch-major arrays did.
+    rows gives: its sums over each row round in another order than sums over batch-major arrays did. They
+    are of the version-2 layout, which states the batch count once and keeps the arrival counter in the
+    memory's section.
     """
 
     CASES = {
         "snap": (
             lambda: continual_stream(("scale_strong", "noise"), batches_per_segment=20, batch_size=16, seed=22),
             lambda: EngineConfig(ar="0.1", seed=23),
-            "0a0abbb6626896fee7395e6df884f2d7eca39ccbc41346ecc0ccafc799b34ac7",
+            "ad81b5ae6e862f0d885460b9a0dc376137b39f4e1f6f8664f5e46a01fbefdf1a",
             "cbb25d238666ce68894c5ed25fe261261dda43104f6f81f11b09360722f3d364",
         ),
         "tent-equivalent": (
-            lambda: single_domain_stream(corruption="noise", batches=8, batch_size=16, seed=24),
+            lambda: continual_stream(("noise",), batches_per_segment=8, batch_size=16, seed=24),
             lambda: EngineConfig(ar=1, tau_conf=0.0, selection_mode="naive", inference_stats_mode="batch",
                                  capacity=16, seed=25),
-            "655291301fffb7fe407b34c596824bbb13db2655619c838d996ecb805b53802e",
+            "09b39a6583beebc31e9e4bd68cd879b4b877fb4fe0e8c7dda250fd41cfb234ca",
             "60f95fd05e1d99791e9801beea05882c6b5bdd80fb5a87fd668c781cfa7cc9d7",
         ),
     }
@@ -426,7 +426,7 @@ class TestPinnedTrajectories:
 
     def test_overflow_names_the_batch(self, base_model):
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5", lr=1.0e200, seed=26))
-        batches = list(make_stream(single_domain_stream(corruption="noise", batches=6, batch_size=8, seed=27)))
+        batches = list(make_stream(continual_stream(("noise",), batches_per_segment=6, batch_size=8, seed=27)))
         engine.process_batch(batches[0].x)
         engine.process_batch(batches[1].x)  # adapts; the step itself stays finite
         with pytest.raises(FloatingPointError, match="batch 2: overflow"):
@@ -436,7 +436,7 @@ class TestPinnedTrajectories:
 class TestResume:
     @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
     def test_split_run_equals_whole_run(self, base_model, tmp_path, mode):
-        spec = single_domain_stream(corruption="scale_strong", batches=20, batch_size=8, seed=9)
+        spec = continual_stream(("scale_strong",), batches_per_segment=20, batch_size=8, seed=9)
         batches = list(make_stream(spec))
         config = EngineConfig(ar="0.3", capacity=5, selection_mode=mode, seed=10)
 
@@ -452,35 +452,8 @@ class TestResume:
 
         combined = metrics_a.deterministic_dict()["records"] + metrics_b.deterministic_dict()["records"]
         assert combined == metrics_whole.deterministic_dict()["records"]
-        assert len(whole.memory) == 5 and whole.schedule.adapt_count == 6
+        assert len(whole.memory) == 5 and metrics_whole.adapt_count + metrics_whole.skipped_adaptations == 6
         assert json.dumps(resumed.state_dict()) == json.dumps(whole.state_dict())
-
-    @pytest.mark.parametrize("edit,named", [
-        (lambda p: p["schedule"].update(credit=[1, 5]),
-         r"schedule\.credit 1/5 disagrees with schedule\.batch_count 7 at config\.ar 3/10 \(want 1/10\)"),
-        (lambda p: p["schedule"].update(adapt_count=3),
-         r"schedule\.adapt_count 3 disagrees with schedule\.batch_count 7 at config\.ar 3/10 \(want 2\)"),
-        (lambda p: p["schedule"].update(batch_count=8),
-         r"batch_index 7 disagrees with schedule\.batch_count 8 "),
-        (lambda p: p.update(batch_index=8), r"batch_index 8 disagrees with schedule\.batch_count 7 "),
-        (lambda p: p["config"].update(ar="1/2"),
-         r"schedule\.adapt_count 2 disagrees with schedule\.batch_count 7 at config\.ar 1/2 \(want 3\)"),
-        (lambda p: p.update(schedule={"credit": [9, 10], "adapt_count": 0, "batch_count": 0}, batch_index=0),
-         r"schedule\.credit 9/10 disagrees with schedule\.batch_count 0 "),
-        (lambda p: p.update(schedule={"credit": [9, 10], "adapt_count": 0, "batch_count": 0}, batch_index=10),
-         r"batch_index 10 disagrees with schedule\.batch_count 0 "),
-    ], ids=["credit", "adapt-count", "batch-count", "batch-index", "config-ar", "credit-at-start",
-            "credit-and-batch-index"])
-    def test_checkpoint_rejects_counts_that_disagree(self, base_model, edit, named):
-        # Every count follows from schedule.batch_count and config.ar; one that does not is refused.
-        spec = single_domain_stream(corruption="noise", batches=7, batch_size=8, seed=30)
-        engine = Engine(base_model.clone(), EngineConfig(ar="0.3", seed=31))
-        engine.run_stream(make_stream(spec))
-        payload = json.loads(json.dumps(engine.state_dict()))
-        assert Engine.from_state_dict(payload).state_dict() == payload
-        edit(payload)
-        with pytest.raises(ValueError, match="^engine checkpoint: " + named):
-            Engine.from_state_dict(payload)
 
     @pytest.mark.parametrize("value", [False, True])
     def test_refresh_memory_stats_key(self, base_model, value):
@@ -495,7 +468,7 @@ class TestResume:
 
     def test_a_resumed_engine_serves_with_its_configured_alpha(self, base_model):
         # The loaded model's layers were populated at alpha 4; the engine then swaps in values at its own alpha.
-        batches = list(make_stream(single_domain_stream(corruption="noise", batches=3, batch_size=8, seed=30)))
+        batches = list(make_stream(continual_stream(("noise",), batches_per_segment=3, batch_size=8, seed=30)))
         engine = Engine(base_model.clone(), EngineConfig(ar=1, tau_conf=0.0))
         engine.run_stream(batches)
         payload = json.loads(json.dumps(engine.state_dict()))
@@ -522,7 +495,7 @@ class TestResume:
         assert Engine.load(path).config == config
 
     def test_checkpoint_rejects_memory_sample_that_does_not_fit(self, base_model):
-        spec = single_domain_stream(corruption="noise", batches=2, batch_size=8, seed=20)
+        spec = continual_stream(("noise",), batches_per_segment=2, batch_size=8, seed=20)
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=21))
         engine.run_stream(make_stream(spec))
         payload = json.loads(json.dumps(engine.state_dict()))
@@ -547,7 +520,7 @@ class TestResume:
         ("centroid.sigma", "negative", "centroid.sigma must be >= 0"),
     ])
     def test_checkpoint_rejects_bad_memory_values(self, base_model, field, value, named):
-        spec = single_domain_stream(corruption="noise", batches=3, batch_size=8, seed=28)
+        spec = continual_stream(("noise",), batches_per_segment=3, batch_size=8, seed=28)
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=29))
         engine.run_stream(make_stream(spec))
         payload = json.loads(json.dumps(engine.state_dict()))
@@ -580,16 +553,14 @@ class TestResume:
          r"engine checkpoint: config\.tau_delta is not an engine setting$"),
         (lambda p: p["config"].update(seed="x"), r"engine checkpoint: config: seed must be an integer >= 0"),
         (lambda p: p["config"].update(ar="1/0"), r"engine checkpoint: config: adaptation rate '1/0'"),
-        (lambda p: p["schedule"].update(credit=[1, 0]),
-         r"engine checkpoint: schedule\.credit\[1\] must be an integer >= 1, got 0"),
-        (lambda p: p["schedule"].update(credit=[3, 2]), r"engine checkpoint: schedule\.credit must be < 1"),
-        (lambda p: p["schedule"].update(credit=1), r"engine checkpoint: schedule\.credit must be a"),
-        (lambda p: p["schedule"].update(adapt_count=-1),
-         r"engine checkpoint: schedule\.adapt_count must be an integer >= 0"),
         (lambda p: p.update(rng={}), r"engine checkpoint: rng is not a PCG64 state"),
         (lambda p: p["rng"].update(bit_generator="MT19937"), r"engine checkpoint: rng is not a PCG64 state"),
-        (lambda p: p.update(batch_index="x"), r"engine checkpoint: batch_index must be an integer >= 0, got 'x'"),
-        (lambda p: p.update(arrival=1.5), r"engine checkpoint: arrival must be an integer >= 0"),
+        (lambda p: p.update(version=1), r"unsupported engine checkpoint version 1$"),
+        (lambda p: p.update(batch_count="x"), r"engine checkpoint: batch_count must be an integer >= 0, got 'x'$"),
+        (lambda p: p.pop("batch_count"), r"engine checkpoint: batch_count is missing$"),
+        (lambda p: p["memory"].update(next_arrival=1.5),
+         r"checkpoint memory: next_arrival must be an integer >= 0, got 1\.5$"),
+        (lambda p: p["memory"].pop("next_arrival"), r"checkpoint memory: next_arrival is missing$"),
         (lambda p: p.pop("memory"), r"engine checkpoint: memory is missing"),
         (lambda p: p["memory"].update(capacity=0), r"checkpoint memory: capacity must be an integer >= 1, got 0"),
         (lambda p: p["memory"].update(capacity=9),
@@ -622,9 +593,9 @@ class TestResume:
     ], ids=[
         "sample-mu-missing", "arrival-index-missing", "config-unknown-key", "config-rescore-threshold",
         "config-seed-string",
-        "config-ar-zero-denominator", "credit-zero-denominator", "credit-above-one",
-        "credit-not-a-pair", "adapt-count-negative", "rng-empty", "rng-other-generator",
-        "batch-index-string", "arrival-float", "memory-missing", "capacity-zero",
+        "config-ar-zero-denominator", "rng-empty", "rng-other-generator", "version-one",
+        "batch-count-string", "batch-count-missing", "next-arrival-float", "next-arrival-missing",
+        "memory-missing", "capacity-zero",
         "capacity-disagrees", "centroid-initialized-int", "centroid-mu-length",
         "samples-not-a-list", "first-input-channels", "first-input-flat",
         "first-input-empty-length", "second-input-length", "sample-mu-length",
@@ -632,7 +603,7 @@ class TestResume:
         "samples-out-of-order",
     ])
     def test_checkpoint_rejects_malformed_fields(self, base_model, edit, named):
-        spec = single_domain_stream(corruption="noise", batches=2, batch_size=8, seed=28)
+        spec = continual_stream(("noise",), batches_per_segment=2, batch_size=8, seed=28)
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5", capacity=8, seed=29))
         engine.run_stream(make_stream(spec))
         payload = json.loads(json.dumps(engine.state_dict()))
@@ -642,13 +613,18 @@ class TestResume:
             Engine.from_state_dict(payload)
 
     def test_checkpoint_without_a_memory_has_seen_no_sample(self, base_model):
-        # The memory is made by the first batch, so a null memory comes with arrival 0 and nothing else.
+        # The memory is made by the first batch, so a fresh engine's checkpoint has a null memory.
         payload = json.loads(json.dumps(Engine(base_model.clone(), EngineConfig(seed=3)).state_dict()))
-        assert (payload["memory"], payload["arrival"]) == (None, 0)
+        assert (payload["memory"], payload["batch_count"]) == (None, 0)
         assert Engine.from_state_dict(payload).state_dict() == payload
-        payload["arrival"] = 3
-        with pytest.raises(ValueError, match=r"^engine checkpoint: arrival 3 with a null memory \(want 0\)$"):
-            Engine.from_state_dict(payload)
+
+    def test_checkpoint_states_each_value_once(self):
+        engine = Engine(default_model(), EngineConfig())
+        engine.process_batch(np.zeros((4, 16, 8)))
+        payload = engine.state_dict()
+        assert list(payload) == ["format", "version", "config", "model", "batch_count", "memory", "rng"]
+        assert list(payload["memory"]) == ["capacity", "next_arrival", "samples", "centroid"]
+        assert (payload["version"], payload["batch_count"], payload["memory"]["next_arrival"]) == (2, 1, 4)
 
     def test_checkpoint_rejects_a_payload_that_is_not_an_object(self):
         with pytest.raises(ValueError, match="^engine checkpoint must be a JSON object$"):
@@ -673,7 +649,8 @@ class TestStreamProperties:
                                                 tau_conf, batch_size, batches, split, seed):
         config = EngineConfig(ar=ar, tau_conf=tau_conf, capacity=capacity, selection_mode=selection_mode,
                               inference_stats_mode=source, seed=seed)
-        stream = list(make_stream(single_domain_stream(batches=batches, batch_size=batch_size, seed=seed)))
+        spec = continual_stream(("noise",), batches_per_segment=batches, batch_size=batch_size, seed=seed)
+        stream = list(make_stream(spec))
         whole = Engine(base_model.clone(), config)
         metrics = whole.run_stream(stream)
         assert all(r.memory_size <= (capacity or batch_size) for r in metrics.records)
@@ -690,7 +667,7 @@ class TestStreamProperties:
 
 class TestTentEquivalence:
     def test_param_trajectory_bit_identical(self, base_model):
-        spec = single_domain_stream(corruption="noise", batches=30, batch_size=16, seed=11)
+        spec = continual_stream(("noise",), batches_per_segment=30, batch_size=16, seed=11)
         batches = list(make_stream(spec))
 
         engine_model = base_model.clone()
@@ -732,7 +709,7 @@ class TestMetricsSummaries:
 
     def test_latency_split_recorded(self, base_model):
         engine = Engine(base_model.clone(), EngineConfig(ar="0.5"))
-        spec = single_domain_stream(batches=6, batch_size=8, seed=13)
+        spec = continual_stream(("noise",), batches_per_segment=6, batch_size=8, seed=13)
         metrics = engine.run_stream(make_stream(spec))
         adapted = [r for r in metrics.records if r.adapted]
         unadapted = [r for r in metrics.records if not r.adapted]

@@ -375,7 +375,7 @@ class TestAblationModes:
             assert stored(mem, "arrivals") == arrivals[max(0, i - 2):i + 1]
         assert mem.arrivals.tolist() == [12, 13, 9]  # five evictions: the ring went round once and on by two
         loaded = make_memory(capacity=3, mode="naive")
-        loaded.load_state_dict(json.loads(json.dumps(mem.state_dict())), num_classes=1, next_arrival=14)
+        loaded.load_state_dict(json.loads(json.dumps(mem.state_dict())), num_classes=1)
         assert loaded.arrivals.tolist() == [9, 12, 13]  # refilled in arrival order
         for arrival, evicted in ((14, 9), (15, 12), (16, 13), (17, 14)):
             assert offer(loaded, arrival).evicted == offer(mem, arrival).evicted == evicted
@@ -672,7 +672,7 @@ class TestStateDict:
         loaded_rng = np.random.default_rng()  # the engine checkpoint carries the generator next to the section
         loaded_rng.bit_generator.state = mem_rng.bit_generator.state
         loaded = SampleMemory(5, 1, 0.3, 0.9, mode, loaded_rng)
-        loaded.load_state_dict(section, num_classes=1, next_arrival=mem.next_arrival)
+        loaded.load_state_dict(section, num_classes=1)
         assert loaded.state_dict() == mem.state_dict()
         assert (loaded.dump(), loaded.next_arrival) == (mem.dump(), mem.next_arrival)
         assert np.array_equal(loaded.batch(), mem.batch())
@@ -686,7 +686,7 @@ class TestStateDict:
         section = mem.state_dict()
         assert section["samples"] == [] and section["centroid"]["initialized"]
         loaded = make_memory(capacity=2, tau_conf=0.5)
-        loaded.load_state_dict(section, num_classes=1, next_arrival=3)
+        loaded.load_state_dict(section, num_classes=1)
         assert loaded.state_dict() == section and loaded.next_arrival == 3 and loaded.batch() is None
 
     @pytest.mark.parametrize("entropy", [None, math.nan, -math.inf, "0.1", True],
@@ -700,7 +700,7 @@ class TestStateDict:
         sample["entropy"] = entropy
         loaded = SampleMemory(5, 1, 0.3, 0.9, mode, np.random.default_rng(5))
         with pytest.raises(ValueError) as err:
-            loaded.load_state_dict(section, num_classes=1, next_arrival=mem.next_arrival)
+            loaded.load_state_dict(section, num_classes=1)
         want = f"checkpoint memory: sample {sample['arrival_index']}: entropy must be a finite number, got {entropy!r}"
         assert str(err.value) == want
 
