@@ -558,6 +558,9 @@ class TestResume:
         (lambda p: p.update(version=1), r"unsupported engine checkpoint version 1$"),
         (lambda p: p.update(batch_count="x"), r"engine checkpoint: batch_count must be an integer >= 0, got 'x'$"),
         (lambda p: p.pop("batch_count"), r"engine checkpoint: batch_count is missing$"),
+        (lambda p: p.update(batch_count=-1), r"engine checkpoint: batch_count must be an integer >= 0, got -1$"),
+        (lambda p: p.update(batch_count=True),
+         r"engine checkpoint: batch_count must be an integer >= 0, got True$"),
         (lambda p: p["memory"].update(next_arrival=1.5),
          r"checkpoint memory: next_arrival must be an integer >= 0, got 1\.5$"),
         (lambda p: p["memory"].pop("next_arrival"), r"checkpoint memory: next_arrival is missing$"),
@@ -594,7 +597,8 @@ class TestResume:
         "sample-mu-missing", "arrival-index-missing", "config-unknown-key", "config-rescore-threshold",
         "config-seed-string",
         "config-ar-zero-denominator", "rng-empty", "rng-other-generator", "version-one",
-        "batch-count-string", "batch-count-missing", "next-arrival-float", "next-arrival-missing",
+        "batch-count-string", "batch-count-missing", "batch-count-negative", "batch-count-bool",
+        "next-arrival-float", "next-arrival-missing",
         "memory-missing", "capacity-zero",
         "capacity-disagrees", "centroid-initialized-int", "centroid-mu-length",
         "samples-not-a-list", "first-input-channels", "first-input-flat",

@@ -689,6 +689,55 @@ class TestStateDict:
         loaded.load_state_dict(section, num_classes=1)
         assert loaded.state_dict() == section and loaded.next_arrival == 3 and loaded.batch() is None
 
+    def test_the_next_offer_takes_the_loaded_next_arrival(self):
+        mem = make_memory(capacity=4, tau_conf=0.5)
+        rng = np.random.default_rng(6)
+        offer_batch(mem, rng, 2, 0.9)
+        offer_batch(mem, rng, 3, 0.1)  # rejected candidates still take arrival indices
+        assert stored(mem, "arrivals") == [0, 1] and mem.next_arrival == 5
+        loaded = make_memory(capacity=4, tau_conf=0.5)
+        loaded.load_state_dict(json.loads(json.dumps(mem.state_dict())), num_classes=1)
+        assert loaded.next_arrival == 5
+        with pytest.raises(ValueError, match="arrival 4 comes before the next arrival 5"):
+            offer(loaded, 4)
+        assert offer_batch(loaded, rng, 1, 0.9)[0] == [0]
+        assert stored(loaded, "arrivals") == [0, 1, 5] and loaded.next_arrival == 6
+
+    @pytest.mark.parametrize("edit,got", [
+        (lambda s: s.update(next_arrival=None), "None"),
+        (lambda s: s.update(next_arrival=-1), "-1"),
+        (lambda s: s.update(next_arrival=True), "True"),
+        (lambda s: s.update(next_arrival="3"), "'3'"),
+        (lambda s: s.update(next_arrival=3.0), "3.0"),
+    ], ids=["null", "negative", "bool", "string", "float"])
+    def test_next_arrival_must_be_a_count(self, edit, got):
+        mem = make_memory(capacity=4, tau_conf=0.5)
+        offer_batch(mem, np.random.default_rng(7), 3, 0.9)
+        section = json.loads(json.dumps(mem.state_dict()))
+        edit(section)
+        with pytest.raises(ValueError) as err:
+            make_memory(capacity=4, tau_conf=0.5).load_state_dict(section, num_classes=1)
+        assert str(err.value) == f"checkpoint memory: next_arrival must be an integer >= 0, got {got}"
+
+    def test_next_arrival_is_required(self):
+        section = make_memory(capacity=2).state_dict()
+        del section["next_arrival"]
+        with pytest.raises(ValueError) as err:
+            make_memory(capacity=2).load_state_dict(section, num_classes=1)
+        assert str(err.value) == "checkpoint memory: next_arrival is missing"
+
+    def test_next_arrival_must_follow_every_sample(self):
+        mem = make_memory(capacity=4, tau_conf=0.5)
+        offer_batch(mem, np.random.default_rng(8), 3, 0.9)
+        section = json.loads(json.dumps(mem.state_dict()))
+        last = section["samples"][-1]["arrival_index"]
+        section["next_arrival"] = last  # one too few: the last sample's own index
+        with pytest.raises(ValueError) as err:
+            make_memory(capacity=4, tau_conf=0.5).load_state_dict(section, num_classes=1)
+        want = (f"checkpoint memory: samples[{len(section['samples']) - 1}].arrival_index must be an integer "
+                f">= 0 and < {last}, got {last}")
+        assert str(err.value) == want
+
     @pytest.mark.parametrize("entropy", [None, math.nan, -math.inf, "0.1", True],
                              ids=["null", "nan", "inf", "string", "bool"])
     @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
