@@ -220,7 +220,7 @@ class Engine:
             c = self.config
             self.memory = SampleMemory(
                 capacity=c.capacity if c.capacity is not None else default_capacity,
-                channels=self.model.norm_layers[0].channels, tau_conf=c.tau_conf,
+                channels=self.model.in_channels, tau_conf=c.tau_conf,
                 beta=c.beta_centroid, selection_mode=c.selection_mode, rng=self._rng)
         return self.memory
 
@@ -231,28 +231,28 @@ class Engine:
             return "iobmn" if populated else "batch"
         return mode
 
-    def _validated(self, x, labels) -> tuple[np.ndarray, np.ndarray | None]:
-        """Check a batch before anything changes (see `checked_batch`), and that its samples fit the memory."""
+    def _validated(self, x, labels, segment) -> tuple[np.ndarray, np.ndarray | None, int]:
+        """Check a batch and its segment before anything changes (see `checked_batch`), and its fit to the memory."""
         where = f"batch {self.schedule.batch_count}"
         xv, lv = checked_batch(x, labels, self.model, where)
         stored = self.memory.inputs if self.memory is not None else None
         if stored is not None and xv.shape[1:] != stored.shape[1:]:
             raise ValueError(f"{where}: samples of shape {xv.shape[1:]}, the memory holds {stored.shape[1:]}")
-        return xv, lv
+        return xv, lv, checked_int(segment, f"{where}: segment")
 
     # -- the loop ---------------------------------------------------------
 
     def process_batch(self, x, labels=None, segment: int = 0) -> BatchRecord:
         """Run one stream batch; its labels (optional class indices) feed metrics only.
 
-        The batch and its labels are checked before anything changes: a
-        rejected batch raises ValueError naming its index and leaves the
-        engine as it was.
+        The batch, its labels and its segment (an integer >= 0) are checked
+        before anything changes: a rejected batch raises ValueError naming
+        its index and leaves the engine as it was.
         A floating-point overflow, division by zero or invalid operation
         raises FloatingPointError naming the batch index where it happens;
         the engine is then part-way through the batch and must not serve on.
         """
-        xv, labels = self._validated(x, labels)
+        xv, labels, segment = self._validated(x, labels, segment)
         index = self.schedule.batch_count
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -15,10 +15,10 @@ running statistics tracked during pretraining.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .normalization import (
     batch_channel_stats,
     normalize,
 )
-from .numerics import FINITE_NONNEGATIVE, FINITE_POSITIVE, HALF_OPEN_UNIT, ShapeError, checked_int, checked_number
+from .numerics import FINITE_POSITIVE, ShapeError, checked_int, checked_number
 
 NORM_SOURCES = ("batch", "iobmn", "ema", "frozen")
 
@@ -45,16 +45,14 @@ class NormLayer:
     statistics providers.
     """
 
-    def __init__(self, channels: int, epsilon: float = 1e-5,
-                 alpha: float = 4.0, ema_momentum: float = 0.9) -> None:
-        self.channels = int(channels)
+    def __init__(self, channels: int, epsilon: float = 1e-5) -> None:
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.epsilon = float(epsilon)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.memory_norm = MemoryNormState(alpha=alpha)
-        self.ema = EmaNormState(momentum=ema_momentum)
+        self.memory_norm = MemoryNormState()
+        self.ema = EmaNormState()
 
 
 @dataclass
@@ -86,7 +84,7 @@ class Model:
         return self.head_weight.shape[1]
 
     def clone(self) -> "Model":
-        return load_model_dict(model_dict(self))
+        return copy.deepcopy(self)
 
     def reset_inference_stats(self) -> None:
         """Clear memory/EMA statistics (fresh stream), keeping weights."""
@@ -298,10 +296,7 @@ def _pretrain_minibatch(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float)
 # checkpoints
 
 MODEL_FORMAT = "stta-model"
-MODEL_VERSION = 1
-# A checkpoint's `layers`: n >= 1 blocks of these three entries, then these two.
-BLOCK_KINDS = ("channel_mix", "norm", "relu")
-TAIL_KINDS = ("global_mean_pool", "classifier_head")
+MODEL_VERSION = 2
 
 
 def _stats_dict(stats: ChannelStats | None):
@@ -309,36 +304,29 @@ def _stats_dict(stats: ChannelStats | None):
 
 
 def _norm_dict(layer: NormLayer) -> dict:
+    """A norm layer's values; not `alpha` or `momentum`, engine settings that every `Engine` sets on its model."""
     mn = layer.memory_norm
     return {
-        "kind": "norm",
         "gamma": layer.gamma.tolist(),
         "beta": layer.beta.tolist(),
         "epsilon": layer.epsilon,
         "running_mean": layer.running_mean.tolist(),
         "running_var": layer.running_var.tolist(),
-        "memory_norm": {
-            "alpha": mn.alpha,
-            "stats": _stats_dict(mn.memory_stats),
-            "spatial_extent": mn.spatial_extent,
-            "sample_count": mn.sample_count,
-        },
-        "ema": {"momentum": layer.ema.momentum, "stats": _stats_dict(layer.ema.stats)},
+        "memory_norm": {"stats": _stats_dict(mn.memory_stats), "spatial_extent": mn.spatial_extent,
+                        "sample_count": mn.sample_count},
+        "ema": {"stats": _stats_dict(layer.ema.stats)},
     }
 
 
 def model_dict(model: Model) -> dict:
-    layers = []
-    for weight, layer in zip(model.mix_weights, model.norm_layers):
-        layers += [{"kind": "channel_mix", "weight": weight.tolist()}, _norm_dict(layer), {"kind": "relu"}]
-    head = {"kind": "classifier_head", "weight": model.head_weight.tolist(), "bias": model.head_bias.tolist()}
-    layers += [{"kind": "global_mean_pool"}, head]
+    """The checkpoint: the `Model` fields, each value once; channels and classes are the weights' shapes."""
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "in_channels": model.in_channels,
-        "num_classes": model.num_classes,
-        "layers": layers,
+        "mix_weights": [weight.tolist() for weight in model.mix_weights],
+        "norm_layers": [_norm_dict(layer) for layer in model.norm_layers],
+        "head_weight": model.head_weight.tolist(),
+        "head_bias": model.head_bias.tolist(),
     }
 
 
@@ -414,11 +402,8 @@ def _stats_from(d, channels: int, where: str) -> ChannelStats | None:
 def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
     where_mn, where_ema = f"{where}.memory_norm", f"{where}.ema"
     mn, ema = required(entry, "memory_norm", where), required(entry, "ema", where)
-    layer = NormLayer(
-        channels,
-        checked_number(required(entry, "epsilon", where), f"{where}.epsilon", FINITE_POSITIVE),
-        checked_number(required(mn, "alpha", where_mn), f"{where_mn}.alpha", FINITE_NONNEGATIVE),
-        checked_number(required(ema, "momentum", where_ema), f"{where_ema}.momentum", HALF_OPEN_UNIT))
+    layer = NormLayer(channels, checked_number(required(entry, "epsilon", where), f"{where}.epsilon",
+                                               FINITE_POSITIVE))
     for name in ("gamma", "beta", "running_mean", "running_var"):
         setattr(layer, name, checked_array(required(entry, name, where), f"{where}.{name}", (channels,),
                                            nonnegative=name == "running_var"))
@@ -427,7 +412,7 @@ def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
         extent, count = (checked_int(required(mn, key, where_mn), f"{where_mn}.{key}", 1)
                          for key in ("spatial_extent", "sample_count"))
         try:
-            layer.memory_norm = MemoryNormState(layer.memory_norm.alpha, stats, extent, count)
+            layer.memory_norm = MemoryNormState(memory_stats=stats, spatial_extent=extent, sample_count=count)
         except ValueError as exc:
             raise ValueError(f"{where_mn}: {exc}") from None
     layer.ema.stats = _stats_from(required(ema, "stats", where_ema), channels, f"{where_ema}.stats")
@@ -435,35 +420,30 @@ def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
 
 
 def load_model_dict(payload: dict) -> Model:
-    """The model a checkpoint holds; ValueError naming the entry or field it rejects."""
+    """The model a checkpoint holds; ValueError naming the field it rejects."""
     if not isinstance(payload, dict):
         raise ValueError("model checkpoint must be a JSON object")
     if payload.get("format") != MODEL_FORMAT:
         raise ValueError("not a model checkpoint")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model checkpoint version {payload.get('version')!r}")
-    entries = required(payload, "layers", "model checkpoint", ": ")
-    if not isinstance(entries, list):
-        raise ValueError(f"model checkpoint: layers must be a list of layer entries, got {entries!r}")
-    kinds = [entry.get("kind") if isinstance(entry, dict) else None for entry in entries]
-    blocks = max(1, (len(kinds) - len(TAIL_KINDS)) // len(BLOCK_KINDS))
-    for i, (kind, want) in enumerate(zip_longest(kinds, BLOCK_KINDS * blocks + TAIL_KINDS)):
-        if kind != want:
-            raise ValueError(f"model checkpoint: layers[{i}] has kind {kind!r}, want {want!r}; a model is "
-                             f"n >= 1 blocks of {', '.join(BLOCK_KINDS)}, then {', '.join(TAIL_KINDS)}")
-    channels, classes = (checked_int(required(payload, key, "model checkpoint", ": "),
-                                     f"model checkpoint: {key}", 1) for key in ("in_channels", "num_classes"))
-    where = [f"model checkpoint: layers[{i}]" for i in range(len(entries))]
-    mix_weights = [checked_array(required(entries[i], "weight", where[i]),
-                                 f"{where[i]}.weight (in_channels x in_channels)", (channels, channels))
-                   for i in range(0, 3 * blocks, 3)]
-    norm_layers = [_norm_layer_from(entries[i], channels, where[i]) for i in range(1, 3 * blocks, 3)]
-    head = entries[-1]
-    return Model(mix_weights, norm_layers,
-                 checked_array(required(head, "weight", where[-1]),
-                               f"{where[-1]}.weight (in_channels x num_classes)", (channels, classes)),
-                 checked_array(required(head, "bias", where[-1]), f"{where[-1]}.bias (num_classes)",
-                               (classes,)))
+    top = "model checkpoint"
+    mixes, norms = (required(payload, key, top, ": ") for key in ("mix_weights", "norm_layers"))
+    for key, entries in (("mix_weights", mixes), ("norm_layers", norms)):
+        if not isinstance(entries, list) or not entries:
+            raise ValueError(f"{top}: {key} must be a non-empty list, got {entries!r}")
+    if len(mixes) != len(norms):
+        raise ValueError(f"{top}: {len(mixes)} mix_weights and {len(norms)} norm_layers, want one of each per block")
+    channels = len(mixes[0]) if isinstance(mixes[0], list) else 0  # the first mix's rows, its shape checked next
+    mix_weights = [checked_array(weight, f"{top}: mix_weights[{i}]", (channels, channels))
+                   for i, weight in enumerate(mixes)]
+    norm_layers = [_norm_layer_from(entry, channels, f"{top}: norm_layers[{i}]") for i, entry in enumerate(norms)]
+    head_weight = checked_array(required(payload, "head_weight", top, ": "), f"{top}: head_weight")
+    classes = head_weight.shape[1] if head_weight.ndim == 2 else 0
+    if head_weight.shape != (channels, classes) or classes < 1:
+        raise ValueError(f"{top}: head_weight has shape {head_weight.shape}, want {channels} x classes, classes >= 1")
+    head_bias = checked_array(required(payload, "head_bias", top, ": "), f"{top}: head_bias", (classes,))
+    return Model(mix_weights, norm_layers, head_weight, head_bias)
 
 
 def save_model(model: Model, path) -> None:

@@ -1,4 +1,5 @@
-"""Labelled batches that break the one batch and label rule, shared by every entry that applies it."""
+"""Inputs that break a rule, shared by every entry that applies it: labelled batches that break the one batch and
+label rule, and a model checkpoint of the retired version 1."""
 
 import numpy as np
 
@@ -30,3 +31,16 @@ def bad_batches(x, labels, num_classes):
 
 
 CASES = list(bad_batches(np.zeros((7, 4, 5)), np.zeros(7, dtype=int), 2))
+
+
+# A one-block, one-channel, two-class model in the version-1 layout: a list of kinds, with the channels and classes
+# stated beside the weights and the engine's `alpha` and `momentum` in the norm entry. Every reader refuses it.
+V1_MODEL = {"format": "stta-model", "version": 1, "in_channels": 1, "num_classes": 2, "layers": [
+    {"kind": "channel_mix", "weight": [[1.0]]},
+    {"kind": "norm", "gamma": [1.0], "beta": [0.0], "epsilon": 1e-5, "running_mean": [0.0], "running_var": [1.0],
+     "memory_norm": {"alpha": 4.0, "stats": None, "spatial_extent": 0, "sample_count": 0},
+     "ema": {"momentum": 0.9, "stats": None}},
+    {"kind": "relu"},
+    {"kind": "global_mean_pool"},
+    {"kind": "classifier_head", "weight": [[1.0, -1.0]], "bias": [0.0, 0.0]},
+]}

@@ -11,6 +11,7 @@ from stta import cli
 from stta.cli import main
 from stta.model import default_model, model_dict, save_model
 
+from bad_inputs import V1_MODEL
 from tent_oracle import run_tent
 
 
@@ -481,25 +482,34 @@ class TestRun:
         model_path = os.path.join(out, "model-seed0.json")
         with open(model_path) as fh:
             payload = json.load(fh)
-        del payload["layers"][2]  # the first block's relu
+        del payload["mix_weights"][1]  # the second block's mix
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
                      "--checkpoint", str(bad_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad_path}: model checkpoint: layers[2] has kind 'channel_mix', want 'relu'")
+        assert err.startswith(f"error: {bad_path}: model checkpoint: 1 mix_weights and 2 norm_layers")
         assert not (tmp_path / "o").exists()
 
     def test_checkpoint_missing_a_field_exits_one(self, tmp_path, capsys):
         payload = model_dict(default_model(channels=8, blocks=2, seed=0))
-        del payload["layers"][1]["gamma"]
+        del payload["norm_layers"][0]["gamma"]
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(payload))
         cfg_path = write_config(tmp_path, tiny_config())
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
                      "--checkpoint", str(bad_path)]) == 1
-        assert capsys.readouterr().err == f"error: {bad_path}: model checkpoint: layers[1].gamma is missing\n"
+        assert capsys.readouterr().err == f"error: {bad_path}: model checkpoint: norm_layers[0].gamma is missing\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_version_one_checkpoint_exits_one(self, tmp_path, capsys):
+        v1_path = tmp_path / "v1.json"
+        v1_path.write_text(json.dumps(V1_MODEL))
+        cfg_path = write_config(tmp_path, tiny_config())
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(v1_path)]) == 1
+        assert capsys.readouterr().err == f"error: {v1_path}: unsupported model checkpoint version 1\n"
         assert not (tmp_path / "o").exists()
 
     def test_checkpoint_that_is_not_json_exits_one_naming_it(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from stta.memory import SELECTION_MODES, SampleMemory
 from stta.model import NORM_SOURCES, adapt_step, default_model, forward, model_dict, pretrain, save_model
 from stta.datagen import default_domain, sample_source
 
-from bad_inputs import CASES as BAD_CASES, bad_batches
+from bad_inputs import CASES as BAD_CASES, V1_MODEL, bad_batches
 from tent_oracle import run_tent
 
 
@@ -320,6 +321,23 @@ class TestBatchValidation:
         engine.process_batch(stream[3].x, stream[3].labels)  # the engine still serves
         assert engine.schedule.batch_count == 4
 
+    @pytest.mark.parametrize("segment", ["a", -3, 1.5, True], ids=["string", "negative", "float", "bool"])
+    def test_rejected_segment_changes_nothing(self, base_model, stream, segment):
+        engine = self.warmed(base_model, stream, "iobmn")
+        before = engine_state(engine)
+        named = re.escape(f"batch 3: segment must be an integer >= 0, got {segment!r}")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            engine.process_batch(stream[3].x, stream[3].labels, segment)
+        assert engine_state(engine) == before
+        engine.process_batch(stream[3].x, stream[3].labels, 3)  # the engine still serves
+        assert engine.schedule.batch_count == 4
+
+    def test_a_numpy_integer_segment_is_recorded_as_a_python_int(self, base_model, stream):
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=17))
+        record = engine.process_batch(stream[0].x, stream[0].labels, np.int64(0))
+        assert type(record.segment) is int
+        json.dumps(cli.result_record("snap", Fraction(1, 2), 17, RunMetrics([record])))
+
     def test_rejected_first_batch_creates_no_memory(self, base_model, stream):
         engine = Engine(base_model.clone(), EngineConfig(ar=1))
         with pytest.raises(ValueError, match="batch 0"):
@@ -372,21 +390,21 @@ class TestPinnedTrajectories:
     when CnDRM's rescoring threshold became a constant, and with the scale/shift that training on channel
     rows gives: its sums over each row round in another order than sums over batch-major arrays did. They
     are of the version-2 layout, which states the batch count once and keeps the arrival counter in the
-    memory's section.
+    memory's section, with a model section that is the version-2 model checkpoint, the `Model`'s four fields.
     """
 
     CASES = {
         "snap": (
             lambda: continual_stream(("scale_strong", "noise"), batches_per_segment=20, batch_size=16, seed=22),
             lambda: EngineConfig(ar="0.1", seed=23),
-            "ad81b5ae6e862f0d885460b9a0dc376137b39f4e1f6f8664f5e46a01fbefdf1a",
+            "2829eed4cee53fd70744d2c163251c24830412c929ec3116bf0111994d4ef63b",
             "cbb25d238666ce68894c5ed25fe261261dda43104f6f81f11b09360722f3d364",
         ),
         "tent-equivalent": (
             lambda: continual_stream(("noise",), batches_per_segment=8, batch_size=16, seed=24),
             lambda: EngineConfig(ar=1, tau_conf=0.0, selection_mode="naive", inference_stats_mode="batch",
                                  capacity=16, seed=25),
-            "09b39a6583beebc31e9e4bd68cd879b4b877fb4fe0e8c7dda250fd41cfb234ca",
+            "9890fa2810306a24709bbd7e028e43d7dd303f417505ed2dad7d4ecd39b841c9",
             "60f95fd05e1d99791e9801beea05882c6b5bdd80fb5a87fd668c781cfa7cc9d7",
         ),
     }
@@ -556,6 +574,7 @@ class TestResume:
         (lambda p: p.update(rng={}), r"engine checkpoint: rng is not a PCG64 state"),
         (lambda p: p["rng"].update(bit_generator="MT19937"), r"engine checkpoint: rng is not a PCG64 state"),
         (lambda p: p.update(version=1), r"unsupported engine checkpoint version 1$"),
+        (lambda p: p.update(model=V1_MODEL), r"unsupported model checkpoint version 1$"),
         (lambda p: p.update(batch_count="x"), r"engine checkpoint: batch_count must be an integer >= 0, got 'x'$"),
         (lambda p: p.pop("batch_count"), r"engine checkpoint: batch_count is missing$"),
         (lambda p: p.update(batch_count=-1), r"engine checkpoint: batch_count must be an integer >= 0, got -1$"),
@@ -596,7 +615,7 @@ class TestResume:
     ], ids=[
         "sample-mu-missing", "arrival-index-missing", "config-unknown-key", "config-rescore-threshold",
         "config-seed-string",
-        "config-ar-zero-denominator", "rng-empty", "rng-other-generator", "version-one",
+        "config-ar-zero-denominator", "rng-empty", "rng-other-generator", "version-one", "model-version-one",
         "batch-count-string", "batch-count-missing", "batch-count-negative", "batch-count-bool",
         "next-arrival-float", "next-arrival-missing",
         "memory-missing", "capacity-zero",

@@ -20,9 +20,10 @@ from stta.model import (
     pretrain,
     save_model,
 )
+from stta.engine import Engine, EngineConfig
 from stta.normalization import MemoryNormState, StateError
 
-from bad_inputs import CASES as BAD_CASES, bad_batches
+from bad_inputs import CASES as BAD_CASES, V1_MODEL, bad_batches
 from oracles import entropy_mp, finite_difference_grad
 
 
@@ -77,11 +78,11 @@ class TestBuild:
         from stta.datagen import default_domain, sample_source
 
         model = default_model(channels=6, blocks=2, seed=3)
-        assert checkpoint_digest(model) == "296902bd4c9f609dfc8d32fc91d26e6881d589305b2ee0a25454458322d2bb8e"
+        assert checkpoint_digest(model) == "a75e4aa1c347765e92dccf4f77c53d6cabb522753b10569213a82bac59402b3f"
         domain = default_domain(num_classes=3, channels=6, length=8, separation=3.0, source_noise=0.5)
         x, y = sample_source(domain, 60, 4)
         pretrain(model, x, y, epochs=2, lr=5e-2, seed=5, batch_size=16)
-        assert checkpoint_digest(model) == "9a39eb08b795c241f5e6a5a450ce5c5d6a5aa27abbfb01d7bdfecf7b71db192d"
+        assert checkpoint_digest(model) == "800b7506e70fe25309398aeee9cc9fe857745f4b51fa916199917874cf839390"
 
 
 class TestForward:
@@ -498,56 +499,76 @@ class TestCheckpoint:
         clone = model.clone()
         clone.norm_layers[0].gamma = clone.norm_layers[0].gamma + 1.0
         assert not np.array_equal(model.norm_layers[0].gamma, clone.norm_layers[0].gamma)
+        # An engine's model, adapted under its own alpha and momentum: the clone keeps both and serves bit for bit.
+        x, _ = TestPretrain().make_source(seed=16)
+        engine = Engine(default_model(channels=8, num_classes=3, blocks=2, seed=17),
+                        EngineConfig(ar=1, alpha=16.0, ema_momentum=0.5, tau_conf=0.0, capacity=6, seed=18))
+        for start in range(0, 24, 6):
+            engine.process_batch(x[start:start + 6])
+        model = engine.model
+        forward(model, x[24:30], "ema")  # an EMA to fold the next batch into
+        clone = model.clone()
+        assert [(l.memory_norm.alpha, l.ema.momentum) for l in clone.norm_layers] == [(16.0, 0.5)] * 2
+        xt = rand_input((3, 8, 8), seed=19, loc=1.0, scale=2.0)
+        for source in ("iobmn", "ema"):
+            assert np.array_equal(forward(clone, xt, source).logits, forward(model, xt, source).logits)
+
+    def test_a_loaded_model_serves_at_the_default_settings(self):
+        # The file holds no alpha or momentum: an `Engine` sets its config's values on every model it runs.
+        engine = Engine(default_model(channels=6, blocks=2, seed=3), EngineConfig(alpha=16.0, ema_momentum=0.5))
+        loaded = load_model_dict(model_dict(engine.model))
+        assert [(l.memory_norm.alpha, l.ema.momentum) for l in loaded.norm_layers] == [(4.0, 0.9)] * 2
+        restored = Engine(loaded, engine.config).model
+        assert [(l.memory_norm.alpha, l.ema.momentum) for l in restored.norm_layers] == [(16.0, 0.5)] * 2
+
+    def test_writes_the_model_fields_once(self):
+        payload = self._payload()
+        assert list(payload) == ["format", "version", "mix_weights", "norm_layers", "head_weight", "head_bias"]
+        assert list(payload["norm_layers"][0]) == ["gamma", "beta", "epsilon", "running_mean", "running_var",
+                                                   "memory_norm", "ema"]
+        assert list(payload["norm_layers"][0]["memory_norm"]) == ["stats", "spatial_extent", "sample_count"]
+        assert list(payload["norm_layers"][0]["ema"]) == ["stats"]
+        assert (payload["version"], len(payload["mix_weights"]), np.shape(payload["head_weight"])) == (2, 2, (6, 3))
+
+    def test_rejects_version_one(self):
+        with pytest.raises(ValueError, match="^unsupported model checkpoint version 1$"):
+            load_model_dict(V1_MODEL)
 
     def _payload(self):
         return model_dict(default_model(channels=6, blocks=2, seed=3))
 
-    def test_rejects_missing_relu(self):
-        payload = self._payload()
-        del payload["layers"][2]
-        with pytest.raises(ValueError, match=r"layers\[2\] has kind 'channel_mix', want 'relu'"):
-            load_model_dict(payload)
-
-    def test_rejects_head_not_last(self):
-        payload = self._payload()
-        layers = payload["layers"]
-        layers[-2], layers[-1] = layers[-1], layers[-2]
-        with pytest.raises(ValueError, match=r"layers\[6\] has kind 'classifier_head', want 'global_mean_pool'"):
-            load_model_dict(payload)
-
-    def test_rejects_zero_blocks(self):
-        payload = self._payload()
-        payload["layers"] = payload["layers"][-2:]
-        with pytest.raises(ValueError, match=r"layers\[0\] has kind 'global_mean_pool', want 'channel_mix'"):
-            load_model_dict(payload)
-
-    def test_rejects_unchained_mix_weight(self):
-        payload = self._payload()
-        payload["layers"][3]["weight"] = payload["layers"][3]["weight"][:5]
-        with pytest.raises(ValueError, match=r"layers\[3\]\.weight .* has shape \(5, 6\), want \(6, 6\)"):
-            load_model_dict(payload)
-
-    def test_rejects_num_classes_disagreeing_with_head(self):
-        payload = self._payload()
-        payload["num_classes"] = 4
-        with pytest.raises(ValueError, match=r"layers\[7\]\.weight \(in_channels x num_classes\) has shape \(6, 3\)"):
-            load_model_dict(payload)
-
-    def test_rejects_statistics_that_do_not_chain(self):
-        payload = self._payload()
-        payload["layers"][4]["running_var"] = [1.0] * 5
-        with pytest.raises(ValueError, match=r"layers\[4\]\.running_var has shape \(5,\), want \(6,\)"):
-            load_model_dict(payload)
-
-    def test_rejects_in_channels_disagreeing_with_weights(self):
-        payload = self._payload()
-        payload["in_channels"] = 5
-        with pytest.raises(ValueError, match=r"layers\[0\]\.weight \(in_channels x in_channels\) has shape \(6, 6\)"):
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p.update(mix_weights=[]), r"mix_weights must be a non-empty list, got \[\]$"),
+        (lambda p: p.update(norm_layers=[]), r"norm_layers must be a non-empty list, got \[\]$"),
+        (lambda p: p.update(mix_weights={}), r"mix_weights must be a non-empty list, got \{\}$"),
+        (lambda p: p.update(norm_layers=None), r"norm_layers must be a non-empty list, got None$"),
+        (lambda p: p["mix_weights"].pop(), r"1 mix_weights and 2 norm_layers, want one of each per block$"),
+        (lambda p: p["norm_layers"].pop(), r"2 mix_weights and 1 norm_layers, want one of each per block$"),
+        (lambda p: p["mix_weights"][0].pop(),
+         r"mix_weights\[0\] has shape \(5, 6\), want \(5, 5\)$"),
+        (lambda p: p["mix_weights"].__setitem__(0, []), r"mix_weights\[0\] has shape \(0,\), want \(0, 0\)$"),
+        (lambda p: p["mix_weights"][1].pop(), r"mix_weights\[1\] has shape \(5, 6\), want \(6, 6\)$"),
+        (lambda p: p["mix_weights"].__setitem__(1, np.eye(5).tolist()),
+         r"mix_weights\[1\] has shape \(5, 5\), want \(6, 6\)$"),
+        (lambda p: p["head_weight"].pop(), r"head_weight has shape \(5, 3\), want 6 x classes, classes >= 1$"),
+        (lambda p: p.update(head_weight=[[]] * 6), r"head_weight has shape \(6, 0\), want 6 x classes"),
+        (lambda p: p.update(head_bias=[0.0] * 4), r"head_bias has shape \(4,\), want \(3,\)$"),
+        (lambda p: p["norm_layers"][1].update(running_var=[1.0] * 5),
+         r"norm_layers\[1\]\.running_var has shape \(5,\), want \(6,\)$"),
+    ], ids=[
+        "mix-weights-empty", "norm-layers-empty", "mix-weights-not-a-list", "norm-layers-not-a-list",
+        "fewer-mix-weights", "fewer-norm-layers", "first-mix-not-square", "first-mix-flat", "later-mix-rows",
+        "later-mix-other-square", "head-rows", "head-no-classes", "head-bias-length", "norm-statistics-length",
+    ])
+    def test_rejects_shapes_that_do_not_chain(self, edit, message):
+        payload = json.loads(json.dumps(self._payload()))
+        edit(payload)
+        with pytest.raises(ValueError, match="^model checkpoint: " + message):
             load_model_dict(payload)
 
     def test_rejects_non_finite_epsilon(self):
         payload = self._payload()
-        payload["layers"][1]["epsilon"] = math.nan
+        payload["norm_layers"][0]["epsilon"] = math.nan
         with pytest.raises(ValueError, match="epsilon"):
             load_model_dict(payload)
 
@@ -555,15 +576,18 @@ class TestCheckpoint:
         # Values are checked where they enter: every array of a checkpoint
         # must be finite, and every variance >= 0.
         cases = [
-            (("layers", 1, "memory_norm", "stats"), {"mean": [0.0] * 6, "var": [1.0] * 5 + [-1.0]},
-             r"layers\[1\]\.memory_norm\.stats\.var must be >= 0"),
-            (("layers", 4, "ema", "stats"), {"mean": [math.nan] + [0.0] * 5, "var": [1.0] * 6},
-             r"layers\[4\]\.ema\.stats\.mean must be finite"),
-            (("layers", 1, "running_var"), [1.0] * 5 + [-0.5], r"layers\[1\]\.running_var must be >= 0"),
-            (("layers", 4, "gamma"), [1.0] * 5 + [math.inf], r"layers\[4\]\.gamma must be finite"),
-            (("layers", 7, "bias"), [0.0, math.nan, 0.0], r"layers\[7\]\.bias \(num_classes\) must be finite"),
-            (("layers", 1, "memory_norm", "stats"), {"mean": [0.0] * 6, "var": [1.0] * 5},
-             r"layers\[1\]\.memory_norm\.stats\.var has shape \(5,\), want \(6,\)"),
+            (("norm_layers", 0, "memory_norm", "stats"), {"mean": [0.0] * 6, "var": [1.0] * 5 + [-1.0]},
+             r"norm_layers\[0\]\.memory_norm\.stats\.var must be >= 0"),
+            (("norm_layers", 1, "ema", "stats"), {"mean": [math.nan] + [0.0] * 5, "var": [1.0] * 6},
+             r"norm_layers\[1\]\.ema\.stats\.mean must be finite"),
+            (("norm_layers", 0, "running_var"), [1.0] * 5 + [-0.5], r"norm_layers\[0\]\.running_var must be >= 0"),
+            (("norm_layers", 1, "gamma"), [1.0] * 5 + [math.inf], r"norm_layers\[1\]\.gamma must be finite"),
+            (("head_bias",), [0.0, math.nan, 0.0], r"head_bias must be finite"),
+            (("head_weight", 2), [0.0, math.inf, 0.0], r"head_weight must be finite"),
+            (("mix_weights", 0, 4), [math.nan] * 6, r"mix_weights\[0\] must be finite"),
+            (("mix_weights", 1, 0), [-math.inf] * 6, r"mix_weights\[1\] must be finite"),
+            (("norm_layers", 0, "memory_norm", "stats"), {"mean": [0.0] * 6, "var": [1.0] * 5},
+             r"norm_layers\[0\]\.memory_norm\.stats\.var has shape \(5,\), want \(6,\)"),
         ]
         for path, value, message in cases:
             payload = json.loads(json.dumps(self._payload()))
@@ -575,23 +599,22 @@ class TestCheckpoint:
                 load_model_dict(payload)
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda p: p["layers"][1].pop("gamma"), r"^model checkpoint: layers\[1\]\.gamma is missing$"),
-        (lambda p: p["layers"][7].pop("bias"), r"^model checkpoint: layers\[7\]\.bias is missing$"),
-        (lambda p: p["layers"][4]["memory_norm"].pop("alpha"),
-         r"^model checkpoint: layers\[4\]\.memory_norm\.alpha is missing$"),
-        (lambda p: p.pop("in_channels"), r"^model checkpoint: in_channels is missing$"),
-        (lambda p: p.update(layers=None), r"^model checkpoint: layers must be a list"),
-        (lambda p: p["layers"][1].update(ema=[]), r"^model checkpoint: layers\[1\]\.ema must be a JSON object$"),
-        (lambda p: p["layers"][1].update(epsilon="1e-5"),
-         r"^model checkpoint: layers\[1\]\.epsilon must be a number > 0 and finite, got '1e-5'$"),
-        (lambda p: p["layers"][4]["memory_norm"].update(alpha=True),
-         r"^model checkpoint: layers\[4\]\.memory_norm\.alpha must be a number >= 0"),
-        (lambda p: p["layers"][1]["ema"].update(momentum="0.9"),
-         r"^model checkpoint: layers\[1\]\.ema\.momentum must be a number in \(0, 1\]"),
-        (lambda p: p.update(num_classes=3.0), r"^model checkpoint: num_classes must be an integer >= 1"),
+        (lambda p: p["norm_layers"][0].pop("gamma"), r"^model checkpoint: norm_layers\[0\]\.gamma is missing$"),
+        (lambda p: p.pop("head_bias"), r"^model checkpoint: head_bias is missing$"),
+        (lambda p: p.pop("head_weight"), r"^model checkpoint: head_weight is missing$"),
+        (lambda p: p["norm_layers"][1]["memory_norm"].pop("stats"),
+         r"^model checkpoint: norm_layers\[1\]\.memory_norm\.stats is missing$"),
+        (lambda p: p.pop("mix_weights"), r"^model checkpoint: mix_weights is missing$"),
+        (lambda p: p["norm_layers"].__setitem__(1, 3), r"^model checkpoint: norm_layers\[1\] must be a JSON object$"),
+        (lambda p: p["norm_layers"][0].update(ema=[]),
+         r"^model checkpoint: norm_layers\[0\]\.ema must be a JSON object$"),
+        (lambda p: p["norm_layers"][0].update(epsilon="1e-5"),
+         r"^model checkpoint: norm_layers\[0\]\.epsilon must be a number > 0 and finite, got '1e-5'$"),
+        (lambda p: p["norm_layers"][1].update(epsilon=True),
+         r"^model checkpoint: norm_layers\[1\]\.epsilon must be a number > 0 and finite, got True$"),
     ], ids=[
-        "gamma-missing", "bias-missing", "alpha-missing", "in-channels-missing", "layers-null",
-        "ema-not-an-object", "epsilon-string", "alpha-bool", "momentum-string", "num-classes-float",
+        "gamma-missing", "bias-missing", "head-weight-missing", "memory-stats-missing", "mix-weights-missing",
+        "norm-entry-not-an-object", "ema-not-an-object", "epsilon-string", "epsilon-bool",
     ])
     def test_rejects_malformed_fields(self, edit, message):
         payload = json.loads(json.dumps(self._payload()))
@@ -605,18 +628,18 @@ class TestCheckpoint:
 
     def _with_memory_stats(self, spatial_extent, sample_count):
         payload = json.loads(json.dumps(self._payload()))
-        memory_norm = payload["layers"][1]["memory_norm"]
+        memory_norm = payload["norm_layers"][0]["memory_norm"]
         memory_norm.update(stats={"mean": [0.0] * 6, "var": [1.0] * 6},
                            spatial_extent=spatial_extent, sample_count=sample_count)
         return payload
 
     @pytest.mark.parametrize("extent,count,message", [
-        ("5", 4, r"layers\[1\]\.memory_norm\.spatial_extent must be an integer >= 1, got '5'"),
-        (2.9, 4, r"layers\[1\]\.memory_norm\.spatial_extent must be an integer >= 1, got 2\.9"),
-        (4, 0, r"layers\[1\]\.memory_norm\.sample_count must be an integer >= 1, got 0"),
-        (8, True, r"layers\[1\]\.memory_norm\.sample_count must be an integer >= 1, got True"),
-        (1, 1, r"layers\[1\]\.memory_norm: spatial_extent x sample_count must be >= 2"),
-    ])
+        ("5", 4, r"norm_layers\[0\]\.memory_norm\.spatial_extent must be an integer >= 1, got '5'"),
+        (2.9, 4, r"norm_layers\[0\]\.memory_norm\.spatial_extent must be an integer >= 1, got 2\.9"),
+        (4, 0, r"norm_layers\[0\]\.memory_norm\.sample_count must be an integer >= 1, got 0"),
+        (8, True, r"norm_layers\[0\]\.memory_norm\.sample_count must be an integer >= 1, got True"),
+        (1, 1, r"norm_layers\[0\]\.memory_norm: spatial_extent x sample_count must be >= 2"),
+    ], ids=["extent-string", "extent-float", "count-zero", "count-bool", "size-one"])
     def test_rejects_bad_memory_sample_size(self, extent, count, message):
         # A sample size below 2 would load and then fail at the first served iobmn batch.
         with pytest.raises(ValueError, match="^model checkpoint: " + message):

@@ -14,13 +14,10 @@ from stta import (ChannelStats, Corruption, EmaNormState, Engine, EngineConfig, 
 from stta.model import load_model_dict, model_dict
 
 
-def checkpoint_with(value, *keys):
-    """A one-block model checkpoint whose norm layer entry holds `value` at `keys`, loaded."""
+def checkpoint_with_epsilon(value):
+    """A one-block model checkpoint whose norm layer entry holds `value` as its `epsilon`, loaded."""
     payload = model_dict(default_model(channels=2, num_classes=2, blocks=1))
-    entry = payload["layers"][1]
-    for key in keys[:-1]:
-        entry = entry[key]
-    entry[keys[-1]] = value
+    payload["norm_layers"][0]["epsilon"] = value
     return load_model_dict(payload)
 
 
@@ -28,12 +25,8 @@ def checkpoint_with(value, *keys):
 HOLDERS = [
     ("alpha", "EngineConfig", lambda v: EngineConfig(alpha=v), "alpha", ">= 0 and finite", -1.0),
     ("alpha", "MemoryNormState", lambda v: MemoryNormState(alpha=v), "alpha", ">= 0 and finite", -1.0),
-    ("alpha", "model checkpoint", lambda v: checkpoint_with(v, "memory_norm", "alpha"),
-     "model checkpoint: layers[1].memory_norm.alpha", ">= 0 and finite", -1.0),
     ("momentum", "EngineConfig", lambda v: EngineConfig(ema_momentum=v), "ema_momentum", "in (0, 1]", 0.0),
     ("momentum", "EmaNormState", lambda v: EmaNormState(momentum=v), "momentum", "in (0, 1]", 0.0),
-    ("momentum", "model checkpoint", lambda v: checkpoint_with(v, "ema", "momentum"),
-     "model checkpoint: layers[1].ema.momentum", "in (0, 1]", 0.0),
     ("tau_conf", "EngineConfig", lambda v: EngineConfig(tau_conf=v), "tau_conf", "in [0, 1]", 1.5),
     ("tau_conf", "SampleMemory", lambda v: SampleMemory(4, 2, tau_conf=v), "tau_conf", "in [0, 1]", 1.5),
     ("beta", "EngineConfig", lambda v: EngineConfig(beta_centroid=v), "beta_centroid", "in (0, 1]", 1.5),
@@ -86,7 +79,7 @@ def test_a_replaced_alpha_is_checked_by_the_rule(kind, served_first):
     (lambda v: Corruption(scale=v), "scale", "that is finite"),
     (lambda v: Corruption(noise=v), "noise", ">= 0 and finite"),
     (lambda v: EngineConfig(lr=v), "lr", ">= 0 and finite"),
-    (lambda v: checkpoint_with(v, "epsilon"), "model checkpoint: layers[1].epsilon", "> 0 and finite"),
+    (checkpoint_with_epsilon, "model checkpoint: norm_layers[0].epsilon", "> 0 and finite"),
     (lambda v: pretrain(default_model(channels=2, num_classes=2, blocks=1), np.zeros((2, 2, 3)), [0, 1], lr=v),
      "pretraining: lr", "> 0 and finite"),
 ], ids=["corruption-scale", "corruption-noise", "engine-lr", "checkpoint-epsilon", "pretrain-lr"])
