@@ -31,6 +31,8 @@ HOLDERS = [
     ("tau_conf", "SampleMemory", lambda v: SampleMemory(4, 2, tau_conf=v), "tau_conf", "in [0, 1]", 1.5),
     ("beta", "EngineConfig", lambda v: EngineConfig(beta_centroid=v), "beta_centroid", "in (0, 1]", 1.5),
     ("beta", "SampleMemory", lambda v: SampleMemory(4, 2, beta=v), "beta", "in (0, 1]", 1.5),
+    ("epsilon", "model checkpoint", checkpoint_with_epsilon,
+     "model checkpoint: norm_layers[0].epsilon", "> 0 and finite", 0.0),
 ]
 # None: the row's own. No setting takes an infinity, nor an integer beyond the largest float. A numpy scalar is
 # read as the Python number it holds: a numpy boolean is a boolean, and a float32 infinity is not finite.
@@ -79,10 +81,9 @@ def test_a_replaced_alpha_is_checked_by_the_rule(kind, served_first):
     (lambda v: Corruption(scale=v), "scale", "that is finite"),
     (lambda v: Corruption(noise=v), "noise", ">= 0 and finite"),
     (lambda v: EngineConfig(lr=v), "lr", ">= 0 and finite"),
-    (checkpoint_with_epsilon, "model checkpoint: norm_layers[0].epsilon", "> 0 and finite"),
     (lambda v: pretrain(default_model(channels=2, num_classes=2, blocks=1), np.zeros((2, 2, 3)), [0, 1], lr=v),
      "pretraining: lr", "> 0 and finite"),
-], ids=["corruption-scale", "corruption-noise", "engine-lr", "checkpoint-epsilon", "pretrain-lr"])
+], ids=["corruption-scale", "corruption-noise", "engine-lr", "pretrain-lr"])
 def test_an_integer_beyond_the_largest_float_is_not_finite(make, name, rule):
     with pytest.raises(ValueError, match=message(name, rule, 10**400)):
         make(10**400)
