@@ -30,7 +30,7 @@ import yaml
 
 from .datagen import Corruption, StreamSpec, _preset, default_domain, make_stream, sample_source
 from .engine import REAL_SETTINGS, Engine, EngineConfig, RunMetrics, _as_rate
-from .model import Model, default_model, load_model, pretrain, required, save_model
+from .model import Model, default_model, load_model, pretrain, save_model
 from .numerics import FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, checked_int, checked_number, is_real
 
 RESULT_SCHEMA = 1
@@ -163,18 +163,19 @@ def stream_spec_from_config(cfg: dict, seed: int = 0) -> StreamSpec:
         corruption = _corruption(entry.get("corruption", "none"), at)
         domain = entry.get("domain")
         domain = _mapping({} if domain is None else domain, f"{at}.domain", DOMAIN_DEFAULTS)
-        segments.append((_under(f"{at}.domain.", default_domain, **domain, corruption=corruption),
-                         required(entry, "batches", at)))
+        if "batches" not in entry:
+            raise ConfigError(f"{at}.batches is missing")
+        segments.append((_under(f"{at}.domain.", default_domain, **domain, corruption=corruption), entry["batches"]))
     return _under("stream.", StreamSpec, tuple(segments), stream_cfg["batch_size"], seed, stream_cfg["correlated"])
 
 
-def _real(value, where: str) -> float:
-    """A real-valued setting as a float; a numeric string counts, as YAML reads `1e-3` as one."""
-    if not isinstance(value, bool):
-        try:
+def _real(value, where: str) -> int | float:
+    """A real number as given, for its setting's rule to check, or a numeric string (YAML reads `1e-3` as one)."""
+    if is_real(value):
+        return value
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
             return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
@@ -364,7 +365,7 @@ def threshold_cells(thresholds) -> dict:
             raise ConfigError(f"threshold key {key!r}: unknown mode {mode!r}")
         rate = _under(f"threshold key {key!r}: ", _as_rate, ar)
         where = f"threshold {key!r}: minimum"
-        value = checked_number(minimum if is_real(minimum) else _real(minimum, where), where, FINITE)
+        value = checked_number(_real(minimum, where), where, FINITE)
         cells[key] = (cell_key(mode, rate), value)
     return cells
 

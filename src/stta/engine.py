@@ -33,20 +33,17 @@ from .model import (
     load_model_dict,
     model_dict,
     per_sample_entropy,
-    required,
 )
 from .normalization import MemoryNormState, estimable
-from .numerics import FINITE_NONNEGATIVE, HALF_OPEN_UNIT, UNIT_INTERVAL, checked_int, checked_number
+from .numerics import FINITE_NONNEGATIVE, HALF_OPEN_UNIT, UNIT_INTERVAL, checked_fields, checked_int, checked_number
 
 
 def _as_rate(value) -> Fraction:
-    """Exact rational adaptation rate from float/str/Fraction input; ValueError for anything else."""
+    """Exact rational adaptation rate from float/int/str/Fraction input; ValueError for anything else."""
     try:
         if isinstance(value, bool):  # a YAML or JSON boolean, an int to Python
             raise TypeError
-        if isinstance(value, Fraction):
-            rate = value
-        elif isinstance(value, str):
+        if isinstance(value, (int, Fraction, str)):  # an int exactly, however large
             rate = Fraction(value)
         else:
             rate = Fraction(str(float(value)))
@@ -214,14 +211,16 @@ class Engine:
 
     # -- wiring ---------------------------------------------------------
 
+    def _memory_settings(self) -> dict:
+        """The `SampleMemory` arguments but its capacity: the model's channels and the configured settings."""
+        c = self.config
+        return {"channels": self.model.in_channels, "tau_conf": c.tau_conf, "beta": c.beta_centroid,
+                "selection_mode": c.selection_mode, "rng": self._rng}
+
     def _ensure_memory(self, default_capacity: int) -> SampleMemory:
         """The memory, made on first use with `config.capacity`, or `default_capacity` if that is None."""
         if self.memory is None:
-            c = self.config
-            self.memory = SampleMemory(
-                capacity=c.capacity if c.capacity is not None else default_capacity,
-                channels=self.model.in_channels, tau_conf=c.tau_conf,
-                beta=c.beta_centroid, selection_mode=c.selection_mode, rng=self._rng)
+            self.memory = SampleMemory(self.config.capacity or default_capacity, **self._memory_settings())
         return self.memory
 
     def _inference_source(self) -> str:
@@ -332,17 +331,17 @@ class Engine:
             raise ValueError("not an engine checkpoint")
         if payload.get("version") != cls.ENGINE_VERSION:
             raise ValueError(f"unsupported engine checkpoint version {payload.get('version')!r}")
-        top = "engine checkpoint"
-        config = _config_from_dict(required(payload, "config", top, ": "))
-        engine = cls(load_model_dict(required(payload, "model", top, ": ")), config)
-        engine.schedule.batch_count = checked_int(required(payload, "batch_count", top, ": "), f"{top}: batch_count")
-        engine._rng = _rng_from_dict(required(payload, "rng", top, ": "))
-        mem, at = required(payload, "memory", top, ": "), "checkpoint memory"
-        if mem is not None:
-            capacity = checked_int(required(mem, "capacity", at, ": "), f"{at}: capacity", 1)
-            if config.capacity not in (None, capacity):
-                raise ValueError(f"{at}: capacity {capacity} disagrees with config.capacity {config.capacity}")
-            engine._ensure_memory(capacity).load_state_dict(mem, engine.model.num_classes)
+        _, _, config, model, batch_count, memory, rng = checked_fields(payload, (
+            "format", "version", "config", "model", "batch_count", "memory", "rng"), "engine checkpoint", ": ")
+        config = _config_from_dict(config)
+        engine = cls(load_model_dict(model), config)
+        engine.schedule.batch_count = checked_int(batch_count, "engine checkpoint: batch_count")
+        engine._rng = _rng_from_dict(rng)
+        if memory is not None:
+            engine.memory = SampleMemory.from_state_dict(memory, engine.model.num_classes, **engine._memory_settings())
+            if config.capacity not in (None, engine.memory.capacity):
+                raise ValueError(f"checkpoint memory: capacity {engine.memory.capacity} disagrees with config.capacity "
+                                 f"{config.capacity}")
         return engine
 
     @classmethod
@@ -356,13 +355,9 @@ def _config_dict(config: EngineConfig) -> dict:
 
 
 def _config_from_dict(d) -> EngineConfig:
-    if not isinstance(d, dict):
-        raise ValueError(f"engine checkpoint: config must be a JSON object, got {d!r}")
-    for key in d:
-        if key not in EngineConfig.__dataclass_fields__:
-            raise ValueError(f"engine checkpoint: config.{key} is not an engine setting")
+    values = checked_fields(d, tuple(EngineConfig.__dataclass_fields__), "engine checkpoint: config")
     try:
-        return EngineConfig(**d)
+        return EngineConfig(*values)  # the fields, in their order
     except ValueError as exc:
         raise ValueError(f"engine checkpoint: config: {exc}") from None
 
@@ -375,8 +370,9 @@ def _rng_state_dict(rng: np.random.Generator) -> dict:
 def _rng_from_dict(payload) -> np.random.Generator:
     gen = np.random.default_rng(0)
     try:
-        for key in ("state", "inc"):
-            checked_int(payload["state"][key], key)
+        state = checked_fields(payload, ("bit_generator", "state", "has_uint32", "uinteger"), "rng")[1]
+        for key, value in zip(("state", "inc"), checked_fields(state, ("state", "inc"), "rng.state")):
+            checked_int(value, f"rng.state.{key}")
         gen.bit_generator.state = payload
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"engine checkpoint: rng is not a PCG64 state "

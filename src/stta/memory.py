@@ -17,10 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import checked_array, required
 from .normalization import ChannelStats
-from .numerics import (FINITE_NONNEGATIVE, HALF_OPEN_UNIT, UNIT_INTERVAL, ShapeError, checked_bool, checked_int,
-                       checked_number, is_real)
+from .numerics import (FINITE, FINITE_NONNEGATIVE, HALF_OPEN_UNIT, UNIT_INTERVAL, ShapeError, checked_array,
+                       checked_bool, checked_fields, checked_int, checked_number)
 
 SELECTION_MODES = ("naive", "random", "low_entropy", "crm", "cndrm")
 # One checkpoint entry per stored sample, in this key order (see `SampleMemory.state_dict`).
@@ -76,8 +75,8 @@ class SampleMemory:
     average (weight `beta` on the current batch) of early-layer batch
     statistics; it is zeros until `update_centroid` has seen a batch.
 
-    `offer` runs one batch's upkeep; `state_dict` and `load_state_dict`
-    write and read the memory's section of the engine checkpoint.
+    `offer` runs one batch's upkeep; `state_dict` writes the memory's section
+    of the engine checkpoint, and `from_state_dict` makes a memory from one.
 
     Single-writer: one engine instance owns the memory for its stream.
     """
@@ -352,45 +351,45 @@ class SampleMemory:
                 "centroid": {"mu": self.centroid_mu.tolist(), "sigma": self.centroid_sigma.tolist(),
                              "initialized": self.centroid_initialized}}
 
-    def load_state_dict(self, section, num_classes: int) -> None:
-        """Fill this fresh memory, made with the section's capacity, from a `state_dict` section; ValueError
-        naming the field it rejects. The samples are offered back in arrival order, so one this memory would
-        not keep is refused. Arrival indices must increase and stay below the section's `next_arrival`, which
-        the memory then takes, and pseudo-labels below `num_classes`."""
-        at, channels = "checkpoint memory", self.mu.shape[1]
-        next_arrival = checked_int(required(section, "next_arrival", at, ": "), f"{at}: next_arrival")
-        cen, cen_at = required(section, "centroid", at, ": "), f"{at}: centroid"
-        self.centroid_mu = checked_array(required(cen, "mu", cen_at), f"{cen_at}.mu", (channels,))
-        self.centroid_sigma = checked_array(required(cen, "sigma", cen_at), f"{cen_at}.sigma", (channels,),
-                                            nonnegative=True)
-        self.centroid_initialized = checked_bool(required(cen, "initialized", cen_at), f"{cen_at}.initialized")
-        samples = required(section, "samples", at, ": ")
+    @classmethod
+    def from_state_dict(cls, section, num_classes: int, **settings) -> "SampleMemory":
+        """A memory of a `state_dict` section's capacity, made with `settings` (the other `SampleMemory` arguments),
+        that takes the section's samples in arrival order; ValueError naming the field it rejects or a sample it
+        does not keep. Arrival indices rise and stay below `next_arrival`; pseudo-labels stay below `num_classes`."""
+        at, cen_at = "checkpoint memory", "checkpoint memory: centroid"
+        capacity, next_arrival, samples, cen = checked_fields(
+            section, ("capacity", "next_arrival", "samples", "centroid"), at, ": ")
+        memory = cls(checked_int(capacity, f"{at}: capacity", 1), **settings)
+        channels, next_arrival = memory.mu.shape[1], checked_int(next_arrival, f"{at}: next_arrival")
+        mu, sigma, initialized = checked_fields(cen, ("mu", "sigma", "initialized"), cen_at)
+        memory.centroid_mu = checked_array(mu, f"{cen_at}.mu", (channels,))
+        memory.centroid_sigma = checked_array(sigma, f"{cen_at}.sigma", (channels,), nonnegative=True)
+        memory.centroid_initialized = checked_bool(initialized, f"{cen_at}.initialized")
         if not isinstance(samples, list):
             raise ValueError(f"{at}: samples must be a list, got {samples!r}")
         for i, s in enumerate(samples):
-            arrival = checked_int(required(s, "arrival_index", f"{at}: samples[{i}]"),
-                                  f"{at}: samples[{i}].arrival_index", below=next_arrival)
+            x, label, conf, mu, sigma, wdist, arrival, entropy = checked_fields(s, SAMPLE_FIELDS, f"{at}: samples[{i}]")
+            arrival = checked_int(arrival, f"{at}: samples[{i}].arrival_index", below=next_arrival)
             if i and arrival <= previous:
                 raise ValueError(f"{at}: samples[{i}].arrival_index {arrival} does not follow samples[{i - 1}]'s "
                                  f"{previous}; samples go in arrival order")
             previous = arrival
             where = f"{at}: sample {arrival}"
-            x, label, conf, mu, sigma, wdist, _, entropy = (required(s, key, where, ": ") for key in SAMPLE_FIELDS)
             x = checked_array(x, f"{where}: input")
             if x.ndim != 2 or x.shape[0] != channels or x.shape[1] < 1:
                 raise ValueError(f"{where}: input has shape {x.shape}, "
                                  f"want in_channels x L = ({channels}, L >= 1)")
-            if self._input_shape is not None and x.shape != self._input_shape:
-                raise ValueError(f"{where}: input has shape {x.shape}, the samples before it {self._input_shape}")
+            if memory._input_shape is not None and x.shape != memory._input_shape:
+                raise ValueError(f"{where}: input has shape {x.shape}, the samples before it {memory._input_shape}")
             mu = checked_array(mu, f"{where}: mu", (channels,))
             sigma = checked_array(sigma, f"{where}: sigma", (channels,), nonnegative=True)
             label = checked_int(label, f"{where}: pseudo_label", below=num_classes)
             checked_number(conf, f"{where}: confidence", UNIT_INTERVAL)
             if wdist != "inf":  # the marker of an unscored sample
                 checked_number(wdist, f"{where}: wdist", FINITE_NONNEGATIVE)
-            if not (is_real(entropy) and math.isfinite(entropy)):
-                raise ValueError(f"{where}: entropy must be a finite number, got {entropy!r}")
-            outcome = self.insert(x, label, conf, mu, sigma, math.inf if wdist == "inf" else wdist, arrival, entropy)
+            checked_number(entropy, f"{where}: entropy", FINITE)
+            outcome = memory.insert(x, label, conf, mu, sigma, math.inf if wdist == "inf" else wdist, arrival, entropy)
             if outcome.kind != "inserted":
-                raise ValueError(f"{where} does not fit a {self.selection_mode} memory of capacity {self.capacity}")
-        self.next_arrival = next_arrival
+                raise ValueError(f"{where} does not fit a {memory.selection_mode} memory of capacity {memory.capacity}")
+        memory.next_arrival = next_arrival
+        return memory

@@ -11,6 +11,9 @@ Normalization statistics come from one of four sources per forward pass:
 live batch statistics, memory statistics with shrinkage correction,
 an exponential moving average of test batches, or the frozen source
 running statistics tracked during pretraining.
+
+A model checkpoint holds the `Model`'s fields; one `numerics.checked_fields`
+call reads each of its JSON objects and refuses a missing or unknown key.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .normalization import (
     batch_channel_stats,
     normalize,
 )
-from .numerics import FINITE_POSITIVE, ShapeError, checked_int, checked_number
+from .numerics import FINITE_POSITIVE, ShapeError, checked_array, checked_fields, checked_int, checked_number
 
 NORM_SOURCES = ("batch", "iobmn", "ema", "frozen")
 
@@ -330,31 +333,6 @@ def model_dict(model: Model) -> dict:
     }
 
 
-def required(entry, key: str, where: str, sep: str = "."):
-    """`entry[key]`; ValueError naming `where` if `entry` is not a JSON object,
-    or `where{sep}{key}` if it has no `key`."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    if key not in entry:
-        raise ValueError(f"{where}{sep}{key} is missing")
-    return entry[key]
-
-
-def checked_array(value, where: str, shape: tuple | None = None, nonnegative: bool = False) -> np.ndarray:
-    """A checkpoint field as an array of finite numbers (>= 0 if asked); ValueError naming `where`."""
-    try:
-        arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} is not an array of numbers") from None
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"{where} has shape {arr.shape}, want {shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{where} must be finite")
-    if nonnegative and (arr < 0.0).any():
-        raise ValueError(f"{where} must be >= 0")
-    return arr
-
-
 def _real_samples(x, where: str) -> np.ndarray:
     """`x` as float64 (a float64 array is not copied) if it holds real numbers (bool, integer or float), the
     dtype rule of `checked_batch`, `forward` and `adapt_step`; ValueError naming `where` and the dtype if not."""
@@ -394,33 +372,33 @@ def _checked_labels(labels, count: int, classes: int, where: str) -> np.ndarray:
 def _stats_from(d, channels: int, where: str) -> ChannelStats | None:
     if d is None:
         return None
-    return ChannelStats(
-        checked_array(required(d, "mean", where), f"{where}.mean", (channels,)),
-        checked_array(required(d, "var", where), f"{where}.var", (channels,), nonnegative=True))
+    mean, var = checked_fields(d, ("mean", "var"), where)
+    return ChannelStats(checked_array(mean, f"{where}.mean", (channels,)),
+                        checked_array(var, f"{where}.var", (channels,), nonnegative=True))
 
 
-def _norm_layer_from(entry: dict, channels: int, where: str) -> NormLayer:
-    where_mn, where_ema = f"{where}.memory_norm", f"{where}.ema"
-    mn, ema = required(entry, "memory_norm", where), required(entry, "ema", where)
-    layer = NormLayer(channels, checked_number(required(entry, "epsilon", where), f"{where}.epsilon",
-                                               FINITE_POSITIVE))
-    for name in ("gamma", "beta", "running_mean", "running_var"):
-        setattr(layer, name, checked_array(required(entry, name, where), f"{where}.{name}", (channels,),
-                                           nonnegative=name == "running_var"))
-    stats = _stats_from(required(mn, "stats", where_mn), channels, f"{where_mn}.stats")
+def _norm_layer_from(entry, channels: int, where: str) -> NormLayer:
+    names = ("gamma", "beta", "running_mean", "running_var")
+    *arrays, epsilon, mn, ema = checked_fields(entry, (*names, "epsilon", "memory_norm", "ema"), where)
+    where_mn = f"{where}.memory_norm"
+    stats, extent, count = checked_fields(mn, ("stats", "spatial_extent", "sample_count"), where_mn)
+    layer = NormLayer(channels, checked_number(epsilon, f"{where}.epsilon", FINITE_POSITIVE))
+    for name, value in zip(names, arrays):
+        setattr(layer, name, checked_array(value, f"{where}.{name}", (channels,), nonnegative=name == "running_var"))
+    stats = _stats_from(stats, channels, f"{where_mn}.stats")
     if stats is not None:
-        extent, count = (checked_int(required(mn, key, where_mn), f"{where_mn}.{key}", 1)
-                         for key in ("spatial_extent", "sample_count"))
+        extent = checked_int(extent, f"{where_mn}.spatial_extent", 1)
+        count = checked_int(count, f"{where_mn}.sample_count", 1)
         try:
             layer.memory_norm = MemoryNormState(memory_stats=stats, spatial_extent=extent, sample_count=count)
         except ValueError as exc:
             raise ValueError(f"{where_mn}: {exc}") from None
-    layer.ema.stats = _stats_from(required(ema, "stats", where_ema), channels, f"{where_ema}.stats")
+    layer.ema.stats = _stats_from(*checked_fields(ema, ("stats",), f"{where}.ema"), channels, f"{where}.ema.stats")
     return layer
 
 
 def load_model_dict(payload: dict) -> Model:
-    """The model a checkpoint holds; ValueError naming the field it rejects."""
+    """The model a checkpoint holds; ValueError naming the field it rejects, a missing or unknown key included."""
     if not isinstance(payload, dict):
         raise ValueError("model checkpoint must be a JSON object")
     if payload.get("format") != MODEL_FORMAT:
@@ -428,7 +406,8 @@ def load_model_dict(payload: dict) -> Model:
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model checkpoint version {payload.get('version')!r}")
     top = "model checkpoint"
-    mixes, norms = (required(payload, key, top, ": ") for key in ("mix_weights", "norm_layers"))
+    _, _, mixes, norms, head_weight, head_bias = checked_fields(
+        payload, ("format", "version", "mix_weights", "norm_layers", "head_weight", "head_bias"), top, ": ")
     for key, entries in (("mix_weights", mixes), ("norm_layers", norms)):
         if not isinstance(entries, list) or not entries:
             raise ValueError(f"{top}: {key} must be a non-empty list, got {entries!r}")
@@ -438,11 +417,11 @@ def load_model_dict(payload: dict) -> Model:
     mix_weights = [checked_array(weight, f"{top}: mix_weights[{i}]", (channels, channels))
                    for i, weight in enumerate(mixes)]
     norm_layers = [_norm_layer_from(entry, channels, f"{top}: norm_layers[{i}]") for i, entry in enumerate(norms)]
-    head_weight = checked_array(required(payload, "head_weight", top, ": "), f"{top}: head_weight")
+    head_weight = checked_array(head_weight, f"{top}: head_weight")
     classes = head_weight.shape[1] if head_weight.ndim == 2 else 0
     if head_weight.shape != (channels, classes) or classes < 1:
         raise ValueError(f"{top}: head_weight has shape {head_weight.shape}, want {channels} x classes, classes >= 1")
-    head_bias = checked_array(required(payload, "head_bias", top, ": "), f"{top}: head_bias", (classes,))
+    head_bias = checked_array(head_bias, f"{top}: head_bias", (classes,))
     return Model(mix_weights, norm_layers, head_weight, head_bias)
 
 

@@ -22,8 +22,8 @@ forward normalizes its rows in place and saves nothing; a recorded one
 takes the same operations into new arrays, so the two give the same bits.
 Sums call `np.add.reduce`, the ufunc loop behind `.sum` and `.mean`,
 without their Python wrappers. The module also holds the shared checks of
-numbers and booleans, by which every type that holds a setting checks it;
-it imports nothing from the package.
+numbers, booleans, checkpoint objects and arrays, by which every setting
+and checkpoint field is checked; it imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ShapeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# checks of numbers
+# checks of numbers, booleans and checkpoint fields
 
 
 def is_real(value) -> bool:
@@ -82,6 +82,31 @@ def checked_int(value, where: str, minimum: int = 0, below: int | None = None) -
         bounds = f">= {minimum}" + ("" if below is None else f" and < {below}")
         raise ValueError(f"{where} must be an integer {bounds}, got {value!r}")
     return int(value)
+
+
+def checked_fields(entry, keys: tuple, where: str, sep: str = ".") -> tuple:
+    """The values of `keys`, in order, of a JSON object with exactly those keys; ValueError naming the path if not."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in (*keys, *entry):  # a missing key is named before an unknown one
+        if key not in entry or key not in keys:
+            raise ValueError(f"{where}{sep}{key} " + ("is missing" if key not in entry else "is an unknown key"))
+    return tuple(entry[key] for key in keys)
+
+
+def checked_array(value, where: str, shape: tuple | None = None, nonnegative: bool = False) -> np.ndarray:
+    """A checkpoint field as an array of finite numbers (>= 0 if asked); ValueError naming `where`."""
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} is not an array of numbers") from None
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{where} has shape {arr.shape}, want {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} must be finite")
+    if nonnegative and (arr < 0.0).any():
+        raise ValueError(f"{where} must be >= 0")
+    return arr
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -271,6 +271,7 @@ class TestRun:
         ({"grid": {"modes": "snap"}}, [], "grid.modes must be a list, got 'snap'"),
         ({"grid": 5}, [], "grid must be a mapping, got 5"),
         ({"grid": {"ar": [True]}}, [], "grid.ar[0]: adaptation rate True is not a number"),
+        ({"grid": {"ar": [10 ** 400]}}, [], f"grid.ar[0]: adaptation rate {10 ** 400} outside [0, 1]\n"),
         ({"out_dir": 5}, [], "out_dir must be a string or null, got 5"),
         ({"stream": {"segments": 5}}, [], "stream.segments must be a list, got 5"),
         ({"stream": {"segments": [5]}}, [], "stream.segments[0] must be a mapping, got 5"),
@@ -311,8 +312,8 @@ class TestRun:
     ], ids=["nan-lr", "zero-lr", "text-lr", "zero-batch-size", "zero-samples", "fewer-samples-than-classes",
             "fractional-epochs", "negative-blocks", "negative-workers", "zero-workers", "no-rates", "no-seeds",
             "text-seed-flag", "text-seed", "negative-seed", "repeated-seed", "scalar-seeds", "scalar-rates",
-            "text-rate", "text-modes", "scalar-grid", "bool-rate", "number-out-dir", "scalar-segments",
-            "scalar-segment", "no-segments", "scalar-domain", "unknown-segment-key", "no-batches",
+            "text-rate", "text-modes", "scalar-grid", "bool-rate", "rate-beyond-float", "number-out-dir",
+            "scalar-segments", "scalar-segment", "no-segments", "scalar-domain", "unknown-segment-key", "no-batches",
             "text-channels", "fractional-length", "zero-length", "text-separation", "one-class",
             "text-permute", "bool-noise", "text-scale", "unknown-corruption-key", "rescore-threshold-key",
             "length-changes",
@@ -339,8 +340,15 @@ class TestRun:
         ("pretrain", "lr", True, "pretrain.lr must be a number, got True"),
         ("thresholds", "snap@0.5", True, "threshold 'snap@0.5': minimum must be a number, got True"),
         ("thresholds", "snap@0.5", "1e-1x", "threshold 'snap@0.5': minimum must be a number, got '1e-1x'"),
+        # An integer no float can hold is a number, which its setting's range rule refuses.
+        ("engine", "alpha", 10 ** 400, f"engine: alpha must be a number >= 0 and finite, got {10 ** 400}"),
+        ("engine", "tau_conf", 10 ** 400, f"engine: tau_conf must be a number in [0, 1], got {10 ** 400}"),
+        ("pretrain", "lr", 10 ** 400, f"pretrain.lr must be a number > 0 and finite, got {10 ** 400}"),
+        ("thresholds", "snap@0.5", 10 ** 400,
+         f"threshold 'snap@0.5': minimum must be a number that is finite, got {10 ** 400}"),
     ], ids=["text-engine-lr", "text-tau-conf", "bool-alpha", "bool-momentum", "bool-pretrain-lr",
-            "bool-threshold", "text-threshold"])
+            "bool-threshold", "text-threshold", "beyond-float-alpha", "beyond-float-tau-conf",
+            "beyond-float-pretrain-lr", "beyond-float-threshold"])
     def test_non_numeric_real_setting_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                                 section, key, value, named):
         prepared = []

@@ -99,6 +99,7 @@ class TestEngineBasics:
         ("beta_centroid", True, "beta_centroid"),
         ("ema_momentum", True, "ema_momentum"), ("ar", True, "adaptation rate True"),
         ("ar", False, "adaptation rate False"),
+        pytest.param("ar", 10 ** 400, r"^adaptation rate 10{400} outside \[0, 1\]$", id="ar-beyond-float"),
     ])
     def test_config_rejects_bad_setting(self, field, value, named):
         with pytest.raises(ValueError, match=named):
@@ -482,7 +483,7 @@ class TestResume:
         payload["config"]["refresh_memory_stats"] = value
         with pytest.raises(ValueError) as err:
             Engine.from_state_dict(payload)
-        assert str(err.value) == "engine checkpoint: config.refresh_memory_stats is not an engine setting"
+        assert str(err.value) == "engine checkpoint: config.refresh_memory_stats is an unknown key"
 
     def test_a_resumed_engine_serves_with_its_configured_alpha(self, base_model):
         # The loaded model's layers were populated at alpha 4; the engine then swaps in values at its own alpha.
@@ -531,8 +532,10 @@ class TestResume:
         ("wdist", -0.5, "sample {}: wdist must be a number >= 0"),
         ("wdist", math.nan, "sample {}: wdist must be a number >= 0"),
         ("wdist", "far", "sample {}: wdist must be a number >= 0"),
-        ("entropy", math.inf, "sample {}: entropy must be a finite number"),
-        ("entropy", None, "sample {}: entropy must be a finite number, got None"),  # in every mode
+        ("entropy", math.inf, "sample {}: entropy must be a number that is finite, got inf"),
+        ("entropy", None, "sample {}: entropy must be a number that is finite, got None"),  # in every mode
+        pytest.param("entropy", 10 ** 400, "sample {}: entropy must be a number that is finite, got 1000",
+                     id="entropy-beyond-float"),
         ("centroid.mu", "nan", "centroid.mu must be finite"),
         ("centroid.sigma", "inf", "centroid.sigma must be finite"),
         ("centroid.sigma", "negative", "centroid.sigma must be >= 0"),
@@ -563,16 +566,23 @@ class TestResume:
         samples[0], samples[1] = samples[1], samples[0]
 
     @pytest.mark.parametrize("edit,named", [
-        (lambda p: p["memory"]["samples"][1].pop("mu"), r"checkpoint memory: sample \d+: mu is missing"),
+        (lambda p: p["memory"]["samples"][1].pop("mu"), r"checkpoint memory: samples\[1\]\.mu is missing$"),
         (lambda p: p["memory"]["samples"][0].pop("arrival_index"),
          r"checkpoint memory: samples\[0\]\.arrival_index is missing"),
-        (lambda p: p["config"].update(bogus=1), r"engine checkpoint: config\.bogus is not an engine setting"),
-        (lambda p: p["config"].update(tau_delta=0.1),
-         r"engine checkpoint: config\.tau_delta is not an engine setting$"),
+        (lambda p: p["config"].update(bogus=1), r"engine checkpoint: config\.bogus is an unknown key$"),
+        (lambda p: p["config"].update(tau_delta=0.1), r"engine checkpoint: config\.tau_delta is an unknown key$"),
+        (lambda p: p["config"].pop("alpha"), r"engine checkpoint: config\.alpha is missing$"),
         (lambda p: p["config"].update(seed="x"), r"engine checkpoint: config: seed must be an integer >= 0"),
         (lambda p: p["config"].update(ar="1/0"), r"engine checkpoint: config: adaptation rate '1/0'"),
+        (lambda p: p["config"].update(ar=10 ** 400), r"engine checkpoint: config: adaptation rate 10{400} outside"),
         (lambda p: p.update(rng={}), r"engine checkpoint: rng is not a PCG64 state"),
         (lambda p: p["rng"].update(bit_generator="MT19937"), r"engine checkpoint: rng is not a PCG64 state"),
+        (lambda p: p["rng"].update(bogus=1),
+         r"engine checkpoint: rng is not a PCG64 state \(ValueError: rng\.bogus is an unknown key\)$"),
+        (lambda p: p["rng"]["state"].update(bogus=1),
+         r"engine checkpoint: rng is not a PCG64 state \(ValueError: rng\.state\.bogus is an unknown key\)$"),
+        (lambda p: p["rng"]["state"].update(inc=-1),
+         r"engine checkpoint: rng is not a PCG64 state \(ValueError: rng\.state\.inc must be an integer >= 0"),
         (lambda p: p.update(version=1), r"unsupported engine checkpoint version 1$"),
         (lambda p: p.update(model=V1_MODEL), r"unsupported model checkpoint version 1$"),
         (lambda p: p.update(batch_count="x"), r"engine checkpoint: batch_count must be an integer >= 0, got 'x'$"),
@@ -614,8 +624,9 @@ class TestResume:
          r"samples go in arrival order$"),
     ], ids=[
         "sample-mu-missing", "arrival-index-missing", "config-unknown-key", "config-rescore-threshold",
-        "config-seed-string",
-        "config-ar-zero-denominator", "rng-empty", "rng-other-generator", "version-one", "model-version-one",
+        "config-alpha-missing", "config-seed-string",
+        "config-ar-zero-denominator", "config-ar-beyond-float", "rng-empty", "rng-other-generator", "rng-unknown-key",
+        "rng-state-unknown-key", "rng-negative-inc", "version-one", "model-version-one",
         "batch-count-string", "batch-count-missing", "batch-count-negative", "batch-count-bool",
         "next-arrival-float", "next-arrival-missing",
         "memory-missing", "capacity-zero",
@@ -634,6 +645,28 @@ class TestResume:
         edit(payload)
         with pytest.raises(ValueError, match="^" + named):
             Engine.from_state_dict(payload)
+
+    @pytest.mark.parametrize("path,named", [
+        ((), "engine checkpoint: bogus"),
+        (("config",), "engine checkpoint: config.bogus"),
+        (("model",), "model checkpoint: bogus"),
+        (("model", "norm_layers", 1, "memory_norm"), "model checkpoint: norm_layers[1].memory_norm.bogus"),
+        (("memory",), "checkpoint memory: bogus"),
+        (("memory", "centroid"), "checkpoint memory: centroid.bogus"),
+        (("memory", "samples", 0), "checkpoint memory: samples[0].bogus"),
+        (("memory", "samples", 1), "checkpoint memory: samples[1].bogus"),
+    ], ids=["top", "config", "model", "memory-norm", "memory", "centroid", "first-sample", "second-sample"])
+    def test_checkpoint_rejects_an_unknown_key_at_every_level(self, base_model, path, named):
+        engine = Engine(base_model.clone(), EngineConfig(ar="0.5", seed=29))
+        engine.run_stream(make_stream(continual_stream(("noise",), batches_per_segment=2, batch_size=8, seed=28)))
+        payload = json.loads(json.dumps(engine.state_dict()))
+        owner = payload
+        for key in path:
+            owner = owner[key]
+        owner["bogus"] = 1
+        with pytest.raises(ValueError) as err:
+            Engine.from_state_dict(payload)
+        assert str(err.value) == f"{named} is an unknown key"
 
     def test_checkpoint_without_a_memory_has_seen_no_sample(self, base_model):
         # The memory is made by the first batch, so a fresh engine's checkpoint has a null memory.
@@ -682,7 +715,9 @@ class TestStreamProperties:
         at = round(split * batches)
         first = Engine(base_model.clone(), config)
         records = first.run_stream(stream[:at]).deterministic_dict()["records"]
-        resumed = Engine.from_state_dict(json.loads(json.dumps(first.state_dict())))
+        payload = json.loads(json.dumps(first.state_dict()))
+        resumed = Engine.from_state_dict(payload)
+        assert json.dumps(resumed.state_dict()) == json.dumps(payload)
         records += resumed.run_stream(stream[at:]).deterministic_dict()["records"]
         assert records == metrics.deterministic_dict()["records"]
         assert json.dumps(resumed.state_dict()) == json.dumps(whole.state_dict())

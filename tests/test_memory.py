@@ -44,6 +44,12 @@ def make_memory(capacity=4, mode="cndrm", tau_conf=0.5, beta=0.9, channels=1, se
                         np.random.default_rng(seed))
 
 
+def load_memory(section, mode="cndrm", tau_conf=0.5, beta=0.9, channels=1, rng=None):
+    """`make_memory`'s memory at the section's capacity, filled from a checkpoint section of one class."""
+    return SampleMemory.from_state_dict(section, 1, channels=channels, tau_conf=tau_conf, beta=beta,
+                                        selection_mode=mode, rng=rng if rng is not None else np.random.default_rng(0))
+
+
 def with_centroid(mu, sigma, beta):
     """A memory whose centroid has already seen a batch and holds (mu, sigma)."""
     mem = make_memory(channels=len(mu), beta=beta)
@@ -374,8 +380,7 @@ class TestAblationModes:
             assert offer(mem, arrival).evicted == (arrivals[i - 3] if i >= 3 else None)
             assert stored(mem, "arrivals") == arrivals[max(0, i - 2):i + 1]
         assert mem.arrivals.tolist() == [12, 13, 9]  # five evictions: the ring went round once and on by two
-        loaded = make_memory(capacity=3, mode="naive")
-        loaded.load_state_dict(json.loads(json.dumps(mem.state_dict())), num_classes=1)
+        loaded = load_memory(json.loads(json.dumps(mem.state_dict())), mode="naive")
         assert loaded.arrivals.tolist() == [9, 12, 13]  # refilled in arrival order
         for arrival, evicted in ((14, 9), (15, 12), (16, 13), (17, 14)):
             assert offer(loaded, arrival).evicted == offer(mem, arrival).evicted == evicted
@@ -671,8 +676,8 @@ class TestStateDict:
         assert all(list(entry) == list(SAMPLE_FIELDS) for entry in section["samples"])
         loaded_rng = np.random.default_rng()  # the engine checkpoint carries the generator next to the section
         loaded_rng.bit_generator.state = mem_rng.bit_generator.state
-        loaded = SampleMemory(5, 1, 0.3, 0.9, mode, loaded_rng)
-        loaded.load_state_dict(section, num_classes=1)
+        loaded = load_memory(section, mode, tau_conf=0.3, rng=loaded_rng)
+        assert loaded.capacity == 5
         assert loaded.state_dict() == mem.state_dict()
         assert (loaded.dump(), loaded.next_arrival) == (mem.dump(), mem.next_arrival)
         assert np.array_equal(loaded.batch(), mem.batch())
@@ -685,8 +690,7 @@ class TestStateDict:
         offer_batch(mem, np.random.default_rng(4), 3, 0.1)
         section = mem.state_dict()
         assert section["samples"] == [] and section["centroid"]["initialized"]
-        loaded = make_memory(capacity=2, tau_conf=0.5)
-        loaded.load_state_dict(section, num_classes=1)
+        loaded = load_memory(section)
         assert loaded.state_dict() == section and loaded.next_arrival == 3 and loaded.batch() is None
 
     def test_the_next_offer_takes_the_loaded_next_arrival(self):
@@ -695,8 +699,7 @@ class TestStateDict:
         offer_batch(mem, rng, 2, 0.9)
         offer_batch(mem, rng, 3, 0.1)  # rejected candidates still take arrival indices
         assert stored(mem, "arrivals") == [0, 1] and mem.next_arrival == 5
-        loaded = make_memory(capacity=4, tau_conf=0.5)
-        loaded.load_state_dict(json.loads(json.dumps(mem.state_dict())), num_classes=1)
+        loaded = load_memory(json.loads(json.dumps(mem.state_dict())))
         assert loaded.next_arrival == 5
         with pytest.raises(ValueError, match="arrival 4 comes before the next arrival 5"):
             offer(loaded, 4)
@@ -716,14 +719,14 @@ class TestStateDict:
         section = json.loads(json.dumps(mem.state_dict()))
         edit(section)
         with pytest.raises(ValueError) as err:
-            make_memory(capacity=4, tau_conf=0.5).load_state_dict(section, num_classes=1)
+            load_memory(section)
         assert str(err.value) == f"checkpoint memory: next_arrival must be an integer >= 0, got {got}"
 
     def test_next_arrival_is_required(self):
         section = make_memory(capacity=2).state_dict()
         del section["next_arrival"]
         with pytest.raises(ValueError) as err:
-            make_memory(capacity=2).load_state_dict(section, num_classes=1)
+            load_memory(section)
         assert str(err.value) == "checkpoint memory: next_arrival is missing"
 
     def test_next_arrival_must_follow_every_sample(self):
@@ -733,13 +736,13 @@ class TestStateDict:
         last = section["samples"][-1]["arrival_index"]
         section["next_arrival"] = last  # one too few: the last sample's own index
         with pytest.raises(ValueError) as err:
-            make_memory(capacity=4, tau_conf=0.5).load_state_dict(section, num_classes=1)
+            load_memory(section)
         want = (f"checkpoint memory: samples[{len(section['samples']) - 1}].arrival_index must be an integer "
                 f">= 0 and < {last}, got {last}")
         assert str(err.value) == want
 
-    @pytest.mark.parametrize("entropy", [None, math.nan, -math.inf, "0.1", True],
-                             ids=["null", "nan", "inf", "string", "bool"])
+    @pytest.mark.parametrize("entropy", [None, math.nan, -math.inf, "0.1", True, 10 ** 400],
+                             ids=["null", "nan", "inf", "string", "bool", "beyond-float"])
     @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
     def test_entropy_must_be_finite_in_every_mode(self, mode, entropy):
         mem = SampleMemory(5, 1, 0.3, 0.9, mode, np.random.default_rng(5))
@@ -747,10 +750,10 @@ class TestStateDict:
         section = json.loads(json.dumps(mem.state_dict()))
         sample = section["samples"][1]
         sample["entropy"] = entropy
-        loaded = SampleMemory(5, 1, 0.3, 0.9, mode, np.random.default_rng(5))
         with pytest.raises(ValueError) as err:
-            loaded.load_state_dict(section, num_classes=1)
-        want = f"checkpoint memory: sample {sample['arrival_index']}: entropy must be a finite number, got {entropy!r}"
+            load_memory(section, mode, tau_conf=0.3, rng=np.random.default_rng(5))
+        want = (f"checkpoint memory: sample {sample['arrival_index']}: entropy must be a number that is finite, "
+                f"got {entropy!r}")
         assert str(err.value) == want
 
     def test_infinite_distance(self):

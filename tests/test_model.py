@@ -622,6 +622,30 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             load_model_dict(payload)
 
+    @pytest.mark.parametrize("path,key,named", [
+        ((), "bogus", "model checkpoint: bogus"),
+        (("norm_layers", 0), "kind", "model checkpoint: norm_layers[0].kind"),
+        (("norm_layers", 0, "memory_norm"), "alpha", "model checkpoint: norm_layers[0].memory_norm.alpha"),
+        (("norm_layers", 1, "ema"), "momentum", "model checkpoint: norm_layers[1].ema.momentum"),
+        (("norm_layers", 0, "memory_norm", "stats"), "std", "model checkpoint: norm_layers[0].memory_norm.stats.std"),
+        (("norm_layers", 1, "ema", "stats"), "count", "model checkpoint: norm_layers[1].ema.stats.count"),
+    ], ids=["top", "norm-entry", "memory-norm-alpha", "ema-momentum", "memory-stats", "ema-stats"])
+    def test_rejects_an_unknown_key_at_every_level(self, path, key, named):
+        # Every object holds exactly its keys: a leftover version-1 `alpha` is refused, not ignored.
+        payload = json.loads(json.dumps(self._payload()))
+        for layer in payload["norm_layers"]:
+            stats = {"mean": [0.0] * 6, "var": [1.0] * 6}
+            layer["memory_norm"].update(stats=dict(stats), spatial_extent=4, sample_count=2)
+            layer["ema"]["stats"] = dict(stats)
+        load_model_dict(json.loads(json.dumps(payload)))  # loads as it is
+        owner = payload
+        for step in path:
+            owner = owner[step]
+        owner[key] = 16.0
+        with pytest.raises(ValueError) as err:
+            load_model_dict(payload)
+        assert str(err.value) == f"{named} is an unknown key"
+
     def test_rejects_a_payload_that_is_not_an_object(self):
         with pytest.raises(ValueError, match="^model checkpoint must be a JSON object$"):
             load_model_dict([self._payload()])
