@@ -3,9 +3,10 @@
 Each batch is classified first (never benefiting from its own update),
 its samples are offered to the memory, the domain centroid absorbs the
 batch's early-layer statistics, and only then, when floor(batch count * ar)
-steps up, does one entropy-minimization step run on the memory batch. The
-statistics observed during that step seed the memory-based normalization
-used for subsequent inference.
+steps up, does one entropy-minimization step run on the memory batch. For
+the `iobmn` inference source only, the statistics observed during that step
+seed the memory-based normalization used for subsequent inference; no other
+source reads them, so no other engine builds them.
 
 Wall time is measured with a monotonic clock and split into (inference +
 memory maintenance) versus adaptation. Timing fields are therefore the
@@ -284,7 +285,7 @@ class Engine:
             else:
                 adapted = True
                 count, extent = batch.shape[0], batch.shape[2]  # every norm layer sees the input length
-                if estimable(extent, count):
+                if self.config.inference_stats_mode == "iobmn" and estimable(extent, count):  # its only reader
                     for layer, stats in zip(self.model.norm_layers, step.layer_stats):
                         layer.memory_norm = MemoryNormState(self.config.alpha, stats, extent, count)
             adaptation_seconds = time.perf_counter() - t2

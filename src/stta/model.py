@@ -386,7 +386,11 @@ def _norm_layer_from(entry, channels: int, where: str) -> NormLayer:
     for name, value in zip(names, arrays):
         setattr(layer, name, checked_array(value, f"{where}.{name}", (channels,), nonnegative=name == "running_var"))
     stats = _stats_from(stats, channels, f"{where_mn}.stats")
-    if stats is not None:
+    if stats is None:  # no sample size to state: exactly the 0s the writer emits
+        for key, value in (("spatial_extent", extent), ("sample_count", count)):
+            if type(value) is not int or value != 0:
+                raise ValueError(f"{where_mn}.{key} must be the integer 0 where stats is null, got {value!r}")
+    else:
         extent = checked_int(extent, f"{where_mn}.spatial_extent", 1)
         count = checked_int(count, f"{where_mn}.sample_count", 1)
         try:

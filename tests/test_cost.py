@@ -32,7 +32,7 @@ from stta.normalization import ChannelStats
 BOUNDS = {
     ("sparse-snap", "served"): 135,
     ("sparse-snap", "adapted"): 190.5,
-    ("dense-tent", "adapted"): 174,
+    ("dense-tent", "adapted"): 140,
 }
 STREAMS = {  # workload -> (mode, ar, corruptions, batches)
     "sparse-snap": ("snap", Fraction(1, 10), ("scale_strong", "noise", "offset"), 300),

@@ -133,6 +133,19 @@ class TestEngineBasics:
         engine.run_stream(make_stream(spec))
         assert engine.memory.capacity == 12
 
+    @pytest.mark.parametrize("mode", [mode for mode, preset in cli.MODE_PRESETS.items() if preset.get("ar") != "0"])
+    def test_an_engine_builds_only_the_statistics_it_serves_with(self, base_model, mode):
+        # IoBMN statistics are built for the `iobmn` source alone, as EMA statistics are for `ema` alone.
+        model = base_model.clone()
+        model.reset_inference_stats()
+        config = cli.engine_config_for(mode, Fraction(1), cli.DEFAULT_CONFIG["engine"], seed=0, batch_size=8)
+        engine = Engine(model, config)
+        spec = continual_stream(("noise",), batches_per_segment=3, batch_size=8, seed=31)
+        assert engine.run_stream(make_stream(spec)).adapt_count >= 1
+        source = config.inference_stats_mode
+        assert [(layer.memory_norm.populated, layer.ema.stats is not None) for layer in model.norm_layers] == \
+            [(source == "iobmn", source == "ema")] * len(model.norm_layers)
+
     def test_zero_rate_matches_bn_stats_baseline(self, base_model):
         spec = continual_stream(("noise",), batches_per_segment=20, batch_size=16, seed=1)
         model = base_model.clone()
@@ -392,6 +405,9 @@ class TestPinnedTrajectories:
     rows gives: its sums over each row round in another order than sums over batch-major arrays did. They
     are of the version-2 layout, which states the batch count once and keeps the arrival counter in the
     memory's section, with a model section that is the version-2 model checkpoint, the `Model`'s four fields.
+    The `tent-equivalent` engine serves batch statistics, so it builds no IoBMN statistics: each of its norm
+    entries holds `memory_norm` as the unpopulated `{stats: null, spatial_extent: 0, sample_count: 0}` it was
+    built with, where it once held the last adaptation's statistics, which no batch served with.
     """
 
     CASES = {
@@ -405,7 +421,7 @@ class TestPinnedTrajectories:
             lambda: continual_stream(("noise",), batches_per_segment=8, batch_size=16, seed=24),
             lambda: EngineConfig(ar=1, tau_conf=0.0, selection_mode="naive", inference_stats_mode="batch",
                                  capacity=16, seed=25),
-            "9890fa2810306a24709bbd7e028e43d7dd303f417505ed2dad7d4ecd39b841c9",
+            "304c707d26c4c981d06cbbfb6f2d7c0a7d6779dd6eaf79191c8757850909c5b8",
             "60f95fd05e1d99791e9801beea05882c6b5bdd80fb5a87fd668c781cfa7cc9d7",
         ),
     }
@@ -501,6 +517,19 @@ class TestResume:
             assert got.mean.tobytes() == want.mean.tobytes() and got.var.tobytes() == want.var.tobytes()
             at_four = normalization.corrected_stats(old.memory_norm, stats)
             assert not (np.array_equal(got.mean, at_four.mean) and np.array_equal(got.var, at_four.var))
+
+    def test_an_adapted_tent_equivalent_checkpoint_round_trips(self, base_model):
+        # Serving batch statistics, it builds no IoBMN statistics: its norm entries hold the writer's
+        # unpopulated `memory_norm`, which loads back to the same checkpoint.
+        config = cli.engine_config_for("tent-equivalent", Fraction(1), cli.DEFAULT_CONFIG["engine"], seed=0,
+                                       batch_size=8)
+        engine = Engine(base_model.clone(), config)
+        spec = continual_stream(("noise",), batches_per_segment=3, batch_size=8, seed=32)
+        assert engine.run_stream(make_stream(spec)).adapt_count == 3
+        state = engine.state_dict()
+        assert [entry["memory_norm"] for entry in state["model"]["norm_layers"]] == \
+            [{"stats": None, "spatial_extent": 0, "sample_count": 0}] * len(engine.model.norm_layers)
+        assert json.dumps(Engine.from_state_dict(json.loads(json.dumps(state))).state_dict()) == json.dumps(state)
 
     def test_checkpoint_keeps_every_config_field(self, base_model, tmp_path):
         config = EngineConfig(ar="1/3", tau_conf=0.25, alpha=2.0, beta_centroid=0.5,

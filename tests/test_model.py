@@ -650,24 +650,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="^model checkpoint must be a JSON object$"):
             load_model_dict([self._payload()])
 
-    def _with_memory_stats(self, spatial_extent, sample_count):
+    STATS = {"mean": [0.0] * 6, "var": [1.0] * 6}
+
+    def _with_memory_stats(self, spatial_extent, sample_count, stats=STATS):
         payload = json.loads(json.dumps(self._payload()))
         memory_norm = payload["norm_layers"][0]["memory_norm"]
-        memory_norm.update(stats={"mean": [0.0] * 6, "var": [1.0] * 6},
-                           spatial_extent=spatial_extent, sample_count=sample_count)
+        memory_norm.update(stats=stats, spatial_extent=spatial_extent, sample_count=sample_count)
         return payload
 
-    @pytest.mark.parametrize("extent,count,message", [
-        ("5", 4, r"norm_layers\[0\]\.memory_norm\.spatial_extent must be an integer >= 1, got '5'"),
-        (2.9, 4, r"norm_layers\[0\]\.memory_norm\.spatial_extent must be an integer >= 1, got 2\.9"),
-        (4, 0, r"norm_layers\[0\]\.memory_norm\.sample_count must be an integer >= 1, got 0"),
-        (8, True, r"norm_layers\[0\]\.memory_norm\.sample_count must be an integer >= 1, got True"),
-        (1, 1, r"norm_layers\[0\]\.memory_norm: spatial_extent x sample_count must be >= 2"),
-    ], ids=["extent-string", "extent-float", "count-zero", "count-bool", "size-one"])
-    def test_rejects_bad_memory_sample_size(self, extent, count, message):
-        # A sample size below 2 would load and then fail at the first served iobmn batch.
+    @pytest.mark.parametrize("stats,extent,count,message", [
+        (STATS, "5", 4, r"norm_layers\[0\]\.memory_norm\.spatial_extent must be an integer >= 1, got '5'"),
+        (STATS, 2.9, 4, r"norm_layers\[0\]\.memory_norm\.spatial_extent must be an integer >= 1, got 2\.9"),
+        (STATS, 4, 0, r"norm_layers\[0\]\.memory_norm\.sample_count must be an integer >= 1, got 0"),
+        (STATS, 8, True, r"norm_layers\[0\]\.memory_norm\.sample_count must be an integer >= 1, got True"),
+        (STATS, 1, 1, r"norm_layers\[0\]\.memory_norm: spatial_extent x sample_count must be >= 2"),
+        (None, "x", 0, r"norm_layers\[0\]\.memory_norm\.spatial_extent must be the integer 0 where stats is null, "
+                       r"got 'x'$"),
+        (None, 0, None, r"norm_layers\[0\]\.memory_norm\.sample_count must be the integer 0 where stats is null, "
+                        r"got None$"),
+        (None, 1, 0, r"norm_layers\[0\]\.memory_norm\.spatial_extent must be the integer 0 where stats is null, "
+                     r"got 1$"),
+        (None, 0, True, r"norm_layers\[0\]\.memory_norm\.sample_count must be the integer 0 where stats is null, "
+                        r"got True$"),
+    ], ids=["extent-string", "extent-float", "count-zero", "count-bool", "size-one",
+            "null-stats-extent-string", "null-stats-count-none", "null-stats-extent-one", "null-stats-count-bool"])
+    def test_rejects_bad_memory_sample_size(self, stats, extent, count, message):
+        # A sample size below 2 would load and then fail at the first served iobmn batch; without
+        # statistics there is no sample size, and only the writer's 0s state that.
         with pytest.raises(ValueError, match="^model checkpoint: " + message):
-            load_model_dict(self._with_memory_stats(extent, count))
+            load_model_dict(self._with_memory_stats(extent, count, stats))
 
     def test_loads_smallest_memory_sample_size(self):
         layer = load_model_dict(self._with_memory_stats(1, 2)).norm_layers[0]
