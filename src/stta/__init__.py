@@ -13,7 +13,6 @@ from .datagen import (
     StreamSpec,
     continual_stream,
     corruption_presets,
-    default_domain,
     make_stream,
     sample_source,
 )
@@ -47,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     # datagen
     "Corruption", "DomainSpec", "StreamBatch", "StreamSpec", "continual_stream", "corruption_presets",
-    "default_domain", "make_stream", "sample_source",
+    "make_stream", "sample_source",
     # engine
     "AdaptationSchedule", "BatchRecord", "Engine", "EngineConfig", "RunMetrics",
     # memory

@@ -18,17 +18,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import inspect
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import yaml
 
-from .datagen import Corruption, StreamSpec, _preset, default_domain, make_stream, sample_source
+from .datagen import Corruption, DomainSpec, StreamSpec, _preset, make_stream, sample_source
 from .engine import REAL_SETTINGS, Engine, EngineConfig, RunMetrics, _as_rate
 from .model import Model, default_model, load_model, pretrain, save_model
 from .numerics import FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, checked_int, checked_number, is_real
@@ -76,9 +75,8 @@ DEFAULT_CONFIG = {
     "thresholds": {},
 }
 
-# The keys of a segment's `domain` mapping: `default_domain`'s parameters but its corruption.
-DOMAIN_DEFAULTS = {name: p.default for name, p in inspect.signature(default_domain).parameters.items()
-                   if name != "corruption"}
+# The keys of a segment's `domain` mapping: `DomainSpec`'s fields but its corruption.
+DOMAIN_DEFAULTS = {f.name: f.default for f in fields(DomainSpec) if f.name != "corruption"}
 
 
 class ConfigError(ValueError):
@@ -165,7 +163,7 @@ def stream_spec_from_config(cfg: dict, seed: int = 0) -> StreamSpec:
         domain = _mapping({} if domain is None else domain, f"{at}.domain", DOMAIN_DEFAULTS)
         if "batches" not in entry:
             raise ConfigError(f"{at}.batches is missing")
-        segments.append((_under(f"{at}.domain.", default_domain, **domain, corruption=corruption), entry["batches"]))
+        segments.append((_under(f"{at}.domain.", DomainSpec, **domain, corruption=corruption), entry["batches"]))
     return _under("stream.", StreamSpec, tuple(segments), stream_cfg["batch_size"], seed, stream_cfg["correlated"])
 
 

@@ -1,16 +1,18 @@
 """Synthetic labeled source datasets and label-free shifted target streams.
 
-Classes are well-separated Gaussian blobs over a channel x length feature
-map; covariate shift is an affine map plus additive noise and an optional
-fixed channel permutation, leaving the label rule unchanged. Everything is
-a pure function of (spec, seed), so streams replay bit-for-bit. Each type
-checks its fields, raising a ValueError that starts with the field's name.
+Classes are Gaussian blobs over a channel x length feature map, their
+means one-hot patterns `separation` apart; covariate shift is an affine map
+plus additive noise and an optional fixed channel permutation, leaving the
+label rule unchanged. Everything is a pure function of (spec, seed), so
+streams replay bit-for-bit. The specs are plain values that compare and
+hash by their fields; each checks them, raising a ValueError that starts
+with the field's name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,46 +63,38 @@ def _preset(name: str) -> Corruption:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    num_classes: int
-    channels: int
-    length: int
-    class_means: np.ndarray = field(repr=False)  # num_classes x channels
+    """`num_classes` Gaussian blobs of `channels x length` samples, spread `source_noise`, shifted by `corruption`.
+
+    Their means, `class_means`, are `separation` apart. `corruption` may be given as a preset name.
+    """
+
+    num_classes: int = 3
+    channels: int = 16
+    length: int = 8
+    separation: float = 3.0
     source_noise: float = 0.5
     corruption: Corruption = IDENTITY
 
     def __post_init__(self) -> None:
+        if isinstance(self.corruption, str):
+            object.__setattr__(self, "corruption", _preset(self.corruption))
+        if not isinstance(self.corruption, Corruption):
+            raise ValueError(f"corruption must be a Corruption or a preset name, got {self.corruption!r}")
         checked_int(self.num_classes, "num_classes", 2)
         checked_int(self.channels, "channels", 1)
         checked_int(self.length, "length", 1)
+        checked_number(self.separation, "separation", FINITE_NONNEGATIVE)
         checked_number(self.source_noise, "source_noise", FINITE_NONNEGATIVE)
-        object.__setattr__(self, "class_means", np.asarray(self.class_means, dtype=np.float64))
-        if self.class_means.shape != (self.num_classes, self.channels):
-            raise ValueError(
-                f"class_means {self.class_means.shape} do not match {self.num_classes} x {self.channels}")
+        if self.num_classes > self.channels:
+            raise ValueError(f"num_classes must be <= channels for one-hot patterns, "
+                             f"got {self.num_classes} > {self.channels}")
 
-
-def class_mean_patterns(num_classes: int, channels: int, separation: float = 3.0) -> np.ndarray:
-    """Per-channel class patterns with exactly `separation` pairwise distance.
-
-    One scaled one-hot per class (requires num_classes <= channels).
-    """
-    checked_int(num_classes, "num_classes", 2)
-    checked_int(channels, "channels", 1)
-    checked_number(separation, "separation", FINITE_NONNEGATIVE)
-    if num_classes > channels:
-        raise ValueError(f"num_classes must be <= channels for one-hot patterns, got {num_classes} > {channels}")
-    means = np.zeros((num_classes, channels))
-    means[np.arange(num_classes), np.arange(num_classes)] = separation / math.sqrt(2.0)
-    return means
-
-
-def default_domain(num_classes: int = 3, channels: int = 16, length: int = 8,
-                   separation: float = 3.0, source_noise: float = 0.5,
-                   corruption: Corruption | str = IDENTITY) -> DomainSpec:
-    if isinstance(corruption, str):
-        corruption = _preset(corruption)
-    return DomainSpec(num_classes, channels, length, class_mean_patterns(num_classes, channels, separation),
-                      source_noise, corruption)
+    @property
+    def class_means(self) -> np.ndarray:
+        """A new num_classes x channels array: one one-hot per class, scaled so any two are `separation` apart."""
+        means = np.zeros((self.num_classes, self.channels))
+        means[np.arange(self.num_classes), np.arange(self.num_classes)] = self.separation / math.sqrt(2.0)
+        return means
 
 
 def sample_source(spec: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +104,8 @@ def sample_source(spec: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, np.n
     by at most one; the corruption on `spec` is ignored here (source data
     is by definition unshifted).
     """
-    if n < spec.num_classes:
-        raise ValueError("need at least one sample per class")
+    checked_int(n, "n", spec.num_classes)  # at least one sample per class
+    checked_int(seed, "seed")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % spec.num_classes
     labels = labels[rng.permutation(n)]
@@ -147,6 +141,9 @@ class StreamSpec:
         checked_bool(self.correlated, "correlated")
         if not self.segments:
             raise ValueError("segments must hold at least one segment")
+        for i, segment in enumerate(self.segments):
+            if not (isinstance(segment, (tuple, list)) and len(segment) == 2 and isinstance(segment[0], DomainSpec)):
+                raise ValueError(f"segments[{i}] must be a (DomainSpec, batch count) pair, got {segment!r}")
         object.__setattr__(self, "segments", tuple(
             (d, checked_int(n, f"segments[{i}].batches", 1)) for i, (d, n) in enumerate(self.segments)))
         shapes = [f"{d.num_classes} classes of {d.channels} x {d.length} samples" for d, _ in self.segments]
@@ -183,6 +180,5 @@ def make_stream(spec: StreamSpec):
 def continual_stream(corruptions=("scale_strong", "noise", "offset"), batches_per_segment: int = 60,
                      batch_size: int = 16, seed: int = 0, correlated: bool = False,
                      **domain_kwargs) -> StreamSpec:
-    segments = tuple((default_domain(corruption=c, **domain_kwargs), batches_per_segment)
-                     for c in corruptions)
+    segments = tuple((DomainSpec(corruption=c, **domain_kwargs), batches_per_segment) for c in corruptions)
     return StreamSpec(segments, batch_size, seed, correlated)

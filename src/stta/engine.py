@@ -371,9 +371,12 @@ def _rng_state_dict(rng: np.random.Generator) -> dict:
 def _rng_from_dict(payload) -> np.random.Generator:
     gen = np.random.default_rng(0)
     try:
-        state = checked_fields(payload, ("bit_generator", "state", "has_uint32", "uinteger"), "rng")[1]
+        _, state, has_uint32, uinteger = checked_fields(
+            payload, ("bit_generator", "state", "has_uint32", "uinteger"), "rng")
         for key, value in zip(("state", "inc"), checked_fields(state, ("state", "inc"), "rng.state")):
             checked_int(value, f"rng.state.{key}")
+        checked_int(has_uint32, "rng.has_uint32", 0, 2)
+        checked_int(uinteger, "rng.uinteger", 0, 2**32)
         gen.bit_generator.state = payload
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"engine checkpoint: rng is not a PCG64 state "

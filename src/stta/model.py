@@ -98,6 +98,9 @@ class Model:
 
 def default_model(channels: int = 16, num_classes: int = 3, blocks: int = 3, seed: int = 0) -> Model:
     """Seeded Gaussian weights, drawn block by block and then the head (deterministic)."""
+    checked_int(channels, "channels", 1)
+    checked_int(num_classes, "num_classes", 1)
+    checked_int(seed, "seed")
     if blocks < 1:
         raise ValueError(f"a model needs at least one block, got {blocks}")
     rng = np.random.default_rng(seed)

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from stta.datagen import (
+    DomainSpec,
     continual_stream,
-    default_domain,
     make_stream,
     sample_source,
 )
@@ -64,7 +64,7 @@ def criterion(number: int, label: str, budget_seconds: float | None = None):
 
 
 def pretrain_source_model(seed: int):
-    domain = default_domain()
+    domain = DomainSpec()
     x, y = sample_source(domain, 600, seed + 10_000)
     model = default_model(seed=seed + 20_000)
     pretrain(model, x, y, epochs=60, lr=5e-2, seed=seed + 30_000)

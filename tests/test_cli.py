@@ -9,6 +9,7 @@ import yaml
 
 from stta import cli
 from stta.cli import main
+from stta.datagen import continual_stream
 from stta.model import default_model, model_dict, save_model
 
 from bad_inputs import V1_MODEL
@@ -416,6 +417,11 @@ class TestRun:
         for value in (False, True):
             cfg["stream"]["correlated"] = value
             assert cli.stream_spec_from_config(cfg, 0).correlated is value
+
+    def test_default_stream_is_the_default_continual_stream(self):
+        spec = cli.stream_spec_from_config(cli.load_config(None))
+        expected = continual_stream(("scale_strong",), 100, 16, 0)
+        assert spec == expected and hash(spec) == hash(expected)
 
     def test_threshold_for_a_cell_not_run_exits_two(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_config(thresholds={"naive@0.5": 0.0}))

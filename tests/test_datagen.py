@@ -6,12 +6,11 @@ from scipy import stats as scipy_stats
 
 from stta.datagen import (
     Corruption,
+    DomainSpec,
     StreamSpec,
     continual_stream,
     corrupt,
     corruption_presets,
-    class_mean_patterns,
-    default_domain,
     make_stream,
     sample_source,
 )
@@ -19,14 +18,14 @@ from stta.datagen import (
 
 class TestClassMeans:
     def test_pairwise_separation_exact(self):
-        means = class_mean_patterns(3, 16, separation=3.0)
+        means = DomainSpec(num_classes=3, channels=16, separation=3.0).class_means
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.linalg.norm(means[i] - means[j]) == pytest.approx(3.0, abs=1e-12)
 
     def test_too_many_classes(self):
         with pytest.raises(ValueError):
-            class_mean_patterns(5, 4)
+            DomainSpec(num_classes=5, channels=4).class_means
 
 
 UNKNOWN_FOG = re.escape("corruption: unknown corruption preset 'fog' "
@@ -42,53 +41,95 @@ class TestFieldChecks:
         (lambda: Corruption(noise=-0.5), "noise must be a number >= 0 and finite, got -0.5"),
         (lambda: Corruption(noise=True), "noise must be a number >= 0 and finite, got True"),
         (lambda: Corruption(permute=1), "permute must be true or false, got 1"),
-        (lambda: default_domain(num_classes=1), "num_classes must be an integer >= 2, got 1"),
-        (lambda: default_domain(num_classes=5, channels=4), "num_classes must be <= channels"),
-        (lambda: default_domain(channels=2.0), "channels must be an integer >= 1, got 2.0"),
-        (lambda: default_domain(length=0), "length must be an integer >= 1, got 0"),
-        (lambda: default_domain(separation=float("nan")), "separation must be a number >= 0 and finite"),
-        (lambda: default_domain(source_noise="0.5"), "source_noise must be a number >= 0 and finite"),
-        (lambda: StreamSpec(((default_domain(), 1),), 8, 0, correlated="yes"),
+        (lambda: DomainSpec(num_classes=1), "num_classes must be an integer >= 2, got 1"),
+        (lambda: DomainSpec(num_classes=5, channels=4), "num_classes must be <= channels"),
+        (lambda: DomainSpec(channels=2.0), "channels must be an integer >= 1, got 2.0"),
+        (lambda: DomainSpec(length=0), "length must be an integer >= 1, got 0"),
+        (lambda: DomainSpec(separation=float("nan")), "separation must be a number >= 0 and finite"),
+        (lambda: DomainSpec(source_noise="0.5"), "source_noise must be a number >= 0 and finite"),
+        (lambda: StreamSpec(((DomainSpec(), 1),), 8, 0, correlated="yes"),
          "correlated must be true or false, got 'yes'"),
-        (lambda: StreamSpec(((default_domain(), 1),), 8, -1), "seed must be an integer >= 0, got -1"),
-        (lambda: StreamSpec(((default_domain(), 1), (default_domain(), 2.0)), 8, 0),
+        (lambda: StreamSpec(((DomainSpec(), 1),), 8, -1), "seed must be an integer >= 0, got -1"),
+        (lambda: StreamSpec(((DomainSpec(), 1), (DomainSpec(), 2.0)), 8, 0),
          r"segments\[1\].batches must be an integer >= 1, got 2.0"),
-        (lambda: StreamSpec(((default_domain(), 1), (default_domain(length=4), 1)), 8, 0),
+        (lambda: StreamSpec(((DomainSpec(), 1), (DomainSpec(length=4), 1)), 8, 0),
          r"segments\[1\].domain has 3 classes of 16 x 4 samples, segments\[0\].domain 3 classes of 16 x 8"),
-        (lambda: default_domain(corruption="fog"), UNKNOWN_FOG),
+        (lambda: DomainSpec(corruption="fog"), UNKNOWN_FOG),
         (lambda: continual_stream(corruptions=("noise", "fog")), UNKNOWN_FOG),
+        (lambda: DomainSpec(corruption=5), "corruption must be a Corruption or a preset name, got 5$"),
+        (lambda: StreamSpec(((5, 1),), 8, 0),
+         re.escape("segments[0] must be a (DomainSpec, batch count) pair, got (5, 1)") + "$"),
+        (lambda: StreamSpec((DomainSpec(),), 8, 0),
+         re.escape("segments[0] must be a (DomainSpec, batch count) pair, got DomainSpec(num_classes=3,")),
+        (lambda: StreamSpec(((DomainSpec(), 1), (DomainSpec(), 1, 1)), 8, 0),
+         re.escape("segments[1] must be a (DomainSpec, batch count) pair, got (DomainSpec(")),
     ], ids=["inf-scale", "text-offset", "negative-noise", "bool-noise", "int-permute", "one-class",
             "too-many-classes", "float-channels", "zero-length", "nan-separation", "text-source-noise",
             "text-correlated", "negative-seed", "float-batches", "shape-changes", "unknown-preset",
-            "unknown-preset-continual"])
+            "unknown-preset-continual", "int-corruption", "segment-not-a-domain", "segment-not-a-pair",
+            "segment-triple"])
     def test_rejects_bad_field(self, make, named):
         with pytest.raises(ValueError, match=f"^{named}"):
             make()
 
 
+class TestSpecValues:
+    """Specs are plain values: equal fields compare and hash equal, and nothing read from one changes it."""
+
+    def test_domain_specs_compare_and_hash_by_fields(self):
+        named, given = DomainSpec(corruption="noise"), DomainSpec(corruption=Corruption(noise=1.5))
+        assert named == given and hash(named) == hash(given)
+        assert DomainSpec() != DomainSpec(separation=2.0)
+        assert len({DomainSpec(), DomainSpec(), DomainSpec(length=4)}) == 2
+
+    def test_stream_specs_compare_and_hash_by_fields(self):
+        built = StreamSpec(((DomainSpec(corruption="noise"), 2),), 8, 0)
+        continual = continual_stream(("noise",), batches_per_segment=2, batch_size=8, seed=0)
+        assert built == continual and hash(built) == hash(continual)
+        assert built != continual_stream(("noise",), batches_per_segment=2, batch_size=8, seed=1)
+
+    def test_writing_into_class_means_changes_no_draw(self):
+        domain = DomainSpec()
+        before = sample_source(domain, 30, seed=0)
+        domain.class_means[:] = 100.0
+        after = sample_source(domain, 30, seed=0)
+        assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
+
+
 class TestSampleSource:
     def test_zero_noise_returns_class_means(self):
-        domain = default_domain(source_noise=0.0)
+        domain = DomainSpec(source_noise=0.0)
         x, y = sample_source(domain, 30, seed=0)
         for xi, yi in zip(x, y):
             assert np.array_equal(xi, np.tile(domain.class_means[yi][:, None], (1, 8)))
 
     def test_class_histogram_balanced(self):
-        domain = default_domain()
+        domain = DomainSpec()
         for n in (30, 31, 32):
             _, y = sample_source(domain, n, seed=1)
             counts = np.bincount(y, minlength=3)
             assert counts.max() - counts.min() <= 1
 
     def test_deterministic(self):
-        domain = default_domain()
+        domain = DomainSpec()
         x1, y1 = sample_source(domain, 50, seed=2)
         x2, y2 = sample_source(domain, 50, seed=2)
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
     def test_needs_one_per_class(self):
         with pytest.raises(ValueError):
-            sample_source(default_domain(), 2, seed=0)
+            sample_source(DomainSpec(), 2, seed=0)
+
+    @pytest.mark.parametrize("n,seed,named", [
+        (10.5, 0, "n must be an integer >= 3, got 10.5"),
+        ("12", 0, "n must be an integer >= 3, got '12'"),
+        (True, 0, "n must be an integer >= 3, got True"),
+        (12, 2.5, "seed must be an integer >= 0, got 2.5"),
+        (12, -1, "seed must be an integer >= 0, got -1"),
+    ], ids=["float-n", "text-n", "bool-n", "float-seed", "negative-seed"])
+    def test_rejects_bad_argument(self, n, seed, named):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            sample_source(DomainSpec(), n, seed)
 
 
 class TestCorrupt:
@@ -182,6 +223,6 @@ class TestMakeStream:
         with pytest.raises(ValueError):
             StreamSpec((), 8, 0)
         with pytest.raises(ValueError):
-            StreamSpec(((default_domain(), 0),), 8, 0)
+            StreamSpec(((DomainSpec(), 0),), 8, 0)
         with pytest.raises(ValueError):
-            StreamSpec(((default_domain(), 1),), 0, 0)
+            StreamSpec(((DomainSpec(), 1),), 0, 0)

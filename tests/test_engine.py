@@ -24,14 +24,14 @@ from stta.engine import (
 )
 from stta.memory import SELECTION_MODES, SampleMemory
 from stta.model import NORM_SOURCES, adapt_step, default_model, forward, model_dict, pretrain, save_model
-from stta.datagen import default_domain, sample_source
+from stta.datagen import DomainSpec, sample_source
 
 from bad_inputs import CASES as BAD_CASES, V1_MODEL, bad_batches
 from tent_oracle import run_tent
 
 
 def pretrained_model(seed=0, channels=16, blocks=3, epochs=12, lr=0.05):
-    domain = default_domain(channels=channels)
+    domain = DomainSpec(channels=channels)
     x, y = sample_source(domain, 360, seed + 100)
     model = default_model(channels=channels, blocks=blocks, seed=seed)
     pretrain(model, x, y, epochs=epochs, lr=lr, seed=seed + 200)
@@ -612,6 +612,18 @@ class TestResume:
          r"engine checkpoint: rng is not a PCG64 state \(ValueError: rng\.state\.bogus is an unknown key\)$"),
         (lambda p: p["rng"]["state"].update(inc=-1),
          r"engine checkpoint: rng is not a PCG64 state \(ValueError: rng\.state\.inc must be an integer >= 0"),
+        (lambda p: p["rng"].update(has_uint32=2.5), r"engine checkpoint: rng is not a PCG64 state "
+         r"\(ValueError: rng\.has_uint32 must be an integer >= 0 and < 2, got 2\.5\)$"),
+        (lambda p: p["rng"].update(has_uint32=7), r"engine checkpoint: rng is not a PCG64 state "
+         r"\(ValueError: rng\.has_uint32 must be an integer >= 0 and < 2, got 7\)$"),
+        (lambda p: p["rng"].update(has_uint32=True), r"engine checkpoint: rng is not a PCG64 state "
+         r"\(ValueError: rng\.has_uint32 must be an integer >= 0 and < 2, got True\)$"),
+        (lambda p: p["rng"].update(uinteger=2.5), r"engine checkpoint: rng is not a PCG64 state "
+         r"\(ValueError: rng\.uinteger must be an integer >= 0 and < 4294967296, got 2\.5\)$"),
+        (lambda p: p["rng"].update(uinteger=-1), r"engine checkpoint: rng is not a PCG64 state "
+         r"\(ValueError: rng\.uinteger must be an integer >= 0 and < 4294967296, got -1\)$"),
+        (lambda p: p["rng"].update(uinteger=2**32), r"engine checkpoint: rng is not a PCG64 state "
+         r"\(ValueError: rng\.uinteger must be an integer >= 0 and < 4294967296, got 4294967296\)$"),
         (lambda p: p.update(version=1), r"unsupported engine checkpoint version 1$"),
         (lambda p: p.update(model=V1_MODEL), r"unsupported model checkpoint version 1$"),
         (lambda p: p.update(batch_count="x"), r"engine checkpoint: batch_count must be an integer >= 0, got 'x'$"),
@@ -655,7 +667,9 @@ class TestResume:
         "sample-mu-missing", "arrival-index-missing", "config-unknown-key", "config-rescore-threshold",
         "config-alpha-missing", "config-seed-string",
         "config-ar-zero-denominator", "config-ar-beyond-float", "rng-empty", "rng-other-generator", "rng-unknown-key",
-        "rng-state-unknown-key", "rng-negative-inc", "version-one", "model-version-one",
+        "rng-state-unknown-key", "rng-negative-inc", "rng-has-uint32-float", "rng-has-uint32-seven",
+        "rng-has-uint32-bool", "rng-uinteger-float", "rng-uinteger-negative", "rng-uinteger-too-large",
+        "version-one", "model-version-one",
         "batch-count-string", "batch-count-missing", "batch-count-negative", "batch-count-bool",
         "next-arrival-float", "next-arrival-missing",
         "memory-missing", "capacity-zero",

@@ -10,7 +10,7 @@ import pytest
 
 import reference_tape as ref
 from stta import model as kernels
-from stta.datagen import default_domain, sample_source
+from stta.datagen import DomainSpec, sample_source
 from stta.model import NORM_SOURCES, default_model
 from stta.normalization import MemoryNormState
 
@@ -197,7 +197,7 @@ def test_pretrain_minibatch(channels, blocks, batch, length):
 def test_pretrain_equals_the_reference_loop():
     """`pretrain` is its shuffled minibatch loop around the step `test_pretrain_minibatch` checks: the same
     loop on the reference step gives the same checkpoint (the one `TestBuild.test_checkpoint_pinned` pins)."""
-    domain = default_domain(num_classes=3, channels=6, length=8, separation=3.0, source_noise=0.5)
+    domain = DomainSpec(num_classes=3, channels=6, length=8, separation=3.0, source_noise=0.5)
     x, y = sample_source(domain, 60, 4)
     mine, theirs = default_model(channels=6, blocks=2, seed=3), default_model(channels=6, blocks=2, seed=3)
     kernels.pretrain(mine, x, y, epochs=2, lr=5e-2, seed=5, batch_size=16)

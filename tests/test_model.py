@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,14 +73,26 @@ class TestBuild:
         with pytest.raises(ValueError, match="at least one block"):
             default_model(blocks=0)
 
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"channels": 0}, "channels must be an integer >= 1, got 0"),
+        ({"channels": 2.5}, "channels must be an integer >= 1, got 2.5"),
+        ({"num_classes": 0}, "num_classes must be an integer >= 1, got 0"),
+        ({"num_classes": "3"}, "num_classes must be an integer >= 1, got '3'"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
+    ], ids=["zero-channels", "float-channels", "zero-classes", "text-classes", "negative-seed", "float-seed"])
+    def test_rejects_bad_argument(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            default_model(**kwargs)
+
     def test_checkpoint_pinned(self):
         # Guards the weight-draw order (each block's mix, then the head) and
         # the checkpoint layout, before and after pretraining.
-        from stta.datagen import default_domain, sample_source
+        from stta.datagen import DomainSpec, sample_source
 
         model = default_model(channels=6, blocks=2, seed=3)
         assert checkpoint_digest(model) == "a75e4aa1c347765e92dccf4f77c53d6cabb522753b10569213a82bac59402b3f"
-        domain = default_domain(num_classes=3, channels=6, length=8, separation=3.0, source_noise=0.5)
+        domain = DomainSpec(num_classes=3, channels=6, length=8, separation=3.0, source_noise=0.5)
         x, y = sample_source(domain, 60, 4)
         pretrain(model, x, y, epochs=2, lr=5e-2, seed=5, batch_size=16)
         assert checkpoint_digest(model) == "800b7506e70fe25309398aeee9cc9fe857745f4b51fa916199917874cf839390"
@@ -329,10 +342,9 @@ def batch_stats_accuracy(model, x, y, batch_size=32):
 
 class TestPretrain:
     def make_source(self, seed=0, n=360):
-        from stta.datagen import default_domain, sample_source
+        from stta.datagen import DomainSpec, sample_source
 
-        domain = default_domain(num_classes=3, channels=8, length=8, separation=3.0,
-                                source_noise=0.5)
+        domain = DomainSpec(num_classes=3, channels=8, length=8, separation=3.0, source_noise=0.5)
         return sample_source(domain, n, seed)
 
     def test_reaches_golden_accuracy(self):

@@ -18,7 +18,7 @@ import pytest
 
 from stta import cli
 from stta import model as model_module
-from stta.datagen import continual_stream, default_domain, make_stream, sample_source
+from stta.datagen import DomainSpec, continual_stream, make_stream, sample_source
 from stta.engine import Engine
 from stta.model import default_model, forward, pretrain
 from stta.normalization import MemoryNormState
@@ -64,7 +64,7 @@ def test_traced_forward_spans_every_norm_layer(tracer, source):
 
 @pytest.fixture(scope="module")
 def source_model():
-    x, y = sample_source(default_domain(), 240, 1)
+    x, y = sample_source(DomainSpec(), 240, 1)
     model = default_model(seed=0)
     pretrain(model, x, y, epochs=4, lr=0.05, seed=2)
     return model
