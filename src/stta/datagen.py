@@ -139,6 +139,9 @@ class StreamSpec:
         checked_int(self.batch_size, "batch_size", 1)
         checked_int(self.seed, "seed")
         checked_bool(self.correlated, "correlated")
+        if not isinstance(self.segments, (tuple, list)):
+            raise ValueError(f"segments must be a tuple or list of (DomainSpec, batch count) pairs, "
+                             f"got {self.segments!r}")
         if not self.segments:
             raise ValueError("segments must hold at least one segment")
         for i, segment in enumerate(self.segments):

@@ -56,10 +56,14 @@ class SampleMemory:
       naive       every sample eligible, evict earliest arrival (FIFO)
       random      every sample eligible, evict uniformly at random
       low_entropy every sample eligible, evict highest stored entropy
-      cndrm       confidence filter + class balance, evict the centroid-
-                  farthest sample within the over-represented class
-      crm         cndrm's eviction with staleness in place of distance:
-                  evict the earliest arrival within that class
+      cndrm       confidence filter, then the victim rule below
+      crm         cndrm with staleness in place of centroid distance
+
+    The victim of a full cndrm or crm memory: count the candidate in its own
+    class, then keep only the largest classes. Among their samples, evict the
+    one with the highest key: the distance to the centroid under cndrm,
+    -arrival under crm. Ties go to the lowest class id, then to the stalest
+    sample; the candidate is the latest arrival.
 
     Samples live in fixed-size arrays, one row per slot: `inputs`,
     `labels`, `confidences`, `mu`, `sigma`, `wdist`, `arrivals` and
@@ -222,25 +226,17 @@ class SampleMemory:
             return _INSERTED
         if not class_balanced:
             slot = self._victim(entropy)
-        else:
-            # The victim comes from the largest class, the candidate counted in its own. Ties between
-            # equally large classes go to the class holding the highest key, the candidate's included,
-            # then the lowest id. The candidate is the latest arrival: it loses every tie that the
-            # stalest sample wins, so it tops its class only by a strictly larger key.
-            top = own = counts.get(label, 0) + 1
-            target = best = None
-            for c, k in counts.items():
-                if k < top or c == label:
+        else:  # the victim rule of the class docstring
+            sizes = {**counts, label: counts.get(label, 0) + 1}
+            top, target = max(sizes.values()), None
+            for c, k in sizes.items():
+                if k < top:
                     continue
-                far = self._farthest_of(c)
-                if k > top or target is None or far[0] > best or (far[0] == best and c < target):
-                    top, target, (best, slot) = k, c, far
-            if top == own:
-                far = (key, _CANDIDATE) if own == 1 else self._farthest_of(label)
-                if key > far[0]:
+                far = self._farthest_of(c) if c != label or k > 1 else (key, _CANDIDATE)
+                if c == label and key > far[0]:
                     far = (key, _CANDIDATE)
-                if target is None or far[0] > best or (far[0] == best and label < target):
-                    best, slot = far
+                if target is None or far[0] > best or (far[0] == best and c < target):
+                    target, (best, slot) = c, far
         if slot == _CANDIDATE:  # the memory stays as it was
             return InsertOutcome("inserted_with_eviction", arrival)
         gone, evicted = self.labels.item(slot), self.arrivals.item(slot)
@@ -266,8 +262,7 @@ class SampleMemory:
         self.wdist[slot] = wdist
         self.arrivals[slot] = arrival
         self.entropies[slot] = entropy
-        # The newcomer is the latest arrival: it tops its class only by a
-        # strictly larger key, which under crm (staleness) it never has.
+        # The newcomer, the latest arrival, tops its class only by a strictly larger key (never under crm).
         far = self._farthest.get(label)
         if far is not None and key > far[0]:
             self._farthest[label] = (key, slot)
@@ -286,7 +281,7 @@ class SampleMemory:
             rank = int(self._rng.integers(self.capacity + 1))
             return _CANDIDATE if rank == self.capacity else int(self.order()[rank])
         # low_entropy: highest stored entropy goes; ties evict the stalest.
-        slot, top = self._top(np.arange(self.capacity), self.entropies.copy())
+        slot, top = self._top(np.arange(self.capacity), self.entropies)
         return _CANDIDATE if entropy > top else slot
 
     def _farthest_of(self, label: int) -> tuple[float, int]:
@@ -305,19 +300,8 @@ class SampleMemory:
         return far
 
     def _top(self, slots: np.ndarray, keys: np.ndarray) -> tuple[int, float]:
-        """The slot with the largest key, the stalest among equal keys, and that key.
-
-        `keys` holds one key per entry of `slots`; callers pass a copy, which
-        this overwrites. `argmax` alone finds the first of equal keys, which
-        is not the stalest once slots have been overwritten, so a second
-        `argmax` looks for a tie.
-        """
-        j = keys.argmax()
-        top = keys[j]
-        keys[j] = -math.inf
-        if keys[keys.argmax()] != top:
-            return int(slots[j]), top
-        keys[j] = top
+        """The slot with the largest key, the stalest among equal keys, and that key (one key per slot)."""
+        top = keys[keys.argmax()]  # `max()` takes a slower Python-level path for the same value
         ties = slots[keys == top]
         return int(ties[self.arrivals[ties].argmin()]), top
 
@@ -389,6 +373,8 @@ class SampleMemory:
                 checked_number(wdist, f"{where}: wdist", FINITE_NONNEGATIVE)
             checked_number(entropy, f"{where}: entropy", FINITE)
             outcome = memory.insert(x, label, conf, mu, sigma, math.inf if wdist == "inf" else wdist, arrival, entropy)
+            if outcome is _REJECTED:  # the engine passes its config's tau_conf
+                raise ValueError(f"{where}: confidence {conf!r} is not above config.tau_conf {memory.tau_conf!r}")
             if outcome.kind != "inserted":
                 raise ValueError(f"{where} does not fit a {memory.selection_mode} memory of capacity {memory.capacity}")
         memory.next_arrival = next_arrival

@@ -101,8 +101,7 @@ def default_model(channels: int = 16, num_classes: int = 3, blocks: int = 3, see
     checked_int(channels, "channels", 1)
     checked_int(num_classes, "num_classes", 1)
     checked_int(seed, "seed")
-    if blocks < 1:
-        raise ValueError(f"a model needs at least one block, got {blocks}")
+    checked_int(blocks, "blocks", 1)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(channels)
     mix_weights = [rng.normal(0.0, scale, size=(channels, channels)) for _ in range(blocks)]

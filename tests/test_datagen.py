@@ -63,11 +63,15 @@ class TestFieldChecks:
          re.escape("segments[0] must be a (DomainSpec, batch count) pair, got DomainSpec(num_classes=3,")),
         (lambda: StreamSpec(((DomainSpec(), 1), (DomainSpec(), 1, 1)), 8, 0),
          re.escape("segments[1] must be a (DomainSpec, batch count) pair, got (DomainSpec(")),
+        (lambda: StreamSpec(5, 8, 0),
+         re.escape("segments must be a tuple or list of (DomainSpec, batch count) pairs, got 5") + "$"),
+        (lambda: StreamSpec("ab", 8, 0),
+         re.escape("segments must be a tuple or list of (DomainSpec, batch count) pairs, got 'ab'") + "$"),
     ], ids=["inf-scale", "text-offset", "negative-noise", "bool-noise", "int-permute", "one-class",
             "too-many-classes", "float-channels", "zero-length", "nan-separation", "text-source-noise",
             "text-correlated", "negative-seed", "float-batches", "shape-changes", "unknown-preset",
             "unknown-preset-continual", "int-corruption", "segment-not-a-domain", "segment-not-a-pair",
-            "segment-triple"])
+            "segment-triple", "segments-int", "segments-text"])
     def test_rejects_bad_field(self, make, named):
         with pytest.raises(ValueError, match=f"^{named}"):
             make()

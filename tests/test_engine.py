@@ -548,7 +548,8 @@ class TestResume:
         engine.run_stream(make_stream(spec))
         payload = json.loads(json.dumps(engine.state_dict()))
         payload["memory"]["samples"][0]["confidence"] = 0.0  # below the confidence filter
-        with pytest.raises(ValueError, match="checkpoint memory"):
+        with pytest.raises(ValueError, match=r"^checkpoint memory: sample \d+: confidence 0\.0 is not above "
+                                             r"config\.tau_conf 0\.5$"):
             Engine.from_state_dict(payload)
 
     @pytest.mark.parametrize("field,value,named", [
@@ -734,6 +735,96 @@ class TestResume:
         path.write_text('{"format": "nope"}')
         with pytest.raises(ValueError):
             Engine.load(path)
+
+
+DELETE = "<delete the key>"
+CHECKPOINT_EDITS = (DELETE, None, "x", True, -1, 0, 1, 2.5, 1e300, [], {}, "inf")
+# How the reader's messages name each section (by its key in the checkpoint), and the keys they name in words:
+# a wrong format is "not a" checkpoint of its kind, a `next_arrival` at or below a stored sample's arrival is
+# refused at that sample's `arrival_index`, and a wrong generator is "not a PCG64 state".
+SECTION_NAMES = {"config": "config", "model": "model checkpoint", "memory": "checkpoint memory", "rng": "rng"}
+KEY_WORDS = {"ar": "adaptation rate", "format": "not a", "next_arrival": "arrival_index", "bit_generator": "PCG64"}
+# Keys whose values load in another JSON kind: a rate may be a number, a null capacity is the batch size, and
+# "inf" marks an unscored sample's wdist.
+RETYPED_KEYS = ("ar", "capacity", "wdist")
+
+
+def key_patterns(node, path=()):
+    """Every object and leaf path of a checkpoint, with `int` for each list position."""
+    if isinstance(node, list) and node:
+        for item in node:
+            yield from key_patterns(item, path + (int,))
+        return
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from key_patterns(value, path + (key,))
+
+
+def names_the_path(path, message):
+    section = SECTION_NAMES.get(path[0], "engine checkpoint") if len(path) > 1 else "engine checkpoint"
+    key = [k for k in path if isinstance(k, str)][-1]
+    return section in message and (key in message or KEY_WORDS.get(key, key.replace("_", " ")) in message)
+
+
+def keeps_its_kind(path, before, after):
+    """Whether a loaded edit keeps the JSON kind of the value it replaced; arrays of numbers also take bools."""
+    kind = lambda value: "number" if type(value) in (int, float) else type(value).__name__
+    return (kind(after) == kind(before) or path[-1] in RETYPED_KEYS
+            or (isinstance(path[-1], int) and kind(after) == "bool" and kind(before) == "number"))
+
+
+def as_rate(state):
+    return dict(state, config=dict(state["config"], ar=Fraction(state["config"]["ar"])))
+
+
+class TestCheckpointEdits:
+    """Every engine checkpoint leaf is refused by its path or loaded exactly.
+
+    Hypothesis picks the checkpoint of one mode preset, then one of its key paths: a leaf, or an object. At a
+    leaf it makes one edit: delete the key, or write one of eleven values. At an object it adds an unknown key.
+    Loading the edited payload either raises a ValueError that names the section and the key, or gives an engine
+    whose `state_dict()` equals the payload, with `config.ar` compared as a rate (0 is written back as "0/1").
+    A value that loads keeps the JSON kind of the one it replaced, outside `RETYPED_KEYS`: a reader that takes
+    "x" for a bool and writes it back unchanged is caught there.
+    """
+
+    @pytest.fixture(scope="class")
+    def checkpoints(self, base_model):
+        """Mode -> (checkpoint JSON after 6 batches at capacity 4, its key paths)."""
+        out = {}
+        for mode in ("snap", "tent-equivalent", "ema", "crm"):
+            config = cli.engine_config_for(mode, Fraction(1, 2), dict(cli.DEFAULT_CONFIG["engine"], capacity=4),
+                                           seed=1, batch_size=4)
+            engine = Engine(base_model.clone(), config)
+            engine.run_stream(make_stream(continual_stream(("noise",), batches_per_segment=6, batch_size=4, seed=2)))
+            state = engine.state_dict()
+            out[mode] = json.dumps(state), list(dict.fromkeys(key_patterns(state)))
+        return out
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_an_edited_checkpoint_is_refused_by_its_path_or_loaded_exactly(self, checkpoints, data):
+        text, patterns = checkpoints[data.draw(st.sampled_from(sorted(checkpoints)), label="mode")]
+        payload = json.loads(text)
+        path, parent, node = [], None, payload
+        for key in data.draw(st.sampled_from(patterns), label="key path"):
+            path.append(data.draw(st.integers(0, len(node) - 1), label="position") if key is int else key)
+            parent, node = node, node[path[-1]]
+        if isinstance(node, dict):
+            node["bogus"] = 1
+            path.append("bogus")
+        elif (edit := data.draw(st.sampled_from(CHECKPOINT_EDITS), label="edit")) == DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = edit
+        try:
+            loaded = Engine.from_state_dict(json.loads(json.dumps(payload))).state_dict()
+        except ValueError as exc:
+            assert names_the_path(path, str(exc)), str(exc)
+        else:
+            assert as_rate(loaded) == as_rate(payload)
+            assert isinstance(node, dict) or edit == DELETE or keeps_its_kind(path, node, edit)
 
 
 class TestStreamProperties:

@@ -70,7 +70,7 @@ class TestBuild:
         assert weight_digest(a) != weight_digest(c)
 
     def test_zero_blocks_rejected(self):
-        with pytest.raises(ValueError, match="at least one block"):
+        with pytest.raises(ValueError, match="^blocks must be an integer >= 1, got 0$"):
             default_model(blocks=0)
 
     @pytest.mark.parametrize("kwargs,named", [
@@ -80,7 +80,11 @@ class TestBuild:
         ({"num_classes": "3"}, "num_classes must be an integer >= 1, got '3'"),
         ({"seed": -1}, "seed must be an integer >= 0, got -1"),
         ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
-    ], ids=["zero-channels", "float-channels", "zero-classes", "text-classes", "negative-seed", "float-seed"])
+        ({"blocks": 2.5}, "blocks must be an integer >= 1, got 2.5"),
+        ({"blocks": "3"}, "blocks must be an integer >= 1, got '3'"),
+        ({"blocks": True}, "blocks must be an integer >= 1, got True"),
+    ], ids=["zero-channels", "float-channels", "zero-classes", "text-classes", "negative-seed", "float-seed",
+            "float-blocks", "text-blocks", "bool-blocks"])
     def test_rejects_bad_argument(self, kwargs, named):
         with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
             default_model(**kwargs)
