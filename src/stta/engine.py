@@ -371,8 +371,10 @@ def _rng_state_dict(rng: np.random.Generator) -> dict:
 def _rng_from_dict(payload) -> np.random.Generator:
     gen = np.random.default_rng(0)
     try:
-        _, state, has_uint32, uinteger = checked_fields(
+        bit_generator, state, has_uint32, uinteger = checked_fields(
             payload, ("bit_generator", "state", "has_uint32", "uinteger"), "rng")
+        if bit_generator != "PCG64":
+            raise ValueError(f'rng.bit_generator must be "PCG64", got {bit_generator!r}')
         for key, value in zip(("state", "inc"), checked_fields(state, ("state", "inc"), "rng.state")):
             checked_int(value, f"rng.state.{key}")
         checked_int(has_uint32, "rng.has_uint32", 0, 2)

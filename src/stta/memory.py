@@ -41,11 +41,12 @@ def wasserstein(mu: np.ndarray, sigma: np.ndarray, ref_mu: np.ndarray, ref_sigma
 
 class InsertOutcome(NamedTuple):
     kind: str  # rejected_low_conf | inserted | inserted_with_eviction
-    evicted: int | None = None  # arrival index of the sample that left
 
 
+# `insert` returns one of these three; callers may compare by identity.
 _REJECTED = InsertOutcome("rejected_low_conf")
 _INSERTED = InsertOutcome("inserted")
+_EVICTED = InsertOutcome("inserted_with_eviction")
 _CANDIDATE = -1  # victim marker: the candidate itself is evicted
 
 
@@ -79,6 +80,8 @@ class SampleMemory:
     average (weight `beta` on the current batch) of early-layer batch
     statistics; it is zeros until `update_centroid` has seen a batch.
 
+    `insert` returns one of three shared `InsertOutcome` values and builds
+    none; which sample left is read from `arrivals`, not from the outcome.
     `offer` runs one batch's upkeep; `state_dict` writes the memory's section
     of the engine checkpoint, and `from_state_dict` makes a memory from one.
 
@@ -193,7 +196,7 @@ class SampleMemory:
         scores = self.score(mu, sigma).tolist()
         arrival = self.next_arrival
         accepted = [i for i, row in enumerate(zip(x, labels, confidences, mu, sigma, scores))
-                    if self.insert(*row, arrival + i, entropies[i]).kind != "rejected_low_conf"]
+                    if self.insert(*row, arrival + i, entropies[i]) is not _REJECTED]
         return accepted, self.maybe_rescore(self.update_centroid(batch_stats))
 
     def insert(self, x, label: int, conf: float, mu, sigma, wdist: float, arrival: int,
@@ -226,20 +229,22 @@ class SampleMemory:
             return _INSERTED
         if not class_balanced:
             slot = self._victim(entropy)
-        else:  # the victim rule of the class docstring
-            sizes = {**counts, label: counts.get(label, 0) + 1}
-            top, target = max(sizes.values()), None
-            for c, k in sizes.items():
-                if k < top:
-                    continue
-                far = self._farthest_of(c) if c != label or k > 1 else (key, _CANDIDATE)
-                if c == label and key > far[0]:
+        else:  # the victim rule of the class docstring; a full memory's `counts` is not empty
+            own = counts.get(label, 0) + 1
+            top, target = max(own, max(counts.values())), None
+            if own == top:  # the candidate's class competes first, the candidate among its samples
+                far = self._farthest_of(label) if own > 1 else None
+                if far is None or key > far[0]:
                     far = (key, _CANDIDATE)
-                if target is None or far[0] > best or (far[0] == best and c < target):
-                    target, (best, slot) = c, far
+                target, (best, slot) = label, far
+            for c, k in counts.items():
+                if k == top:  # never the candidate's class, whose stored size is below `own`
+                    far = self._farthest_of(c)
+                    if target is None or far[0] > best or (far[0] == best and c < target):
+                        target, (best, slot) = c, far
         if slot == _CANDIDATE:  # the memory stays as it was
-            return InsertOutcome("inserted_with_eviction", arrival)
-        gone, evicted = self.labels.item(slot), self.arrivals.item(slot)
+            return _EVICTED
+        gone = self.labels.item(slot)
         self._farthest.pop(gone, None)
         self._write(slot, x, label, conf, mu, sigma, wdist, arrival, entropy, key)
         if gone != label:
@@ -248,7 +253,7 @@ class SampleMemory:
                 del counts[gone]
             else:
                 counts[gone] -= 1
-        return InsertOutcome("inserted_with_eviction", evicted)
+        return _EVICTED
 
     def _write(self, slot, x, label, conf, mu, sigma, wdist, arrival, entropy, key) -> None:
         if self.inputs is None:
@@ -353,7 +358,7 @@ class SampleMemory:
             raise ValueError(f"{at}: samples must be a list, got {samples!r}")
         for i, s in enumerate(samples):
             x, label, conf, mu, sigma, wdist, arrival, entropy = checked_fields(s, SAMPLE_FIELDS, f"{at}: samples[{i}]")
-            arrival = checked_int(arrival, f"{at}: samples[{i}].arrival_index", below=next_arrival)
+            arrival = checked_int(arrival, f"{at}: samples[{i}].arrival_index", below=2**63)  # stored as int64
             if i and arrival <= previous:
                 raise ValueError(f"{at}: samples[{i}].arrival_index {arrival} does not follow samples[{i - 1}]'s "
                                  f"{previous}; samples go in arrival order")
@@ -375,7 +380,10 @@ class SampleMemory:
             outcome = memory.insert(x, label, conf, mu, sigma, math.inf if wdist == "inf" else wdist, arrival, entropy)
             if outcome is _REJECTED:  # the engine passes its config's tau_conf
                 raise ValueError(f"{where}: confidence {conf!r} is not above config.tau_conf {memory.tau_conf!r}")
-            if outcome.kind != "inserted":
+            if outcome is not _INSERTED:
                 raise ValueError(f"{where} does not fit a {memory.selection_mode} memory of capacity {memory.capacity}")
+        if samples and next_arrival <= previous:
+            raise ValueError(f"{at}: next_arrival must be above the last sample's arrival_index {previous}, "
+                             f"got {next_arrival}")
         memory.next_arrival = next_arrival
         return memory

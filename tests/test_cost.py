@@ -30,9 +30,9 @@ from stta.normalization import ChannelStats
 
 # (workload, batch kind) -> the most `stta` Python calls a median batch of that kind may make
 BOUNDS = {
-    ("sparse-snap", "served"): 135,
-    ("sparse-snap", "adapted"): 190.5,
-    ("dense-tent", "adapted"): 140,
+    ("sparse-snap", "served"): 120,
+    ("sparse-snap", "adapted"): 174.5,
+    ("dense-tent", "adapted"): 124,
 }
 STREAMS = {  # workload -> (mode, ar, corruptions, batches)
     "sparse-snap": ("snap", Fraction(1, 10), ("scale_strong", "noise", "offset"), 300),

@@ -23,7 +23,8 @@ from stta.engine import (
     _config_from_dict,
 )
 from stta.memory import SELECTION_MODES, SampleMemory
-from stta.model import NORM_SOURCES, adapt_step, default_model, forward, model_dict, pretrain, save_model
+from stta.model import (NORM_SOURCES, adapt_step, default_model, forward, load_model_dict, model_dict, pretrain,
+                        save_model)
 from stta.datagen import DomainSpec, sample_source
 
 from bad_inputs import CASES as BAD_CASES, V1_MODEL, bad_batches
@@ -606,7 +607,12 @@ class TestResume:
         (lambda p: p["config"].update(ar="1/0"), r"engine checkpoint: config: adaptation rate '1/0'"),
         (lambda p: p["config"].update(ar=10 ** 400), r"engine checkpoint: config: adaptation rate 10{400} outside"),
         (lambda p: p.update(rng={}), r"engine checkpoint: rng is not a PCG64 state"),
-        (lambda p: p["rng"].update(bit_generator="MT19937"), r"engine checkpoint: rng is not a PCG64 state"),
+        (lambda p: p["rng"].update(bit_generator="MT19937"), r"engine checkpoint: rng is not a PCG64 state "
+         r"\(ValueError: rng\.bit_generator must be \"PCG64\", got 'MT19937'\)$"),
+        (lambda p: p["rng"].update(bit_generator=None), r"engine checkpoint: rng is not a PCG64 state "
+         r"\(ValueError: rng\.bit_generator must be \"PCG64\", got None\)$"),
+        (lambda p: p["rng"].update(bit_generator=1), r"engine checkpoint: rng is not a PCG64 state "
+         r"\(ValueError: rng\.bit_generator must be \"PCG64\", got 1\)$"),
         (lambda p: p["rng"].update(bogus=1),
          r"engine checkpoint: rng is not a PCG64 state \(ValueError: rng\.bogus is an unknown key\)$"),
         (lambda p: p["rng"]["state"].update(bogus=1),
@@ -659,15 +665,18 @@ class TestResume:
          r"checkpoint memory: sample \d+: sigma has shape \(17,\), want \(16,\)"),
         (lambda p: p["memory"]["samples"][1].update(pseudo_label=3),
          r"checkpoint memory: sample \d+: pseudo_label must be an integer >= 0 and < 3, got 3"),
-        (lambda p: p["memory"]["samples"][1].update(arrival_index=10 ** 6),
-         r"checkpoint memory: samples\[1\]\.arrival_index must be an integer >= 0 and < 16"),
+        (lambda p: p["memory"]["samples"][-1].update(arrival_index=10 ** 6),
+         r"checkpoint memory: next_arrival must be above the last sample's arrival_index 1000000, got 16$"),
+        (lambda p: p["memory"]["samples"][1].update(arrival_index=10 ** 400),
+         r"checkpoint memory: samples\[1\]\.arrival_index must be an integer >= 0 and < 9223372036854775808"),
         (lambda p: TestResume._swap_first_samples(p),
          r"checkpoint memory: samples\[1\]\.arrival_index \d+ does not follow samples\[0\]'s \d+; "
          r"samples go in arrival order$"),
     ], ids=[
         "sample-mu-missing", "arrival-index-missing", "config-unknown-key", "config-rescore-threshold",
         "config-alpha-missing", "config-seed-string",
-        "config-ar-zero-denominator", "config-ar-beyond-float", "rng-empty", "rng-other-generator", "rng-unknown-key",
+        "config-ar-zero-denominator", "config-ar-beyond-float", "rng-empty", "rng-other-generator",
+        "rng-null-generator", "rng-numeric-generator", "rng-unknown-key",
         "rng-state-unknown-key", "rng-negative-inc", "rng-has-uint32-float", "rng-has-uint32-seven",
         "rng-has-uint32-bool", "rng-uinteger-float", "rng-uinteger-negative", "rng-uinteger-too-large",
         "version-one", "model-version-one",
@@ -677,7 +686,7 @@ class TestResume:
         "capacity-disagrees", "centroid-initialized-int", "centroid-mu-length",
         "samples-not-a-list", "first-input-channels", "first-input-flat",
         "first-input-empty-length", "second-input-length", "sample-mu-length",
-        "sample-sigma-length", "pseudo-label-out-of-range", "arrival-index-too-late",
+        "sample-sigma-length", "pseudo-label-out-of-range", "arrival-index-too-late", "arrival-index-beyond-int64",
         "samples-out-of-order",
     ])
     def test_checkpoint_rejects_malformed_fields(self, base_model, edit, named):
@@ -740,10 +749,9 @@ class TestResume:
 DELETE = "<delete the key>"
 CHECKPOINT_EDITS = (DELETE, None, "x", True, -1, 0, 1, 2.5, 1e300, [], {}, "inf")
 # How the reader's messages name each section (by its key in the checkpoint), and the keys they name in words:
-# a wrong format is "not a" checkpoint of its kind, a `next_arrival` at or below a stored sample's arrival is
-# refused at that sample's `arrival_index`, and a wrong generator is "not a PCG64 state".
+# a wrong format is "not a" checkpoint of its kind.
 SECTION_NAMES = {"config": "config", "model": "model checkpoint", "memory": "checkpoint memory", "rng": "rng"}
-KEY_WORDS = {"ar": "adaptation rate", "format": "not a", "next_arrival": "arrival_index", "bit_generator": "PCG64"}
+KEY_WORDS = {"ar": "adaptation rate", "format": "not a"}
 # Keys whose values load in another JSON kind: a rate may be a number, a null capacity is the batch size, and
 # "inf" marks an unscored sample's wdist.
 RETYPED_KEYS = ("ar", "capacity", "wdist")
@@ -778,6 +786,33 @@ def as_rate(state):
     return dict(state, config=dict(state["config"], ar=Fraction(state["config"]["ar"])))
 
 
+def dotted_path(path):
+    """A key path as the readers write it, up to its last key.
+
+    ("norm_layers", 0, "gamma", 3) is written norm_layers[0].gamma.
+    """
+    keys = path[:max(i for i, key in enumerate(path) if isinstance(key, str)) + 1]
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)[1:]
+
+
+def drawn_edit(data, text, patterns):
+    """One edit of the checkpoint JSON `text`, drawn from its key `patterns`: the edited payload, the edited key
+    path, the value found there and the edit (DELETE or a new value; None when a key was added to an object)."""
+    payload = json.loads(text)
+    path, parent, node, edit = [], None, payload, None
+    for key in data.draw(st.sampled_from(patterns), label="key path"):
+        path.append(data.draw(st.integers(0, len(node) - 1), label="position") if key is int else key)
+        parent, node = node, node[path[-1]]
+    if isinstance(node, dict):
+        node["bogus"] = 1
+        path.append("bogus")
+    elif (edit := data.draw(st.sampled_from(CHECKPOINT_EDITS), label="edit")) == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = edit
+    return payload, tuple(path), node, edit
+
+
 class TestCheckpointEdits:
     """Every engine checkpoint leaf is refused by its path or loaded exactly.
 
@@ -805,25 +840,59 @@ class TestCheckpointEdits:
     @settings(max_examples=600, deadline=None)
     @given(data=st.data())
     def test_an_edited_checkpoint_is_refused_by_its_path_or_loaded_exactly(self, checkpoints, data):
-        text, patterns = checkpoints[data.draw(st.sampled_from(sorted(checkpoints)), label="mode")]
-        payload = json.loads(text)
-        path, parent, node = [], None, payload
-        for key in data.draw(st.sampled_from(patterns), label="key path"):
-            path.append(data.draw(st.integers(0, len(node) - 1), label="position") if key is int else key)
-            parent, node = node, node[path[-1]]
-        if isinstance(node, dict):
-            node["bogus"] = 1
-            path.append("bogus")
-        elif (edit := data.draw(st.sampled_from(CHECKPOINT_EDITS), label="edit")) == DELETE:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = edit
+        payload, path, node, edit = drawn_edit(
+            data, *checkpoints[data.draw(st.sampled_from(sorted(checkpoints)), label="mode")])
         try:
             loaded = Engine.from_state_dict(json.loads(json.dumps(payload))).state_dict()
         except ValueError as exc:
             assert names_the_path(path, str(exc)), str(exc)
         else:
             assert as_rate(loaded) == as_rate(payload)
+            assert isinstance(node, dict) or edit == DELETE or keeps_its_kind(path, node, edit)
+
+
+class TestModelCheckpointEdits:
+    """Every model checkpoint leaf is refused by its path or loaded exactly.
+
+    `TestCheckpointEdits`'s edits, over `load_model_dict`: a ValueError names the `model checkpoint` section
+    and the key, or the loaded model's `model_dict` equals the payload and keeps each edited value's JSON kind.
+    The model reader names each key by its dotted path (`norm_layers[0].memory_norm.spatial_extent`), so a
+    refusal must state the edited key's path up to its last key; only a wrong `format` is "not a" checkpoint.
+    The payloads are a default model, the pretrained model, and the pretrained model after a `snap` stream
+    and then an `ema` stream, so that every norm layer holds IoBMN and EMA statistics. The draws are
+    derandomized: every run tries the same 600 edits, and among them each `checked_*` call of
+    `model._norm_layer_from` has an edit that fails the property when that call is deleted.
+    """
+
+    @pytest.fixture(scope="class")
+    def model_checkpoints(self, base_model):
+        """Model -> (its checkpoint JSON, its key paths)."""
+        served = base_model.clone()
+        for mode in ("snap", "ema"):
+            config = cli.engine_config_for(mode, Fraction(1), dict(cli.DEFAULT_CONFIG["engine"], capacity=4),
+                                           seed=1, batch_size=4)
+            Engine(served, config).run_stream(
+                make_stream(continual_stream(("noise",), batches_per_segment=3, batch_size=4, seed=2)))
+        assert all(layer.memory_norm.memory_stats is not None and layer.ema.stats is not None
+                   for layer in served.norm_layers)
+        out = {}
+        for name, model in (("default", default_model()), ("pretrained", base_model), ("served", served)):
+            payload = model_dict(model)
+            out[name] = json.dumps(payload), list(dict.fromkeys(key_patterns(payload)))
+        return out
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_an_edited_model_checkpoint_is_refused_by_its_path_or_loaded_exactly(self, model_checkpoints, data):
+        payload, path, node, edit = drawn_edit(
+            data, *model_checkpoints[data.draw(st.sampled_from(sorted(model_checkpoints)), label="model")])
+        try:
+            loaded = model_dict(load_model_dict(json.loads(json.dumps(payload))))
+        except ValueError as exc:
+            assert names_the_path(("model", *path), str(exc)), str(exc)
+            assert path == ("format",) or dotted_path(path) in str(exc), str(exc)
+        else:
+            assert loaded == payload
             assert isinstance(node, dict) or edit == DELETE or keeps_its_kind(path, node, edit)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stta.engine import EngineConfig
-from stta.memory import SAMPLE_FIELDS, SampleMemory, wasserstein
+from stta.memory import _EVICTED, _INSERTED, _REJECTED, SAMPLE_FIELDS, SELECTION_MODES, SampleMemory, wasserstein
 from stta.normalization import ChannelStats
 from stta.numerics import ShapeError
 
@@ -21,9 +21,32 @@ def stats(mu, sigma):
     return np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
 
 
-def offer(mem, arrival, label=0, conf=0.9, mu=(0.0,), sigma=(1.0,), wdist=0.0, entropy=0.0):
-    return mem.insert(np.zeros((1, 2)), label, conf, np.asarray(mu, dtype=float),
-                      np.asarray(sigma, dtype=float), wdist, arrival, entropy)
+def candidate(arrival, label=0, conf=0.9, mu=(0.0,), sigma=(1.0,), wdist=0.0, entropy=0.0):
+    """`SampleMemory.insert`'s arguments for one candidate of a one-channel memory."""
+    return (np.zeros((1, 2)), label, conf, np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float), wdist,
+            arrival, entropy)
+
+
+def offer(mem, arrival, **fields):
+    return mem.insert(*candidate(arrival, **fields))
+
+
+def insert_evicting(mem, *args):
+    """`mem.insert(*args)`'s outcome, and the arrival index of the sample it evicted (the candidate's own when it
+    evicted itself) or None, read from the stored arrivals around the call."""
+    arrival = args[6]
+    before = set(stored(mem, "arrivals")) | {arrival}
+    out = mem.insert(*args)
+    left = before - set(stored(mem, "arrivals"))
+    if out.kind != "inserted_with_eviction":
+        assert left == ({arrival} if out.kind == "rejected_low_conf" else set())
+        return out, None
+    (evicted,) = left
+    return out, evicted
+
+
+def offer_evicting(mem, arrival, **fields):
+    return insert_evicting(mem, *candidate(arrival, **fields))
 
 
 def stored(mem, field):
@@ -188,8 +211,8 @@ class TestInsert:
 
     def test_inserts_below_capacity(self):
         mem = make_memory(capacity=2)
-        out = offer(mem, 0, conf=0.9)
-        assert out.kind == "inserted" and out.evicted is None
+        out, evicted = offer_evicting(mem, 0, conf=0.9)
+        assert out.kind == "inserted" and evicted is None
         assert len(mem) == 1
 
     def test_candidate_outside_largest_class_evicts_from_largest(self):
@@ -197,10 +220,10 @@ class TestInsert:
         offer(mem, 0, label=0, wdist=1.0)
         offer(mem, 1, label=0, wdist=5.0)
         offer(mem, 2, label=1, wdist=9.0)
-        out = offer(mem, 3, label=1, wdist=0.5)
+        out, evicted = offer_evicting(mem, 3, label=1, wdist=0.5)
         # post-insert counts tie 2-2; class 1 holds the farthest sample (9.0)
         assert out.kind == "inserted_with_eviction"
-        assert out.evicted == 2
+        assert evicted == 2
         assert stored(mem, "arrivals") == [0, 1, 3]
 
     def test_candidate_in_largest_class_evicts_own_class_farthest(self):
@@ -208,25 +231,25 @@ class TestInsert:
         offer(mem, 0, label=0, wdist=1.0)
         offer(mem, 1, label=0, wdist=5.0)
         offer(mem, 2, label=1, wdist=9.0)
-        out = offer(mem, 3, label=0, wdist=0.5)
+        _, evicted = offer_evicting(mem, 3, label=0, wdist=0.5)
         # class 0 becomes strictly largest; its farthest member (5.0) goes
-        assert out.evicted == 1
+        assert evicted == 1
         assert stored(mem, "arrivals") == [0, 2, 3]
 
     def test_candidate_itself_can_be_evicted(self):
         mem = make_memory(capacity=2, tau_conf=0.0)
         offer(mem, 0, label=0, wdist=1.0)
         offer(mem, 1, label=0, wdist=2.0)
-        out = offer(mem, 2, label=0, wdist=99.0)
-        assert out.evicted == 2
+        _, evicted = offer_evicting(mem, 2, label=0, wdist=99.0)
+        assert evicted == 2
         assert stored(mem, "arrivals") == [0, 1]
 
     def test_wdist_tie_evicts_earliest_arrival(self):
         mem = make_memory(capacity=2, tau_conf=0.0)
         offer(mem, 0, label=0, wdist=3.0)
         offer(mem, 1, label=0, wdist=3.0)
-        out = offer(mem, 2, label=0, wdist=1.0)
-        assert out.evicted == 0
+        _, evicted = offer_evicting(mem, 2, label=0, wdist=1.0)
+        assert evicted == 0
 
     def test_largest_class_tie_prefers_farthest_member(self):
         mem = make_memory(capacity=4, tau_conf=0.0)
@@ -235,8 +258,8 @@ class TestInsert:
         offer(mem, 2, label=1, wdist=7.0)
         offer(mem, 3, label=1, wdist=1.5)
         # counts tie 2-2-1 after adding label 2; class 1 holds the farthest
-        out = offer(mem, 4, label=2, wdist=0.1)
-        assert out.evicted == 2  # a class-1 sample
+        _, evicted = offer_evicting(mem, 4, label=2, wdist=0.1)
+        assert evicted == 2  # a class-1 sample
         assert mem.class_counts == {0: 2, 1: 1, 2: 1}
 
     def test_largest_class_full_tie_takes_lowest_class_id(self):
@@ -246,8 +269,8 @@ class TestInsert:
         offer(mem, 2, label=0, wdist=3.0)
         offer(mem, 3, label=0, wdist=1.0)
         # counts and farthest distances tie exactly: lowest class id loses
-        out = offer(mem, 4, label=2, wdist=0.1)
-        assert out.evicted == 2  # a class-0 sample
+        _, evicted = offer_evicting(mem, 4, label=2, wdist=0.1)
+        assert evicted == 2  # a class-0 sample
         assert mem.class_counts == {1: 2, 0: 1, 2: 1}
 
 
@@ -265,9 +288,8 @@ class TestInvariantsRandomRun:
                 counts_before[stored_label] = counts_before.get(stored_label, 0) + 1
             label_of = dict(zip(stored(mem, "arrivals"), stored(mem, "labels")))
             label_of[arrival] = label
-            out = mem.insert(np.zeros((1, 1)), label, conf, mu, sigma,
-                             float(mem.score(mu, sigma)), arrival,
-                             entropy=float(rng.uniform(0, 1)))
+            out, evicted = insert_evicting(mem, np.zeros((1, 1)), label, conf, mu, sigma,
+                                           float(mem.score(mu, sigma)), arrival, float(rng.uniform(0, 1)))
             arrival += 1
             assert len(mem) <= capacity
             if mode in ("crm", "cndrm"):
@@ -283,8 +305,8 @@ class TestInvariantsRandomRun:
                 if mode == "cndrm":
                     largest = max(counts_before.values()) if counts_before else 0
                     largest_classes = {c for c, n in counts_before.items() if n == largest}
-                    assert (label_of[out.evicted] in largest_classes
-                            or label_of[out.evicted] == label)
+                    assert (label_of[evicted] in largest_classes
+                            or label_of[evicted] == label)
             if step % 7 == 0:
                 shift = mem.update_centroid(ChannelStats(rng.normal(size=2), rng.uniform(0.1, 2, size=2)))
                 mem.maybe_rescore(shift)
@@ -305,10 +327,10 @@ class TestInvariantsRandomRun:
             wdist = float(mem.score(mu, sigma))
             before = list(zip(stored(mem, "arrivals"), stored(mem, "labels"), stored(mem, "wdist")))
             before.append((arrival, label, wdist))
-            out = mem.insert(np.zeros((1, 1)), label, 0.9, mu, sigma, wdist, arrival, 0.0)
+            out, evicted = insert_evicting(mem, np.zeros((1, 1)), label, 0.9, mu, sigma, wdist, arrival, 0.0)
             arrival += 1
             if out.kind == "inserted_with_eviction":
-                _, evicted_label, evicted_wdist = next(s for s in before if s[0] == out.evicted)
+                _, evicted_label, evicted_wdist = next(s for s in before if s[0] == evicted)
                 pool = [s for s in before if s[1] == evicted_label]
                 assert evicted_wdist == max(s[2] for s in pool)
 
@@ -377,13 +399,13 @@ class TestAblationModes:
         mem = make_memory(capacity=3, mode="naive")
         arrivals = [0, 2, 3, 7, 8, 9, 12, 13]  # arrival indices need only increase
         for i, arrival in enumerate(arrivals):
-            assert offer(mem, arrival).evicted == (arrivals[i - 3] if i >= 3 else None)
+            assert offer_evicting(mem, arrival)[1] == (arrivals[i - 3] if i >= 3 else None)
             assert stored(mem, "arrivals") == arrivals[max(0, i - 2):i + 1]
         assert mem.arrivals.tolist() == [12, 13, 9]  # five evictions: the ring went round once and on by two
         loaded = load_memory(json.loads(json.dumps(mem.state_dict())), mode="naive")
         assert loaded.arrivals.tolist() == [9, 12, 13]  # refilled in arrival order
         for arrival, evicted in ((14, 9), (15, 12), (16, 13), (17, 14)):
-            assert offer(loaded, arrival).evicted == offer(mem, arrival).evicted == evicted
+            assert offer_evicting(loaded, arrival)[1] == offer_evicting(mem, arrival)[1] == evicted
             assert loaded.dump() == mem.dump()
 
     def test_random_reproducible(self):
@@ -408,9 +430,9 @@ class TestAblationModes:
         offer(mem, 0, label=0, conf=0.9, wdist=0.1)
         offer(mem, 1, label=0, conf=0.9, wdist=99.0)
         offer(mem, 2, label=1, conf=0.9, wdist=5.0)
-        out = offer(mem, 3, label=1, conf=0.9, wdist=0.0)
+        _, evicted = offer_evicting(mem, 3, label=1, conf=0.9, wdist=0.0)
         # counts tie 2-2; crm prefers the class with the stalest member (0)
-        assert out.evicted == 0
+        assert evicted == 0
 
     def test_crm_filters_confidence(self):
         mem = make_memory(mode="crm", tau_conf=0.5)
@@ -422,7 +444,7 @@ class TestAblationModes:
         offer(mem, 0, label=0, wdist=1.0)
         offer(mem, 1, label=0, wdist=5.0)
         offer(mem, 2, label=1, wdist=9.0)
-        assert offer(mem, 3, label=0, wdist=0.5).evicted == 1
+        assert offer_evicting(mem, 3, label=0, wdist=0.5)[1] == 1
 
 
 class TestDump:
@@ -549,7 +571,6 @@ def replay_against_reference(mode, capacity, seed, steps=600, classes=5, channel
         got = mem.insert(x, label, conf, mu, sigma, float(mem.score(mu, sigma)), step, entropy)
         where = f"{mode} capacity {capacity}, step {step}"
         assert got.kind == want.kind, where
-        assert got.evicted == (want.evicted.arrival_index if want.evicted else None), where
         if step >= 200 and step % 4 == 3:
             mean = 1.0 + 0.3 * rng.normal(size=channels)
             var = rng.uniform(0.5, 1.5, size=channels)
@@ -663,6 +684,24 @@ class TestOffer:
         assert offer_batch(mem, rng, 2, 0.9)[0] == [0, 1]
         assert stored(mem, "arrivals") == [3, 4] and mem.next_arrival == 5
 
+    @pytest.mark.parametrize("mode", SELECTION_MODES)
+    def test_every_insert_returns_a_shared_outcome(self, mode):
+        """Each `insert` returns `_REJECTED`, `_INSERTED` or `_EVICTED` itself, and `offer` accepts exactly the
+        candidates whose outcome is not `_REJECTED`."""
+        mem = SampleMemory(4, 1, 0.5, 0.9, mode, np.random.default_rng(0))
+        rng, outcomes = np.random.default_rng(1), []
+        insert = mem.insert
+        mem.insert = lambda *args: outcomes.append(insert(*args)) or outcomes[-1]
+        for _ in range(12):
+            accepted, _ = mem.offer(rng.normal(size=(5, 1, 2)), rng.integers(0, 3, size=5).tolist(),
+                                    rng.uniform(size=5).tolist(), rng.normal(size=(5, 1)),
+                                    rng.uniform(0.5, 1.5, size=(5, 1)), rng.uniform(size=5).tolist(),
+                                    ChannelStats(rng.normal(size=1), rng.uniform(0.5, 1.5, size=1)))
+            assert all(out is _REJECTED or out is _INSERTED or out is _EVICTED for out in outcomes[-5:])
+            assert accepted == [i for i, out in enumerate(outcomes[-5:]) if out is not _REJECTED]
+        kinds = {_REJECTED, _INSERTED, _EVICTED} if mode in ("crm", "cndrm") else {_INSERTED, _EVICTED}
+        assert set(outcomes) == kinds and len(outcomes) == 60
+
 
 class TestStateDict:
     @pytest.mark.parametrize("mode", ["naive", "random", "low_entropy", "crm", "cndrm"])
@@ -729,16 +768,16 @@ class TestStateDict:
             load_memory(section)
         assert str(err.value) == "checkpoint memory: next_arrival is missing"
 
-    def test_next_arrival_must_follow_every_sample(self):
+    @pytest.mark.parametrize("next_arrival", [1, 11], ids=["below-a-middle-sample", "the-last-sample"])
+    def test_next_arrival_must_follow_every_sample(self, next_arrival):
         mem = make_memory(capacity=4, tau_conf=0.5)
-        offer_batch(mem, np.random.default_rng(8), 3, 0.9)
+        for arrival in (0, 1, 2, 11):
+            offer(mem, arrival)
         section = json.loads(json.dumps(mem.state_dict()))
-        last = section["samples"][-1]["arrival_index"]
-        section["next_arrival"] = last  # one too few: the last sample's own index
+        section["next_arrival"] = next_arrival
         with pytest.raises(ValueError) as err:
             load_memory(section)
-        want = (f"checkpoint memory: samples[{len(section['samples']) - 1}].arrival_index must be an integer "
-                f">= 0 and < {last}, got {last}")
+        want = f"checkpoint memory: next_arrival must be above the last sample's arrival_index 11, got {next_arrival}"
         assert str(err.value) == want
 
     @pytest.mark.parametrize("entropy", [None, math.nan, -math.inf, "0.1", True, 10 ** 400],
