@@ -229,19 +229,17 @@ class SampleMemory:
             return _INSERTED
         if not class_balanced:
             slot = self._victim(entropy)
-        else:  # the victim rule of the class docstring; a full memory's `counts` is not empty
-            own = counts.get(label, 0) + 1
-            top, target = max(own, max(counts.values())), None
-            if own == top:  # the candidate's class competes first, the candidate among its samples
-                far = self._farthest_of(label) if own > 1 else None
-                if far is None or key > far[0]:
+        else:  # the victim rule of the class docstring
+            sizes = {**counts, label: counts.get(label, 0) + 1}
+            top, target = max(sizes.values()), None
+            for c, k in sizes.items():
+                if k < top:
+                    continue
+                far = self._farthest_of(c) if c != label or k > 1 else (key, _CANDIDATE)
+                if c == label and key > far[0]:
                     far = (key, _CANDIDATE)
-                target, (best, slot) = label, far
-            for c, k in counts.items():
-                if k == top:  # never the candidate's class, whose stored size is below `own`
-                    far = self._farthest_of(c)
-                    if target is None or far[0] > best or (far[0] == best and c < target):
-                        target, (best, slot) = c, far
+                if target is None or far[0] > best or (far[0] == best and c < target):
+                    target, (best, slot) = c, far
         if slot == _CANDIDATE:  # the memory stays as it was
             return _EVICTED
         gone = self.labels.item(slot)
@@ -349,7 +347,8 @@ class SampleMemory:
         capacity, next_arrival, samples, cen = checked_fields(
             section, ("capacity", "next_arrival", "samples", "centroid"), at, ": ")
         memory = cls(checked_int(capacity, f"{at}: capacity", 1), **settings)
-        channels, next_arrival = memory.mu.shape[1], checked_int(next_arrival, f"{at}: next_arrival")
+        # arrival indices, `next_arrival` included, are stored as int64
+        channels, next_arrival = memory.mu.shape[1], checked_int(next_arrival, f"{at}: next_arrival", below=2**63)
         mu, sigma, initialized = checked_fields(cen, ("mu", "sigma", "initialized"), cen_at)
         memory.centroid_mu = checked_array(mu, f"{cen_at}.mu", (channels,))
         memory.centroid_sigma = checked_array(sigma, f"{cen_at}.sigma", (channels,), nonnegative=True)
@@ -358,7 +357,7 @@ class SampleMemory:
             raise ValueError(f"{at}: samples must be a list, got {samples!r}")
         for i, s in enumerate(samples):
             x, label, conf, mu, sigma, wdist, arrival, entropy = checked_fields(s, SAMPLE_FIELDS, f"{at}: samples[{i}]")
-            arrival = checked_int(arrival, f"{at}: samples[{i}].arrival_index", below=2**63)  # stored as int64
+            arrival = checked_int(arrival, f"{at}: samples[{i}].arrival_index", below=2**63)
             if i and arrival <= previous:
                 raise ValueError(f"{at}: samples[{i}].arrival_index {arrival} does not follow samples[{i - 1}]'s "
                                  f"{previous}; samples go in arrival order")

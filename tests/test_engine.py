@@ -639,7 +639,9 @@ class TestResume:
         (lambda p: p.update(batch_count=True),
          r"engine checkpoint: batch_count must be an integer >= 0, got True$"),
         (lambda p: p["memory"].update(next_arrival=1.5),
-         r"checkpoint memory: next_arrival must be an integer >= 0, got 1\.5$"),
+         r"checkpoint memory: next_arrival must be an integer >= 0 and < 9223372036854775808, got 1\.5$"),
+        (lambda p: p["memory"].update(next_arrival=2**70), r"checkpoint memory: next_arrival must be an integer "
+         r">= 0 and < 9223372036854775808, got 1180591620717411303424$"),
         (lambda p: p["memory"].pop("next_arrival"), r"checkpoint memory: next_arrival is missing$"),
         (lambda p: p.pop("memory"), r"engine checkpoint: memory is missing"),
         (lambda p: p["memory"].update(capacity=0), r"checkpoint memory: capacity must be an integer >= 1, got 0"),
@@ -681,7 +683,7 @@ class TestResume:
         "rng-has-uint32-bool", "rng-uinteger-float", "rng-uinteger-negative", "rng-uinteger-too-large",
         "version-one", "model-version-one",
         "batch-count-string", "batch-count-missing", "batch-count-negative", "batch-count-bool",
-        "next-arrival-float", "next-arrival-missing",
+        "next-arrival-float", "next-arrival-beyond-int64", "next-arrival-missing",
         "memory-missing", "capacity-zero",
         "capacity-disagrees", "centroid-initialized-int", "centroid-mu-length",
         "samples-not-a-list", "first-input-channels", "first-input-flat",

@@ -751,7 +751,8 @@ class TestStateDict:
         (lambda s: s.update(next_arrival=True), "True"),
         (lambda s: s.update(next_arrival="3"), "'3'"),
         (lambda s: s.update(next_arrival=3.0), "3.0"),
-    ], ids=["null", "negative", "bool", "string", "float"])
+        (lambda s: s.update(next_arrival=2**70), "1180591620717411303424"),  # arrivals are stored as int64
+    ], ids=["null", "negative", "bool", "string", "float", "beyond-int64"])
     def test_next_arrival_must_be_a_count(self, edit, got):
         mem = make_memory(capacity=4, tau_conf=0.5)
         offer_batch(mem, np.random.default_rng(7), 3, 0.9)
@@ -759,7 +760,8 @@ class TestStateDict:
         edit(section)
         with pytest.raises(ValueError) as err:
             load_memory(section)
-        assert str(err.value) == f"checkpoint memory: next_arrival must be an integer >= 0, got {got}"
+        want = f"checkpoint memory: next_arrival must be an integer >= 0 and < 9223372036854775808, got {got}"
+        assert str(err.value) == want
 
     def test_next_arrival_is_required(self):
         section = make_memory(capacity=2).state_dict()
